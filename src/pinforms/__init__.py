@@ -65,6 +65,7 @@ from .refinements import (
 from .surfaces import (
     H1Class,
     IntersectionForm,
+    InvariantViolation,
     LimitError,
     MAX_CLASS_DIM,
     MAX_TABLE_DIM,

@@ -20,8 +20,9 @@ from .refinements import (
     Refinement,
     arf_majority,
     arf_symplectic,
+    spin_closed_form,
 )
-from .surfaces import MAX_TABLE_DIM, LimitError, Surface, is_hyperbolic_form
+from .surfaces import MAX_TABLE_DIM, InvariantViolation, LimitError, Surface, is_hyperbolic_form
 
 FLAG_CONFIRMED = "CONFIRMED"
 FLAG_DISPUTED = "DISPUTED"
@@ -106,11 +107,8 @@ def reference_census(surface: Surface, limit: int = MAX_TABLE_DIM) -> Census:
         return pin_census_enumerated(surface, limit=limit)
     if surface.kind == "nonorientable":
         return pin_census_recursive(surface.genus)
-    g = surface.genus
-    return {
-        0: ((1 << (2 * g)) + (1 << g)) // 2,
-        4: ((1 << (2 * g)) - (1 << g)) // 2,
-    }
+    spin = spin_closed_form(surface.genus)
+    return {0: spin[0], 4: spin[1]}
 
 
 def pin_census_closed_form(
@@ -129,7 +127,7 @@ def pin_census_closed_form(
     for invariant in sorted(raw):
         formula = raw[invariant]
         if formula.denominator != 1:
-            raise AssertionError(f"closed form produced a non-integer count {formula}")
+            raise InvariantViolation(f"closed form produced a non-integer count {formula}")
         formula_count = int(formula)
         expected = ref.get(invariant, 0)
         flag = FLAG_CONFIRMED if formula_count == expected else FLAG_DISPUTED

@@ -2,8 +2,9 @@
 
 Output is deterministic: repeated invocations print identical bytes, and
 the ``json`` format round-trips losslessly through ``OutputRecord``.
-Exit codes: 0 success, 1 genuine property failure, 2 bad arguments or
-illegal structure values, 3 documented size limit exceeded.
+Exit codes: 0 success, 1 genuine property failure or failed internal
+consistency check, 2 bad arguments or illegal structure values, 3
+documented size limit exceeded.
 """
 
 from __future__ import annotations
@@ -29,10 +30,18 @@ from .orbits import (
     MAX_GENERATED_DIM,
     isometry_generators,
     isometry_group,
+    level_sets,
     orbit_partition,
 )
-from .refinements import Refinement, arf_symplectic, enumerate_refinements, spin_census
-from .surfaces import LimitError, MAX_TABLE_DIM, Surface, nonorientable_surface, orientable_surface
+from .refinements import Refinement, arf_symplectic, enumerate_refinements, spin_census, spin_closed_form
+from .surfaces import (
+    InvariantViolation,
+    LimitError,
+    MAX_TABLE_DIM,
+    Surface,
+    nonorientable_surface,
+    orientable_surface,
+)
 from .verify import FAIL, run_suites, summarize
 
 Cell = "int | str | None"
@@ -154,11 +163,7 @@ def cmd_census(args) -> tuple[OutputRecord, int]:
         return OutputRecord("census", meta, columns, rows), 0
 
     if args.theory == THEORY_SPIN:
-        g = surface.genus
-        closed = {
-            0: ((1 << (2 * g)) + (1 << g)) // 2,
-            1: ((1 << (2 * g)) - (1 << g)) // 2,
-        }
+        closed = spin_closed_form(surface.genus)
         columns = ("invariant", "enumerated", "closed_form", "flag")
         rows = tuple(
             (i, census.get(i, 0), closed[i], "CONFIRMED" if census.get(i, 0) == closed[i] else "DISPUTED")
@@ -246,10 +251,7 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
         )
 
     orbits = orbit_partition(form, structures, generators=generators)
-    level_sets: dict[int, set] = {}
-    for s in structures:
-        level_sets.setdefault(invariant(s), set()).add(s)
-    match = {frozenset(o) for o in orbits} == {frozenset(v) for v in level_sets.values()}
+    match = {frozenset(o) for o in orbits} == level_sets(structures, invariant)
 
     rows = tuple(
         (index + 1, len(orbit), invariant(orbit[0]))
@@ -335,6 +337,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = RENDERERS[args.format](record)
     sys.stdout.write(text)
     if args.out is not None:

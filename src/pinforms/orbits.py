@@ -17,6 +17,7 @@ from . import gf2
 from .surfaces import (
     H1Class,
     IntersectionForm,
+    InvariantViolation,
     LimitError,
     as_bits,
     identity_form,
@@ -50,7 +51,7 @@ class Isometry:
         inv = gf2.inverse(self.rows, self.form.dim)
         if inv is None:
             # preserving a nondegenerate pairing forces invertibility
-            raise AssertionError("isometry without an inverse")
+            raise InvariantViolation("isometry without an inverse")
         return Isometry(self.form, inv)
 
     @cached_property
@@ -219,3 +220,11 @@ def orbit_partition(form: IntersectionForm, structures, generators=None):
         seen |= orbit
         orbits.append(tuple(sorted(orbit, key=lambda t: t.values)))
     return tuple(sorted(orbits, key=lambda orb: orb[0].values))
+
+
+def level_sets(structures, invariant) -> set[frozenset]:
+    """The structures grouped by invariant value, as a set of frozensets."""
+    groups: dict[int, set] = {}
+    for s in structures:
+        groups.setdefault(invariant(s), set()).add(s)
+    return {frozenset(v) for v in groups.values()}

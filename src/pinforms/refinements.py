@@ -10,6 +10,7 @@ import numpy as np
 from .surfaces import (
     H1Class,
     IntersectionForm,
+    InvariantViolation,
     MAX_TABLE_DIM,
     LimitError,
     as_bits,
@@ -80,7 +81,8 @@ def arf_majority(q: Refinement) -> int:
     ones = int(vals.sum())
     zeros = int(vals.size) - ones
     # a nondegenerate alternating pairing always biases the counts by 2^(g-1)
-    assert zeros != ones, "majority tie on a nondegenerate symplectic pairing"
+    if zeros == ones:
+        raise InvariantViolation("majority tie on a nondegenerate symplectic pairing")
     return 0 if zeros > ones else 1
 
 
@@ -92,11 +94,19 @@ def arf_symplectic(q: Refinement) -> int:
     return sum(vals[2 * i] * vals[2 * i + 1] for i in range(q.form.dim // 2)) & 1
 
 
+def spin_closed_form(g: int) -> Census:
+    """Refinement counts on a genus-g surface by Arf value: 2**(g-1) (2**g + 1) and 2**(g-1) (2**g - 1)."""
+    return {
+        0: ((1 << (2 * g)) + (1 << g)) // 2,
+        1: ((1 << (2 * g)) - (1 << g)) // 2,
+    }
+
+
 def spin_census(g: int) -> Census:
     """Counts of refinements on a genus-g orientable surface by Arf value.
 
-    Enumerates all 2**(2g) refinements and checks the counts against the
-    closed forms 2**(g-1) (2**g + 1) and 2**(g-1) (2**g - 1).
+    Enumerates all 2**(2g) refinements and checks the counts against
+    ``spin_closed_form``.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -104,10 +114,7 @@ def spin_census(g: int) -> Census:
     counts = {0: 0, 1: 0}
     for q in enumerate_refinements(form):
         counts[arf_symplectic(q)] += 1
-    expected = {
-        0: ((1 << (2 * g)) + (1 << g)) // 2,
-        1: ((1 << (2 * g)) - (1 << g)) // 2,
-    }
+    expected = spin_closed_form(g)
     if counts != expected:
-        raise AssertionError(f"enumerated census {counts} disagrees with closed form {expected}")
+        raise InvariantViolation(f"enumerated census {counts} disagrees with closed form {expected}")
     return counts

@@ -27,6 +27,10 @@ class LimitError(RuntimeError):
     """Raised when a computation would exceed the documented size limits."""
 
 
+class InvariantViolation(AssertionError):
+    """Raised when an internal consistency check fails; it signals a defect, not bad input."""
+
+
 @dataclass(frozen=True)
 class H1Class:
     """A mod-2 homology class; bit i of ``bits`` is the coefficient of basis vector i."""

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pinforms import refinements
 from pinforms.cli import OutputRecord, main, parse_surface, parse_values
 
 
@@ -130,6 +131,16 @@ def test_exit_codes_size_limits(capsys):
     assert run_cli(capsys, "census", "-s", "N:22", "-t", "pin-")[0] == 3
     assert run_cli(capsys, "census", "-s", "N:8", "-t", "pin-", "--enum-limit", "4")[0] == 3
     assert run_cli(capsys, "orbits", "-s", "N:12", "-t", "pin-")[0] == 3
+
+
+def test_exit_code_internal_consistency_failure(capsys, monkeypatch):
+    # a broken Arf route makes the spin census disagree with its closed form
+    monkeypatch.setattr(refinements, "arf_symplectic", lambda q: 0)
+    code, out, err = run_cli(capsys, "census", "-s", "S:2", "-t", "spin")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: enumerated census")
+    assert "Traceback" not in err
 
 
 def test_argparse_rejects_unknown_theory(capsys):

@@ -79,6 +79,29 @@ def test_odd_genus_witness_is_the_relation():
     assert verdict.relation == (2, 2, 2)
 
 
+def _translation_invariant(q) -> bool:
+    n = q.model.generator_count
+    return all(
+        q(tuple((a + b) % 4 for a, b in zip(x, rel))) == q(x)
+        for rel in q.model.relations
+        for x in itertools.product(range(4), repeat=n)
+    )
+
+
+def test_well_defined_matches_exhaustive_translation_check():
+    models = [mod4_homology(nonorientable_surface(k)) for k in range(1, 5)]
+    models += [mod4_homology(orientable_surface(g)) for g in (1, 2)]
+    models.append(Mod4Homology(identity_form(3), ((2, 0, 2),)))
+    verdicts = set()
+    for model in models:
+        for values in itertools.product((0, 1), repeat=model.generator_count):
+            q = PinPlusForm(model, values)
+            verdict = is_well_defined(q).ok
+            assert verdict == _translation_invariant(q), (model.relations, values)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_even_genus_counts():
     assert len(enumerate_pinplus(nonorientable_surface(2))) == 4
     assert len(enumerate_pinplus(nonorientable_surface(4))) == 16

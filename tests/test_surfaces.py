@@ -1,8 +1,12 @@
 """Surfaces, mod-2 intersection forms, and homology class plumbing."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pinforms
 from pinforms import (
     H1Class,
     IntersectionForm,
@@ -150,3 +154,16 @@ def test_class_bit_matrix_is_write_protected():
     bits = class_bit_matrix(3)
     with pytest.raises(ValueError):
         bits[0, 0] = 1
+
+
+def test_library_has_no_assert_statements():
+    # assert statements vanish under python -O; consistency checks raise InvariantViolation
+    sources = sorted(Path(pinforms.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
