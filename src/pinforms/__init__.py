@@ -69,6 +69,7 @@ from .surfaces import (
     LimitError,
     MAX_CLASS_DIM,
     MAX_TABLE_DIM,
+    QuadraticStructure,
     Surface,
     direct_sum,
     enumerate_classes,

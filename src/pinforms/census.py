@@ -1,11 +1,11 @@
 """Structure counts by invariant value and the dimension-two bordism classification.
 
 Counts come three ways: exhaustive enumeration (the reference), closed-form
-expressions evaluated verbatim, and a genus recursion seeded at one
-projective plane.  The closed-form entry at invariant 0 in even
-nonorientable genus disagrees with enumeration (1 vs 2 at genus 2, 8 vs 6
-at genus 4); such entries are flagged DISPUTED and reported next to the
-corrected expression 2**(k-2) + 2**((k-2)/2).
+expressions evaluated verbatim, and a genus recursion adding one projective
+(or hyperbolic) plane at a time.  The closed-form entry at invariant 0 in
+even nonorientable genus disagrees with enumeration (1 vs 2 at genus 2, 8
+vs 6 at genus 4); such entries are flagged DISPUTED and reported next to
+the corrected expression 2**(k-2) + 2**((k-2)/2).
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .enhancements import Enhancement, brown_gauss, enumerate_enhancements
-from .refinements import (
-    Census,
-    Refinement,
-    arf_majority,
-    arf_symplectic,
-    spin_closed_form,
-)
+from .refinements import Census, Refinement, arf_majority, arf_symplectic
 from .surfaces import MAX_TABLE_DIM, InvariantViolation, LimitError, Surface, is_hyperbolic_form
 
 FLAG_CONFIRMED = "CONFIRMED"
@@ -49,22 +43,28 @@ def pin_census_enumerated(surface: Surface, limit: int = MAX_TABLE_DIM) -> Censu
     return dict(_enumerated_items(surface))
 
 
-def pin_census_recursive(k: int) -> Census:
-    """Counts for nonorientable genus k grown from the one-summand seed.
+def _block_sum_census(summand: Census, copies: int) -> Census:
+    """Counts on the block sum of ``copies`` equal summands: invariants add, so counts convolve over Z/8."""
+    counts = {0: 1}
+    for _ in range(copies):
+        grown: Census = {}
+        for i, c in counts.items():
+            for j, d in summand.items():
+                grown[(i + j) % 8] = grown.get((i + j) % 8, 0) + c * d
+        counts = grown
+    return dict(sorted(counts.items()))
 
-    Splitting off a projective plane shifts the invariant by its value 1 or
-    7, so the count at i in genus k is the sum of the counts at i-1 and i+1
-    in genus k-1.
+
+def pin_census_recursive(k: int) -> Census:
+    """Counts for nonorientable genus k grown one projective plane at a time.
+
+    A projective plane carries one enhancement of invariant 1 and one of
+    invariant 7, so the count at i in genus k is the sum of the counts at
+    i-1 and i+1 in genus k-1.
     """
     if k < 1:
         raise ValueError("nonorientable genus must be at least 1")
-    counts = {1: 1, 7: 1}
-    for _ in range(k - 1):
-        grown = {
-            i: counts.get((i - 1) % 8, 0) + counts.get((i + 1) % 8, 0) for i in range(8)
-        }
-        counts = {i: c for i, c in grown.items() if c}
-    return dict(sorted(counts.items()))
+    return _block_sum_census({1: 1, 7: 1}, k)
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,14 @@ def _closed_form_counts(surface: Surface) -> dict[int, Fraction]:
 
 
 def reference_census(surface: Surface, limit: int = MAX_TABLE_DIM) -> Census:
-    """Arbiter counts: enumeration when tractable, otherwise the recursion
-    (nonorientable) or the doubled Arf counts (orientable)."""
+    """Arbiter counts: enumeration when tractable, otherwise the recursion by
+    summands, projective planes (nonorientable) or hyperbolic planes
+    (orientable, three enhancements of invariant 0 and one of invariant 4)."""
     if surface.form.dim <= limit:
         return pin_census_enumerated(surface, limit=limit)
     if surface.kind == "nonorientable":
         return pin_census_recursive(surface.genus)
-    spin = spin_closed_form(surface.genus)
-    return {0: spin[0], 4: spin[1]}
+    return _block_sum_census({0: 3, 4: 1}, surface.genus)
 
 
 def pin_census_closed_form(

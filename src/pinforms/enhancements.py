@@ -9,21 +9,15 @@ octant of the Gauss sum of i**e(x) over all classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .refinements import Refinement
 from .surfaces import (
-    H1Class,
     IntersectionForm,
-    MAX_TABLE_DIM,
-    LimitError,
-    as_bits,
-    class_bit_matrix,
-    cross_pairs,
-    cross_parity_table,
+    InvariantViolation,
+    QuadraticStructure,
     direct_sum,
     identity_form,
     is_identity_form,
@@ -44,51 +38,21 @@ class ValueHistogram(NamedTuple):
         return self.n0 - self.n2, self.n1 - self.n3
 
 
-@dataclass(frozen=True)
-class Enhancement:
-    """Function e with e(x+y) = e(x) + e(y) + 2 (x.y), stored by its basis values."""
+class Enhancement(QuadraticStructure):
+    """Function e with e(x+y) = e(x) + e(y) + 2 (x.y) in Z/4, stored by its basis values."""
 
-    form: IntersectionForm
-    values: tuple[int, ...]
+    modulus = 4
 
     def __post_init__(self):
-        if len(self.values) != self.form.dim:
-            raise ValueError("basis value count must equal the pairing dimension")
-        for i, v in enumerate(self.values):
-            if v not in (0, 1, 2, 3):
-                raise ValueError("enhancement values live in Z/4")
-            if (v ^ self.form.entry(i, i)) & 1:
-                raise ValueError(
-                    f"value {v} at index {i} breaks the parity rule e(x) = x.x mod 2"
-                )
-
-    def __call__(self, x: H1Class | int) -> int:
-        xbits = as_bits(x, self.form.dim)
-        total = 0
-        rem = xbits
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            total += self.values[i]
-        return (total + 2 * cross_pairs(self.form, xbits)) & 3
-
-    def values_on_all(self) -> np.ndarray:
-        """Values on all 2**n classes, indexed by integer encoding."""
-        bits = class_bit_matrix(self.form.dim)
-        vec = np.array(self.values, dtype=np.uint8)
-        return ((bits @ vec) + 2 * cross_parity_table(self.form)) & 3
+        super().__post_init__()
+        for i, (v, d) in enumerate(zip(self.values, self.form.diagonal)):
+            if (v ^ d) & 1:
+                raise ValueError(f"value {v} at index {i} breaks the parity rule e(x) = x.x mod 2")
 
 
 def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
-    """All 2**n enhancements; bit i of the enumeration code adds 2 to basis value i."""
-    n = form.dim
-    if n > MAX_TABLE_DIM:
-        raise LimitError(f"enhancement enumeration capped at dimension {MAX_TABLE_DIM}, got {n}")
-    diag = form.diagonal
-    return [
-        Enhancement(form, tuple(diag[i] + 2 * ((code >> i) & 1) for i in range(n)))
-        for code in range(1 << n)
-    ]
+    """All 2**n enhancements; bit i of the code adds 2 to basis value i."""
+    return Enhancement.enumerate_all(form)
 
 
 def value_histogram(e: Enhancement) -> ValueHistogram:
@@ -106,10 +70,11 @@ def brown_gauss(e: Enhancement) -> int:
     """
     hist = value_histogram(e)
     a, b = hist.gauss_deltas
+    # a validated enhancement of a nondegenerate pairing always has |sum|**2 = 2**n
     if (a, b) == (0, 0):
-        raise ValueError("zero Gauss sum; not an enhancement of a nondegenerate pairing")
+        raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
     if a * a + b * b != 1 << e.form.dim:
-        raise ValueError(f"Gauss sum magnitude {a * a + b * b} is not 2**{e.form.dim}")
+        raise InvariantViolation(f"Gauss sum magnitude {a * a + b * b} is not 2**{e.form.dim}")
     return round(math.atan2(b, a) * 4 / math.pi) % 8
 
 
@@ -134,7 +99,7 @@ def brown_compass(e: Enhancement) -> int:
     a, b = value_histogram(e).gauss_deltas
     signs = (_sign(a), _sign(b))
     if signs == (0, 0):
-        raise ValueError("zero Gauss sum; not an enhancement of a nondegenerate pairing")
+        raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
     return _OCTANT_BY_SIGNS[signs]
 
 

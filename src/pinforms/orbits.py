@@ -2,8 +2,9 @@
 
 A structure is pushed forward through the inverse matrix: the stored basis
 values of the image are the evaluations of the original on the preimages
-of the basis vectors.  Orbits are closed breadth-first under a generator
-set, so full groups never need to be materialized.
+of the basis vectors.  On integer structure codes that push-forward is
+affine, so orbits are closed over codes under a generator set, and full
+groups never need to be materialized.
 """
 
 from __future__ import annotations
@@ -192,33 +193,48 @@ def isometry_group(
 
 
 def orbit_partition(form: IntersectionForm, structures, generators=None):
-    """Partition structures into orbits under a generator set, breadth-first.
+    """Partition structures into orbits under a generator set, closing over integer codes.
 
-    Orbits are tuples sorted by basis values and the partition is sorted by
-    its smallest members, so the result is deterministic.  With the default
-    generators the orbits are full isometry-group orbits whenever the
+    A generator maps code c to Tc xor t, so ``act`` on code 0 and on the n
+    basis codes fills its image table by doubling: codes 2**i to 2**(i+1) - 1
+    are the codes below them xor the column T e_i.  Orbits grow over codes a
+    frontier at a time; each member becomes a structure once.  Orbits are
+    sorted by basis values, the partition by smallest members.  With the
+    default generators they are full isometry-group orbits whenever the
     generators generate that group.
     """
+    structures = list(structures)
+    if not structures:
+        return ()
+    kind = type(structures[0])
+    if any(s.form != form or type(s) is not kind for s in structures):
+        raise ValueError("structures must be of one kind and live on the given pairing")
     if generators is None:
         generators = isometry_generators(form)
-    else:
-        generators = sorted(generators, key=lambda iso: iso.rows)
-    seen = set()
+    n = form.dim
+    basis = [kind.from_code(form, 0)] + [kind.from_code(form, 1 << i) for i in range(n)]
+    affine = np.array([[act(g, b).code for b in basis] for g in generators], dtype=np.uint32)
+    affine = affine.reshape(-1, n + 1)
+    images = np.empty((len(affine), 1 << n), dtype=np.uint32)
+    images[:, 0] = affine[:, 0]
+    for i in range(n):
+        images[:, 1 << i : 2 << i] = images[:, : 1 << i] ^ (affine[:, i + 1 : i + 2] ^ affine[:, :1])
+    seen = np.zeros(1 << n, dtype=bool)
     orbits = []
     for s in structures:
-        if s in seen:
+        code = s.code
+        if seen[code]:
             continue
-        orbit = {s}
-        queue = [s]
-        while queue:
-            cur = queue.pop()
-            for g in generators:
-                nxt = act(g, cur)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    queue.append(nxt)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit, key=lambda t: t.values)))
+        seen[code] = True
+        frontier = np.array([code], dtype=np.uint32)
+        codes = [frontier]
+        while frontier.size:
+            reached = np.unique(images[:, frontier])
+            frontier = reached[~seen[reached]]
+            seen[frontier] = True
+            codes.append(frontier)
+        members = (kind.from_code(form, c) for c in np.concatenate(codes).tolist())
+        orbits.append(tuple(sorted(members, key=lambda t: t.values)))
     return tuple(sorted(orbits, key=lambda orb: orb[0].values))
 
 

@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
-
 from .surfaces import (
-    H1Class,
     IntersectionForm,
     InvariantViolation,
-    MAX_TABLE_DIM,
-    LimitError,
-    as_bits,
-    class_bit_matrix,
-    cross_pairs,
-    cross_parity_table,
+    QuadraticStructure,
     hyperbolic_form,
     is_alternating,
     is_hyperbolic_form,
@@ -26,53 +15,25 @@ from .surfaces import (
 Census = dict[int, int]
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """Function q with q(x+y) = q(x) + q(y) + x.y, stored by its basis values.
+class Refinement(QuadraticStructure):
+    """Function q with q(x+y) = q(x) + q(y) + x.y in Z/2, stored by its basis values.
 
     Taking x = y shows the identity forces x.x = 0 for every class, so
-    refinements exist only on alternating pairings (orientable surfaces).
+    refinements exist only on alternating pairings (orientable surfaces),
+    and the basis values are the bits of the code.
     """
 
-    form: IntersectionForm
-    values: tuple[int, ...]
+    modulus = 2
 
     def __post_init__(self):
         if not is_alternating(self.form):
             raise ValueError("refinements need an alternating pairing (orientable surface)")
-        if len(self.values) != self.form.dim:
-            raise ValueError("basis value count must equal the pairing dimension")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("refinement values live in Z/2")
-
-    @cached_property
-    def value_bits(self) -> int:
-        bits = 0
-        for i, v in enumerate(self.values):
-            bits |= v << i
-        return bits
-
-    def __call__(self, x: H1Class | int) -> int:
-        xbits = as_bits(x, self.form.dim)
-        linear = (self.value_bits & xbits).bit_count()
-        return (linear + cross_pairs(self.form, xbits)) & 1
-
-    def values_on_all(self) -> np.ndarray:
-        """Values on all 2**n classes, indexed by integer encoding."""
-        bits = class_bit_matrix(self.form.dim)
-        vec = np.array(self.values, dtype=np.uint8)
-        return ((bits @ vec) + cross_parity_table(self.form)) & 1
+        super().__post_init__()
 
 
 def enumerate_refinements(form: IntersectionForm) -> list[Refinement]:
     """All 2**n refinements, ordered by the integer encoding of their basis values."""
-    n = form.dim
-    if n > MAX_TABLE_DIM:
-        raise LimitError(f"refinement enumeration capped at dimension {MAX_TABLE_DIM}, got {n}")
-    return [
-        Refinement(form, tuple((code >> i) & 1 for i in range(n)))
-        for code in range(1 << n)
-    ]
+    return Refinement.enumerate_all(form)
 
 
 def arf_majority(q: Refinement) -> int:

@@ -10,8 +10,8 @@ bit i giving the coefficient of basis vector i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class IntersectionForm:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         return tuple((self.rows[i] >> i) & 1 for i in range(self.dim))
 
@@ -264,3 +264,57 @@ def self_pairing_table(form: IntersectionForm) -> np.ndarray:
     out = (bits @ vec) & 1
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True)
+class QuadraticStructure:
+    """Function s with s(x+y) = s(x) + s(y) + (m/2)(x.y) in Z/m, stored by its basis values.
+
+    Subclasses fix the modulus m and add the rule that 2 s(x) = (m/2)(x.x)
+    forces: x.x = 0 throughout for m = 2, s(x) = x.x mod 2 for m = 4.  So
+    basis value i is diag_i + (m/2) * bit i of an integer ``code``, diag_i
+    being the self-pairing of basis vector i, and code c is code 0 plus
+    (m/2)(c.x): an isometry acts on codes affinely.
+    """
+
+    modulus: ClassVar[int]
+    form: IntersectionForm
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.values) != self.form.dim:
+            raise ValueError("basis value count must equal the pairing dimension")
+        if not set(self.values).issubset(range(self.modulus)):
+            raise ValueError(f"{type(self).__name__.lower()} values live in Z/{self.modulus}")
+
+    @classmethod
+    def from_code(cls, form: IntersectionForm, code: int):
+        """The structure whose basis value i is diag_i + (m/2) * bit i of ``code``."""
+        if not 0 <= code < (1 << form.dim):
+            raise ValueError(f"code {code:#x} out of range for dimension {form.dim}")
+        half = cls.modulus // 2
+        return cls(form, tuple(d + half * ((code >> i) & 1) for i, d in enumerate(form.diagonal)))
+
+    @classmethod
+    def enumerate_all(cls, form: IntersectionForm) -> list:
+        """All 2**n structures on the pairing, in code order."""
+        if form.dim > MAX_TABLE_DIM:
+            raise LimitError(f"{cls.__name__.lower()} enumeration capped at dimension {MAX_TABLE_DIM}, got {form.dim}")
+        return [cls.from_code(form, code) for code in range(1 << form.dim)]
+
+    @property
+    def code(self) -> int:
+        half = self.modulus // 2
+        return sum((v - d) // half << i for i, (v, d) in enumerate(zip(self.values, self.form.diagonal)))
+
+    def __call__(self, x: H1Class | int) -> int:
+        xbits = as_bits(x, self.form.dim)
+        linear = sum(v for i, v in enumerate(self.values) if (xbits >> i) & 1)
+        return (linear + self.modulus // 2 * cross_pairs(self.form, xbits)) % self.modulus
+
+    def values_on_all(self) -> np.ndarray:
+        """Values on all 2**n classes, indexed by integer encoding."""
+        bits = class_bit_matrix(self.form.dim)
+        vec = np.array(self.values, dtype=np.uint8)
+        # the modulus is 2 or 4, so masking reduces it (much faster than % on large arrays)
+        return ((bits @ vec) + self.modulus // 2 * cross_parity_table(self.form)) & (self.modulus - 1)

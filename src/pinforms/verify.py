@@ -141,11 +141,12 @@ def _sampled_structures(all_structures, count, rng):
     return [all_structures[i] for i in sorted(picked)]
 
 
-def _identity_breaks(cases, mod: int):
-    """Structures breaking s(x+y) = s(x) + s(y) + (mod/2) x.y, over (surface, structures) cases."""
+def _identity_breaks(cases):
+    """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, structures) cases."""
     for surface, structures in cases:
         grid, pairs = _xor_grid(surface.form.dim), _pair_table(surface.form)
         for s in structures:
+            mod = s.modulus
             vals = s.values_on_all().astype(np.uint8)
             if not (vals[grid] == (vals[:, None] + vals[None, :] + (mod // 2) * pairs) % mod).all():
                 yield f"{surface.label} values {s.values}"
@@ -165,8 +166,8 @@ def _suite_refinement_identity() -> list[CheckResult]:
         for s in map(orientable_surface, range(FULL_IDENTITY_DIM // 2 + 1, 7))
     )
     return [
-        _first(suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(exhaustive, 2)),
-        _first(suite, "defining-identity-sampled (dim<=12)", _identity_breaks(sampled, 2)),
+        _first(suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(exhaustive)),
+        _first(suite, "defining-identity-sampled (dim<=12)", _identity_breaks(sampled)),
     ]
 
 
@@ -179,8 +180,8 @@ def _suite_enhancement_identity() -> list[CheckResult]:
         for s in _standard_surfaces(10, min_dim=FULL_IDENTITY_DIM + 1)
     )
     return [
-        _first(suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(exhaustive, 4)),
-        _first(suite, "defining-identity-sampled (dim<=10)", _identity_breaks(sampled, 4)),
+        _first(suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(exhaustive)),
+        _first(suite, "defining-identity-sampled (dim<=10)", _identity_breaks(sampled)),
         _first(suite, "parity-rule-exhaustive (dim<=10)", (
             f"{s.label} values {e.values}"
             for s in _standard_surfaces(10)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pinforms import census, refinements
 from pinforms import (
     FLAG_CONFIRMED,
     FLAG_CONJECTURED_CONFIRMED,
@@ -70,6 +71,19 @@ def test_reference_census_beyond_enumeration_uses_recursion():
     k = 6
     ref = reference_census(nonorientable_surface(k), limit=4)
     assert ref == pin_census_recursive(k)
+
+
+def test_reference_census_orientable_beyond_enumeration_is_independent(monkeypatch):
+    # the arbiter must not be the closed form it judges: wrong spin counts
+    # change nothing, and the hyperbolic-block recursion gives 2^(g-1)(2^g +/- 1)
+    def wrong(g):
+        return {0: 1, 1: 1}
+
+    monkeypatch.setattr(refinements, "spin_closed_form", wrong)
+    monkeypatch.setattr(census, "spin_closed_form", wrong, raising=False)
+    surface = orientable_surface(11)
+    assert reference_census(surface) == {0: 2098176, 4: 2096128}
+    assert reference_census(orientable_surface(3), limit=4) == pin_census_enumerated(orientable_surface(3))
 
 
 def test_closed_form_orientable_confirmed():

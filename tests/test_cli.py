@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pinforms import refinements
+from pinforms import InvariantViolation, enhancements, refinements
 from pinforms.cli import OutputRecord, main, parse_surface, parse_values
 
 
@@ -141,6 +141,19 @@ def test_exit_code_internal_consistency_failure(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: enumerated census")
     assert "Traceback" not in err
+
+
+def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
+    # a nondegenerate pairing never gives a zero Gauss sum, so it is a defect, not bad input
+    monkeypatch.setattr(enhancements, "value_histogram", lambda e: enhancements.ValueHistogram(1, 1, 1, 1))
+    code, out, err = run_cli(capsys, "invariant", "-s", "N:2", "-e", "1,3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: zero Gauss sum")
+    assert "Traceback" not in err
+    e = enhancements.Enhancement(parse_surface("N:2").form, (1, 3))
+    with pytest.raises(InvariantViolation):
+        enhancements.brown_compass(e)
 
 
 def test_argparse_rejects_unknown_theory(capsys):

@@ -1,10 +1,13 @@
 """Isometries of the mod-2 pairing, group generation, and orbit partitions."""
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pinforms import (
     Enhancement,
     H1Class,
+    IntersectionForm,
     Isometry,
     LimitError,
     Refinement,
@@ -14,13 +17,18 @@ from pinforms import (
     brown_gauss,
     enumerate_enhancements,
     enumerate_refinements,
+    gf2,
     hyperbolic_form,
     identity_form,
     isometry_generators,
     isometry_group,
+    nonorientable_surface,
     orbit_partition,
+    orbits,
+    orientable_surface,
     transvection,
 )
+from pinforms.surfaces import is_alternating
 
 # exhaustively verified orders of the full isometry groups
 BRUTE_ORDERS = {
@@ -31,6 +39,32 @@ BRUTE_ORDERS = {
     ("hyperbolic", 1): 6,
     ("hyperbolic", 2): 720,
 }
+
+
+def reference_orbit_partition(form, structures, generators):
+    """Orbits by pushing each structure object through each generator until nothing new appears."""
+    seen = set()
+    orbits = []
+    for s in structures:
+        if s in seen:
+            continue
+        orbit = {s}
+        stack = [s]
+        while stack:
+            cur = stack.pop()
+            for g in generators:
+                nxt = act(g, cur)
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    stack.append(nxt)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit, key=lambda t: t.values)))
+    return tuple(sorted(orbits, key=lambda orb: orb[0].values))
+
+
+def structure_kinds(form):
+    """Refinements exist only on alternating pairings; enhancements on every pairing."""
+    return (Refinement, Enhancement) if is_alternating(form) else (Enhancement,)
 
 
 def test_isometry_validation():
@@ -173,3 +207,93 @@ def test_isometry_generators_preserve_form():
     for form in (identity_form(4), hyperbolic_form(2)):
         for gen in isometry_generators(form):
             assert gen.form == form
+
+
+ORACLE_SURFACES = [nonorientable_surface(k) for k in range(1, 8)] + [orientable_surface(g) for g in range(1, 4)]
+
+
+@pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
+def test_orbit_partition_matches_reference(surface):
+    form = surface.form
+    for kind in structure_kinds(form):
+        structures = kind.enumerate_all(form)
+        generator_sets = [isometry_generators(form)]
+        if form.dim <= 4:
+            generator_sets.append(isometry_group(form, "brute"))
+        for gens in generator_sets:
+            expected = reference_orbit_partition(form, structures, gens)
+            assert orbit_partition(form, structures, generators=gens) == expected
+
+
+def test_orbit_partition_of_a_subset_closes_whole_orbits():
+    form = identity_form(3)
+    structures = enumerate_enhancements(form)
+    gens = isometry_generators(form)
+    subset = structures[3:5]
+    assert orbit_partition(form, subset) == reference_orbit_partition(form, subset, gens)
+    assert orbit_partition(form, subset, generators=[]) == tuple((s,) for s in sorted(subset, key=lambda t: t.values))
+
+
+def test_orbit_partition_edge_cases():
+    form = identity_form(2)
+    assert orbit_partition(form, []) == ()
+    with pytest.raises(ValueError):
+        orbit_partition(form, [Enhancement(identity_form(3), (1, 1, 1))])
+    torus = hyperbolic_form(1)
+    with pytest.raises(ValueError):
+        orbit_partition(torus, [Refinement(torus, (0, 0)), Enhancement(torus, (0, 0))])
+
+
+def test_orbit_partition_act_calls_bounded(monkeypatch):
+    calls = []
+    real_act = orbits.act
+    monkeypatch.setattr(orbits, "act", lambda g, s: calls.append(g) or real_act(g, s))
+    form = identity_form(6)
+    gens = isometry_generators(form)
+    orbit_partition(form, enumerate_enhancements(form), generators=gens)
+    assert 0 < len(calls) <= (form.dim + 1) * len(gens)
+
+
+@pytest.mark.parametrize("form", [identity_form(4), hyperbolic_form(2)], ids=["N:4", "S:2"])
+def test_codes_round_trip_in_enumeration_order(form):
+    enumerations = {Refinement: enumerate_refinements, Enhancement: enumerate_enhancements}
+    for kind in structure_kinds(form):
+        structures = enumerations[kind](form)
+        assert [s.code for s in structures] == list(range(1 << form.dim))
+        assert all(kind.from_code(form, s.code) == s for s in structures)
+        with pytest.raises(ValueError):
+            kind.from_code(form, 1 << form.dim)
+
+
+@st.composite
+def congruent_forms(draw):
+    """M^T F M for a standard F of dimension <= 5 and an invertible M over GF(2)."""
+    n = draw(st.integers(1, 5))
+    base = draw(st.sampled_from(["identity", "hyperbolic"] if n % 2 == 0 else ["identity"]))
+    m = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    return base, m
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(congruent_forms())
+@example(("identity", (0b011, 0b010, 0b100)))  # diagonal (1, 0, 1)
+def test_structures_on_congruent_forms(case):
+    base, m = case
+    n = len(m)
+    assume(gf2.rank(m) == n)
+    f = identity_form(n) if base == "identity" else hyperbolic_form(n // 2)
+    form = IntersectionForm(n, gf2.mat_mul(gf2.mat_mul(gf2.transpose(m, n), f.rows), m))
+    for kind in structure_kinds(form):
+        half = kind.modulus // 2
+        structures = [kind.from_code(form, c) for c in range(1 << n)]
+        for c, s in enumerate(structures):
+            assert s.code == c
+            vals = s.values_on_all().tolist()
+            assert vals == [s(x) for x in range(1 << n)]
+            for x in range(1 << n):
+                # 2 s(x) = (m/2)(x.x): x.x = 0 throughout for m = 2, the parity rule for m = 4
+                assert (2 * vals[x] - half * form.pairing_bits(x, x)) % kind.modulus == 0
+                for y in range(x, 1 << n):
+                    assert vals[x ^ y] == (vals[x] + vals[y] + half * form.pairing_bits(x, y)) % kind.modulus
+        gens = isometry_generators(form)
+        assert orbit_partition(form, structures) == reference_orbit_partition(form, structures, gens)
