@@ -30,6 +30,7 @@ from .enhancements import (
     ValueHistogram,
     brown_compass,
     brown_gauss,
+    brown_spectrum,
     cap_off_summand,
     direct_sum_enhancement,
     enhancement_from_refinement,
@@ -58,6 +59,7 @@ from .refinements import (
     Census,
     Refinement,
     arf_majority,
+    arf_spectrum,
     arf_symplectic,
     enumerate_refinements,
     spin_census,
@@ -78,6 +80,7 @@ from .surfaces import (
     intersection,
     nonorientable_surface,
     orientable_surface,
+    walsh_hadamard,
 )
 
 __version__ = "0.1.0"

@@ -90,8 +90,29 @@ _OCTANT_BY_SIGNS = {
 }
 
 
+# _OCTANT_BY_SIGNS as an array indexed by 3 * (sign(a) + 1) + sign(b) + 1; -1 marks (0, 0)
+_OCTANT_BY_SIGN_INDEX = np.array([_OCTANT_BY_SIGNS.get((sa, sb), -1) for sa in (-1, 0, 1) for sb in (-1, 0, 1)])
+
+
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
+
+
+def brown_spectrum(form: IntersectionForm) -> np.ndarray:
+    """Brown invariant of every enhancement on the pairing, indexed by code.
+
+    All 2**n Gauss sums come from one Walsh-Hadamard transform
+    (``Enhancement.gauss_sums``), so the cost is O(n 2**n) rather than a
+    histogram per structure; each sum's octant is read off its sign pair.
+    """
+    a, b = Enhancement.gauss_sums(form)
+    bad = np.flatnonzero(a * a + b * b != 1 << form.dim)
+    if bad.size:
+        c = int(bad[0])
+        raise InvariantViolation(
+            f"Gauss sum magnitude {int(a[c] * a[c] + b[c] * b[c])} is not 2**{form.dim} at code {c:#x}"
+        )
+    return _OCTANT_BY_SIGN_INDEX[3 * (np.sign(a) + 1) + np.sign(b) + 1]
 
 
 def brown_compass(e: Enhancement) -> int:

@@ -231,26 +231,42 @@ def _check_table_dim(n: int):
 
 @lru_cache(maxsize=32)
 def class_bit_matrix(n: int) -> np.ndarray:
-    """(2**n, n) coefficient bits of every class, row index = integer encoding."""
+    """(2**n, n) coefficient bits of every class, row index = integer encoding.
+
+    Built by doubling: rows [2**i, 2**(i+1)) repeat the rows below them with bit i set.
+    """
     _check_table_dim(n)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    out = ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+    out = np.zeros((1 << n, n), dtype=np.uint8)
+    for i in range(n):
+        block = 1 << i
+        out[block : 2 * block] = out[:block]
+        out[block : 2 * block, i] = 1
     out.setflags(write=False)
+    return out
+
+
+def _parity_vector(mask: int, n: int) -> np.ndarray:
+    """Parity of mask & y for every y < 2**n, built by doubling over the bits of y."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n):
+        block = 1 << j
+        np.bitwise_xor(out[:block], (mask >> j) & 1, out=out[block : 2 * block])
     return out
 
 
 @lru_cache(maxsize=32)
 def cross_parity_table(form: IntersectionForm) -> np.ndarray:
-    """cross_pairs of every class as a dense table, built by peeling the lowest bit."""
+    """cross_pairs of every class as a dense table, built by doubling over the highest bit.
+
+    A class x = 2**i + y with y < 2**i has cross_pairs(x) = cross_pairs(y)
+    plus the parity of rows[i] & y, so the block [2**i, 2**(i+1)) is the
+    block below it xor that parity vector.
+    """
     _check_table_dim(form.dim)
-    size = 1 << form.dim
-    table = np.zeros(size, dtype=np.uint8)
-    rows = form.rows
-    for x in range(1, size):
-        low = x & -x
-        i = low.bit_length() - 1
-        y = x ^ low
-        table[x] = table[y] ^ ((rows[i] & y).bit_count() & 1)
+    table = np.zeros(1 << form.dim, dtype=np.uint8)
+    for i, row in enumerate(form.rows):
+        block = 1 << i
+        np.bitwise_xor(table[:block], _parity_vector(row, i), out=table[block : 2 * block])
     table.setflags(write=False)
     return table
 
@@ -264,6 +280,31 @@ def self_pairing_table(form: IntersectionForm) -> np.ndarray:
     out = (bits @ vec) & 1
     out.setflags(write=False)
     return out
+
+
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform over the last axis, of length 2**n, in int64.
+
+    Entry c of the result is the sum over x of values[..., x] * (-1)**(c.x),
+    c.x being the parity of c & x; one butterfly pass per bit.
+    """
+    out = np.array(values, dtype=np.int64)
+    size = out.shape[-1]
+    if size & (size - 1):
+        raise ValueError(f"transform length {size} is not a power of two")
+    half = 1
+    while half < size:
+        view = out.reshape(out.shape[:-1] + (size // (2 * half), 2, half))
+        lo, hi = view[..., 0, :], view[..., 1, :]
+        lo += hi  # a + b
+        hi *= -2
+        hi += lo  # (a + b) - 2b = a - b
+        half *= 2
+    return out
+
+
+# real and imaginary parts of i**t for t = 0, 1, 2, 3 quarter turns
+_QUARTER_TURNS = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -296,11 +337,28 @@ class QuadraticStructure:
         return cls(form, tuple(d + half * ((code >> i) & 1) for i, d in enumerate(form.diagonal)))
 
     @classmethod
-    def enumerate_all(cls, form: IntersectionForm) -> list:
-        """All 2**n structures on the pairing, in code order."""
+    def _check_enumerable(cls, form: IntersectionForm):
         if form.dim > MAX_TABLE_DIM:
             raise LimitError(f"{cls.__name__.lower()} enumeration capped at dimension {MAX_TABLE_DIM}, got {form.dim}")
+
+    @classmethod
+    def enumerate_all(cls, form: IntersectionForm) -> list:
+        """All 2**n structures on the pairing, in code order."""
+        cls._check_enumerable(form)
         return [cls.from_code(form, code) for code in range(1 << form.dim)]
+
+    @classmethod
+    def gauss_sums(cls, form: IntersectionForm) -> np.ndarray:
+        """Gauss sums over all classes of exp(2 pi i s(x) / m), for every code s at once.
+
+        Code c is code 0 plus (m/2)(c.x), which multiplies each term by
+        (-1)**(c.x), so the sums are one Walsh-Hadamard transform of code 0's
+        terms.  Rows are the real and imaginary parts (the real part alone for
+        m = 2, where the terms are +-1); column c belongs to code c.
+        """
+        cls._check_enumerable(form)
+        quarter_turns = cls.from_code(form, 0).values_on_all() * (4 // cls.modulus)
+        return walsh_hadamard(_QUARTER_TURNS[: cls.modulus // 2, quarter_turns])
 
     @property
     def code(self) -> int:

@@ -9,6 +9,7 @@ rather than failed; everything else failing is a genuine defect.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .orbits import (
     orbit_partition,
 )
 from .pinplus import enumerate_pinplus, is_well_defined, mod4_homology, PinPlusForm
-from .refinements import arf_majority, arf_symplectic, enumerate_refinements, spin_census
+from .refinements import arf_majority, arf_symplectic, enumerate_refinements, spin_census, spin_closed_form
 from .surfaces import (
     H1Class,
     class_bit_matrix,
@@ -202,13 +203,18 @@ def _suite_arf_consistency() -> list[CheckResult]:
 
 
 def _suite_spin_census() -> list[CheckResult]:
-    # spin_census itself raises if enumeration and closed form disagree
-    return [_first("spin-census", "enumeration-equals-closed-form (g<=5)", (
-        f"g={g} total {counts}"
-        for g in range(1, 6)
-        for counts in [spin_census(g)]
-        if counts[0] + counts[1] != 1 << (2 * g)
-    ))]
+    # spin_census (the Walsh-Hadamard kernel) itself raises if its counts and
+    # the closed form disagree; the per-object tally is checked here
+    def faults():
+        for g in range(1, 6):
+            counts = spin_census(g)
+            if counts[0] + counts[1] != 1 << (2 * g):
+                yield f"g={g} total {counts}"
+            tally = Counter(map(arf_symplectic, enumerate_refinements(hyperbolic_form(g))))
+            if tally != spin_closed_form(g):
+                yield f"g={g} per-object tally {dict(tally)}"
+
+    return [_first("spin-census", "enumeration-equals-closed-form (g<=5)", faults())]
 
 
 def _suite_brown_compass() -> list[CheckResult]:
@@ -397,12 +403,18 @@ def _suite_banding() -> list[CheckResult]:
 
 def _suite_pin_census() -> list[CheckResult]:
     suite = "pin-census"
+
+    def recursion_faults():
+        for k in range(1, 13):
+            recursion = pin_census_recursive(k)
+            if pin_census_enumerated(nonorientable_surface(k)) != recursion:
+                yield f"k={k}"
+            # the census is a transform; up to dimension 10 a per-object tally checks it too
+            elif k <= 10 and Counter(map(brown_gauss, enumerate_enhancements(identity_form(k)))) != recursion:
+                yield f"k={k}"
+
     out = [
-        _first(suite, "recursion-equals-enumeration (k<=12)", (
-            f"k={k}"
-            for k in range(1, 13)
-            if pin_census_enumerated(nonorientable_surface(k)) != pin_census_recursive(k)
-        )),
+        _first(suite, "recursion-equals-enumeration (k<=12)", recursion_faults()),
         _first(suite, "odd-genus-closed-form-confirmed (k<=11)", (
             f"k={k}"
             for k in range(1, 12, 2)

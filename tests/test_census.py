@@ -1,8 +1,12 @@
 """Structure censuses by invariant value, closed forms, and bordism classes."""
 
-import pytest
+import json
+import time
 
-from pinforms import census, refinements
+import pytest
+from hypothesis import assume, example, given, settings
+
+from pinforms import census, gf2, refinements
 from pinforms import (
     FLAG_CONFIRMED,
     FLAG_CONJECTURED_CONFIRMED,
@@ -12,8 +16,15 @@ from pinforms import (
     Enhancement,
     LimitError,
     Refinement,
+    arf_majority,
+    arf_spectrum,
+    arf_symplectic,
     bordism_class,
+    brown_gauss,
+    brown_spectrum,
     cobordant,
+    enumerate_enhancements,
+    enumerate_refinements,
     hyperbolic_form,
     identity_form,
     nonorientable_surface,
@@ -23,6 +34,10 @@ from pinforms import (
     pin_census_recursive,
     reference_census,
 )
+from pinforms.cli import main
+from pinforms.refinements import spin_closed_form
+from pinforms.surfaces import is_alternating
+from strategies import congruent_form, congruent_forms
 
 # exhaustively enumerated counts of enhancements by Brown invariant
 ENUMERATED = {
@@ -45,6 +60,55 @@ def surface_for(label):
 @pytest.mark.parametrize("label", sorted(ENUMERATED))
 def test_enumerated_census(label):
     assert pin_census_enumerated(surface_for(label)) == ENUMERATED[label]
+
+
+ORACLE_SURFACES = (
+    [orientable_surface(0)]
+    + [nonorientable_surface(k) for k in range(1, 11)]
+    + [orientable_surface(g) for g in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
+def test_spectra_match_per_object_invariants(surface):
+    form = surface.form
+    assert brown_spectrum(form).tolist() == [brown_gauss(e) for e in enumerate_enhancements(form)]
+    if surface.kind == "orientable":
+        assert arf_spectrum(form).tolist() == [arf_symplectic(q) for q in enumerate_refinements(form)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(congruent_forms())
+@example(("identity", (0b011, 0b010, 0b100)))  # diagonal (1, 0, 1)
+def test_spectra_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    form = congruent_form(base, m)
+    assert brown_spectrum(form).tolist() == [brown_gauss(e) for e in enumerate_enhancements(form)]
+    if is_alternating(form):
+        assert arf_spectrum(form).tolist() == [arf_majority(q) for q in enumerate_refinements(form)]
+
+
+def _timed_census_json(capsys, *argv):
+    start = time.perf_counter()
+    code = main(["census", *argv, "--format", "json"])
+    elapsed = time.perf_counter() - start
+    record = json.loads(capsys.readouterr().out)
+    counts = {row[0]: row[1] for row in record["rows"] if row[1]}
+    return code, counts, elapsed
+
+
+def test_census_at_the_advertised_maximum(capsys):
+    # MAX_TABLE_DIM = 20 is the enumeration limit; both theories reach it within a budget
+    code, counts, elapsed = _timed_census_json(capsys, "-s", "N:20", "-t", "pin-", "--compare")
+    assert code == 0
+    assert counts == pin_census_recursive(20)
+    assert elapsed < 10
+    code, counts, elapsed = _timed_census_json(capsys, "-s", "S:10", "-t", "spin")
+    assert code == 0
+    assert counts == spin_closed_form(10)
+    assert elapsed < 10
+    assert main(["census", "-s", "N:21", "-t", "pin-"]) == 3
 
 
 def test_enumeration_limit():

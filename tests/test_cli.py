@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pinforms import InvariantViolation, enhancements, refinements
+from pinforms import InvariantViolation, census, enhancements, refinements
 from pinforms.cli import OutputRecord, main, parse_surface, parse_values
 
 
@@ -134,8 +135,8 @@ def test_exit_codes_size_limits(capsys):
 
 
 def test_exit_code_internal_consistency_failure(capsys, monkeypatch):
-    # a broken Arf route makes the spin census disagree with its closed form
-    monkeypatch.setattr(refinements, "arf_symplectic", lambda q: 0)
+    # a broken Arf spectrum (every refinement Arf 0) makes the spin census disagree with its closed form
+    monkeypatch.setattr(refinements, "arf_spectrum", lambda form: np.zeros(1 << form.dim, dtype=np.int64))
     code, out, err = run_cli(capsys, "census", "-s", "S:2", "-t", "spin")
     assert code == 1
     assert out == ""
@@ -154,6 +155,20 @@ def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
     e = enhancements.Enhancement(parse_surface("N:2").form, (1, 3))
     with pytest.raises(InvariantViolation):
         enhancements.brown_compass(e)
+
+
+def test_exit_code_wrong_gauss_sum_magnitude(capsys, monkeypatch):
+    # code 0's values all zero: its transform is 2**n at code 0 and 0 elsewhere, never of magnitude 2**(n/2)
+    census._enumerated_items.cache_clear()
+    monkeypatch.setattr(
+        enhancements.Enhancement, "values_on_all", lambda e: np.zeros(1 << e.form.dim, dtype=np.uint8)
+    )
+    code, out, err = run_cli(capsys, "census", "-s", "N:3", "-t", "pin-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "magnitude" in err
+    assert "Traceback" not in err
 
 
 def test_argparse_rejects_unknown_theory(capsys):

@@ -2,12 +2,10 @@
 
 import pytest
 from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from pinforms import (
     Enhancement,
     H1Class,
-    IntersectionForm,
     Isometry,
     LimitError,
     Refinement,
@@ -29,6 +27,7 @@ from pinforms import (
     transvection,
 )
 from pinforms.surfaces import is_alternating
+from strategies import congruent_form, congruent_forms
 
 # exhaustively verified orders of the full isometry groups
 BRUTE_ORDERS = {
@@ -265,15 +264,6 @@ def test_codes_round_trip_in_enumeration_order(form):
             kind.from_code(form, 1 << form.dim)
 
 
-@st.composite
-def congruent_forms(draw):
-    """M^T F M for a standard F of dimension <= 5 and an invertible M over GF(2)."""
-    n = draw(st.integers(1, 5))
-    base = draw(st.sampled_from(["identity", "hyperbolic"] if n % 2 == 0 else ["identity"]))
-    m = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
-    return base, m
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(congruent_forms())
 @example(("identity", (0b011, 0b010, 0b100)))  # diagonal (1, 0, 1)
@@ -281,8 +271,7 @@ def test_structures_on_congruent_forms(case):
     base, m = case
     n = len(m)
     assume(gf2.rank(m) == n)
-    f = identity_form(n) if base == "identity" else hyperbolic_form(n // 2)
-    form = IntersectionForm(n, gf2.mat_mul(gf2.mat_mul(gf2.transpose(m, n), f.rows), m))
+    form = congruent_form(base, m)
     for kind in structure_kinds(form):
         half = kind.modulus // 2
         structures = [kind.from_code(form, c) for c in range(1 << n)]
