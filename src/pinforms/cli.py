@@ -24,16 +24,16 @@ from .census import (
     pin_census_enumerated,
     pin_census_recursive,
 )
-from .enhancements import Enhancement, brown_gauss, enumerate_enhancements, value_histogram
+from .enhancements import Enhancement, brown_gauss, brown_spectrum, value_histogram
 from .orbits import (
     MAX_BRUTE_DIM,
-    MAX_GENERATED_DIM,
+    check_brute_dim,
     isometry_generators,
-    isometry_group,
-    level_sets,
-    orbit_partition,
+    isometry_group_order,
+    orbit_labels,
+    orbit_summary,
 )
-from .refinements import Refinement, arf_symplectic, enumerate_refinements, spin_census, spin_closed_form
+from .refinements import Refinement, arf_spectrum, arf_symplectic, spin_census, spin_closed_form
 from .surfaces import (
     InvariantViolation,
     LimitError,
@@ -233,15 +233,14 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
     if args.theory == THEORY_SPIN:
         if surface.kind != "orientable":
             raise ValueError("spin structures need an orientable surface")
-        structures = enumerate_refinements(form)
-        invariant_name, invariant = "arf", arf_symplectic
+        kind, invariant_name, spectrum = Refinement, "arf", arf_spectrum
     else:
-        structures = enumerate_enhancements(form)
-        invariant_name, invariant = "beta", brown_gauss
+        kind, invariant_name, spectrum = Enhancement, "beta", brown_spectrum
 
+    generators = None
     if form.dim <= args.brute_limit:
-        generators = isometry_group(form, "brute")
-        group_desc = f"brute (order {len(generators)})"
+        check_brute_dim(form.dim)
+        group_desc = f"brute (order {isometry_group_order(form)})"
     elif form.dim <= args.gen_limit:
         generators = isometry_generators(form)
         group_desc = f"generated ({len(generators)} generators)"
@@ -250,12 +249,16 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
             f"orbit computation capped at dimension {args.gen_limit}, got {form.dim}"
         )
 
-    orbits = orbit_partition(form, structures, generators=generators)
-    match = {frozenset(o) for o in orbits} == level_sets(structures, invariant)
+    invariants = spectrum(form)
+    labels = orbit_labels(form, kind, generators)
+    members, sizes = orbit_summary(labels)
+    # level sets: the invariant is constant on each orbit and distinct across orbits
+    constant = bool((invariants[labels] == invariants).all())
+    match = constant and len(set(invariants[members].tolist())) == len(members)
 
     rows = tuple(
-        (index + 1, len(orbit), invariant(orbit[0]))
-        for index, orbit in enumerate(orbits)
+        (index + 1, size, int(invariants[member]))
+        for index, (member, size) in enumerate(zip(members, sizes))
     )
     meta = (
         ("surface", surface.label),
@@ -264,7 +267,7 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
         ("invariant", invariant_name),
     )
     summary = (
-        ("orbits", len(orbits)),
+        ("orbits", len(members)),
         ("level-sets", "PASS" if match else "FAIL"),
     )
     record = OutputRecord("orbits", meta, ("orbit", "size", "invariant"), rows, summary)
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("-s", "--surface", required=True)
     p_orb.add_argument("-t", "--theory", choices=(THEORY_SPIN, THEORY_PIN_MINUS), required=True)
     p_orb.add_argument("--brute-limit", type=int, default=MAX_BRUTE_DIM)
-    p_orb.add_argument("--gen-limit", type=int, default=MAX_GENERATED_DIM)
+    p_orb.add_argument("--gen-limit", type=int, default=MAX_TABLE_DIM)
     add_common(p_orb)
     p_orb.set_defaults(handler=cmd_orbits)
 

@@ -2,15 +2,21 @@
 
 A structure is pushed forward through the inverse matrix: the stored basis
 values of the image are the evaluations of the original on the preimages
-of the basis vectors.  On integer structure codes that push-forward is
-affine, so orbits are closed over codes under a generator set, and full
-groups never need to be materialized.
+of the basis vectors.  On integer structure codes that push-forward is the
+affine map c -> Tc xor t, read straight off the inverse columns and code 0
+(``_code_map``), so ``act`` is needed only as a test oracle.  The group is
+given by a few Dehn-twist transvections (``isometry_generators``), its
+order in closed form (``isometry_group_order``), and ``orbit_labels`` closes
+orbits over all 2**n codes by min-label propagation; no group is
+materialized except the brute-force and generated ones kept for checks at
+small dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
@@ -20,8 +26,12 @@ from .surfaces import (
     IntersectionForm,
     InvariantViolation,
     LimitError,
+    MAX_TABLE_DIM,
     as_bits,
+    cross_pairs,
     identity_form,
+    is_alternating,
+    standard_basis,
 )
 
 MAX_BRUTE_DIM = 4
@@ -111,24 +121,54 @@ def banding_isometry(k: int) -> Isometry:
 
 
 def isometry_generators(form: IntersectionForm) -> tuple[Isometry, ...]:
-    """Norm-zero transvections plus the basis transpositions that preserve the pairing."""
-    n = form.dim
-    gens: dict[tuple[int, ...], Isometry] = {}
-    for v in range(1, 1 << n):
-        if form.pairing_bits(v, v) == 0:
-            iso = transvection(form, v)
-            gens.setdefault(iso.rows, iso)
-    ident = gf2.identity(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = list(ident)
-            rows[i], rows[j] = rows[j], rows[i]
-            try:
-                iso = Isometry(form, tuple(rows))
-            except ValueError:
-                continue
-            gens.setdefault(iso.rows, iso)
-    return tuple(gens[key] for key in sorted(gens))
+    """Transvections of Dehn twists that generate the isometry group of the pairing.
+
+    The isometry group of the mod-2 pairing is the image of the mapping
+    class group on H1(F; Z/2) (McCarthy-Pinkall, "Representing homology
+    automorphisms of nonorientable surfaces", 2004; Gadgil-Pancholi,
+    "Homeomorphisms and the homology of non-orientable surfaces", 2005), and a
+    Dehn twist about a two-sided curve acts as the transvection along its
+    class.  In the basis of ``standard_basis`` the curves are those of the
+    Lickorish and Humphries generating sets:
+
+    - identity layout v1, ..., vk: v_i + v_(i+1), plus v1 + v2 + v3 + v4 when
+      k >= 4, so k - 1 generators below genus 4 and k from there on;
+    - hyperbolic layout a1, b1, ..., ag, bg: a_i, b_i and a_i + a_(i+1),
+      so 3g - 1 generators.
+
+    At dimension <= 5 their closure is the whole group (checked against the
+    brute-force group and ``isometry_group_order``).
+    """
+    layout, basis = standard_basis(form)
+    if layout == "identity":
+        directions = [v ^ w for v, w in zip(basis, basis[1:])]
+        if len(basis) >= 4:
+            directions.append(basis[0] ^ basis[1] ^ basis[2] ^ basis[3])
+    else:
+        a, b = basis[0::2], basis[1::2]
+        directions = [*a, *b, *(v ^ w for v, w in zip(a, a[1:]))]
+    return tuple(transvection(form, v) for v in directions)
+
+
+def _sp_order(g: int) -> int:
+    """|Sp(2g, 2)| = 2**(g*g) times the product of 2**(2i) - 1 for i = 1..g."""
+    return (1 << (g * g)) * prod((1 << (2 * i)) - 1 for i in range(1, g + 1))
+
+
+def isometry_group_order(form: IntersectionForm) -> int:
+    """Order of the isometry group of the pairing, in closed form.
+
+    An alternating pairing of rank 2g has the symplectic group Sp(2g, 2).  A
+    non-alternating one is the identity pairing of rank k, whose orthogonal
+    group is Sp(k - 1, 2) for odd k and 2**(k-1) |Sp(k - 2, 2)| for even k
+    (MacWilliams, "Orthogonal matrices over finite fields", 1969).
+    """
+    k = form.dim
+    if is_alternating(form):
+        return _sp_order(k // 2)
+    if k % 2:
+        return _sp_order((k - 1) // 2)
+    return (1 << (k - 1)) * _sp_order((k - 2) // 2)
 
 
 def mulclose(generators, max_size: int = DEFAULT_GROUP_CAP) -> set[Isometry]:
@@ -151,6 +191,11 @@ def mulclose(generators, max_size: int = DEFAULT_GROUP_CAP) -> set[Isometry]:
                         raise LimitError(f"group closure exceeded {max_size} elements")
         frontier = sorted(new, key=lambda iso: iso.rows)
     return els
+
+
+def check_brute_dim(dim: int):
+    if dim > MAX_BRUTE_DIM:
+        raise LimitError(f"brute-force groups capped at dimension {MAX_BRUTE_DIM}, got {dim}")
 
 
 @lru_cache(maxsize=8)
@@ -178,8 +223,7 @@ def isometry_group(
 ) -> frozenset[Isometry]:
     """The full pairing-preserving group, by exhaustive filter or generator closure."""
     if method == "brute":
-        if form.dim > MAX_BRUTE_DIM:
-            raise LimitError(f"brute-force groups capped at dimension {MAX_BRUTE_DIM}, got {form.dim}")
+        check_brute_dim(form.dim)
         return _brute_group(form)
     if method == "generated":
         if form.dim > MAX_GENERATED_DIM:
@@ -192,16 +236,91 @@ def isometry_group(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _code_map(form: IntersectionForm, modulus: int, g: Isometry) -> tuple[tuple[int, ...], int]:
+    """The map c -> Tc xor t that ``g`` induces on structure codes, as (columns of T, t).
+
+    The pushed-forward structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i)
+    at inverse column p_i, so row i of T is p_i (the columns of T are the
+    rows of the inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).
+    Code 0 has the diagonal as basis values, so s_0(x) is the diagonal
+    weight of x plus (m/2) cross_pairs(x).
+    """
+    if g.form != form:
+        raise ValueError("generator and pairing differ")
+    half = modulus // 2
+    diagonal = sum(d << i for i, d in enumerate(form.diagonal))
+    shift = 0
+    for i, (p, d) in enumerate(zip(g.inverse_columns, form.diagonal)):
+        s0 = ((p & diagonal).bit_count() + half * cross_pairs(form, p)) % modulus
+        shift |= ((s0 - d) // half % 2) << i
+    return g.inverse.rows, shift
+
+
+def _image_row(columns: tuple[int, ...], shift: int) -> np.ndarray:
+    """Image of every code under c -> Tc xor t, by doubling: codes 2**j to 2**(j+1) - 1 are the codes below them xor column j."""
+    row = np.empty(1 << len(columns), dtype=np.uint32)
+    row[0] = shift
+    for j, column in enumerate(columns):
+        np.bitwise_xor(row[: 1 << j], column, out=row[1 << j : 2 << j])
+    return row
+
+
+def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
+    """The smallest code in each code's orbit, for every code of structures of class ``kind``.
+
+    Each generator's code map is read off its inverse columns
+    (``_code_map``) and expanded to an image row.  A generator permutes the
+    codes, so ``new[row] = minimum(new[row], new)`` is an exact elementwise
+    update; each pass over the generators is followed by pointer jumping
+    (labels = labels[labels]), and passes repeat until nothing changes.
+    The default generators are ``isometry_generators(form)``.
+    """
+    n = form.dim
+    if n > MAX_TABLE_DIM:
+        raise LimitError(f"orbit labels capped at dimension {MAX_TABLE_DIM}, got {n}")
+    if generators is None:
+        generators = isometry_generators(form)
+    maps = [_code_map(form, kind.modulus, g) for g in generators]
+    labels = np.arange(1 << n, dtype=np.uint32)
+    while True:
+        before = labels.copy()
+        for columns, shift in maps:
+            row = _image_row(columns, shift)
+            labels[row] = np.minimum(labels[row], labels)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return labels
+
+
+def orbit_summary(labels: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each orbit's smallest member by basis values and its size, orbits in the order of those members.
+
+    Basis values compare from index 0 and bit i of a code moves basis
+    value i, so the smallest member by values has the smallest bit-reversed
+    code.  ``reverse`` (built by doubling) is the bit reversal, an
+    involution, so ``reverse[r]`` is the code whose reversal is r.
+    """
+    n = labels.size.bit_length() - 1
+    reverse = np.zeros(labels.size, dtype=np.uint32)
+    for i in range(n):
+        np.bitwise_or(reverse[: 1 << i], 1 << (n - 1 - i), out=reverse[1 << i : 2 << i])
+    _, first, sizes = np.unique(labels[reverse], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return reverse[first[order]].tolist(), sizes[order].tolist()
+
+
 def orbit_partition(form: IntersectionForm, structures, generators=None):
     """Partition structures into orbits under a generator set, closing over integer codes.
 
-    A generator maps code c to Tc xor t, so ``act`` on code 0 and on the n
-    basis codes fills its image table by doubling: codes 2**i to 2**(i+1) - 1
-    are the codes below them xor the column T e_i.  Orbits grow over codes a
-    frontier at a time; each member becomes a structure once.  Orbits are
-    sorted by basis values, the partition by smallest members.  With the
-    default generators they are full isometry-group orbits whenever the
-    generators generate that group.
+    A thin wrapper over ``orbit_labels``: the orbits of the given structures
+    are read off the labels, whole, and each member becomes a structure
+    object.  Orbits are sorted by basis values, the partition by smallest
+    members.  With the default generators they are full isometry-group
+    orbits.
     """
     structures = list(structures)
     if not structures:
@@ -209,31 +328,13 @@ def orbit_partition(form: IntersectionForm, structures, generators=None):
     kind = type(structures[0])
     if any(s.form != form or type(s) is not kind for s in structures):
         raise ValueError("structures must be of one kind and live on the given pairing")
-    if generators is None:
-        generators = isometry_generators(form)
-    n = form.dim
-    basis = [kind.from_code(form, 0)] + [kind.from_code(form, 1 << i) for i in range(n)]
-    affine = np.array([[act(g, b).code for b in basis] for g in generators], dtype=np.uint32)
-    affine = affine.reshape(-1, n + 1)
-    images = np.empty((len(affine), 1 << n), dtype=np.uint32)
-    images[:, 0] = affine[:, 0]
-    for i in range(n):
-        images[:, 1 << i : 2 << i] = images[:, : 1 << i] ^ (affine[:, i + 1 : i + 2] ^ affine[:, :1])
-    seen = np.zeros(1 << n, dtype=bool)
+    labels = orbit_labels(form, kind, generators)
+    codes = np.argsort(labels, kind="stable")
+    ordered = labels[codes]
     orbits = []
-    for s in structures:
-        code = s.code
-        if seen[code]:
-            continue
-        seen[code] = True
-        frontier = np.array([code], dtype=np.uint32)
-        codes = [frontier]
-        while frontier.size:
-            reached = np.unique(images[:, frontier])
-            frontier = reached[~seen[reached]]
-            seen[frontier] = True
-            codes.append(frontier)
-        members = (kind.from_code(form, c) for c in np.concatenate(codes).tolist())
+    for root in sorted({int(labels[s.code]) for s in structures}):
+        lo, hi = np.searchsorted(ordered, [root, root + 1])
+        members = (kind.from_code(form, c) for c in codes[lo:hi].tolist())
         orbits.append(tuple(sorted(members, key=lambda t: t.values)))
     return tuple(sorted(orbits, key=lambda orb: orb[0].values))
 

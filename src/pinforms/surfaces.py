@@ -165,6 +165,42 @@ def is_alternating(form: IntersectionForm) -> bool:
     return all(d == 0 for d in form.diagonal)
 
 
+def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
+    """A basis on which the pairing takes its standard layout, by GF(2) Gram-Schmidt.
+
+    Returns ``("identity", basis)`` with an orthonormal basis when the pairing
+    is not alternating, else ``("hyperbolic", basis)`` with interleaved pairs
+    a1, b1, ..., ag, bg.  While an odd vector x (x.x = 1) is left it is split
+    off by z -> z + (z.x)x; otherwise a hyperbolic pair (x, y) is split off by
+    z -> z + (z.y)x + (z.x)y.  Each pair is then folded into an odd vector e
+    through <1> + H = 3<1>: e, a, b become e+a, e+b, e+a+b.  O(n**3) bit
+    operations; the standard layouts get back the unit basis.
+    """
+    pair = form.pairing_bits
+    rest = [1 << i for i in range(form.dim)]
+    odd: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    while rest:
+        x = next((z for z in rest if pair(z, z)), None)
+        if x is not None:
+            rest.remove(x)
+            odd.append(x)
+            rest = [z ^ (x if pair(z, x) else 0) for z in rest]
+            continue
+        x = rest.pop(0)
+        y = next(z for z in rest if pair(z, x))  # exists: the rest is nondegenerate
+        rest.remove(y)
+        pairs.append((x, y))
+        rest = [z ^ (x if pair(z, y) else 0) ^ (y if pair(z, x) else 0) for z in rest]
+    if not odd:
+        return "hyperbolic", tuple(v for ab in pairs for v in ab)
+    e = odd.pop()
+    for a, b in pairs:
+        odd += [e ^ a, e ^ b]
+        e ^= a ^ b
+    return "identity", tuple(odd + [e])
+
+
 @dataclass(frozen=True)
 class Surface:
     """A closed surface in standard form."""

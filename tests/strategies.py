@@ -6,9 +6,9 @@ from pinforms import IntersectionForm, gf2, hyperbolic_form, identity_form
 
 
 @st.composite
-def congruent_forms(draw):
-    """M^T F M for a standard F of dimension <= 5 and an invertible M over GF(2)."""
-    n = draw(st.integers(1, 5))
+def congruent_forms(draw, max_dim: int = 5):
+    """M^T F M for a standard F of dimension <= max_dim and an invertible M over GF(2)."""
+    n = draw(st.integers(1, max_dim))
     base = draw(st.sampled_from(["identity", "hyperbolic"] if n % 2 == 0 else ["identity"]))
     m = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
     return base, m

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pinforms import InvariantViolation, census, enhancements, refinements
+from pinforms.census import pin_census_recursive
 from pinforms.cli import OutputRecord, main, parse_surface, parse_values
+from pinforms.refinements import spin_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +118,37 @@ def test_orbits_generated_path(capsys):
     assert sorted(row[1] for row in record.rows) == [12, 16, 16, 20]
 
 
+# ``orbits --format json`` stdout for N:1-10 and S:1-5 (pin-, plus spin on S). Up to
+# dimension 4 it is byte-identical to the output of the brute-force group; from 5 on
+# only the generator count in the ``group`` line differs from the earlier generator set.
+ORBITS_GOLDEN = Path(__file__).parent / "data" / "orbits_cli.json"
+
+
+def test_orbits_output_matches_golden_file(capsys):
+    golden = json.loads(ORBITS_GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 20
+    for command, expected in golden.items():
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert out == expected, command
+
+
+@pytest.mark.parametrize(
+    "surface,theory,expected",
+    [("N:20", "pin-", pin_census_recursive(20)), ("S:10", "spin", spin_closed_form(10))],
+)
+def test_orbits_at_the_dimension_cap(capsys, surface, theory, expected):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "orbits", "-s", surface, "-t", theory, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    record = OutputRecord.from_json(out)
+    assert dict(record.summary)["level-sets"] == "PASS"
+    assert dict(record.meta)["group"].startswith("generated")
+    assert {row[2]: row[1] for row in record.rows} == {i: c for i, c in expected.items() if c}
+    assert elapsed < 10, f"{surface} {theory} took {elapsed:.1f} s"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "forms-core")
     assert code == 0
@@ -131,7 +166,10 @@ def test_exit_codes_bad_input(capsys):
 def test_exit_codes_size_limits(capsys):
     assert run_cli(capsys, "census", "-s", "N:22", "-t", "pin-")[0] == 3
     assert run_cli(capsys, "census", "-s", "N:8", "-t", "pin-", "--enum-limit", "4")[0] == 3
-    assert run_cli(capsys, "orbits", "-s", "N:12", "-t", "pin-")[0] == 3
+    assert run_cli(capsys, "orbits", "-s", "N:21", "-t", "pin-")[0] == 3
+    assert run_cli(capsys, "orbits", "-s", "S:11", "-t", "spin")[0] == 3
+    # past the orbit cap the dense-table guard still refuses
+    assert run_cli(capsys, "orbits", "-s", "N:21", "-t", "pin-", "--gen-limit", "30")[0] == 3
 
 
 def test_exit_code_internal_consistency_failure(capsys, monkeypatch):

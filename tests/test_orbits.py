@@ -13,6 +13,7 @@ from pinforms import (
     arf_symplectic,
     banding_isometry,
     brown_gauss,
+    direct_sum,
     enumerate_enhancements,
     enumerate_refinements,
     gf2,
@@ -26,7 +27,8 @@ from pinforms import (
     orientable_surface,
     transvection,
 )
-from pinforms.surfaces import is_alternating
+from pinforms.orbits import isometry_group_order, mulclose, orbit_labels, orbit_summary
+from pinforms.surfaces import is_alternating, standard_basis
 from strategies import congruent_form, congruent_forms
 
 # exhaustively verified orders of the full isometry groups
@@ -244,13 +246,14 @@ def test_orbit_partition_edge_cases():
 
 
 def test_orbit_partition_act_calls_bounded(monkeypatch):
+    # each generator's code map is read off its inverse columns, so no structure is pushed through act
     calls = []
     real_act = orbits.act
     monkeypatch.setattr(orbits, "act", lambda g, s: calls.append(g) or real_act(g, s))
     form = identity_form(6)
     gens = isometry_generators(form)
     orbit_partition(form, enumerate_enhancements(form), generators=gens)
-    assert 0 < len(calls) <= (form.dim + 1) * len(gens)
+    assert calls == []
 
 
 @pytest.mark.parametrize("form", [identity_form(4), hyperbolic_form(2)], ids=["N:4", "S:2"])
@@ -286,3 +289,104 @@ def test_structures_on_congruent_forms(case):
                     assert vals[x ^ y] == (vals[x] + vals[y] + half * form.pairing_bits(x, y)) % kind.modulus
         gens = isometry_generators(form)
         assert orbit_partition(form, structures) == reference_orbit_partition(form, structures, gens)
+
+
+@pytest.mark.parametrize("kind,size", sorted(BRUTE_ORDERS))
+def test_isometry_group_order_matches_brute(kind, size):
+    form = identity_form(size) if kind == "identity" else hyperbolic_form(size)
+    assert isometry_group_order(form) == BRUTE_ORDERS[kind, size] == len(isometry_group(form, "brute"))
+
+
+def test_isometry_group_order_at_five_crosscaps_matches_twist_closure():
+    form = identity_form(5)
+    assert isometry_group_order(form) == len(mulclose(isometry_generators(form))) == 720
+
+
+def test_isometry_group_order_known_values():
+    # |Sp(2g, 2)| for g = 0..3, and |O(6, F2)|, the order the earlier generator set closed to at N:6
+    assert [isometry_group_order(hyperbolic_form(g)) for g in range(4)] == [1, 6, 720, 1451520]
+    assert isometry_group_order(identity_form(6)) == 23040
+
+
+def test_twist_generator_counts():
+    assert [len(isometry_generators(identity_form(k))) for k in range(1, 9)] == [0, 1, 2, 4, 5, 6, 7, 8]
+    assert [len(isometry_generators(hyperbolic_form(g))) for g in range(6)] == [0, 2, 5, 8, 11, 14]
+
+
+@pytest.mark.parametrize("form", [identity_form(k) for k in range(9)] + [hyperbolic_form(g) for g in range(5)])
+def test_standard_basis_of_standard_layouts_is_the_unit_basis(form):
+    layout, basis = standard_basis(form)
+    assert basis == gf2.identity(form.dim)
+    assert layout == ("hyperbolic" if is_alternating(form) else "identity")
+
+
+def _assert_standard_basis(form):
+    n = form.dim
+    layout, basis = standard_basis(form)
+    b = gf2.transpose(basis, n)  # columns are the basis vectors
+    assert gf2.rank(b) == n
+    standard = identity_form(n) if layout == "identity" else hyperbolic_form(n // 2)
+    assert gf2.mat_mul(gf2.mat_mul(gf2.transpose(b, n), form.rows), b) == standard.rows
+    assert layout == ("hyperbolic" if is_alternating(form) else "identity")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(congruent_forms(max_dim=8))
+@example(("identity", (0b011, 0b010, 0b100)))  # diagonal (1, 0, 1)
+def test_standard_basis_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    _assert_standard_basis(congruent_form(base, m))
+
+
+@pytest.mark.parametrize("parts", [("N:1", "S:1"), ("S:1", "N:1"), ("N:1", "S:2"), ("S:2", "N:2"), ("S:1", "N:1", "S:1")])
+def test_standard_basis_folds_hyperbolic_pairs_into_odd_vectors(parts):
+    # <1> + H is congruent to the identity pairing of rank 3, so the pairs must be folded away
+    forms = [identity_form(int(p[2:])) if p[0] == "N" else hyperbolic_form(int(p[2:])) for p in parts]
+    form = forms[0]
+    for other in forms[1:]:
+        form = direct_sum(form, other)
+    _assert_standard_basis(form)
+    assert standard_basis(form)[0] == "identity"
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(congruent_forms(max_dim=4))
+def test_twist_generators_generate_the_brute_group_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    form = congruent_form(base, m)
+    group = mulclose(isometry_generators(form)) | {Isometry(form, gf2.identity(form.dim))}
+    assert group == isometry_group(form, "brute")
+    assert len(group) == isometry_group_order(form)
+
+
+@pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
+def test_orbit_labels_are_smallest_orbit_members(surface):
+    form = surface.form
+    for kind in structure_kinds(form):
+        labels = orbit_labels(form, kind).tolist()
+        for orbit in orbit_partition(form, kind.enumerate_all(form)):
+            codes = [s.code for s in orbit]
+            assert {labels[c] for c in codes} == {min(codes)}
+
+
+@pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
+def test_orbit_summary_follows_the_partition_order(surface):
+    # the whole group's orbits on a standard layout are closed under bit reversal, a single
+    # twist's need not be, and then the smallest code and the smallest member by values differ
+    form = surface.form
+    for kind in structure_kinds(form):
+        gens = isometry_generators(form)
+        for subset in (gens, gens[-1:], ()):
+            members, sizes = orbit_summary(orbit_labels(form, kind, subset))
+            parts = orbit_partition(form, kind.enumerate_all(form), generators=subset)
+            assert members == [orbit[0].code for orbit in parts]
+            assert sizes == [len(orbit) for orbit in parts]
+
+
+def test_orbit_labels_reject_other_pairings_and_large_dimensions():
+    with pytest.raises(ValueError):
+        orbit_labels(identity_form(2), Enhancement, isometry_generators(identity_form(3)))
+    with pytest.raises(LimitError):
+        orbit_labels(identity_form(21), Enhancement, [])
