@@ -30,6 +30,7 @@ from .enhancements import (
     ValueHistogram,
     brown_compass,
     brown_gauss,
+    brown_normal_form,
     brown_spectrum,
     cap_off_summand,
     direct_sum_enhancement,
@@ -59,6 +60,7 @@ from .refinements import (
     Census,
     Refinement,
     arf_majority,
+    arf_normal_form,
     arf_spectrum,
     arf_symplectic,
     enumerate_refinements,
@@ -70,6 +72,7 @@ from .surfaces import (
     InvariantViolation,
     LimitError,
     MAX_CLASS_DIM,
+    MAX_NORMAL_FORM_DIM,
     MAX_TABLE_DIM,
     QuadraticStructure,
     Surface,

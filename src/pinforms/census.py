@@ -10,6 +10,11 @@ The closed-form entry at invariant 0 in even nonorientable genus disagrees
 with enumeration (1 vs 2 at genus 2, 8 vs 6 at genus 4); such entries are
 flagged DISPUTED and reported next to the corrected expression
 2**(k-2) + 2**((k-2)/2).
+
+A bordism class is one structure's invariant, read off its values on a
+standard basis of the pairing (``brown_normal_form``, ``arf_normal_form``):
+O(n**2) per query once the basis is cached, with no class table, up to
+dimension ``MAX_NORMAL_FORM_DIM``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .enhancements import Enhancement, brown_gauss, brown_spectrum
-from .refinements import Census, Refinement, arf_majority, arf_symplectic
-from .surfaces import MAX_TABLE_DIM, InvariantViolation, LimitError, Surface, is_hyperbolic_form
+from .enhancements import Enhancement, brown_normal_form, brown_spectrum
+from .refinements import Census, Refinement, arf_normal_form
+from .surfaces import MAX_TABLE_DIM, InvariantViolation, LimitError, Surface
 
 FLAG_CONFIRMED = "CONFIRMED"
 FLAG_DISPUTED = "DISPUTED"
@@ -162,20 +167,24 @@ class BordismClass:
 
 
 def bordism_class(surface: Surface, structure) -> BordismClass:
-    """Arf class of a refinement (spin) or Brown class of an enhancement (pin-)."""
+    """Arf class of a refinement (spin) or Brown class of an enhancement (pin-).
+
+    Both come from the normal form: the structure's values on the cached
+    ``standard_basis`` of the pairing, added up over its projective or
+    hyperbolic planes.  No value table over the 2**n classes is built, so
+    any dimension up to ``MAX_NORMAL_FORM_DIM`` answers; above it the
+    reduction raises ``LimitError``.  The Gauss-sum routes (``brown_gauss``,
+    ``arf_majority`` and the spectra) share no code with this one and are
+    its oracle.
+    """
     if structure.form != surface.form:
         raise ValueError("structure does not live on the given surface")
     if isinstance(structure, Refinement):
         # a refinement's pairing is alternating, so the form match already
         # rules out nonorientable surfaces
-        value = (
-            arf_symplectic(structure)
-            if is_hyperbolic_form(structure.form)
-            else arf_majority(structure)
-        )
-        return BordismClass(THEORY_SPIN, value)
+        return BordismClass(THEORY_SPIN, arf_normal_form(structure))
     if isinstance(structure, Enhancement):
-        return BordismClass(THEORY_PIN_MINUS, brown_gauss(structure))
+        return BordismClass(THEORY_PIN_MINUS, brown_normal_form(structure))
     raise ValueError(f"unsupported structure type {type(structure).__name__}")
 
 

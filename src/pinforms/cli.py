@@ -20,25 +20,26 @@ from pathlib import Path
 from .census import (
     THEORY_PIN_MINUS,
     THEORY_SPIN,
+    bordism_class,
     pin_census_closed_form,
     pin_census_enumerated,
     pin_census_recursive,
 )
-from .enhancements import Enhancement, brown_gauss, brown_spectrum, value_histogram
+from .enhancements import Enhancement, brown_spectrum, histogram_from_brown
 from .orbits import (
     MAX_BRUTE_DIM,
-    check_brute_dim,
     isometry_generators,
     isometry_group_order,
     orbit_labels,
     orbit_summary,
 )
-from .refinements import Refinement, arf_spectrum, arf_symplectic, spin_census, spin_closed_form
+from .refinements import Refinement, arf_spectrum, spin_census, spin_closed_form
 from .surfaces import (
     InvariantViolation,
     LimitError,
     MAX_TABLE_DIM,
     Surface,
+    is_alternating,
     nonorientable_surface,
     orientable_surface,
 )
@@ -208,13 +209,15 @@ def cmd_invariant(args) -> tuple[OutputRecord, int]:
         if surface.kind != "orientable":
             raise ValueError("refinement values need an orientable surface")
         structure = Refinement(surface.form, values)
-        rows = (("arf", arf_symplectic(structure)),)
+        rows = (("arf", bordism_class(surface, structure).value),)
     else:
         theory = THEORY_PIN_MINUS
         structure = Enhancement(surface.form, values)
-        hist = value_histogram(structure)
+        beta = bordism_class(surface, structure).value
+        # the histogram is a function of the dimension, beta and the pairing's parity
+        hist = histogram_from_brown(surface.form.dim, beta, is_alternating(surface.form))
         rows = (
-            ("beta", brown_gauss(structure)),
+            ("beta", beta),
             ("histogram", ",".join(str(c) for c in hist)),
         )
     if args.theory is not None and args.theory != theory:
@@ -239,7 +242,6 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
 
     generators = None
     if form.dim <= args.brute_limit:
-        check_brute_dim(form.dim)
         group_desc = f"brute (order {isometry_group_order(form)})"
     elif form.dim <= args.gen_limit:
         generators = isometry_generators(form)

@@ -3,12 +3,13 @@
 An enhancement e satisfies e(x+y) = e(x) + e(y) + 2 (x.y) in Z/4 together
 with the parity rule e(x) = x.x mod 2, so a projective-plane core class
 only ever takes the values 1 or 3.  The Brown invariant reads off the
-octant of the Gauss sum of i**e(x) over all classes.
+octant of the Gauss sum of i**e(x) over all classes (``brown_gauss``,
+``brown_spectrum``), or adds up over a standard basis (``brown_normal_form``);
+the two routes share no code.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from .surfaces import (
     direct_sum,
     identity_form,
     is_identity_form,
+    standard_basis,
 )
 
 
@@ -66,7 +68,9 @@ def brown_gauss(e: Enhancement) -> int:
 
     The sum of i**e(x) over all classes is A + Bi with A = n0 - n2 and
     B = n1 - n3; its squared magnitude is 2**n and its argument is the
-    invariant times pi/4.
+    invariant times pi/4.  The only integer points of squared magnitude 2**n
+    are (+-2**(n/2), 0), (0, +-2**(n/2)) and (+-2**((n-1)/2), +-2**((n-1)/2)),
+    so once the magnitude is checked the sign pair fixes the octant.
     """
     hist = value_histogram(e)
     a, b = hist.gauss_deltas
@@ -75,7 +79,7 @@ def brown_gauss(e: Enhancement) -> int:
         raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
     if a * a + b * b != 1 << e.form.dim:
         raise InvariantViolation(f"Gauss sum magnitude {a * a + b * b} is not 2**{e.form.dim}")
-    return round(math.atan2(b, a) * 4 / math.pi) % 8
+    return _OCTANT_BY_SIGNS[_sign(a), _sign(b)]
 
 
 _OCTANT_BY_SIGNS = {
@@ -88,7 +92,7 @@ _OCTANT_BY_SIGNS = {
     (0, -1): 6,
     (1, -1): 7,
 }
-
+_SIGNS_BY_OCTANT = {octant: signs for signs, octant in _OCTANT_BY_SIGNS.items()}
 
 # _OCTANT_BY_SIGNS as an array indexed by 3 * (sign(a) + 1) + sign(b) + 1; -1 marks (0, 0)
 _OCTANT_BY_SIGN_INDEX = np.array([_OCTANT_BY_SIGNS.get((sa, sb), -1) for sa in (-1, 0, 1) for sb in (-1, 0, 1)])
@@ -122,6 +126,49 @@ def brown_compass(e: Enhancement) -> int:
     if signs == (0, 0):
         raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
     return _OCTANT_BY_SIGNS[signs]
+
+
+def brown_normal_form(e: Enhancement) -> int:
+    """Brown invariant added up over a standard basis of the pairing, in O(n**2).
+
+    On an orthonormal basis v1, ..., vk the enhancement splits into k
+    projective planes, each of invariant +1 (value 1) or -1 (value 3); on a
+    symplectic basis a1, b1, ..., ag, bg into g hyperbolic planes, each of
+    invariant 4 exactly when e(a) = e(b) = 2 (Brown, "Generalizations of the
+    Kervaire invariant", 1972; Kirby-Taylor, "Pin structures on
+    low-dimensional manifolds", 1990).  The basis comes from the cached
+    ``standard_basis`` and each value from the quadratic identity, so no
+    class table is built.
+    """
+    layout, basis = standard_basis(e.form)
+    values = [e(v) for v in basis]
+    odd = layout == "identity"
+    # every standard basis vector has self-pairing 1 (identity) or 0 (hyperbolic)
+    broken = next((i for i, v in enumerate(values) if v & 1 != odd), None)
+    if broken is not None:
+        raise InvariantViolation(f"value {values[broken]} on {layout} basis vector {broken} breaks parity")
+    if odd:
+        return (values.count(1) - values.count(3)) % 8
+    return 4 * sum(a * b // 4 for a, b in zip(values[0::2], values[1::2])) % 8
+
+
+def histogram_from_brown(dim: int, beta: int, alternating: bool) -> ValueHistogram:
+    """The value histogram of any enhancement with Brown invariant ``beta``, in closed form.
+
+    The Gauss sum A + Bi is 2**(n/2) exp(i pi beta / 4), so (A, B) is the sign
+    pair of the octant scaled to squared magnitude 2**n.  The even values
+    fill the classes with x.x = 0: all 2**n on an alternating pairing, half
+    of them otherwise.  Then n0, n2 = (even -+ A) / 2 and n1, n3 = (odd -+ B) / 2.
+    """
+    sa, sb = _SIGNS_BY_OCTANT[beta % 8]
+    # 2 log2 |A| (or |B|): n on an axis, n - 1 on a diagonal
+    twice_log = dim - abs(sa) - abs(sb) + 1
+    if twice_log % 2 or (alternating and sb):
+        raise InvariantViolation(f"Brown invariant {beta} is impossible in dimension {dim}")
+    a, b = sa << twice_log // 2, sb << twice_log // 2
+    even = 1 << dim if alternating else 1 << (dim - 1)
+    odd = (1 << dim) - even
+    return ValueHistogram((even + a) // 2, (odd + b) // 2, (even - a) // 2, (odd - b) // 2)
 
 
 def direct_sum_enhancement(e1: Enhancement, e2: Enhancement) -> Enhancement:

@@ -1,4 +1,10 @@
-"""Mod-2 quadratic refinements of the intersection pairing and their Arf invariant."""
+"""Mod-2 quadratic refinements of the intersection pairing and their Arf invariant.
+
+The Arf invariant is the majority value over all classes (``arf_majority``,
+``arf_spectrum``), or a sum over a symplectic basis (``arf_symplectic`` on
+the standard layout, ``arf_normal_form`` on any pairing); the table routes
+and the basis routes share no code.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ from .surfaces import (
     hyperbolic_form,
     is_alternating,
     is_hyperbolic_form,
+    standard_basis,
 )
 
 # A census maps invariant values to structure counts; zero counts are dropped.
@@ -55,6 +62,18 @@ def arf_symplectic(q: Refinement) -> int:
         raise ValueError("the block formula needs the standard hyperbolic layout")
     vals = q.values
     return sum(vals[2 * i] * vals[2 * i + 1] for i in range(q.form.dim // 2)) & 1
+
+
+def arf_normal_form(q: Refinement) -> int:
+    """Sum of q(a_i) q(b_i) over a symplectic basis of the pairing, in O(n**2).
+
+    The basis comes from the cached ``standard_basis``, so any alternating
+    pairing works, and each value from the quadratic identity, so no class
+    table is built.
+    """
+    _, basis = standard_basis(q.form)
+    values = [q(v) for v in basis]
+    return sum(a * b for a, b in zip(values[0::2], values[1::2])) & 1
 
 
 def arf_spectrum(form: IntersectionForm) -> np.ndarray:

@@ -21,6 +21,8 @@ from . import gf2
 MAX_CLASS_DIM = 24
 # Dense per-class value tables (histograms, censuses) stop here.
 MAX_TABLE_DIM = 20
+# Reduction to a standard basis (bordism classes, single-structure invariants) stops here.
+MAX_NORMAL_FORM_DIM = 256
 
 
 class LimitError(RuntimeError):
@@ -165,6 +167,7 @@ def is_alternating(form: IntersectionForm) -> bool:
     return all(d == 0 for d in form.diagonal)
 
 
+@lru_cache(maxsize=64)
 def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     """A basis on which the pairing takes its standard layout, by GF(2) Gram-Schmidt.
 
@@ -173,32 +176,53 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     a1, b1, ..., ag, bg.  While an odd vector x (x.x = 1) is left it is split
     off by z -> z + (z.x)x; otherwise a hyperbolic pair (x, y) is split off by
     z -> z + (z.y)x + (z.x)y.  Each pair is then folded into an odd vector e
-    through <1> + H = 3<1>: e, a, b become e+a, e+b, e+a+b.  O(n**3) bit
-    operations; the standard layouts get back the unit basis.
+    through <1> + H = 3<1>: e, a, b become e+a, e+b, e+a+b.  The standard
+    layouts get back the unit basis.
+
+    Self-pairing is linear (x.x is the parity of x & diagonal) and z.x is the
+    parity of z & Fx, so each split costs one or two matrix-vector products
+    and O(n) word operations: O(n**2) word operations in all, the Gram check
+    included.  Dimensions above ``MAX_NORMAL_FORM_DIM`` raise ``LimitError``;
+    a basis whose Gram matrix is not the layout raises ``InvariantViolation``.
     """
-    pair = form.pairing_bits
-    rest = [1 << i for i in range(form.dim)]
+    n = form.dim
+    if n > MAX_NORMAL_FORM_DIM:
+        raise LimitError(f"normal-form reduction capped at dimension {MAX_NORMAL_FORM_DIM}, got {n}")
+    diagonal = sum(d << i for i, d in enumerate(form.diagonal))
+    rest = [1 << i for i in range(n)]
     odd: list[int] = []
     pairs: list[tuple[int, int]] = []
     while rest:
-        x = next((z for z in rest if pair(z, z)), None)
+        x = next((z for z in rest if gf2.dot(z, diagonal)), None)
         if x is not None:
             rest.remove(x)
             odd.append(x)
-            rest = [z ^ (x if pair(z, x) else 0) for z in rest]
+            fx = gf2.mat_vec(form.rows, x)
+            rest = [z ^ (x if gf2.dot(z, fx) else 0) for z in rest]
             continue
         x = rest.pop(0)
-        y = next(z for z in rest if pair(z, x))  # exists: the rest is nondegenerate
+        fx = gf2.mat_vec(form.rows, x)
+        y = next(z for z in rest if gf2.dot(z, fx))  # exists: the rest is nondegenerate
         rest.remove(y)
         pairs.append((x, y))
-        rest = [z ^ (x if pair(z, y) else 0) ^ (y if pair(z, x) else 0) for z in rest]
-    if not odd:
-        return "hyperbolic", tuple(v for ab in pairs for v in ab)
-    e = odd.pop()
-    for a, b in pairs:
-        odd += [e ^ a, e ^ b]
-        e ^= a ^ b
-    return "identity", tuple(odd + [e])
+        fy = gf2.mat_vec(form.rows, y)
+        rest = [z ^ (x if gf2.dot(z, fy) else 0) ^ (y if gf2.dot(z, fx) else 0) for z in rest]
+    if odd:
+        e = odd.pop()
+        for a, b in pairs:
+            odd += [e ^ a, e ^ b]
+            e ^= a ^ b
+        layout, basis = "identity", tuple(odd + [e])
+        expected = gf2.identity(n)
+    else:
+        layout, basis = "hyperbolic", tuple(v for ab in pairs for v in ab)
+        expected = tuple(1 << (i ^ 1) for i in range(n))
+    images = [gf2.mat_vec(form.rows, v) for v in basis]
+    gram = tuple(sum(gf2.dot(v, fw) << j for j, v in enumerate(basis)) for fw in images)
+    if gram != expected:
+        row = next(i for i, (got, want) in enumerate(zip(gram, expected)) if got != want)
+        raise InvariantViolation(f"reduced basis breaks the {layout} layout in Gram row {row}")
+    return layout, basis
 
 
 @dataclass(frozen=True)

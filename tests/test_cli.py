@@ -109,6 +109,15 @@ def test_orbits_genus_two_spin(capsys):
     assert record.rows == ((1, 10, 0), (2, 6, 1))
 
 
+def test_orbits_brute_limit_only_picks_the_header(capsys):
+    # the order comes from the closed form, so no brute-force group caps the header
+    code, out, _ = run_cli(capsys, "orbits", "-s", "N:5", "-t", "pin-", "--brute-limit", "5", "--format", "json")
+    assert code == 0
+    record = OutputRecord.from_json(out)
+    assert dict(record.meta)["group"] == "brute (order 720)"
+    assert dict(record.summary)["level-sets"] == "PASS"
+
+
 def test_orbits_generated_path(capsys):
     code, out, _ = run_cli(capsys, "orbits", "-s", "N:6", "-t", "pin-", "--format", "json")
     assert code == 0
@@ -184,8 +193,9 @@ def test_exit_code_internal_consistency_failure(capsys, monkeypatch):
 
 def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
     # a nondegenerate pairing never gives a zero Gauss sum, so it is a defect, not bad input
+    # (``invariant`` reads the normal form, so the Gauss sum is reached through the verify suite)
     monkeypatch.setattr(enhancements, "value_histogram", lambda e: enhancements.ValueHistogram(1, 1, 1, 1))
-    code, out, err = run_cli(capsys, "invariant", "-s", "N:2", "-e", "1,3")
+    code, out, err = run_cli(capsys, "verify", "brown-compass")
     assert code == 1
     assert out == ""
     assert err.startswith("error: zero Gauss sum")

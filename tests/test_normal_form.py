@@ -1,0 +1,193 @@
+"""The normal-form route to the bordism invariants, checked against the Gauss-sum routes."""
+
+import random
+import time
+
+import pytest
+from hypothesis import assume, given, settings
+
+from pinforms import (
+    Enhancement,
+    InvariantViolation,
+    LimitError,
+    QuadraticStructure,
+    Refinement,
+    arf_majority,
+    arf_spectrum,
+    bordism_class,
+    brown_gauss,
+    brown_spectrum,
+    cobordant,
+    enumerate_enhancements,
+    enumerate_refinements,
+    gf2,
+    hyperbolic_form,
+    nonorientable_surface,
+    orientable_surface,
+    surfaces,
+    value_histogram,
+)
+from pinforms.cli import OutputRecord, main
+from pinforms.enhancements import brown_normal_form, histogram_from_brown
+from pinforms.refinements import arf_normal_form
+from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis
+from strategies import congruent_form, congruent_forms
+
+SURFACES = [orientable_surface(g) for g in range(6)] + [nonorientable_surface(k) for k in range(1, 11)]
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def invariant_rows(capsys, *argv) -> dict:
+    code, out, err = run_cli(capsys, "invariant", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return dict(OutputRecord.from_json(out).rows)
+
+
+# the additive formulas on the standard layouts, written out independently of the library
+
+
+def brown_additive(surface, values) -> int:
+    if surface.kind == "nonorientable":
+        return sum(1 if v == 1 else -1 for v in values) % 8
+    return 4 * sum(1 for a, b in zip(values[0::2], values[1::2]) if a == b == 2) % 8
+
+
+def arf_additive(values) -> int:
+    return sum(a * b for a, b in zip(values[0::2], values[1::2])) % 2
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
+def test_normal_form_equals_the_spectra_code_by_code(surface):
+    form = surface.form
+    codes = range(1 << form.dim)
+    brown = [bordism_class(surface, Enhancement.from_code(form, c)).value for c in codes]
+    assert brown == brown_spectrum(form).tolist()
+    if surface.kind == "orientable":
+        arf = [bordism_class(surface, Refinement.from_code(form, c)).value for c in codes]
+        assert arf == arf_spectrum(form).tolist()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(congruent_forms(max_dim=8))
+def test_normal_form_equals_the_gauss_routes_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    form = congruent_form(base, m)
+    for e in enumerate_enhancements(form):
+        assert brown_normal_form(e) == brown_gauss(e), e.values
+    if is_alternating(form):
+        for q in enumerate_refinements(form):
+            assert arf_normal_form(q) == arf_majority(q), q.values
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [nonorientable_surface(k) for k in range(1, 13)] + [orientable_surface(g) for g in range(7)],
+    ids=lambda s: s.label,
+)
+def test_closed_form_histogram_equals_the_counted_one(surface):
+    form = surface.form
+    alternating = is_alternating(form)
+    for code, beta in enumerate(brown_spectrum(form).tolist()):
+        expected = value_histogram(Enhancement.from_code(form, code))
+        assert histogram_from_brown(form.dim, beta, alternating) == expected, code
+
+
+def test_closed_form_histogram_rejects_impossible_invariants():
+    with pytest.raises(InvariantViolation):
+        histogram_from_brown(2, 1, False)  # odd invariant in even dimension
+    with pytest.raises(InvariantViolation):
+        histogram_from_brown(4, 2, True)  # an alternating pairing has only even values
+
+
+@pytest.mark.parametrize("surface", [nonorientable_surface(64), nonorientable_surface(200), orientable_surface(32)],
+                         ids=lambda s: s.label)
+def test_normal_form_equals_the_additive_formula_in_high_dimension(capsys, surface):
+    rng = random.Random(surface.form.dim)
+    n = surface.form.dim
+    for _ in range(20):
+        if surface.kind == "nonorientable":
+            values = tuple(rng.choice((1, 3)) for _ in range(n))
+        else:
+            values = tuple(rng.choice((0, 2)) for _ in range(n))
+            bits = tuple(rng.getrandbits(1) for _ in range(n))
+            assert bordism_class(surface, Refinement(surface.form, bits)).value == arf_additive(bits)
+        beta = brown_additive(surface, values)
+        assert bordism_class(surface, Enhancement(surface.form, values)).value == beta
+    rows = invariant_rows(capsys, "-s", surface.label, "-e", ",".join(map(str, values)))
+    assert rows["beta"] == beta
+    n0, n1, n2, n3 = map(int, rows["histogram"].split(","))
+    assert n0 + n1 + n2 + n3 == 1 << n
+    assert (n0 - n2) ** 2 + (n1 - n3) ** 2 == 1 << n
+
+
+def test_cobordant_in_high_dimension():
+    n200, n8 = nonorientable_surface(200), nonorientable_surface(8)
+    # 200 ones is invariant 0, as is four 1s and four 3s
+    assert cobordant((n200, Enhancement(n200.form, (1,) * 200)), (n8, Enhancement(n8.form, (1, 3) * 4)))
+    assert not cobordant((n200, Enhancement(n200.form, (3,) + (1,) * 199)), (n8, Enhancement(n8.form, (1,) * 8)))
+
+
+def test_route_builds_no_class_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normal-form route must not build a class table")
+
+    monkeypatch.setattr(QuadraticStructure, "values_on_all", refuse)
+    monkeypatch.setattr(QuadraticStructure, "gauss_sums", classmethod(refuse))
+    for name in ("class_bit_matrix", "cross_parity_table", "self_pairing_table"):
+        monkeypatch.setattr(surfaces, name, refuse)
+    n21, s11 = nonorientable_surface(21), orientable_surface(11)
+    assert bordism_class(n21, Enhancement(n21.form, (1,) * 21)).value == 5
+    assert bordism_class(s11, Enhancement(s11.form, (2,) * 22)).value == 4
+    assert bordism_class(s11, Refinement(s11.form, (1,) * 22)).value == 1
+    assert invariant_rows(capsys, "-s", "N:21", "-e", ",".join(["1"] * 21))["beta"] == 5
+    assert invariant_rows(capsys, "-s", "S:11", "-e", ",".join(["2"] * 22))["beta"] == 4
+    assert invariant_rows(capsys, "-s", "S:11", "-q", ",".join(["1"] * 22))["arf"] == 1
+
+
+@pytest.mark.parametrize("surface,flag,value,name", [
+    (f"N:{MAX_NORMAL_FORM_DIM}", "-e", "3", "beta"),
+    (f"S:{MAX_NORMAL_FORM_DIM // 2}", "-e", "2", "beta"),
+    (f"S:{MAX_NORMAL_FORM_DIM // 2}", "-q", "1", "arf"),
+])
+def test_invariant_at_the_normal_form_cap(capsys, surface, flag, value, name):
+    standard_basis.cache_clear()
+    start = time.perf_counter()
+    rows = invariant_rows(capsys, "-s", surface, flag, ",".join([value] * MAX_NORMAL_FORM_DIM))
+    elapsed = time.perf_counter() - start
+    # 256 values of 3 is -256 = 0 mod 8; 128 blocks of Brown 4 or of Arf 1 add up to 0
+    assert rows[name] == 0
+    assert elapsed < 5, f"{surface} took {elapsed:.1f} s"
+
+
+def test_invariant_past_the_normal_form_cap(capsys):
+    over = MAX_NORMAL_FORM_DIM + 1
+    code, out, err = run_cli(capsys, "invariant", "-s", f"N:{over}", "-e", ",".join(["1"] * over))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: normal-form reduction capped")
+    code, _, _ = run_cli(capsys, "invariant", "-s", f"S:{over // 2 + 1}", "-q", ",".join(["0"] * (over + 1)))
+    assert code == 3
+    surface = nonorientable_surface(over)
+    with pytest.raises(LimitError):
+        bordism_class(surface, Enhancement(surface.form, (1,) * over))
+
+
+def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
+    # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect
+    monkeypatch.setattr(Enhancement, "__call__", lambda e, x: 2)
+    code, out, err = run_cli(capsys, "invariant", "-s", "N:3", "-e", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: value 2 on identity basis vector 0 breaks parity")
+
+
+def test_gram_check_catches_a_wrong_reduction():
+    # a hyperbolic plane whose diagonal claims an odd vector reduces to a basis that is not orthonormal
+    form = hyperbolic_form(1)
+    form.__dict__["diagonal"] = (1, 0)
+    with pytest.raises(InvariantViolation, match="Gram row"):
+        standard_basis.__wrapped__(form)
