@@ -39,6 +39,7 @@ from .surfaces import (
     LimitError,
     MAX_TABLE_DIM,
     Surface,
+    check_normal_form_dim,
     is_alternating,
     nonorientable_surface,
     orientable_surface,
@@ -125,6 +126,8 @@ def parse_surface(spec: str) -> Surface:
     kind, sep, genus = spec.partition(":")
     if sep != ":" or kind not in ("S", "N") or not genus.isdigit():
         raise ValueError(f"bad surface spec {spec!r}; expected S:<genus> or N:<genus>")
+    # no command works beyond the normal-form cap, and validating a form costs O(n**2)
+    check_normal_form_dim(int(genus) * (2 if kind == "S" else 1))
     if kind == "S":
         return orientable_surface(int(genus))
     return nonorientable_surface(int(genus))

@@ -125,6 +125,9 @@ class IntersectionForm:
         return gf2.dot(x, gf2.mat_vec(self.rows, y))
 
 
+# Forms are immutable and __post_init__ checks symmetry and rank over all n
+# rows, so the constructors below are cached: equal arguments share one form.
+@lru_cache(maxsize=128)
 def hyperbolic_form(g: int) -> IntersectionForm:
     """Block sum of g hyperbolic planes on the interleaved basis a1, b1, ..., ag, bg."""
     if g < 0:
@@ -136,6 +139,7 @@ def hyperbolic_form(g: int) -> IntersectionForm:
     return IntersectionForm(2 * g, tuple(rows))
 
 
+@lru_cache(maxsize=128)
 def identity_form(k: int) -> IntersectionForm:
     """Identity pairing on k projective-plane core classes."""
     if k < 0:
@@ -143,6 +147,7 @@ def identity_form(k: int) -> IntersectionForm:
     return IntersectionForm(k, gf2.identity(k))
 
 
+@lru_cache(maxsize=256)
 def direct_sum(f1: IntersectionForm, f2: IntersectionForm) -> IntersectionForm:
     """Block-diagonal sum; the second summand's basis is shifted past the first."""
     rows = f1.rows + tuple(r << f1.dim for r in f2.rows)
@@ -167,6 +172,12 @@ def is_alternating(form: IntersectionForm) -> bool:
     return all(d == 0 for d in form.diagonal)
 
 
+def check_normal_form_dim(n: int):
+    """Refuse dimensions above ``MAX_NORMAL_FORM_DIM`` with ``LimitError``."""
+    if n > MAX_NORMAL_FORM_DIM:
+        raise LimitError(f"normal-form reduction capped at dimension {MAX_NORMAL_FORM_DIM}, got {n}")
+
+
 @lru_cache(maxsize=64)
 def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     """A basis on which the pairing takes its standard layout, by GF(2) Gram-Schmidt.
@@ -186,8 +197,7 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     a basis whose Gram matrix is not the layout raises ``InvariantViolation``.
     """
     n = form.dim
-    if n > MAX_NORMAL_FORM_DIM:
-        raise LimitError(f"normal-form reduction capped at dimension {MAX_NORMAL_FORM_DIM}, got {n}")
+    check_normal_form_dim(n)
     diagonal = sum(d << i for i, d in enumerate(form.diagonal))
     rest = [1 << i for i in range(n)]
     odd: list[int] = []

@@ -25,8 +25,9 @@ from .census import (
     pin_census_recursive,
 )
 from .enhancements import (
-    brown_compass,
+    Enhancement,
     brown_gauss,
+    brown_normal_form,
     cap_off_summand,
     direct_sum_enhancement,
     enhancement_from_refinement,
@@ -42,10 +43,16 @@ from .orbits import (
     orbit_partition,
 )
 from .pinplus import enumerate_pinplus, is_well_defined, mod4_homology, PinPlusForm
-from .refinements import arf_majority, arf_symplectic, enumerate_refinements, spin_census, spin_closed_form
+from .refinements import (
+    Refinement,
+    arf_majority,
+    arf_symplectic,
+    enumerate_refinements,
+    spin_census,
+    spin_closed_form,
+)
 from .surfaces import (
     H1Class,
-    class_bit_matrix,
     enumerate_classes,
     hyperbolic_form,
     identity_form,
@@ -94,14 +101,45 @@ def _standard_surfaces(max_dim: int, min_dim: int = 1, include_sphere: bool = Fa
     return surfaces
 
 
-def _xor_grid(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint16 if n <= 12 else np.uint32)
-    return idx[:, None] ^ idx[None, :]
+def _parity_vector(mask: int, n: int) -> np.ndarray:
+    """Parity of mask & y for every y < 2**n, built by doubling over the bits of y."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n):
+        block = 1 << j
+        np.bitwise_xor(out[:block], (mask >> j) & 1, out=out[block : 2 * block])
+    return out
 
 
 def _pair_table(form) -> np.ndarray:
-    bits = class_bit_matrix(form.dim)
-    return (bits @ form.matrix @ bits.T) % 2
+    """x.y for every pair of classes, as a (2**n, 2**n) uint8 table built by doubling over the rows.
+
+    A class x = 2**i + x' with x' < 2**i has x.y = x'.y plus the parity of
+    rows[i] & y, so the block of rows [2**i, 2**(i+1)) is the block below it
+    xor that parity vector.
+    """
+    n = form.dim
+    table = np.zeros((1 << n, 1 << n), dtype=np.uint8)
+    for i, row in enumerate(form.rows):
+        block = 1 << i
+        np.bitwise_xor(table[:block], _parity_vector(row, n), out=table[block : 2 * block])
+    return table
+
+
+def _xor_table(vals: np.ndarray) -> np.ndarray:
+    """vals[x ^ y] for every pair x, y < len(vals), built by doubling without a gather.
+
+    For x < 2**i, row x + 2**i is row x with y replaced by y ^ 2**i: its
+    2**i-blocks swapped pairwise, which is a reversed axis of a reshape.
+    """
+    size = vals.size
+    table = np.empty((size, size), dtype=vals.dtype)
+    table[0] = vals
+    block = 1
+    while block < size:
+        shape = (block, size // (2 * block), 2, block)
+        table[block : 2 * block].reshape(shape)[...] = table[:block].reshape(shape)[:, :, ::-1]
+        block *= 2
+    return table
 
 
 def _suite_forms_core() -> list[CheckResult]:
@@ -135,22 +173,45 @@ def _suite_forms_core() -> list[CheckResult]:
     ]
 
 
+def _sample_indices(size: int, count: int, rng) -> range | list[int]:
+    """A sorted seeded sample of ``count`` indices below ``size``; all of them, undrawn, when ``size <= count``."""
+    return range(size) if size <= count else sorted(rng.sample(range(size), count))
+
+
 def _sampled_structures(all_structures, count, rng):
-    if len(all_structures) <= count:
-        return list(all_structures)
-    picked = rng.sample(range(len(all_structures)), count)
-    return [all_structures[i] for i in sorted(picked)]
+    return [all_structures[i] for i in _sample_indices(len(all_structures), count, rng)]
 
 
-def _identity_breaks(cases):
-    """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, structures) cases."""
+def _sampled_codes(kind, form, count, rng):
+    """Structures of ``kind`` at sampled codes; the same picks as sampling ``kind.enumerate_all(form)``."""
+    return [kind.from_code(form, code) for code in _sample_indices(1 << form.dim, count, rng)]
+
+
+# Rows of the pair tables compared at once: 64 rows of 2**12 bytes stay in cache.
+_CHUNK_ROWS = 64
+
+
+def _identity_breaks(kind, cases):
+    """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, structures of kind) cases.
+
+    Every pair x, y is compared: the left side is ``_xor_table`` of the
+    values and the right side is built a chunk of rows at a time; the first
+    bad chunk ends the structure's comparison.
+    """
+    mask = kind.modulus - 1
     for surface, structures in cases:
-        grid, pairs = _xor_grid(surface.form.dim), _pair_table(surface.form)
+        half_pairs = kind.modulus // 2 * _pair_table(surface.form)
         for s in structures:
-            mod = s.modulus
             vals = s.values_on_all().astype(np.uint8)
-            if not (vals[grid] == (vals[:, None] + vals[None, :] + (mod // 2) * pairs) % mod).all():
-                yield f"{surface.label} values {s.values}"
+            lhs = _xor_table(vals)
+            for lo in range(0, vals.size, _CHUNK_ROWS):
+                rows = slice(lo, lo + _CHUNK_ROWS)
+                rhs = np.add(vals[rows, None], vals)
+                rhs += half_pairs[rows]
+                rhs &= mask
+                if not np.array_equal(lhs[rows], rhs):
+                    yield f"{surface.label} values {s.values}"
+                    break
 
 
 def _suite_refinement_identity() -> list[CheckResult]:
@@ -163,12 +224,14 @@ def _suite_refinement_identity() -> list[CheckResult]:
         for s in map(orientable_surface, range(1, FULL_IDENTITY_DIM // 2 + 1))
     )
     sampled = (
-        (s, _sampled_structures(enumerate_refinements(s.form), 8, rng))
+        (s, _sampled_codes(Refinement, s.form, 8, rng))
         for s in map(orientable_surface, range(FULL_IDENTITY_DIM // 2 + 1, 7))
     )
     return [
-        _first(suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(exhaustive)),
-        _first(suite, "defining-identity-sampled (dim<=12)", _identity_breaks(sampled)),
+        _first(
+            suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(Refinement, exhaustive)
+        ),
+        _first(suite, "defining-identity-sampled (dim<=12)", _identity_breaks(Refinement, sampled)),
     ]
 
 
@@ -177,12 +240,14 @@ def _suite_enhancement_identity() -> list[CheckResult]:
     rng = random.Random(0xE41)
     exhaustive = ((s, enumerate_enhancements(s.form)) for s in _standard_surfaces(FULL_IDENTITY_DIM))
     sampled = (
-        (s, _sampled_structures(enumerate_enhancements(s.form), 8, rng))
+        (s, _sampled_codes(Enhancement, s.form, 8, rng))
         for s in _standard_surfaces(10, min_dim=FULL_IDENTITY_DIM + 1)
     )
     return [
-        _first(suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(exhaustive)),
-        _first(suite, "defining-identity-sampled (dim<=10)", _identity_breaks(sampled)),
+        _first(
+            suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(Enhancement, exhaustive)
+        ),
+        _first(suite, "defining-identity-sampled (dim<=10)", _identity_breaks(Enhancement, sampled)),
         _first(suite, "parity-rule-exhaustive (dim<=10)", (
             f"{s.label} values {e.values}"
             for s in _standard_surfaces(10)
@@ -218,11 +283,12 @@ def _suite_spin_census() -> list[CheckResult]:
 
 
 def _suite_brown_compass() -> list[CheckResult]:
-    return [_first("brown-compass", "gauss-equals-compass (dim<=10)", (
+    # the Gauss-sum octant against the standard-basis sum: two routes that share no code
+    return [_first("brown-compass", "gauss-equals-normal-form (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
         for e in enumerate_enhancements(s.form)
-        if brown_gauss(e) != brown_compass(e)
+        if brown_gauss(e) != brown_normal_form(e)
     ))]
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 
 from pinforms import (
     Enhancement,
+    IntersectionForm,
     InvariantViolation,
     LimitError,
     QuadraticStructure,
@@ -21,7 +22,6 @@ from pinforms import (
     enumerate_enhancements,
     enumerate_refinements,
     gf2,
-    hyperbolic_form,
     nonorientable_surface,
     orientable_surface,
     surfaces,
@@ -177,6 +177,20 @@ def test_invariant_past_the_normal_form_cap(capsys):
         bordism_class(surface, Enhancement(surface.form, (1,) * over))
 
 
+@pytest.mark.parametrize("argv,dim", [
+    (("invariant", "-s", "N:100000", "-e", "1"), 100000),
+    (("census", "-s", "S:50000", "-t", "pin-"), 100000),
+])
+def test_oversized_surface_refused_before_its_form_is_built(capsys, argv, dim):
+    # building and validating a form of dimension 100000 alone takes seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err == f"error: normal-form reduction capped at dimension {MAX_NORMAL_FORM_DIM}, got {dim}\n"
+    assert elapsed < 0.5, f"{argv} took {elapsed:.2f} s"
+
+
 def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
     # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect
     monkeypatch.setattr(Enhancement, "__call__", lambda e, x: 2)
@@ -187,7 +201,8 @@ def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
 
 def test_gram_check_catches_a_wrong_reduction():
     # a hyperbolic plane whose diagonal claims an odd vector reduces to a basis that is not orthonormal
-    form = hyperbolic_form(1)
+    # a fresh form: hyperbolic_form(1) is cached and shared, so it must not be poisoned
+    form = IntersectionForm(2, (0b10, 0b01))
     form.__dict__["diagonal"] = (1, 0)
     with pytest.raises(InvariantViolation, match="Gram row"):
         standard_basis.__wrapped__(form)
