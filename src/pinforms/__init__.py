@@ -71,7 +71,6 @@ from .surfaces import (
     IntersectionForm,
     InvariantViolation,
     LimitError,
-    MAX_CLASS_DIM,
     MAX_NORMAL_FORM_DIM,
     MAX_TABLE_DIM,
     QuadraticStructure,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .enhancements import Enhancement, brown_normal_form, brown_spectrum
 from .refinements import Census, Refinement, arf_normal_form
-from .surfaces import MAX_TABLE_DIM, InvariantViolation, LimitError, Surface
+from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim
 
 FLAG_CONFIRMED = "CONFIRMED"
 FLAG_DISPUTED = "DISPUTED"
@@ -44,14 +44,13 @@ def _enumerated_items(surface: Surface) -> tuple[tuple[int, int], ...]:
     return tuple((value, int(count)) for value, count in enumerate(counts) if count)
 
 
-def pin_census_enumerated(surface: Surface, limit: int = MAX_TABLE_DIM) -> Census:
+def pin_census_enumerated(surface: Surface) -> Census:
     """Counts of all 2**n enhancements by Brown invariant.
 
     The invariants come from one Walsh-Hadamard transform of the Gauss-sum
     terms of code 0 (``brown_spectrum``), in O(n 2**n).
     """
-    if surface.form.dim > limit:
-        raise LimitError(f"census enumeration capped at dimension {limit}, got {surface.form.dim}")
+    check_dim(surface.form.dim, MAX_TABLE_DIM, "census enumeration")
     return dict(_enumerated_items(surface))
 
 
@@ -112,20 +111,18 @@ def _closed_form_counts(surface: Surface) -> dict[int, Fraction]:
     }
 
 
-def reference_census(surface: Surface, limit: int = MAX_TABLE_DIM) -> Census:
+def reference_census(surface: Surface) -> Census:
     """Arbiter counts: enumeration when tractable, otherwise the recursion by
     summands, projective planes (nonorientable) or hyperbolic planes
     (orientable, three enhancements of invariant 0 and one of invariant 4)."""
-    if surface.form.dim <= limit:
-        return pin_census_enumerated(surface, limit=limit)
+    if surface.form.dim <= MAX_TABLE_DIM:
+        return pin_census_enumerated(surface)
     if surface.kind == "nonorientable":
         return pin_census_recursive(surface.genus)
     return _block_sum_census({0: 3, 4: 1}, surface.genus)
 
 
-def pin_census_closed_form(
-    surface: Surface, limit: int = MAX_TABLE_DIM
-) -> tuple[ClosedFormEntry, ...]:
+def pin_census_closed_form(surface: Surface) -> tuple[ClosedFormEntry, ...]:
     """Closed-form counts evaluated verbatim, flagged against the reference census.
 
     Entries matching the reference are CONFIRMED; mismatches are DISPUTED.
@@ -134,7 +131,7 @@ def pin_census_closed_form(
     matching the reference.
     """
     raw = _closed_form_counts(surface)
-    ref = reference_census(surface, limit=limit)
+    ref = reference_census(surface)
     entries = []
     for invariant in sorted(raw):
         formula = raw[invariant]

@@ -37,9 +37,10 @@ from .refinements import Refinement, arf_spectrum, spin_census, spin_closed_form
 from .surfaces import (
     InvariantViolation,
     LimitError,
+    MAX_NORMAL_FORM_DIM,
     MAX_TABLE_DIM,
     Surface,
-    check_normal_form_dim,
+    check_dim,
     is_alternating,
     nonorientable_surface,
     orientable_surface,
@@ -127,7 +128,7 @@ def parse_surface(spec: str) -> Surface:
     if sep != ":" or kind not in ("S", "N") or not genus.isdigit():
         raise ValueError(f"bad surface spec {spec!r}; expected S:<genus> or N:<genus>")
     # no command works beyond the normal-form cap, and validating a form costs O(n**2)
-    check_normal_form_dim(int(genus) * (2 if kind == "S" else 1))
+    check_dim(int(genus) * (2 if kind == "S" else 1), MAX_NORMAL_FORM_DIM, "normal-form reduction")
     if kind == "S":
         return orientable_surface(int(genus))
     return nonorientable_surface(int(genus))
@@ -144,17 +145,13 @@ def parse_values(text: str) -> tuple[int, ...]:
 
 def cmd_census(args) -> tuple[OutputRecord, int]:
     surface = parse_surface(args.surface)
-    limit = args.enum_limit
-    if surface.form.dim > limit:
-        raise LimitError(
-            f"census enumeration capped at dimension {limit}, got {surface.form.dim}"
-        )
+    check_dim(surface.form.dim, MAX_TABLE_DIM, "census enumeration")
     if args.theory == THEORY_SPIN:
         if surface.kind != "orientable":
             raise ValueError("spin structures need an orientable surface")
         census = spin_census(surface.genus)
     else:
-        census = pin_census_enumerated(surface, limit=limit)
+        census = pin_census_enumerated(surface)
 
     meta = (
         ("surface", surface.label),
@@ -175,7 +172,7 @@ def cmd_census(args) -> tuple[OutputRecord, int]:
         )
         return OutputRecord("census", meta, columns, rows), 0
 
-    entries = {e.invariant: e for e in pin_census_closed_form(surface, limit=limit)}
+    entries = {e.invariant: e for e in pin_census_closed_form(surface)}
     recursion = pin_census_recursive(surface.genus) if surface.kind == "nonorientable" else None
     columns = (
         "invariant",
@@ -243,16 +240,12 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
     else:
         kind, invariant_name, spectrum = Enhancement, "beta", brown_spectrum
 
-    generators = None
-    if form.dim <= args.brute_limit:
+    check_dim(form.dim, MAX_TABLE_DIM, "orbit computation")
+    generators = isometry_generators(form)
+    if form.dim <= MAX_BRUTE_DIM:
         group_desc = f"brute (order {isometry_group_order(form)})"
-    elif form.dim <= args.gen_limit:
-        generators = isometry_generators(form)
-        group_desc = f"generated ({len(generators)} generators)"
     else:
-        raise LimitError(
-            f"orbit computation capped at dimension {args.gen_limit}, got {form.dim}"
-        )
+        group_desc = f"generated ({len(generators)} generators)"
 
     invariants = spectrum(form)
     labels = orbit_labels(form, kind, generators)
@@ -305,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("-s", "--surface", required=True, help="surface spec, e.g. S:2 or N:3")
     p_census.add_argument("-t", "--theory", choices=(THEORY_SPIN, THEORY_PIN_MINUS), required=True)
     p_census.add_argument("--compare", action="store_true", help="add closed-form and recursion columns")
-    p_census.add_argument("--enum-limit", type=int, default=MAX_TABLE_DIM)
     add_common(p_census)
     p_census.set_defaults(handler=cmd_census)
 
@@ -321,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb = sub.add_parser("orbits", help="isometry orbits of structures and invariant level sets")
     p_orb.add_argument("-s", "--surface", required=True)
     p_orb.add_argument("-t", "--theory", choices=(THEORY_SPIN, THEORY_PIN_MINUS), required=True)
-    p_orb.add_argument("--brute-limit", type=int, default=MAX_BRUTE_DIM)
-    p_orb.add_argument("--gen-limit", type=int, default=MAX_TABLE_DIM)
     add_common(p_orb)
     p_orb.set_defaults(handler=cmd_orbits)
 

@@ -28,14 +28,15 @@ from .surfaces import (
     LimitError,
     MAX_TABLE_DIM,
     as_bits,
+    check_dim,
     cross_pairs,
     identity_form,
     is_alternating,
     standard_basis,
 )
 
+# Brute-force and generated groups are materialized up to this dimension.
 MAX_BRUTE_DIM = 4
-MAX_GENERATED_DIM = 10
 # Safety stop for group closure; beyond this the group is not materialized.
 DEFAULT_GROUP_CAP = 1 << 20
 
@@ -193,11 +194,6 @@ def mulclose(generators, max_size: int = DEFAULT_GROUP_CAP) -> set[Isometry]:
     return els
 
 
-def check_brute_dim(dim: int):
-    if dim > MAX_BRUTE_DIM:
-        raise LimitError(f"brute-force groups capped at dimension {MAX_BRUTE_DIM}, got {dim}")
-
-
 @lru_cache(maxsize=8)
 def _brute_group(form: IntersectionForm) -> frozenset[Isometry]:
     n = form.dim
@@ -218,19 +214,14 @@ def _brute_group(form: IntersectionForm) -> frozenset[Isometry]:
     return frozenset(group)
 
 
-def isometry_group(
-    form: IntersectionForm, method: str = "brute", max_size: int = DEFAULT_GROUP_CAP
-) -> frozenset[Isometry]:
+def isometry_group(form: IntersectionForm, method: str = "brute") -> frozenset[Isometry]:
     """The full pairing-preserving group, by exhaustive filter or generator closure."""
     if method == "brute":
-        check_brute_dim(form.dim)
+        check_dim(form.dim, MAX_BRUTE_DIM, "brute-force groups")
         return _brute_group(form)
     if method == "generated":
-        if form.dim > MAX_GENERATED_DIM:
-            raise LimitError(
-                f"generated groups capped at dimension {MAX_GENERATED_DIM}, got {form.dim}"
-            )
-        closure = mulclose(isometry_generators(form), max_size=max_size)
+        check_dim(form.dim, MAX_BRUTE_DIM, "generated groups")
+        closure = mulclose(isometry_generators(form))
         closure.add(Isometry(form, gf2.identity(form.dim)))
         return frozenset(closure)
     raise ValueError(f"unknown method {method!r}")
@@ -276,8 +267,7 @@ def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     The default generators are ``isometry_generators(form)``.
     """
     n = form.dim
-    if n > MAX_TABLE_DIM:
-        raise LimitError(f"orbit labels capped at dimension {MAX_TABLE_DIM}, got {n}")
+    check_dim(n, MAX_TABLE_DIM, "orbit labels")
     if generators is None:
         generators = isometry_generators(form)
     maps = [_code_map(form, kind.modulus, g) for g in generators]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .surfaces import IntersectionForm, MAX_TABLE_DIM, LimitError, Surface
+from .surfaces import IntersectionForm, MAX_TABLE_DIM, Surface, check_dim
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ def enumerate_pinplus(surface: Surface) -> list[PinPlusForm]:
     """All well-defined structures; empty in odd nonorientable genus."""
     model = mod4_homology(surface)
     n = model.generator_count
-    if n > MAX_TABLE_DIM:
-        raise LimitError(f"structure enumeration capped at dimension {MAX_TABLE_DIM}, got {n}")
+    check_dim(n, MAX_TABLE_DIM, "structure enumeration")
     out = []
     for code in range(1 << n):
         q = PinPlusForm(model, tuple((code >> i) & 1 for i in range(n)))

@@ -103,10 +103,9 @@ def spin_census(g: int) -> Census:
     """Counts of refinements on a genus-g orientable surface by Arf value.
 
     Counts the Arf spectrum of all 2**(2g) refinements and checks the
-    counts against ``spin_closed_form``.
+    counts against ``spin_closed_form``.  The sphere (g = 0) has one
+    structure, of Arf 0; ``hyperbolic_form`` refuses a negative genus.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
     zeros, ones = np.bincount(arf_spectrum(hyperbolic_form(g)), minlength=2).tolist()
     counts = {0: zeros, 1: ones}
     expected = spin_closed_form(g)

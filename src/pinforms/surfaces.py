@@ -17,9 +17,7 @@ import numpy as np
 
 from . import gf2
 
-# Generators over all 2**n classes stay usable up to this dimension.
-MAX_CLASS_DIM = 24
-# Dense per-class value tables (histograms, censuses) stop here.
+# Dense per-class value tables (histograms, censuses, class enumeration) stop here.
 MAX_TABLE_DIM = 20
 # Reduction to a standard basis (bordism classes, single-structure invariants) stops here.
 MAX_NORMAL_FORM_DIM = 256
@@ -172,10 +170,10 @@ def is_alternating(form: IntersectionForm) -> bool:
     return all(d == 0 for d in form.diagonal)
 
 
-def check_normal_form_dim(n: int):
-    """Refuse dimensions above ``MAX_NORMAL_FORM_DIM`` with ``LimitError``."""
-    if n > MAX_NORMAL_FORM_DIM:
-        raise LimitError(f"normal-form reduction capped at dimension {MAX_NORMAL_FORM_DIM}, got {n}")
+def check_dim(n: int, cap: int, what: str):
+    """Refuse dimensions above ``cap`` with ``LimitError``; every size guard goes through here."""
+    if n > cap:
+        raise LimitError(f"{what} capped at dimension {cap}, got {n}")
 
 
 @lru_cache(maxsize=64)
@@ -197,7 +195,7 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     a basis whose Gram matrix is not the layout raises ``InvariantViolation``.
     """
     n = form.dim
-    check_normal_form_dim(n)
+    check_dim(n, MAX_NORMAL_FORM_DIM, "normal-form reduction")
     diagonal = sum(d << i for i, d in enumerate(form.diagonal))
     rest = [1 << i for i in range(n)]
     odd: list[int] = []
@@ -274,11 +272,10 @@ def nonorientable_surface(k: int) -> Surface:
     return Surface("nonorientable", k, identity_form(k))
 
 
-def enumerate_classes(form: IntersectionForm, limit: int = MAX_CLASS_DIM) -> Iterator[H1Class]:
+def enumerate_classes(form: IntersectionForm) -> Iterator[H1Class]:
     """Yield all 2**n classes in ascending integer encoding."""
-    if form.dim > limit:
-        raise LimitError(f"class enumeration capped at dimension {limit}, got {form.dim}")
     n = form.dim
+    check_dim(n, MAX_TABLE_DIM, "class enumeration")
     return (H1Class(n, bits) for bits in range(1 << n))
 
 
@@ -294,18 +291,13 @@ def cross_pairs(form: IntersectionForm, xbits: int) -> int:
     return total
 
 
-def _check_table_dim(n: int):
-    if n > MAX_TABLE_DIM:
-        raise LimitError(f"dense class tables capped at dimension {MAX_TABLE_DIM}, got {n}")
-
-
 @lru_cache(maxsize=32)
 def class_bit_matrix(n: int) -> np.ndarray:
     """(2**n, n) coefficient bits of every class, row index = integer encoding.
 
     Built by doubling: rows [2**i, 2**(i+1)) repeat the rows below them with bit i set.
     """
-    _check_table_dim(n)
+    check_dim(n, MAX_TABLE_DIM, "dense class tables")
     out = np.zeros((1 << n, n), dtype=np.uint8)
     for i in range(n):
         block = 1 << i
@@ -332,7 +324,7 @@ def cross_parity_table(form: IntersectionForm) -> np.ndarray:
     plus the parity of rows[i] & y, so the block [2**i, 2**(i+1)) is the
     block below it xor that parity vector.
     """
-    _check_table_dim(form.dim)
+    check_dim(form.dim, MAX_TABLE_DIM, "dense class tables")
     table = np.zeros(1 << form.dim, dtype=np.uint8)
     for i, row in enumerate(form.rows):
         block = 1 << i
@@ -344,7 +336,7 @@ def cross_parity_table(form: IntersectionForm) -> np.ndarray:
 @lru_cache(maxsize=32)
 def self_pairing_table(form: IntersectionForm) -> np.ndarray:
     """x.x for every class; linear in x because the pairing is symmetric."""
-    _check_table_dim(form.dim)
+    check_dim(form.dim, MAX_TABLE_DIM, "dense class tables")
     bits = class_bit_matrix(form.dim)
     vec = np.array(form.diagonal, dtype=np.uint8)
     out = (bits @ vec) & 1
@@ -407,14 +399,9 @@ class QuadraticStructure:
         return cls(form, tuple(d + half * ((code >> i) & 1) for i, d in enumerate(form.diagonal)))
 
     @classmethod
-    def _check_enumerable(cls, form: IntersectionForm):
-        if form.dim > MAX_TABLE_DIM:
-            raise LimitError(f"{cls.__name__.lower()} enumeration capped at dimension {MAX_TABLE_DIM}, got {form.dim}")
-
-    @classmethod
     def enumerate_all(cls, form: IntersectionForm) -> list:
         """All 2**n structures on the pairing, in code order."""
-        cls._check_enumerable(form)
+        check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
         return [cls.from_code(form, code) for code in range(1 << form.dim)]
 
     @classmethod
@@ -426,7 +413,7 @@ class QuadraticStructure:
         terms.  Rows are the real and imaginary parts (the real part alone for
         m = 2, where the terms are +-1); column c belongs to code c.
         """
-        cls._check_enumerable(form)
+        check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
         quarter_turns = cls.from_code(form, 0).values_on_all() * (4 // cls.modulus)
         return walsh_hadamard(_QUARTER_TURNS[: cls.modulus // 2, quarter_turns])
 

@@ -353,7 +353,7 @@ def _suite_action_invariance() -> list[CheckResult]:
             if not gens:
                 continue
             isos = [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]
-            structures = _sampled_structures(enumerate_enhancements(s.form), 8, rng)
+            structures = _sampled_codes(Enhancement, s.form, 8, rng)
             for iso in isos:
                 for e in structures:
                     moved = act(iso, e)
@@ -365,7 +365,7 @@ def _suite_action_invariance() -> list[CheckResult]:
             form = hyperbolic_form(g)
             gens = isometry_generators(form)
             for iso in [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]:
-                for q in _sampled_structures(enumerate_refinements(form), 8, rng):
+                for q in _sampled_codes(Refinement, form, 8, rng):
                     if arf_symplectic(act(iso, q)) != arf_symplectic(q):
                         yield f"g={g} values {q.values}"
 

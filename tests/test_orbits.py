@@ -154,7 +154,7 @@ def test_brute_group_size_limit():
 
 def test_mulclose_cap():
     with pytest.raises(LimitError):
-        isometry_group(hyperbolic_form(2), method="generated", max_size=10)
+        mulclose(isometry_generators(hyperbolic_form(2)), max_size=10)
 
 
 def test_banding_isometry():

@@ -84,6 +84,8 @@ def test_spin_census_totals():
         assert census[0] - census[1] == 1 << g
 
 
-def test_spin_census_rejects_sphere():
+def test_spin_census_sphere_and_negative_genus():
+    # the sphere has one spin structure, of Arf 0; a negative genus is no surface
+    assert spin_census(0) == {0: 1, 1: 0}
     with pytest.raises(ValueError):
-        spin_census(0)
+        spin_census(-1)
