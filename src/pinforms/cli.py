@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .census import (
@@ -283,7 +284,9 @@ def cmd_verify(args) -> tuple[OutputRecord, int]:
     return record, 1 if failed else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="pinforms",
         description="Quadratic-form calculus for spin and pin structures on closed surfaces.",

@@ -6,6 +6,10 @@ generator per projective-plane summand and the single 2-torsion relation
 function given by generator values is a structure precisely when it
 descends through the relations, which forces even nonorientable genus:
 the relation always evaluates to k mod 2.
+
+Every relation is 2-torsion, r = 2w, so q(r) = q(w) + q(w) + w.w = w.w
+whatever the generator values: the candidates stand or fall together, and
+one of them decides descent for all 2^n.
 """
 
 from __future__ import annotations
@@ -96,13 +100,16 @@ def is_well_defined(q: PinPlusForm) -> WellDefined:
 
 
 def enumerate_pinplus(surface: Surface) -> list[PinPlusForm]:
-    """All well-defined structures; empty in odd nonorientable genus."""
+    """All well-defined structures, in code order; empty in odd nonorientable genus.
+
+    Candidate ``code`` has values[i] = bit i of the code.  A relation r = 2w
+    evaluates to q(2w) = q(w) + q(w) + w.w = w.w under every candidate, so
+    descent does not depend on the code: the code-0 candidate is checked
+    exactly, and either all 2^n candidates descend or none does.
+    """
     model = mod4_homology(surface)
     n = model.generator_count
     check_dim(n, MAX_TABLE_DIM, "structure enumeration")
-    out = []
-    for code in range(1 << n):
-        q = PinPlusForm(model, tuple((code >> i) & 1 for i in range(n)))
-        if is_well_defined(q).ok:
-            out.append(q)
-    return out
+    if not is_well_defined(PinPlusForm(model, (0,) * n)).ok:
+        return []
+    return [PinPlusForm(model, tuple((code >> i) & 1 for i in range(n))) for code in range(1 << n)]

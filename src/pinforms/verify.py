@@ -541,6 +541,23 @@ def _suite_pin_census() -> list[CheckResult]:
     return out
 
 
+def _pinplus_by_candidate(surface) -> list[PinPlusForm]:
+    """Second route to ``enumerate_pinplus``: check each of the 2^n candidates on its own."""
+    model = mod4_homology(surface)
+    n = model.generator_count
+    candidates = (PinPlusForm(model, tuple((code >> i) & 1 for i in range(n))) for code in range(1 << n))
+    return [q for q in candidates if is_well_defined(q).ok]
+
+
+def _pinplus_faults(label: str, surface, expected: int):
+    """Count and element-for-element faults of ``enumerate_pinplus`` on one surface."""
+    found = enumerate_pinplus(surface)
+    if len(found) != expected:
+        yield f"{label} count {len(found)}"
+    if found != _pinplus_by_candidate(surface):
+        yield f"{label} differs from the per-candidate filter"
+
+
 def _suite_pinplus_existence() -> list[CheckResult]:
     suite = "pinplus-existence"
 
@@ -556,16 +573,14 @@ def _suite_pinplus_existence() -> list[CheckResult]:
     return [
         _first(suite, "odd-genus-has-none (k<=7)", odd_genus_faults()),
         _first(suite, "even-genus-has-2**k (k<=8)", (
-            f"k={k} count {count}"
+            fault
             for k in range(2, 9, 2)
-            for count in [len(enumerate_pinplus(nonorientable_surface(k)))]
-            if count != 1 << k
+            for fault in _pinplus_faults(f"k={k}", nonorientable_surface(k), 1 << k)
         )),
         _first(suite, "orientable-has-2**2g (g<=4)", (
-            f"g={g} count {count}"
+            fault
             for g in range(0, 5)
-            for count in [len(enumerate_pinplus(orientable_surface(g)))]
-            if count != 1 << (2 * g)
+            for fault in _pinplus_faults(f"g={g}", orientable_surface(g), 1 << (2 * g))
         )),
     ]
 

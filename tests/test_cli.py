@@ -290,3 +290,25 @@ def test_readme_names_only_existing_options():
     known = {opt for p in (parser, *commands.values()) for action in p._actions for opt in action.option_strings}
     assert named, "the README names no options"
     assert named <= known, sorted(named - known)
+
+
+def test_parser_is_built_once_and_lazily(package_pythonpath):
+    assert build_parser() is build_parser()
+    # importing the CLI module builds nothing; the first call does
+    probe = "import pinforms.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": package_pythonpath}
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (child.returncode, child.stdout) == (0, "0\n")
+
+
+def test_shared_parser_survives_a_bad_call(capsys):
+    argv = ("census", "-s", "N:5", "-t", "pin-", "--compare", "--format", "json")
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as raised:
+        main(["census", "-s", "N:5", "-t", "pin+"])
+    assert raised.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert second.encode() == first.encode()

@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+from pinforms import pinplus
 from pinforms import (
     Mod4Homology,
     PinPlusForm,
     enumerate_pinplus,
+    hyperbolic_form,
     identity_form,
     is_well_defined,
     mod4_homology,
@@ -127,3 +129,53 @@ def test_coefficient_validation():
         q((4, 0))
     with pytest.raises(ValueError):
         q((1,))
+
+
+def _candidates(model):
+    n = model.generator_count
+    return [PinPlusForm(model, tuple((code >> i) & 1 for i in range(n))) for code in range(1 << n)]
+
+
+def _by_candidate(model):
+    """Reference: every candidate checked for descent on its own, in code order."""
+    return [q for q in _candidates(model) if is_well_defined(q).ok]
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [nonorientable_surface(k) for k in range(1, 13)] + [orientable_surface(g) for g in range(0, 6)],
+    ids=lambda s: s.label,
+)
+def test_enumeration_equals_the_per_candidate_filter(surface):
+    assert enumerate_pinplus(surface) == _by_candidate(mod4_homology(surface))
+
+
+def test_code_zero_decides_every_candidate():
+    # a relation r = 2w gives q(r) = w.w under every candidate, so the
+    # per-candidate filter keeps all of them or none
+    models = [
+        Mod4Homology(identity_form(3), ((2, 0, 2),)),
+        Mod4Homology(identity_form(4), ((2, 2, 0, 0), (0, 0, 2, 2))),
+        Mod4Homology(identity_form(4), ((2, 2, 0, 0), (0, 0, 2, 0))),
+        Mod4Homology(hyperbolic_form(1), ((2, 2),)),
+        Mod4Homology(hyperbolic_form(2), ((2, 0, 0, 0),)),
+        Mod4Homology(identity_form(3), ((2, 2, 2),)),
+    ]
+    decisions = []
+    for model in models:
+        decided = is_well_defined(PinPlusForm(model, (0,) * model.generator_count)).ok
+        assert _by_candidate(model) == (_candidates(model) if decided else []), model.relations
+        decisions.append(decided)
+    assert decisions == [True, True, False, True, True, False]
+
+
+def test_enumeration_checks_descent_once(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q.values)
+        return is_well_defined(q)
+
+    monkeypatch.setattr(pinplus, "is_well_defined", counting)
+    assert len(enumerate_pinplus(nonorientable_surface(10))) == 1 << 10
+    assert calls == [(0,) * 10]

@@ -11,9 +11,11 @@ from pinforms import (
     H1Class,
     LimitError,
     enumerate_classes,
+    enumerate_pinplus,
     hyperbolic_form,
     identity_form,
     isometry_group,
+    nonorientable_surface,
 )
 from pinforms.cli import main
 from pinforms.orbits import orbit_labels
@@ -97,3 +99,11 @@ def test_library_guard_at_its_maximum(at_cap, over_cap, message):
     with pytest.raises(LimitError) as raised:
         over_cap()
     assert str(raised.value) == message
+
+
+def test_pinplus_guard_above_its_maximum():
+    # Only the over-cap half: at N:20 the call builds all 2^20 PinPlusForm
+    # objects (about 3.5 s and 370 MB), too slow for the test suite.
+    with pytest.raises(LimitError) as raised:
+        enumerate_pinplus(nonorientable_surface(21))
+    assert str(raised.value) == "structure enumeration capped at dimension 20, got 21"
