@@ -29,7 +29,9 @@ from .enhancements import (
     Enhancement,
     ValueHistogram,
     brown_compass,
+    brown_from_histograms,
     brown_gauss,
+    brown_gauss_many,
     brown_normal_form,
     brown_spectrum,
     cap_off_summand,
@@ -37,6 +39,7 @@ from .enhancements import (
     enhancement_from_refinement,
     enumerate_enhancements,
     value_histogram,
+    value_histograms,
 )
 from .orbits import (
     Isometry,

@@ -342,9 +342,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = RENDERERS[args.format](record)
-    sys.stdout.write(text)
     if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
+        # written before stdout, so a failed write prints nothing but the error
+        try:
+            args.out.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return code
 
 

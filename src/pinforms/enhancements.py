@@ -3,22 +3,26 @@
 An enhancement e satisfies e(x+y) = e(x) + e(y) + 2 (x.y) in Z/4 together
 with the parity rule e(x) = x.x mod 2, so a projective-plane core class
 only ever takes the values 1 or 3.  The Brown invariant reads off the
-octant of the Gauss sum of i**e(x) over all classes (``brown_gauss``,
-``brown_spectrum``), or adds up over a standard basis (``brown_normal_form``);
-the two routes share no code.
+octant of the Gauss sum of i**e(x) over all classes, from a batch of value
+histograms (``brown_gauss_many``, ``brown_gauss``) or from one Walsh-Hadamard
+transform of every code (``brown_spectrum``), or adds up over a standard
+basis (``brown_normal_form``); the normal form shares no code with either.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .refinements import Refinement
 from .surfaces import (
+    MAX_TABLE_DIM,
     IntersectionForm,
     InvariantViolation,
     QuadraticStructure,
+    check_dim,
     direct_sum,
     identity_form,
     is_identity_form,
@@ -57,29 +61,101 @@ def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
     return Enhancement.enumerate_all(form)
 
 
+# A batch is evaluated in chunks of rows whose (rows, 2**n) uint8 value table
+# fits in this many bytes, so memory stays bounded at any batch size.
+_TABLE_BYTES = 1 << 20
+
+
+@lru_cache(maxsize=64)
+def _twice_cross(form: IntersectionForm) -> np.ndarray:
+    """2 (b_i . y) for every i and y < 2**i, laid end to end: the run for i starts at 2**i - 1.
+
+    Each run is built by doubling over the bits of y, in uint8.
+    """
+    out = np.zeros(max(1, (1 << form.dim) - 1), dtype=np.uint8)
+    for i, row in enumerate(form.rows):
+        cross = out[(1 << i) - 1 : (2 << i) - 1]
+        for j in range(i):
+            np.bitwise_xor(cross[: 1 << j], 2 * ((row >> j) & 1), out=cross[1 << j : 2 << j])
+    out.flags.writeable = False
+    return out
+
+
+def value_histograms(form: IntersectionForm, values) -> np.ndarray:
+    """Counts (n0, n1, n2, n3) of each value over all 2**n classes, for a batch of enhancements on one pairing.
+
+    ``values`` holds one row of basis values per enhancement, and row s of
+    the result belongs to row s of ``values``.  Each chunk of rows gets a
+    (rows, 2**n) uint8 table of values, built by doubling over the basis: a
+    class x = 2**i + y with y < 2**i has e(x) = e(y) + e(b_i) + 2 (b_i . y),
+    so the block [2**i, 2**(i+1)) is the block below it plus ``values[:, i]``
+    plus twice the parity of rows[i] & y.  The sums wrap mod 256, a multiple
+    of 4.  Every row is evaluated from its own basis values; no class table
+    or spectrum is shared with ``values_on_all`` or ``brown_spectrum``.
+    """
+    n = form.dim
+    check_dim(n, MAX_TABLE_DIM, "dense class tables")
+    vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
+    twice_cross = _twice_cross(form)
+    counts = np.empty((len(vals), 4), dtype=np.int64)
+    chunk = max(1, _TABLE_BYTES >> n)
+    table = np.empty((min(chunk, len(vals)), 1 << n), dtype=np.uint8)
+    hits = np.empty(table.shape, dtype=bool)
+    for lo in range(0, len(vals), chunk):
+        part = vals[lo : lo + chunk]
+        t, hit = table[: len(part)], hits[: len(part)]
+        t[:, 0] = 0
+        for i in range(n):
+            block = t[:, 1 << i : 2 << i]
+            np.add(t[:, : 1 << i], part[:, i, None], out=block)
+            block += twice_cross[(1 << i) - 1 : (2 << i) - 1]
+        t &= 3
+        for v in range(4):
+            np.equal(t, v, out=hit)
+            np.add.reduce(hit, axis=1, out=counts[lo : lo + len(part), v])
+    return counts
+
+
 def value_histogram(e: Enhancement) -> ValueHistogram:
-    """Counts of each value of e over all 2**n classes."""
-    counts = np.bincount(e.values_on_all(), minlength=4)
-    return ValueHistogram(*(int(c) for c in counts[:4]))
+    """Counts of each value of e over all 2**n classes: ``value_histograms`` on a batch of one."""
+    return ValueHistogram(*(int(c) for c in value_histograms(e.form, [e.values])[0]))
 
 
-def brown_gauss(e: Enhancement) -> int:
-    """Brown invariant read off the exact octant of the Gauss sum.
+def brown_from_histograms(dim: int, counts) -> np.ndarray:
+    """Brown invariant of each row of value counts, read off the exact octant of its Gauss sum.
 
     The sum of i**e(x) over all classes is A + Bi with A = n0 - n2 and
     B = n1 - n3; its squared magnitude is 2**n and its argument is the
     invariant times pi/4.  The only integer points of squared magnitude 2**n
     are (+-2**(n/2), 0), (0, +-2**(n/2)) and (+-2**((n-1)/2), +-2**((n-1)/2)),
-    so once the magnitude is checked the sign pair fixes the octant.
+    so once the magnitude is checked the sign pair fixes the octant.  The
+    first row with a wrong magnitude raises ``InvariantViolation``.
     """
-    hist = value_histogram(e)
-    a, b = hist.gauss_deltas
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
+    a = counts[:, 0] - counts[:, 2]
+    b = counts[:, 1] - counts[:, 3]
     # a validated enhancement of a nondegenerate pairing always has |sum|**2 = 2**n
-    if (a, b) == (0, 0):
-        raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
-    if a * a + b * b != 1 << e.form.dim:
-        raise InvariantViolation(f"Gauss sum magnitude {a * a + b * b} is not 2**{e.form.dim}")
-    return _OCTANT_BY_SIGNS[_sign(a), _sign(b)]
+    bad = np.flatnonzero(a * a + b * b != 1 << dim)
+    if bad.size:
+        ab, bb = int(a[bad[0]]), int(b[bad[0]])
+        if (ab, bb) == (0, 0):
+            raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
+        raise InvariantViolation(f"Gauss sum magnitude {ab * ab + bb * bb} is not 2**{dim}")
+    return _OCTANT_BY_SIGN_INDEX[3 * (np.sign(a) + 1) + np.sign(b) + 1]
+
+
+def brown_gauss_many(structures) -> np.ndarray:
+    """Brown invariant of each enhancement in a batch on one pairing, from one ``value_histograms`` call."""
+    structures = list(structures)
+    form = structures[0].form if structures else None
+    if form is None or any(e.form is not form and e.form != form for e in structures):
+        raise ValueError("brown_gauss_many needs a nonempty batch of enhancements on one pairing")
+    return brown_from_histograms(form.dim, value_histograms(form, [e.values for e in structures]))
+
+
+def brown_gauss(e: Enhancement) -> int:
+    """Brown invariant read off the exact octant of the Gauss sum: ``brown_gauss_many`` on a batch of one."""
+    return int(brown_gauss_many([e])[0])
 
 
 _OCTANT_BY_SIGNS = {

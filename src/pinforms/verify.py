@@ -26,13 +26,14 @@ from .census import (
 )
 from .enhancements import (
     Enhancement,
-    brown_gauss,
+    brown_from_histograms,
+    brown_gauss_many,
     brown_normal_form,
     cap_off_summand,
     direct_sum_enhancement,
     enhancement_from_refinement,
     enumerate_enhancements,
-    value_histogram,
+    value_histograms,
 )
 from .orbits import (
     act,
@@ -282,13 +283,30 @@ def _suite_spin_census() -> list[CheckResult]:
     return [_first("spin-census", "enumeration-equals-closed-form (g<=5)", faults())]
 
 
+# The Gauss-sum checks below evaluate the structures of one pairing as one
+# batch (``value_histograms``, ``brown_gauss_many``), then walk the batch
+# structure by structure in enumeration order, so each check reports the
+# first counterexample in that order.
+
+
+def _histograms(form, structures) -> list[list[int]]:
+    """Value counts (n0, n1, n2, n3) of each structure on ``form``, from one batch."""
+    return value_histograms(form, [e.values for e in structures]).tolist()
+
+
+def _brown_lookup(structures):
+    """Brown invariant of each structure (all on one pairing), as a lookup function."""
+    return dict(zip(structures, brown_gauss_many(structures).tolist())).__getitem__
+
+
 def _suite_brown_compass() -> list[CheckResult]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
     return [_first("brown-compass", "gauss-equals-normal-form (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
-        for e in enumerate_enhancements(s.form)
-        if brown_gauss(e) != brown_normal_form(e)
+        for structures in [enumerate_enhancements(s.form)]
+        for e, gauss in zip(structures, brown_gauss_many(structures).tolist())
+        if gauss != brown_normal_form(e)
     ))]
 
 
@@ -296,25 +314,33 @@ def _suite_gauss_magnitude() -> list[CheckResult]:
     return [_first("gauss-magnitude", "magnitude-squared-is-2**n (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
-        for e in enumerate_enhancements(s.form)
-        for a, b in [value_histogram(e).gauss_deltas]
-        if a * a + b * b != 1 << s.form.dim
+        for structures in [enumerate_enhancements(s.form)]
+        for e, (n0, n1, n2, n3) in zip(structures, _histograms(s.form, structures))
+        if (n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim
     ))]
 
 
 def _suite_additivity() -> list[CheckResult]:
     def breaks():
         surfaces = _standard_surfaces(7, include_sphere=True)
+        batches = {}
+
+        def with_invariants(s):
+            # each surface's batch is evaluated once, when a pair first needs it
+            if s.label not in batches:
+                structures = enumerate_enhancements(s.form)
+                batches[s.label] = list(zip(structures, brown_gauss_many(structures).tolist()))
+            return batches[s.label]
+
         for s1 in surfaces:
             for s2 in surfaces:
                 if s1.form.dim + s2.form.dim > 8:
                     continue
-                lefts = [(e, brown_gauss(e)) for e in enumerate_enhancements(s1.form)]
-                rights = [(e, brown_gauss(e)) for e in enumerate_enhancements(s2.form)]
-                for e1, b1 in lefts:
-                    for e2, b2 in rights:
-                        if brown_gauss(direct_sum_enhancement(e1, e2)) != (b1 + b2) % 8:
-                            yield f"{s1.label}+{s2.label} {e1.values}|{e2.values}"
+                pairs = [(left, right) for left in with_invariants(s1) for right in with_invariants(s2)]
+                sums = brown_gauss_many(direct_sum_enhancement(e1, e2) for (e1, _), (e2, _) in pairs)
+                for ((e1, b1), (e2, b2)), total in zip(pairs, sums.tolist()):
+                    if total != (b1 + b2) % 8:
+                        yield f"{s1.label}+{s2.label} {e1.values}|{e2.values}"
 
     return [_first("additivity", "invariant-adds-over-block-sums (total dim<=8)", breaks())]
 
@@ -323,8 +349,9 @@ def _suite_doubling() -> list[CheckResult]:
     return [_first("doubling", "doubled-refinement-invariant-is-4-arf (g<=4)", (
         f"g={g} values {q.values}"
         for g in range(1, 5)
-        for q in enumerate_refinements(hyperbolic_form(g))
-        if brown_gauss(enhancement_from_refinement(q)) != (4 * arf_symplectic(q)) % 8
+        for refinements in [enumerate_refinements(hyperbolic_form(g))]
+        for q, doubled in zip(refinements, brown_gauss_many(map(enhancement_from_refinement, refinements)).tolist())
+        if doubled != (4 * arf_symplectic(q)) % 8
     ))]
 
 
@@ -333,12 +360,14 @@ def _suite_capping() -> list[CheckResult]:
 
     def breaks():
         for k in range(2, 9):
-            for e in enumerate_enhancements(identity_form(k)):
-                total = brown_gauss(e)
-                for index in range(k):
-                    rest, removed = cap_off_summand(e, index)
-                    if total != (brown_gauss(rest) + plane_value[removed]) % 8:
-                        yield f"k={k} values {e.values} index {index}"
+            structures = enumerate_enhancements(identity_form(k))
+            totals = brown_gauss_many(structures).tolist()
+            # rest number k * s + index caps summand ``index`` off structure s
+            capped = [cap_off_summand(e, index) for e in structures for index in range(k)]
+            rests = brown_gauss_many(rest for rest, _ in capped).tolist()
+            for pos, ((_, removed), rest) in enumerate(zip(capped, rests)):
+                if totals[pos // k] != (rest + plane_value[removed]) % 8:
+                    yield f"k={k} values {structures[pos // k].values} index {pos % k}"
 
     return [_first("capping", "invariant-splits-off-one-summand (k<=8)", breaks())]
 
@@ -354,11 +383,16 @@ def _suite_action_invariance() -> list[CheckResult]:
                 continue
             isos = [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]
             structures = _sampled_codes(Enhancement, s.form, 8, rng)
-            for iso in isos:
-                for e in structures:
-                    moved = act(iso, e)
-                    if value_histogram(moved) != value_histogram(e) or brown_gauss(moved) != brown_gauss(e):
-                        yield f"{s.label} values {e.values}"
+            moved = [act(iso, e) for iso in isos for e in structures]
+            # one batch: the sampled structures, then their images iso by iso
+            hists = _histograms(s.form, structures + moved)
+            m = len(structures)
+            for pos in range(m, m + len(moved)):
+                pair = [hists[pos], hists[pos % m]]
+                # the invariants are read only where the histograms agree, so a pair with
+                # different histograms is a counterexample even if one has a bad magnitude
+                if pair[0] != pair[1] or len(set(brown_from_histograms(s.form.dim, pair).tolist())) != 1:
+                    yield f"{s.label} values {structures[pos % m].values}"
 
     def spin_breaks():
         for g in (1, 2, 3):
@@ -407,7 +441,8 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
             f"k={k}"
             for k in range(1, 5)
             for form in [identity_form(k)]
-            if _orbits_differ(form, enumerate_enhancements(form), brown_gauss, isometry_group(form, "brute"))
+            for structures in [enumerate_enhancements(form)]
+            if _orbits_differ(form, structures, _brown_lookup(structures), isometry_group(form, "brute"))
         )),
         # transvections generate the whole symplectic group over GF(2),
         # so these orbits are full isometry-group orbits
@@ -425,11 +460,12 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
         form = identity_form(k)
         structures = enumerate_enhancements(form)
         orbits = orbit_partition(form, structures)
-        if any(len({brown_gauss(e) for e in orbit}) != 1 for orbit in orbits):
+        brown = _brown_lookup(structures)
+        if any(len({brown(e) for e in orbit}) != 1 for orbit in orbits):
             ok = False
             details.append(f"k={k} orbit with mixed invariant")
             break
-        exact = {frozenset(o) for o in orbits} == level_sets(structures, brown_gauss)
+        exact = {frozenset(o) for o in orbits} == level_sets(structures, brown)
         details.append(f"k={k}:{'exact' if exact else f'{len(orbits)} orbits (generators incomplete)'}")
     out.append(_check(suite, "generated-orbits-invariant-constant (k<=8)", ok, " ".join(details)))
     return out
@@ -476,7 +512,7 @@ def _suite_pin_census() -> list[CheckResult]:
             if pin_census_enumerated(nonorientable_surface(k)) != recursion:
                 yield f"k={k}"
             # the census is a transform; up to dimension 10 a per-object tally checks it too
-            elif k <= 10 and Counter(map(brown_gauss, enumerate_enhancements(identity_form(k)))) != recursion:
+            elif k <= 10 and Counter(brown_gauss_many(enumerate_enhancements(identity_form(k))).tolist()) != recursion:
                 yield f"k={k}"
 
     out = [
@@ -668,14 +704,13 @@ SUITES = {
 
 
 def run_suites(names) -> list[CheckResult]:
-    """Run the named suites (or all of them) in registry order."""
-    if names in (None, "all") or names == ["all"] or names == ("all",):
+    """Run each named suite once, in order of first mention; ``all`` (or None) anywhere runs every suite in registry order."""
+    selected = list(dict.fromkeys(["all"] if names in (None, "all") else names))
+    unknown = [n for n in selected if n not in SUITES and n != "all"]
+    if unknown:
+        raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")
+    if "all" in selected:
         selected = list(SUITES)
-    else:
-        selected = list(names)
-        unknown = [n for n in selected if n not in SUITES]
-        if unknown:
-            raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")
     results = []
     for name in selected:
         results.extend(SUITES[name]())

@@ -197,8 +197,9 @@ def test_exit_code_internal_consistency_failure(capsys, monkeypatch):
 
 def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
     # a nondegenerate pairing never gives a zero Gauss sum, so it is a defect, not bad input
-    # (``invariant`` reads the normal form, so the Gauss sum is reached through the verify suite)
-    monkeypatch.setattr(enhancements, "value_histogram", lambda e: enhancements.ValueHistogram(1, 1, 1, 1))
+    # (``invariant`` reads the normal form, so the Gauss sum is reached through the verify suite,
+    # which reads whole batches of histograms)
+    monkeypatch.setattr(enhancements, "value_histograms", lambda form, values: np.ones((len(values), 4), dtype=int))
     code, out, err = run_cli(capsys, "verify", "brown-compass")
     assert code == 1
     assert out == ""
@@ -207,6 +208,24 @@ def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
     e = enhancements.Enhancement(parse_surface("N:2").form, (1, 3))
     with pytest.raises(InvariantViolation):
         enhancements.brown_compass(e)
+
+
+def test_unwritable_out_file_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "verify.json"
+    code, out, err = run_cli(capsys, "verify", "banding", "--format", "json", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_verify_runs_a_repeated_suite_once(capsys):
+    code, once, _ = run_cli(capsys, "verify", "banding", "--format", "json")
+    code_twice, twice, _ = run_cli(capsys, "verify", "banding", "banding", "--format", "json")
+    assert code == code_twice == 0
+    assert OutputRecord.from_json(twice).rows == OutputRecord.from_json(once).rows
+    assert dict(OutputRecord.from_json(twice).summary)["passed"] == 3
 
 
 def test_exit_code_wrong_gauss_sum_magnitude(capsys, monkeypatch):

@@ -1,24 +1,35 @@
 """Mod-4 enhancements and the two Brown invariant routes."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinforms import (
     Enhancement,
     H1Class,
+    InvariantViolation,
     brown_compass,
     brown_gauss,
+    brown_gauss_many,
+    brown_spectrum,
     cap_off_summand,
     direct_sum_enhancement,
     enhancement_from_refinement,
+    enhancements,
     enumerate_enhancements,
     enumerate_refinements,
+    gf2,
     hyperbolic_form,
     identity_form,
     intersection,
+    orientable_surface,
     value_histogram,
+    value_histograms,
 )
+from strategies import congruent_form, congruent_forms
 
 
 def test_parity_rule_enforced():
@@ -111,3 +122,101 @@ def test_cap_off_summand():
         cap_off_summand(e, 3)
     with pytest.raises(ValueError):
         cap_off_summand(Enhancement(identity_form(1), (1,)), 0)
+
+
+# the batch kernel against the per-structure class table
+
+
+STANDARD_FORMS = [orientable_surface(0).form] + [identity_form(k) for k in range(1, 11)] + [
+    hyperbolic_form(g) for g in range(1, 6)
+]
+
+
+def form_id(form):
+    return f"dim{form.dim}-{'odd' if any(form.diagonal) else 'alternating'}"
+
+
+def bincount_histograms(structures) -> np.ndarray:
+    return np.array([np.bincount(e.values_on_all(), minlength=4) for e in structures]).reshape(-1, 4)
+
+
+def assert_batch_matches_bincount(form):
+    structures = enumerate_enhancements(form)
+    counts = value_histograms(form, [e.values for e in structures])
+    assert np.array_equal(counts, bincount_histograms(structures))
+    assert value_histograms(form, []).shape == (0, 4)
+
+
+@pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
+def test_value_histograms_match_bincount_on_standard_forms(form):
+    assert_batch_matches_bincount(form)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(congruent_forms(max_dim=8))
+def test_value_histograms_match_bincount_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    assert_batch_matches_bincount(congruent_form(base, m))
+
+
+def test_value_histograms_in_small_chunks(monkeypatch):
+    # 1024 bytes hold 8 rows of 2**7 classes: the 128 structures take 16 chunks
+    form = identity_form(7)
+    structures = enumerate_enhancements(form)
+    expected = bincount_histograms(structures)
+    monkeypatch.setattr(enhancements, "_TABLE_BYTES", 1024)
+    assert np.array_equal(value_histograms(form, [e.values for e in structures]), expected)
+    assert np.array_equal(value_histograms(form, [e.values for e in structures[:13]]), expected[:13])
+
+
+def test_value_histograms_table_stays_within_its_chunk():
+    # 4096 rows at dimension 10 would be a 4 MB table in one piece
+    form = identity_form(10)
+    values = np.array([e.values for e in enumerate_enhancements(form)] * 4, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        counts = value_histograms(form, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (4096, 4)
+    assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
+def test_brown_gauss_many_matches_per_structure_and_spectrum(form):
+    structures = enumerate_enhancements(form)
+    many = brown_gauss_many(structures).tolist()
+    assert many == [brown_gauss(e) for e in structures]
+    assert many == brown_spectrum(form).tolist()
+
+
+def test_brown_gauss_many_rejects_mixed_and_empty_batches():
+    mixed = [Enhancement(identity_form(2), (1, 3)), Enhancement(hyperbolic_form(1), (0, 2))]
+    with pytest.raises(ValueError):
+        brown_gauss_many(mixed)
+    with pytest.raises(ValueError):
+        brown_gauss_many([])
+    # equal pairings built separately are one pairing
+    assert brown_gauss_many([Enhancement(identity_form(2), (1, 3)), Enhancement(identity_form(2), (3, 3))]).tolist() == [0, 6]
+
+
+def test_brown_gauss_many_reports_the_first_bad_structure(monkeypatch):
+    form = identity_form(3)
+    structures = enumerate_enhancements(form)
+
+    # code 2 gets a zero Gauss sum, code 5 one of squared magnitude 64
+    faults = {2: (1, 1, 1, 1), 5: (8, 0, 0, 0)}
+
+    def faulty(form, values):
+        batch = [Enhancement(form, tuple(v)) for v in values]
+        return np.array([faults.get(e.code, np.bincount(e.values_on_all(), minlength=4)) for e in batch])
+
+    monkeypatch.setattr(enhancements, "value_histograms", faulty)
+    with pytest.raises(InvariantViolation, match="^zero Gauss sum for an enhancement of a nondegenerate pairing$"):
+        brown_gauss_many(structures)
+    with pytest.raises(InvariantViolation, match=r"^Gauss sum magnitude 64 is not 2\*\*3$"):
+        brown_gauss_many(structures[3:])
+    with pytest.raises(InvariantViolation, match="^Gauss sum magnitude 64"):
+        brown_gauss_many(structures[::-1])

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import assume, given, settings
 
 from pinforms import (
     Enhancement,
+    InvariantViolation,
     Refinement,
+    enhancements,
     gf2,
     hyperbolic_form,
     identity_form,
@@ -53,6 +56,26 @@ def test_registry_names_are_stable():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(["no-such-suite"])
+
+
+def stub_suites(monkeypatch):
+    """Replace every suite by one that returns a single row naming it."""
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda name=name: [CheckResult(name, "ran", PASS)])
+
+
+def test_repeated_suite_runs_once_in_first_mention_order(monkeypatch):
+    stub_suites(monkeypatch)
+    results = run_suites(["banding", "forms-core", "banding"])
+    assert [r.suite for r in results] == ["banding", "forms-core"]
+
+
+def test_all_anywhere_runs_every_suite_once(monkeypatch):
+    stub_suites(monkeypatch)
+    for names in ("all", None, ["all"], ["banding", "all"], ["all", "banding", "all"]):
+        assert [r.suite for r in run_suites(names)] == list(SUITES)
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suites(["all", "no-such-suite"])
 
 
 def test_single_suite_runs_clean():
@@ -187,3 +210,115 @@ def test_pair_fault_in_the_last_row_chunk_is_seen(monkeypatch):
     sampled = run_suites(["refinement-identity"])[1]
     assert (sampled.name, sampled.status) == (SAMPLED_REFINEMENT_CHECK, FAIL)
     assert sampled.detail.startswith("S:6 values ")
+
+
+# the Gauss-sum suites read one batch of histograms per surface
+
+
+FAULTY_FORM, FAULTY_VALUES = identity_form(5), (3, 1, 1, 1, 1)
+
+
+def conjugated(counts):
+    """Swap n1 and n3: same magnitude, Brown invariant negated (3 becomes 5 here)."""
+    n0, n1, n2, n3 = counts
+    return n0, n3, n2, n1
+
+
+def shifted(counts):
+    """Move one class from value 0 to value 2: the squared magnitude becomes 52, not 32."""
+    n0, n1, n2, n3 = counts
+    return n0 - 1, n1, n2 + 1, n3
+
+
+def inject_fault(monkeypatch, fault):
+    """Corrupt the histogram of one structure, N:5 with values (3, 1, 1, 1, 1), in every batch that holds it."""
+    clean = enhancements.value_histograms
+
+    def faulty(form, values):
+        counts = clean(form, values)
+        if form == FAULTY_FORM:
+            for s, row in enumerate(np.asarray(values).tolist()):
+                if tuple(row) == FAULTY_VALUES:
+                    counts[s] = fault(counts[s])
+        return counts
+
+    monkeypatch.setattr(enhancements, "value_histograms", faulty)
+    monkeypatch.setattr(verify, "value_histograms", faulty)
+
+
+# Each detail is what the per-structure route (``value_histogram`` and
+# ``brown_gauss`` one structure at a time) reported under the same fault.
+@pytest.mark.parametrize(
+    "suite,fault,detail",
+    [
+        ("gauss-magnitude", shifted, "N:5 values (3, 1, 1, 1, 1)"),
+        ("brown-compass", conjugated, "N:5 values (3, 1, 1, 1, 1)"),
+        ("additivity", conjugated, "N:1+N:4 (3,)|(1, 1, 1, 1)"),
+        ("capping", conjugated, "k=5 values (3, 1, 1, 1, 1) index 0"),
+    ],
+)
+def test_one_faulty_histogram_fails_the_suite_with_the_per_structure_detail(monkeypatch, suite, fault, detail):
+    inject_fault(monkeypatch, fault)
+    (result,) = run_suites([suite])
+    assert (result.status, result.detail) == (FAIL, detail)
+
+
+def test_bad_magnitude_in_a_batch_raises_the_per_structure_error(monkeypatch):
+    inject_fault(monkeypatch, shifted)
+    for suite in ("brown-compass", "additivity", "capping"):
+        with pytest.raises(InvariantViolation, match=r"^Gauss sum magnitude 52 is not 2\*\*5$"):
+            run_suites([suite])
+
+
+def standard_surface_pairs(max_dim, max_total):
+    surfaces = verify._standard_surfaces(max_dim, include_sphere=True)
+    return [(a, b) for a in surfaces for b in surfaces if a.form.dim + b.form.dim <= max_total]
+
+
+def test_gauss_suites_read_one_batch_per_case(monkeypatch):
+    # a case is a surface, or a surface pair for the direct sums; capping has
+    # two per genus k (the totals on N:k and the capped rests on N:(k-1)), and
+    # action-invariance one per surface that has generators
+    cases = {
+        "brown-compass": 16,
+        "gauss-magnitude": 16,
+        "additivity": len(verify._standard_surfaces(7, include_sphere=True)) + len(standard_surface_pairs(7, 8)),
+        "doubling": 4,
+        "capping": 2 * 7,
+        "action-invariance": sum(
+            1 for s in verify._standard_surfaces(6) if verify.isometry_generators(s.form)
+        ),
+        "orbit-level-sets": 8,
+        "pin-census": 10,
+    }
+    running = []
+    batches = Counter()
+    singles = Counter()
+    for name, suite in list(SUITES.items()):
+        def tracked(suite=suite, name=name):
+            running.append(name)
+            try:
+                return suite()
+            finally:
+                running.pop()
+
+        monkeypatch.setitem(SUITES, name, tracked)
+    batch, single = enhancements.value_histograms, enhancements.value_histogram
+
+    def counted_batch(form, values):
+        batches[running[-1]] += 1
+        return batch(form, values)
+
+    def counted_single(e):
+        singles[running[-1]] += 1
+        return single(e)
+
+    monkeypatch.setattr(enhancements, "value_histograms", counted_batch)
+    monkeypatch.setattr(verify, "value_histograms", counted_batch)
+    monkeypatch.setattr(enhancements, "value_histogram", counted_single)
+    results = run_suites("all")
+    assert not [r for r in results if r.status == FAIL]
+    assert not singles
+    assert set(batches) == set(cases)
+    for name, count in batches.items():
+        assert count <= cases[name], name
