@@ -19,6 +19,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from .census import (
+    FLAG_CONFIRMED,
+    FLAG_DISPUTED,
     THEORY_PIN_MINUS,
     THEORY_SPIN,
     bordism_class,
@@ -46,9 +48,7 @@ from .surfaces import (
     nonorientable_surface,
     orientable_surface,
 )
-from .verify import FAIL, run_suites, summarize
-
-Cell = "int | str | None"
+from .verify import run_suites, summarize
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ RENDERERS = {
 def parse_surface(spec: str) -> Surface:
     """Parse the surface grammar: S:<g> orientable, N:<k> nonorientable."""
     kind, sep, genus = spec.partition(":")
-    if sep != ":" or kind not in ("S", "N") or not genus.isdigit():
+    if sep != ":" or kind not in ("S", "N") or not (genus.isascii() and genus.isdigit()):
         raise ValueError(f"bad surface spec {spec!r}; expected S:<genus> or N:<genus>")
     # no command works beyond the normal-form cap, and validating a form costs O(n**2)
     check_dim(int(genus) * (2 if kind == "S" else 1), MAX_NORMAL_FORM_DIM, "normal-form reduction")
@@ -168,7 +168,7 @@ def cmd_census(args) -> tuple[OutputRecord, int]:
         closed = spin_closed_form(surface.genus)
         columns = ("invariant", "enumerated", "closed_form", "flag")
         rows = tuple(
-            (i, census.get(i, 0), closed[i], "CONFIRMED" if census.get(i, 0) == closed[i] else "DISPUTED")
+            (i, census.get(i, 0), closed[i], FLAG_CONFIRMED if census.get(i, 0) == closed[i] else FLAG_DISPUTED)
             for i in sorted(closed)
         )
         return OutputRecord("census", meta, columns, rows), 0
@@ -275,13 +275,11 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
 
 def cmd_verify(args) -> tuple[OutputRecord, int]:
     results = run_suites(args.suites)
-    summary_map = summarize(results)
+    summary = summarize(results)
     rows = tuple((r.suite, r.name, r.status, r.detail) for r in results)
     meta = (("suites", " ".join(args.suites)),)
-    summary = tuple((k, v) for k, v in summary_map.items())
-    failed = sum(1 for r in results if r.status == FAIL)
-    record = OutputRecord("verify", meta, ("suite", "check", "status", "detail"), rows, summary)
-    return record, 1 if failed else 0
+    record = OutputRecord("verify", meta, ("suite", "check", "status", "detail"), rows, tuple(summary.items()))
+    return record, 1 if summary["failed"] else 0
 
 
 @lru_cache(maxsize=None)

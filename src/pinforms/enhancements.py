@@ -2,11 +2,11 @@
 
 An enhancement e satisfies e(x+y) = e(x) + e(y) + 2 (x.y) in Z/4 together
 with the parity rule e(x) = x.x mod 2, so a projective-plane core class
-only ever takes the values 1 or 3.  The Brown invariant reads off the
-octant of the Gauss sum of i**e(x) over all classes, from a batch of value
-histograms (``brown_gauss_many``, ``brown_gauss``) or from one Walsh-Hadamard
-transform of every code (``brown_spectrum``), or adds up over a standard
-basis (``brown_normal_form``); the normal form shares no code with either.
+only ever takes the values 1 or 3.  The Brown invariant is the octant of the
+Gauss sum of i**e(x) over all classes, read by one checked reader from value
+histograms (``brown_gauss_many``) or one Walsh-Hadamard transform of every
+code (``brown_spectrum``); ``brown_compass`` looks one histogram's sign pair
+up in the same octant table.  ``brown_normal_form`` shares no code with these.
 """
 
 from __future__ import annotations
@@ -121,19 +121,23 @@ def value_histogram(e: Enhancement) -> ValueHistogram:
     return ValueHistogram(*(int(c) for c in value_histograms(e.form, [e.values])[0]))
 
 
-def brown_from_histograms(dim: int, counts) -> np.ndarray:
-    """Brown invariant of each row of value counts, read off the exact octant of its Gauss sum.
+# the (sign A, sign B) pair of the Gauss sum A + Bi, indexed by octant
+_SIGNS_BY_OCTANT = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
-    The sum of i**e(x) over all classes is A + Bi with A = n0 - n2 and
-    B = n1 - n3; its squared magnitude is 2**n and its argument is the
-    invariant times pi/4.  The only integer points of squared magnitude 2**n
-    are (+-2**(n/2), 0), (0, +-2**(n/2)) and (+-2**((n-1)/2), +-2**((n-1)/2)),
-    so once the magnitude is checked the sign pair fixes the octant.  The
-    first row with a wrong magnitude raises ``InvariantViolation``.
+# the octant indexed by 3 * (sign A + 1) + sign B + 1; -1 marks (0, 0)
+_OCTANT_BY_SIGN_INDEX = np.array(
+    [_SIGNS_BY_OCTANT.index((sa, sb)) if sa or sb else -1 for sa in (-1, 0, 1) for sb in (-1, 0, 1)]
+)
+
+
+def _octants(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Octant of each Gauss sum A + Bi of i**e(x), the Brown invariant, once A**2 + B**2 = 2**dim is checked.
+
+    The only integer points of squared magnitude 2**n are (+-2**(n/2), 0),
+    (0, +-2**(n/2)) and (+-2**((n-1)/2), +-2**((n-1)/2)), so once the
+    magnitude is checked the sign pair fixes the octant.  The first sum with
+    a wrong magnitude raises ``InvariantViolation``.
     """
-    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
-    a = counts[:, 0] - counts[:, 2]
-    b = counts[:, 1] - counts[:, 3]
     # a validated enhancement of a nondegenerate pairing always has |sum|**2 = 2**n
     bad = np.flatnonzero(a * a + b * b != 1 << dim)
     if bad.size:
@@ -142,6 +146,12 @@ def brown_from_histograms(dim: int, counts) -> np.ndarray:
             raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
         raise InvariantViolation(f"Gauss sum magnitude {ab * ab + bb * bb} is not 2**{dim}")
     return _OCTANT_BY_SIGN_INDEX[3 * (np.sign(a) + 1) + np.sign(b) + 1]
+
+
+def brown_from_histograms(dim: int, counts) -> np.ndarray:
+    """Brown invariant of each row of value counts: the octant of the Gauss sum (n0 - n2) + (n1 - n3)i."""
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
+    return _octants(dim, counts[:, 0] - counts[:, 2], counts[:, 1] - counts[:, 3])
 
 
 def brown_gauss_many(structures) -> np.ndarray:
@@ -158,26 +168,6 @@ def brown_gauss(e: Enhancement) -> int:
     return int(brown_gauss_many([e])[0])
 
 
-_OCTANT_BY_SIGNS = {
-    (1, 0): 0,
-    (1, 1): 1,
-    (0, 1): 2,
-    (-1, 1): 3,
-    (-1, 0): 4,
-    (-1, -1): 5,
-    (0, -1): 6,
-    (1, -1): 7,
-}
-_SIGNS_BY_OCTANT = {octant: signs for signs, octant in _OCTANT_BY_SIGNS.items()}
-
-# _OCTANT_BY_SIGNS as an array indexed by 3 * (sign(a) + 1) + sign(b) + 1; -1 marks (0, 0)
-_OCTANT_BY_SIGN_INDEX = np.array([_OCTANT_BY_SIGNS.get((sa, sb), -1) for sa in (-1, 0, 1) for sb in (-1, 0, 1)])
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def brown_spectrum(form: IntersectionForm) -> np.ndarray:
     """Brown invariant of every enhancement on the pairing, indexed by code.
 
@@ -185,23 +175,16 @@ def brown_spectrum(form: IntersectionForm) -> np.ndarray:
     (``Enhancement.gauss_sums``), so the cost is O(n 2**n) rather than a
     histogram per structure; each sum's octant is read off its sign pair.
     """
-    a, b = Enhancement.gauss_sums(form)
-    bad = np.flatnonzero(a * a + b * b != 1 << form.dim)
-    if bad.size:
-        c = int(bad[0])
-        raise InvariantViolation(
-            f"Gauss sum magnitude {int(a[c] * a[c] + b[c] * b[c])} is not 2**{form.dim} at code {c:#x}"
-        )
-    return _OCTANT_BY_SIGN_INDEX[3 * (np.sign(a) + 1) + np.sign(b) + 1]
+    return _octants(form.dim, *Enhancement.gauss_sums(form))
 
 
 def brown_compass(e: Enhancement) -> int:
     """Brown invariant from the sign pair (sign(n0-n2), sign(n1-n3)) via the octant table."""
     a, b = value_histogram(e).gauss_deltas
-    signs = (_sign(a), _sign(b))
+    signs = ((a > 0) - (a < 0), (b > 0) - (b < 0))
     if signs == (0, 0):
         raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
-    return _OCTANT_BY_SIGNS[signs]
+    return _SIGNS_BY_OCTANT.index(signs)
 
 
 def brown_normal_form(e: Enhancement) -> int:

@@ -291,13 +291,11 @@ def orbit_summary(labels: np.ndarray) -> tuple[list[int], list[int]]:
 
     Basis values compare from index 0 and bit i of a code moves basis
     value i, so the smallest member by values has the smallest bit-reversed
-    code.  ``reverse`` (built by doubling) is the bit reversal, an
+    code.  ``reverse`` (an ``_image_row``) is the bit reversal, an
     involution, so ``reverse[r]`` is the code whose reversal is r.
     """
     n = labels.size.bit_length() - 1
-    reverse = np.zeros(labels.size, dtype=np.uint32)
-    for i in range(n):
-        np.bitwise_or(reverse[: 1 << i], 1 << (n - 1 - i), out=reverse[1 << i : 2 << i])
+    reverse = _image_row(tuple(1 << (n - 1 - i) for i in range(n)), 0)
     _, first, sizes = np.unique(labels[reverse], return_index=True, return_counts=True)
     order = np.argsort(first)
     return reverse[first[order]].tolist(), sizes[order].tolist()

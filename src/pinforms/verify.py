@@ -704,8 +704,8 @@ SUITES = {
 
 
 def run_suites(names) -> list[CheckResult]:
-    """Run each named suite once, in order of first mention; ``all`` (or None) anywhere runs every suite in registry order."""
-    selected = list(dict.fromkeys(["all"] if names in (None, "all") else names))
+    """Run each named suite (a string is one name) once, in first-mention order; ``all`` or None runs them all."""
+    selected = list(dict.fromkeys(["all"] if names is None else [names] if isinstance(names, str) else names))
     unknown = [n for n in selected if n not in SUITES and n != "all"]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")

@@ -179,6 +179,16 @@ def test_exit_codes_bad_input(capsys):
     assert run_cli(capsys, "invariant", "-s", "N:2", "-e", "1")[0] == 2
 
 
+@pytest.mark.parametrize("genus", ["\u00b2", "\u0663", "\uff13"])
+def test_surface_genus_takes_ascii_digits_only(capsys, genus):
+    # str.isdigit accepts a superscript two, an Arabic-Indic three and a fullwidth three
+    code, out, err = run_cli(capsys, "census", "-s", f"N:{genus}", "-t", "pin-")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad surface spec 'N:{genus}'; expected S:<genus> or N:<genus>")
+    with pytest.raises(ValueError, match="bad surface spec"):
+        parse_surface(f"S:{genus}")
+
+
 def test_exit_codes_size_limits(capsys):
     assert run_cli(capsys, "census", "-s", "N:22", "-t", "pin-")[0] == 3
     assert run_cli(capsys, "orbits", "-s", "N:21", "-t", "pin-")[0] == 3

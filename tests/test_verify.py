@@ -78,6 +78,14 @@ def test_all_anywhere_runs_every_suite_once(monkeypatch):
         run_suites(["all", "no-such-suite"])
 
 
+def test_a_string_names_one_suite(monkeypatch):
+    stub_suites(monkeypatch)
+    assert [r.suite for r in run_suites("banding")] == ["banding"]
+    assert [r.suite for r in run_suites("all")] == list(SUITES)
+    with pytest.raises(ValueError, match="unknown suite\\(s\\): no-such-suite;"):
+        run_suites("no-such-suite")
+
+
 def test_single_suite_runs_clean():
     results = run_suites(["forms-core"])
     assert results
