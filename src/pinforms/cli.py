@@ -136,12 +136,13 @@ def parse_surface(spec: str) -> Surface:
 
 
 def parse_values(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII-digit integers; ``int`` alone would also take signs, spaces and non-ASCII digits."""
     if text == "":
         return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad value list {text!r}; expected comma-separated integers") from None
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"bad value list {text!r}; expected comma-separated integers")
+    return tuple(int(part) for part in parts)
 
 
 def cmd_census(args) -> tuple[OutputRecord, int]:

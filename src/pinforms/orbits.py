@@ -2,14 +2,14 @@
 
 A structure is pushed forward through the inverse matrix: the stored basis
 values of the image are the evaluations of the original on the preimages
-of the basis vectors.  On integer structure codes that push-forward is the
-affine map c -> Tc xor t, read straight off the inverse columns and code 0
-(``_code_map``), so ``act`` is needed only as a test oracle.  The group is
-given by a few Dehn-twist transvections (``isometry_generators``), its
-order in closed form (``isometry_group_order``), and ``orbit_labels`` closes
-orbits over all 2**n codes by min-label propagation; no group is
-materialized except the brute-force and generated ones kept for checks at
-small dimension.
+of the basis vectors.  On integer codes that is an affine map c -> Tc xor t,
+which the structure class builds (``QuadraticStructure.code_map``), so
+``act`` is needed only as a test oracle.  The group is given by a few
+Dehn-twist transvections (``isometry_generators``), its order in closed
+form (``isometry_group_order``), and ``orbit_labels`` closes orbits over
+all 2**n codes by min-label propagation, blind to the code convention; no
+group is materialized except the brute-force and generated ones kept for
+checks at small dimension.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .surfaces import (
     MAX_TABLE_DIM,
     as_bits,
     check_dim,
-    cross_pairs,
+    freeze_ints,
     identity_form,
     is_alternating,
     standard_basis,
@@ -49,6 +49,7 @@ class Isometry:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        freeze_ints(self, "rows")
         n = self.form.dim
         if len(self.rows) != n:
             raise ValueError("row count must equal the pairing dimension")
@@ -59,17 +60,14 @@ class Isometry:
             raise ValueError("matrix does not preserve the pairing")
 
     @cached_property
-    def inverse(self) -> "Isometry":
-        inv = gf2.inverse(self.rows, self.form.dim)
-        if inv is None:
-            # preserving a nondegenerate pairing forces invertibility
-            raise InvariantViolation("isometry without an inverse")
-        return Isometry(self.form, inv)
-
-    @cached_property
     def inverse_columns(self) -> tuple[int, ...]:
         """Column masks of the inverse: entry i is the preimage of basis vector i."""
-        return gf2.transpose(self.inverse.rows, self.form.dim)
+        n = self.form.dim
+        inv = gf2.inverse(self.rows, n)
+        # preserving a nondegenerate pairing forces invertibility
+        if inv is None or gf2.mat_mul(self.rows, inv) != gf2.identity(n):
+            raise InvariantViolation("isometry inverse fails rows . inverse = identity")
+        return gf2.transpose(inv, n)
 
     def apply_bits(self, xbits: int) -> int:
         return gf2.mat_vec(self.rows, xbits)
@@ -227,26 +225,6 @@ def isometry_group(form: IntersectionForm, method: str = "brute") -> frozenset[I
     raise ValueError(f"unknown method {method!r}")
 
 
-def _code_map(form: IntersectionForm, modulus: int, g: Isometry) -> tuple[tuple[int, ...], int]:
-    """The map c -> Tc xor t that ``g`` induces on structure codes, as (columns of T, t).
-
-    The pushed-forward structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i)
-    at inverse column p_i, so row i of T is p_i (the columns of T are the
-    rows of the inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).
-    Code 0 has the diagonal as basis values, so s_0(x) is the diagonal
-    weight of x plus (m/2) cross_pairs(x).
-    """
-    if g.form != form:
-        raise ValueError("generator and pairing differ")
-    half = modulus // 2
-    diagonal = sum(d << i for i, d in enumerate(form.diagonal))
-    shift = 0
-    for i, (p, d) in enumerate(zip(g.inverse_columns, form.diagonal)):
-        s0 = ((p & diagonal).bit_count() + half * cross_pairs(form, p)) % modulus
-        shift |= ((s0 - d) // half % 2) << i
-    return g.inverse.rows, shift
-
-
 def _image_row(columns: tuple[int, ...], shift: int) -> np.ndarray:
     """Image of every code under c -> Tc xor t, by doubling: codes 2**j to 2**(j+1) - 1 are the codes below them xor column j."""
     row = np.empty(1 << len(columns), dtype=np.uint32)
@@ -259,8 +237,8 @@ def _image_row(columns: tuple[int, ...], shift: int) -> np.ndarray:
 def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     """The smallest code in each code's orbit, for every code of structures of class ``kind``.
 
-    Each generator's code map is read off its inverse columns
-    (``_code_map``) and expanded to an image row.  A generator permutes the
+    ``kind.code_map`` gives each generator's affine map on codes, which is
+    expanded to an image row.  A generator permutes the
     codes, so ``new[row] = minimum(new[row], new)`` is an exact elementwise
     update; each pass over the generators is followed by pointer jumping
     (labels = labels[labels]), and passes repeat until nothing changes.
@@ -270,7 +248,7 @@ def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     check_dim(n, MAX_TABLE_DIM, "orbit labels")
     if generators is None:
         generators = isometry_generators(form)
-    maps = [_code_map(form, kind.modulus, g) for g in generators]
+    maps = [kind.code_map(form, g) for g in generators]
     labels = np.arange(1 << n, dtype=np.uint32)
     while True:
         before = labels.copy()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .surfaces import IntersectionForm, MAX_TABLE_DIM, Surface, check_dim
+from .surfaces import IntersectionForm, MAX_TABLE_DIM, Surface, check_dim, freeze_ints
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class PinPlusForm:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        freeze_ints(self, "values")
         if len(self.values) != self.model.generator_count:
             raise ValueError("generator value count must equal the generator count")
         if any(v not in (0, 1) for v in self.values):

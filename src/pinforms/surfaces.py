@@ -9,6 +9,7 @@ bit i giving the coefficient of basis vector i.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator
@@ -29,6 +30,13 @@ class LimitError(RuntimeError):
 
 class InvariantViolation(AssertionError):
     """Raised when an internal consistency check fails; it signals a defect, not bad input."""
+
+
+def freeze_ints(obj, field: str):
+    """Store a frozen dataclass's list or array field as a tuple of ints, so equal objects compare and hash equal."""
+    seq = getattr(obj, field)
+    if not isinstance(seq, tuple):
+        object.__setattr__(obj, field, tuple(map(operator.index, seq)))
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,7 @@ class IntersectionForm:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        freeze_ints(self, "rows")
         n = self.dim
         if n < 0 or len(self.rows) != n:
             raise ValueError("row count must equal dim")
@@ -385,6 +394,7 @@ class QuadraticStructure:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        freeze_ints(self, "values")
         if len(self.values) != self.form.dim:
             raise ValueError("basis value count must equal the pairing dimension")
         if not set(self.values).issubset(range(self.modulus)):
@@ -397,6 +407,26 @@ class QuadraticStructure:
             raise ValueError(f"code {code:#x} out of range for dimension {form.dim}")
         half = cls.modulus // 2
         return cls(form, tuple(d + half * ((code >> i) & 1) for i, d in enumerate(form.diagonal)))
+
+    @classmethod
+    def code_map(cls, form: IntersectionForm, g) -> tuple[tuple[int, ...], int]:
+        """The map c -> Tc xor t that the isometry ``g`` induces on codes, as (columns of T, t).
+
+        The pushed-forward structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i)
+        at inverse column p_i, so row i of T is p_i (the columns of T are the
+        rows of the inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).
+        Code 0 has the diagonal as basis values, so s_0(x) is the diagonal
+        weight of x plus (m/2) cross_pairs(x).
+        """
+        if g.form != form:
+            raise ValueError("generator and pairing differ")
+        half = cls.modulus // 2
+        diagonal = sum(d << i for i, d in enumerate(form.diagonal))
+        shift = 0
+        for i, (p, d) in enumerate(zip(g.inverse_columns, form.diagonal)):
+            s0 = ((p & diagonal).bit_count() + half * cross_pairs(form, p)) % cls.modulus
+            shift |= ((s0 - d) // half % 2) << i
+        return gf2.transpose(g.inverse_columns, form.dim), shift
 
     @classmethod
     def enumerate_all(cls, form: IntersectionForm) -> list:

@@ -515,6 +515,10 @@ def _suite_pin_census() -> list[CheckResult]:
             elif k <= 10 and Counter(brown_gauss_many(enumerate_enhancements(identity_form(k))).tolist()) != recursion:
                 yield f"k={k}"
 
+    even_genus = {
+        k: {entry.invariant: entry for entry in pin_census_closed_form(nonorientable_surface(k))}
+        for k in range(2, 11, 2)
+    }
     out = [
         _first(suite, "recursion-equals-enumeration (k<=12)", recursion_faults()),
         _first(suite, "odd-genus-closed-form-confirmed (k<=11)", (
@@ -529,16 +533,12 @@ def _suite_pin_census() -> list[CheckResult]:
         )),
         _first(suite, "even-genus-closed-form-confirmed-at-2-4-6 (k<=10)", (
             f"k={k} side entries"
-            for k in range(2, 11, 2)
-            for entries in [{entry.invariant: entry for entry in pin_census_closed_form(nonorientable_surface(k))}]
+            for k, entries in even_genus.items()
             if any(entries[i].flag != FLAG_CONFIRMED for i in (2, 4, 6))
         )),
     ]
 
-    zero_entries = [
-        (k, {e.invariant: e for e in pin_census_closed_form(nonorientable_surface(k))}[0])
-        for k in range(2, 11, 2)
-    ]
+    zero_entries = [(k, entries[0]) for k, entries in even_genus.items()]
     corrected_ok = all(
         entry.flag == FLAG_DISPUTED and entry.corrected_flag == FLAG_CONJECTURED_CONFIRMED
         for _, entry in zero_entries

@@ -341,3 +341,12 @@ def test_shared_parser_survives_a_bad_call(capsys):
     code, second, _ = run_cli(capsys, *argv)
     assert code == 0
     assert second.encode() == first.encode()
+
+
+@pytest.mark.parametrize("text", ["１,3", "١,3", "+1,3", " 1,3", "1, 3", "1,3 ", "-1,3", "1,,3", "1_0,3", "²,3"])
+def test_parse_values_takes_ascii_digits_only(capsys, text):
+    with pytest.raises(ValueError, match="bad value list"):
+        parse_values(text)
+    code, out, err = run_cli(capsys, "invariant", "-s", "N:2", f"--enhancement={text}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad value list")

@@ -1,0 +1,76 @@
+"""Code maps built by the structure classes, and the checked inverse of an isometry."""
+
+import pytest
+
+from pinforms import (
+    Enhancement,
+    InvariantViolation,
+    Isometry,
+    Refinement,
+    act,
+    gf2,
+    hyperbolic_form,
+    identity_form,
+    isometry_generators,
+    orbits,
+)
+from pinforms.cli import main
+from pinforms.orbits import _image_row, orbit_labels
+
+CASES = [pytest.param(identity_form(k), Enhancement, id=f"N:{k}-pin-") for k in range(1, 8)] + [
+    pytest.param(hyperbolic_form(g), kind, id=f"S:{g}-{theory}")
+    for g in range(1, 4)
+    for kind, theory in ((Enhancement, "pin-"), (Refinement, "spin"))
+]
+
+
+@pytest.mark.parametrize("form, kind", CASES)
+def test_code_map_equals_act_code_by_code(form, kind):
+    for g in isometry_generators(form):
+        row = _image_row(*kind.code_map(form, g)).tolist()
+        assert row == [act(g, kind.from_code(form, c)).code for c in range(1 << form.dim)]
+
+
+def test_code_map_rejects_a_generator_of_another_pairing():
+    (g, *_) = isometry_generators(identity_form(3))
+    with pytest.raises(ValueError, match="generator and pairing differ"):
+        Enhancement.code_map(identity_form(4), g)
+
+
+def test_orbit_labels_builds_one_isometry_per_generator(monkeypatch):
+    form = identity_form(6)
+    expected = len(isometry_generators(form))
+    built = []
+    original = Isometry.__post_init__
+
+    def counting(self):
+        built.append(self.rows)
+        original(self)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counting)
+    orbit_labels(form, Enhancement)
+    assert len(built) == expected
+
+
+_true_inverse = gf2.inverse
+
+
+def _wrong_inverse(rows, n):
+    # flipping entry (i, 0) of every row adds rows . (all ones) to column 0 of the product
+    return tuple(r ^ 1 for r in _true_inverse(rows, n))
+
+
+def test_inverse_columns_checks_the_product(monkeypatch):
+    (g, *_) = isometry_generators(identity_form(4))
+    monkeypatch.setattr(orbits.gf2, "inverse", _wrong_inverse)
+    with pytest.raises(InvariantViolation, match="inverse"):
+        g.inverse_columns
+
+
+def test_orbits_exit_one_on_a_wrong_inverse(monkeypatch, capsys):
+    monkeypatch.setattr(orbits.gf2, "inverse", _wrong_inverse)
+    code = main(["orbits", "-s", "N:4", "-t", "pin-"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: isometry inverse")

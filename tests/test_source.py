@@ -18,3 +18,18 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_orbits_leaves_the_code_convention_to_the_structure_classes():
+    # orbit closure is theory-free: diagonal, modulus and cross terms belong to surfaces.QuadraticStructure
+    path = Path(pinforms.__file__).parent / "orbits.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    convention = {"diagonal", "modulus", "cross_pairs"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in convention)
+        or (isinstance(node, ast.Name) and node.id in convention)
+        or (isinstance(node, ast.alias) and node.name in convention)
+    ]
+    assert found == []
