@@ -171,25 +171,35 @@ def isometry_group_order(form: IntersectionForm) -> int:
 
 
 def mulclose(generators, max_size: int = DEFAULT_GROUP_CAP) -> set[Isometry]:
-    """Multiplicative closure of a generator set, breadth-first."""
+    """Multiplicative closure of a generator set, breadth-first.
+
+    Products are taken on row tuples (``gf2.mat_mul``) and looked up among
+    the row tuples found so far; an ``Isometry``, validated on construction,
+    is built only for a new element, so each element is checked once.
+    """
     gens = sorted(set(generators), key=lambda iso: iso.rows)
     if not gens:
         return set()
     form = gens[0].form
-    els: set[Isometry] = {Isometry(form, gf2.identity(form.dim)), *gens}
-    frontier = sorted(els, key=lambda iso: iso.rows)
+    if any(g.form != form for g in gens):
+        raise ValueError("cannot compose isometries of different pairings")
+    els = {g.rows: g for g in gens}
+    identity = gf2.identity(form.dim)
+    if identity not in els:
+        els[identity] = Isometry(form, identity)
+    frontier = sorted(els)
     while frontier:
         new = []
         for a in gens:
             for b in frontier:
-                c = a @ b
+                c = gf2.mat_mul(a.rows, b)
                 if c not in els:
-                    els.add(c)
+                    els[c] = Isometry(form, c)
                     new.append(c)
                     if len(els) > max_size:
                         raise LimitError(f"group closure exceeded {max_size} elements")
-        frontier = sorted(new, key=lambda iso: iso.rows)
-    return els
+        frontier = sorted(new)
+    return set(els.values())
 
 
 @lru_cache(maxsize=8)
@@ -219,9 +229,8 @@ def isometry_group(form: IntersectionForm, method: str = "brute") -> frozenset[I
         return _brute_group(form)
     if method == "generated":
         check_dim(form.dim, MAX_BRUTE_DIM, "generated groups")
-        closure = mulclose(isometry_generators(form))
-        closure.add(Isometry(form, gf2.identity(form.dim)))
-        return frozenset(closure)
+        # the closure holds the identity unless there are no generators at all
+        return frozenset(mulclose(isometry_generators(form)) or {Isometry(form, gf2.identity(form.dim))})
     raise ValueError(f"unknown method {method!r}")
 
 

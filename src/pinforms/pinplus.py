@@ -14,6 +14,7 @@ one of them decides descent for all 2^n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -28,6 +29,8 @@ class Mod4Homology:
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # stored as a tuple of tuples of ints, so equal models compare and hash equal whatever sequences were given
+        object.__setattr__(self, "relations", tuple(tuple(map(operator.index, rel)) for rel in self.relations))
         for rel in self.relations:
             if len(rel) != self.form.dim:
                 raise ValueError("relation length must equal the generator count")

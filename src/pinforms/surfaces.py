@@ -452,14 +452,38 @@ class QuadraticStructure:
         half = self.modulus // 2
         return sum((v - d) // half << i for i, (v, d) in enumerate(zip(self.values, self.form.diagonal)))
 
+    @classmethod
+    def value_table(cls, form: IntersectionForm, values) -> np.ndarray:
+        """Values on all 2**n classes for a batch of structures on one pairing, as an (S, 2**n) uint8 table.
+
+        ``values`` holds one row of basis values per structure; row s of the
+        table is the class bits times row s of ``values`` plus (m/2)
+        ``cross_parity_table``, indexed by integer encoding.
+        """
+        n = form.dim
+        vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
+        table = vals @ class_bit_matrix(n).T
+        table += cls.modulus // 2 * cross_parity_table(form)
+        # the modulus is 2 or 4, so masking reduces it (much faster than % on large arrays)
+        table &= cls.modulus - 1
+        return table
+
     def __call__(self, x: H1Class | int) -> int:
-        xbits = as_bits(x, self.form.dim)
-        linear = sum(v for i, v in enumerate(self.values) if (xbits >> i) & 1)
-        return (linear + self.modulus // 2 * cross_pairs(self.form, xbits)) % self.modulus
+        """s(x) in one pass over the set bits of x.
+
+        Bit i adds values[i] to the linear part and the parity of rows[i] & the
+        bits of x above i to the cross term, the sum ``cross_pairs`` takes.
+        """
+        rest = as_bits(x, self.form.dim)
+        rows, values = self.form.rows, self.values
+        linear = cross = 0
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            linear += values[i]
+            cross ^= (rows[i] & rest).bit_count() & 1
+        return (linear + self.modulus // 2 * cross) % self.modulus
 
     def values_on_all(self) -> np.ndarray:
-        """Values on all 2**n classes, indexed by integer encoding."""
-        bits = class_bit_matrix(self.form.dim)
-        vec = np.array(self.values, dtype=np.uint8)
-        # the modulus is 2 or 4, so masking reduces it (much faster than % on large arrays)
-        return ((bits @ vec) + self.modulus // 2 * cross_parity_table(self.form)) & (self.modulus - 1)
+        """Values on all 2**n classes, indexed by integer encoding: ``value_table`` on a batch of one."""
+        return self.value_table(self.form, [self.values])[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,17 @@ def _standard_surfaces(max_dim: int, min_dim: int = 1, include_sphere: bool = Fa
             surfaces.append(orientable_surface(d // 2))
         surfaces.append(nonorientable_surface(d))
     return surfaces
+
+
+@lru_cache(maxsize=None)
+def _structures(kind, form) -> tuple:
+    """All structures of ``kind`` (``Enhancement`` or ``Refinement``) on ``form``, in code order.
+
+    Enumerated once per run: each suite that needs a surface's structures
+    reads them here, and ``run_suites`` clears the cache when it starts.
+    """
+    enumerate_all = enumerate_enhancements if kind is Enhancement else enumerate_refinements
+    return tuple(enumerate_all(form))
 
 
 def _parity_vector(mask: int, n: int) -> np.ndarray:
@@ -221,7 +233,7 @@ def _suite_refinement_identity() -> list[CheckResult]:
     suite = "refinement-identity"
     rng = random.Random(0xA5F1)
     exhaustive = (
-        (s, enumerate_refinements(s.form))
+        (s, _structures(Refinement, s.form))
         for s in map(orientable_surface, range(1, FULL_IDENTITY_DIM // 2 + 1))
     )
     sampled = (
@@ -239,23 +251,28 @@ def _suite_refinement_identity() -> list[CheckResult]:
 def _suite_enhancement_identity() -> list[CheckResult]:
     suite = "enhancement-identity"
     rng = random.Random(0xE41)
-    exhaustive = ((s, enumerate_enhancements(s.form)) for s in _standard_surfaces(FULL_IDENTITY_DIM))
+    exhaustive = ((s, _structures(Enhancement, s.form)) for s in _standard_surfaces(FULL_IDENTITY_DIM))
     sampled = (
         (s, _sampled_codes(Enhancement, s.form, 8, rng))
         for s in _standard_surfaces(10, min_dim=FULL_IDENTITY_DIM + 1)
     )
+
+    def parity_breaks():
+        # every enhancement at every class, from one value table per surface, walked in enumeration order
+        for s in _standard_surfaces(10):
+            structures = _structures(Enhancement, s.form)
+            table = Enhancement.value_table(s.form, [e.values for e in structures])
+            parity_holds = ((table & 1) == _pair_table(s.form).diagonal()).all(axis=1)
+            for e, holds in zip(structures, parity_holds.tolist()):
+                if not holds:
+                    yield f"{s.label} values {e.values}"
+
     return [
         _first(
             suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(Enhancement, exhaustive)
         ),
         _first(suite, "defining-identity-sampled (dim<=10)", _identity_breaks(Enhancement, sampled)),
-        _first(suite, "parity-rule-exhaustive (dim<=10)", (
-            f"{s.label} values {e.values}"
-            for s in _standard_surfaces(10)
-            for selfpair in [_pair_table(s.form).diagonal()]
-            for e in enumerate_enhancements(s.form)
-            if not ((e.values_on_all() & 1) == selfpair).all()
-        )),
+        _first(suite, "parity-rule-exhaustive (dim<=10)", parity_breaks()),
     ]
 
 
@@ -263,7 +280,7 @@ def _suite_arf_consistency() -> list[CheckResult]:
     return [_first("arf-consistency", "majority-equals-block-formula (g<=5)", (
         f"g={g} values {q.values}"
         for g in range(1, 6)
-        for q in enumerate_refinements(hyperbolic_form(g))
+        for q in _structures(Refinement, hyperbolic_form(g))
         if arf_majority(q) != arf_symplectic(q)
     ))]
 
@@ -276,7 +293,7 @@ def _suite_spin_census() -> list[CheckResult]:
             counts = spin_census(g)
             if counts[0] + counts[1] != 1 << (2 * g):
                 yield f"g={g} total {counts}"
-            tally = Counter(map(arf_symplectic, enumerate_refinements(hyperbolic_form(g))))
+            tally = Counter(map(arf_symplectic, _structures(Refinement, hyperbolic_form(g))))
             if tally != spin_closed_form(g):
                 yield f"g={g} per-object tally {dict(tally)}"
 
@@ -304,7 +321,7 @@ def _suite_brown_compass() -> list[CheckResult]:
     return [_first("brown-compass", "gauss-equals-normal-form (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
-        for structures in [enumerate_enhancements(s.form)]
+        for structures in [_structures(Enhancement, s.form)]
         for e, gauss in zip(structures, brown_gauss_many(structures).tolist())
         if gauss != brown_normal_form(e)
     ))]
@@ -314,7 +331,7 @@ def _suite_gauss_magnitude() -> list[CheckResult]:
     return [_first("gauss-magnitude", "magnitude-squared-is-2**n (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
-        for structures in [enumerate_enhancements(s.form)]
+        for structures in [_structures(Enhancement, s.form)]
         for e, (n0, n1, n2, n3) in zip(structures, _histograms(s.form, structures))
         if (n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim
     ))]
@@ -328,7 +345,7 @@ def _suite_additivity() -> list[CheckResult]:
         def with_invariants(s):
             # each surface's batch is evaluated once, when a pair first needs it
             if s.label not in batches:
-                structures = enumerate_enhancements(s.form)
+                structures = _structures(Enhancement, s.form)
                 batches[s.label] = list(zip(structures, brown_gauss_many(structures).tolist()))
             return batches[s.label]
 
@@ -349,7 +366,7 @@ def _suite_doubling() -> list[CheckResult]:
     return [_first("doubling", "doubled-refinement-invariant-is-4-arf (g<=4)", (
         f"g={g} values {q.values}"
         for g in range(1, 5)
-        for refinements in [enumerate_refinements(hyperbolic_form(g))]
+        for refinements in [_structures(Refinement, hyperbolic_form(g))]
         for q, doubled in zip(refinements, brown_gauss_many(map(enhancement_from_refinement, refinements)).tolist())
         if doubled != (4 * arf_symplectic(q)) % 8
     ))]
@@ -360,7 +377,7 @@ def _suite_capping() -> list[CheckResult]:
 
     def breaks():
         for k in range(2, 9):
-            structures = enumerate_enhancements(identity_form(k))
+            structures = _structures(Enhancement, identity_form(k))
             totals = brown_gauss_many(structures).tolist()
             # rest number k * s + index caps summand ``index`` off structure s
             capped = [cap_off_summand(e, index) for e in structures for index in range(k)]
@@ -441,7 +458,7 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
             f"k={k}"
             for k in range(1, 5)
             for form in [identity_form(k)]
-            for structures in [enumerate_enhancements(form)]
+            for structures in [_structures(Enhancement, form)]
             if _orbits_differ(form, structures, _brown_lookup(structures), isometry_group(form, "brute"))
         )),
         # transvections generate the whole symplectic group over GF(2),
@@ -450,7 +467,7 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
             f"g={g}"
             for g in range(1, 4)
             for form in [hyperbolic_form(g)]
-            if _orbits_differ(form, enumerate_refinements(form), arf_symplectic)
+            if _orbits_differ(form, _structures(Refinement, form), arf_symplectic)
         )),
     ]
 
@@ -458,7 +475,7 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
     details = []
     for k in range(5, 9):
         form = identity_form(k)
-        structures = enumerate_enhancements(form)
+        structures = _structures(Enhancement, form)
         orbits = orbit_partition(form, structures)
         brown = _brown_lookup(structures)
         if any(len({brown(e) for e in orbit}) != 1 for orbit in orbits):
@@ -485,7 +502,7 @@ def _suite_banding() -> list[CheckResult]:
                     yield f"k={k} moved fixed summand {i}"
 
     out = [_first(suite, "first-class-goes-to-three-fold-sum (4<=k<=8)", image_faults())]
-    e = enumerate_enhancements(identity_form(4))[0]
+    e = _structures(Enhancement, identity_form(4))[0]
     if e.values != (1, 1, 1, 1):
         out.append(_check(suite, "constant-one-enhancement-first", False, str(e.values)))
         return out
@@ -512,8 +529,10 @@ def _suite_pin_census() -> list[CheckResult]:
             if pin_census_enumerated(nonorientable_surface(k)) != recursion:
                 yield f"k={k}"
             # the census is a transform; up to dimension 10 a per-object tally checks it too
-            elif k <= 10 and Counter(brown_gauss_many(enumerate_enhancements(identity_form(k))).tolist()) != recursion:
-                yield f"k={k}"
+            elif k <= 10:
+                tally = Counter(brown_gauss_many(_structures(Enhancement, identity_form(k))).tolist())
+                if tally != recursion:
+                    yield f"k={k}"
 
     even_genus = {
         k: {entry.invariant: entry for entry in pin_census_closed_form(nonorientable_surface(k))}
@@ -655,7 +674,7 @@ def _suite_bordism() -> list[CheckResult]:
     def pin_breaks():
         for k in range(1, 5):
             surface = nonorientable_surface(k)
-            structures = enumerate_enhancements(surface.form)
+            structures = _structures(Enhancement, surface.form)
             orbit_of = _orbit_index(surface, structures)
             for a in structures:
                 for b in structures:
@@ -668,7 +687,7 @@ def _suite_bordism() -> list[CheckResult]:
     def spin_breaks():
         for g in (1, 2):
             surface = orientable_surface(g)
-            structures = enumerate_refinements(surface.form)
+            structures = _structures(Refinement, surface.form)
             orbit_of = _orbit_index(surface, structures)
             for a in structures:
                 for b in structures:
@@ -711,6 +730,8 @@ def run_suites(names) -> list[CheckResult]:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")
     if "all" in selected:
         selected = list(SUITES)
+    # no run reads structures enumerated by an earlier one
+    _structures.cache_clear()
     results = []
     for name in selected:
         results.extend(SUITES[name]())

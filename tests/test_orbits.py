@@ -157,6 +157,40 @@ def test_mulclose_cap():
         mulclose(isometry_generators(hyperbolic_form(2)), max_size=10)
 
 
+def reference_closure(generators):
+    """Closure of a generator set under ``@``, grown until it stops changing."""
+    group = set(generators)
+    while True:
+        grown = group | {a @ b for a in generators for b in group}
+        if grown == group:
+            return group
+        group = grown
+
+
+def test_mulclose_builds_one_isometry_per_new_element_and_equals_the_reference_closure(monkeypatch):
+    gens = isometry_generators(hyperbolic_form(2))
+    built = []
+    post_init = Isometry.__post_init__
+
+    def counted(iso):
+        built.append(iso.rows)
+        post_init(iso)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counted)
+    group = mulclose(gens)
+    monkeypatch.undo()
+    assert len(group) == 720
+    # every element but the generators is built, and validated, exactly once
+    assert sorted(built) == sorted({g.rows for g in group} - {g.rows for g in gens})
+    assert group == reference_closure(gens)
+
+
+def test_mulclose_refuses_generators_on_two_pairings():
+    gens = isometry_generators(hyperbolic_form(1)) + isometry_generators(identity_form(2))
+    with pytest.raises(ValueError, match="different pairings"):
+        mulclose(gens)
+
+
 def test_banding_isometry():
     b = banding_isometry(4)
     assert b.apply_bits(0b0001) == 0b0111

@@ -1,19 +1,24 @@
 """Surfaces, mod-2 intersection forms, and homology class plumbing."""
 
 import ast
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import pinforms
 from pinforms import (
+    Enhancement,
     H1Class,
     IntersectionForm,
     LimitError,
+    Refinement,
     Surface,
     direct_sum,
     enumerate_classes,
+    gf2,
     hyperbolic_form,
     identity_form,
     intersection,
@@ -29,6 +34,7 @@ from pinforms.surfaces import (
     is_identity_form,
     self_pairing_table,
 )
+from strategies import congruent_form, congruent_forms
 
 
 def test_h1class_basics():
@@ -166,3 +172,70 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# the batch value table and the one-pass evaluation against per-structure and naive routes
+
+STANDARD_FORMS = [identity_form(k) for k in range(11)] + [hyperbolic_form(g) for g in range(1, 6)]
+
+
+def form_id(form):
+    return f"dim{form.dim}-{'odd' if any(form.diagonal) else 'alternating'}"
+
+
+def structure_kinds(form):
+    return (Enhancement, Refinement) if is_alternating(form) else (Enhancement,)
+
+
+def sample_codes(form):
+    """Every code up to dimension 6; above it code 0, the all-ones code and 14 seeded codes."""
+    size = 1 << form.dim
+    if size <= 64:
+        return list(range(size))
+    return [0, size - 1, *random.Random(form.dim).sample(range(1, size - 1), 14)]
+
+
+def assert_value_table_matches_each_structure(form):
+    for kind in structure_kinds(form):
+        structures = [kind.from_code(form, code) for code in sample_codes(form)]
+        table = kind.value_table(form, [s.values for s in structures])
+        assert table.shape == (len(structures), 1 << form.dim)
+        for s, row in zip(structures, table):
+            assert np.array_equal(row, s.values_on_all())
+            assert row.tolist() == [s(x) for x in range(1 << form.dim)]
+
+
+def naive_value(s, xbits):
+    """The sum of basis values over the set bits of x plus (m/2) cross_pairs(x), mod m."""
+    linear = sum(v for i, v in enumerate(s.values) if (xbits >> i) & 1)
+    return (linear + s.modulus // 2 * cross_pairs(s.form, xbits)) % s.modulus
+
+
+def assert_call_matches_naive(form):
+    n = form.dim
+    points = [0, *(1 << i for i in range(n)), (1 << n) - 1]
+    for kind in structure_kinds(form):
+        for code in sample_codes(form):
+            s = kind.from_code(form, code)
+            for x in points:
+                assert s(x) == s(H1Class(n, x)) == naive_value(s, x), (kind.__name__, code, x)
+
+
+@pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
+def test_value_table_rows_match_each_structure_on_standard_forms(form):
+    assert_value_table_matches_each_structure(form)
+
+
+@pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
+def test_call_matches_the_naive_sum_on_standard_forms(form):
+    assert_call_matches_naive(form)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(congruent_forms(max_dim=8))
+def test_value_table_and_call_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    form = congruent_form(base, m)
+    assert_value_table_matches_each_structure(form)
+    assert_call_matches_naive(form)

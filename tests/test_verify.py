@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from pinforms import (
     Enhancement,
     InvariantViolation,
+    QuadraticStructure,
     Refinement,
     enhancements,
     gf2,
@@ -111,6 +112,25 @@ def test_full_run_has_no_failures_and_exactly_two_disputes():
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     assert [[r.suite, r.name, r.status, r.detail] for r in results] == pinned["rows"]
     assert summary == pinned["summary"]
+
+
+def test_each_run_enumerates_each_form_once(monkeypatch):
+    # enumerate_enhancements and enumerate_refinements both go through enumerate_all
+    calls = Counter()
+    enumerate_all = QuadraticStructure.enumerate_all.__func__
+
+    def counted(kind, form):
+        calls[kind, form] += 1
+        return enumerate_all(kind, form)
+
+    monkeypatch.setattr(QuadraticStructure, "enumerate_all", classmethod(counted))
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    for run in (1, 2):
+        results = run_suites("all")
+        assert [[r.suite, r.name, r.status, r.detail] for r in results] == pinned["rows"]
+        assert summarize(results) == pinned["summary"]
+        # once per form in each run: the second run enumerates afresh
+        assert calls and set(calls.values()) == {run}
 
 
 def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatch):
@@ -330,3 +350,26 @@ def test_gauss_suites_read_one_batch_per_case(monkeypatch):
     assert set(batches) == set(cases)
     for name, count in batches.items():
         assert count <= cases[name], name
+
+
+PARITY_FORM, PARITY_CODE = identity_form(7), 0b1010011
+
+
+def test_parity_fault_in_one_value_table_row_fails_with_that_structure(monkeypatch):
+    target = Enhancement.from_code(PARITY_FORM, PARITY_CODE).values
+    value_table = QuadraticStructure.value_table.__func__
+
+    def faulty(kind, form, values):
+        table = value_table(kind, form, values)
+        if form == PARITY_FORM:
+            for s, row in enumerate(np.asarray(values).tolist()):
+                if tuple(row) == target:
+                    table[s, 0] ^= 1
+        return table
+
+    monkeypatch.setattr(Enhancement, "value_table", classmethod(faulty))
+    parity = run_suites(["enhancement-identity"])[2]
+    # the detail a per-structure ``values_on_all`` with the same flipped bit reported
+    assert parity == CheckResult(
+        "enhancement-identity", "parity-rule-exhaustive (dim<=10)", FAIL, "N:7 values (3, 3, 1, 1, 3, 1, 3)"
+    )
