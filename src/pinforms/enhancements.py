@@ -5,13 +5,14 @@ with the parity rule e(x) = x.x mod 2, so a projective-plane core class
 only ever takes the values 1 or 3.  The Brown invariant is the octant of the
 Gauss sum of i**e(x) over all classes, read by one checked reader from value
 histograms (``brown_gauss_many``) or one Walsh-Hadamard transform of every
-code (``brown_spectrum``); ``brown_compass`` looks one histogram's sign pair
-up in the same octant table.  ``brown_normal_form`` shares no code with these.
+code (``brown_spectrum``), both counted from ``Enhancement.value_table``;
+``brown_compass`` looks one histogram's sign pair up in the same octant
+table.  ``brown_normal_form``, a sum over a standard basis, is the route
+that shares no code with these.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -66,53 +67,28 @@ def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
 _TABLE_BYTES = 1 << 20
 
 
-@lru_cache(maxsize=64)
-def _twice_cross(form: IntersectionForm) -> np.ndarray:
-    """2 (b_i . y) for every i and y < 2**i, laid end to end: the run for i starts at 2**i - 1.
-
-    Each run is built by doubling over the bits of y, in uint8.
-    """
-    out = np.zeros(max(1, (1 << form.dim) - 1), dtype=np.uint8)
-    for i, row in enumerate(form.rows):
-        cross = out[(1 << i) - 1 : (2 << i) - 1]
-        for j in range(i):
-            np.bitwise_xor(cross[: 1 << j], 2 * ((row >> j) & 1), out=cross[1 << j : 2 << j])
-    out.flags.writeable = False
-    return out
-
-
 def value_histograms(form: IntersectionForm, values) -> np.ndarray:
     """Counts (n0, n1, n2, n3) of each value over all 2**n classes, for a batch of enhancements on one pairing.
 
     ``values`` holds one row of basis values per enhancement, and row s of
-    the result belongs to row s of ``values``.  Each chunk of rows gets a
-    (rows, 2**n) uint8 table of values, built by doubling over the basis: a
-    class x = 2**i + y with y < 2**i has e(x) = e(y) + e(b_i) + 2 (b_i . y),
-    so the block [2**i, 2**(i+1)) is the block below it plus ``values[:, i]``
-    plus twice the parity of rows[i] & y.  The sums wrap mod 256, a multiple
-    of 4.  Every row is evaluated from its own basis values; no class table
-    or spectrum is shared with ``values_on_all`` or ``brown_spectrum``.
+    the result belongs to row s of ``values``.  The rows are counted chunk by
+    chunk in their ``Enhancement.value_table``, and each chunk's table is
+    released before the next is built.  The normal form
+    (``brown_normal_form``) is the route that shares no code with this one.
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
     vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
-    twice_cross = _twice_cross(form)
     counts = np.empty((len(vals), 4), dtype=np.int64)
     chunk = max(1, _TABLE_BYTES >> n)
-    table = np.empty((min(chunk, len(vals)), 1 << n), dtype=np.uint8)
-    hits = np.empty(table.shape, dtype=bool)
+    hits = np.empty((min(chunk, len(vals)), 1 << n), dtype=bool)
     for lo in range(0, len(vals), chunk):
-        part = vals[lo : lo + chunk]
-        t, hit = table[: len(part)], hits[: len(part)]
-        t[:, 0] = 0
-        for i in range(n):
-            block = t[:, 1 << i : 2 << i]
-            np.add(t[:, : 1 << i], part[:, i, None], out=block)
-            block += twice_cross[(1 << i) - 1 : (2 << i) - 1]
-        t &= 3
+        table = Enhancement.value_table(form, vals[lo : lo + chunk])
+        hit = hits[: len(table)]
         for v in range(4):
-            np.equal(t, v, out=hit)
-            np.add.reduce(hit, axis=1, out=counts[lo : lo + len(part), v])
+            np.equal(table, v, out=hit)
+            np.add.reduce(hit, axis=1, out=counts[lo : lo + len(table), v])
+        del table
     return counts
 
 
@@ -217,7 +193,7 @@ def histogram_from_brown(dim: int, beta: int, alternating: bool) -> ValueHistogr
     The Gauss sum A + Bi is 2**(n/2) exp(i pi beta / 4), so (A, B) is the sign
     pair of the octant scaled to squared magnitude 2**n.  The even values
     fill the classes with x.x = 0: all 2**n on an alternating pairing, half
-    of them otherwise.  Then n0, n2 = (even -+ A) / 2 and n1, n3 = (odd -+ B) / 2.
+    of them otherwise.  Then n0, n2 = (even +- A) / 2 and n1, n3 = (odd +- B) / 2.
     """
     sa, sb = _SIGNS_BY_OCTANT[beta % 8]
     # 2 log2 |A| (or |B|): n on an axis, n - 1 on a diagonal

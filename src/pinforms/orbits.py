@@ -170,12 +170,13 @@ def isometry_group_order(form: IntersectionForm) -> int:
     return (1 << (k - 1)) * _sp_order((k - 2) // 2)
 
 
-def mulclose(generators, max_size: int = DEFAULT_GROUP_CAP) -> set[Isometry]:
+def mulclose(generators) -> set[Isometry]:
     """Multiplicative closure of a generator set, breadth-first.
 
     Products are taken on row tuples (``gf2.mat_mul``) and looked up among
     the row tuples found so far; an ``Isometry``, validated on construction,
-    is built only for a new element, so each element is checked once.
+    is built only for a new element, so each element is checked once.  A
+    closure past ``DEFAULT_GROUP_CAP`` elements raises ``LimitError``.
     """
     gens = sorted(set(generators), key=lambda iso: iso.rows)
     if not gens:
@@ -196,8 +197,8 @@ def mulclose(generators, max_size: int = DEFAULT_GROUP_CAP) -> set[Isometry]:
                 if c not in els:
                     els[c] = Isometry(form, c)
                     new.append(c)
-                    if len(els) > max_size:
-                        raise LimitError(f"group closure exceeded {max_size} elements")
+                    if len(els) > DEFAULT_GROUP_CAP:
+                        raise LimitError(f"group closure exceeded {DEFAULT_GROUP_CAP} elements")
         frontier = sorted(new)
     return set(els.values())
 

