@@ -33,6 +33,7 @@ from .orbits import (
     MAX_BRUTE_DIM,
     isometry_generators,
     isometry_group_order,
+    level_set_fit,
     orbit_labels,
     orbit_summary,
 )
@@ -252,9 +253,7 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
     invariants = spectrum(form)
     labels = orbit_labels(form, kind, generators)
     members, sizes = orbit_summary(labels)
-    # level sets: the invariant is constant on each orbit and distinct across orbits
-    constant = bool((invariants[labels] == invariants).all())
-    match = constant and len(set(invariants[members].tolist())) == len(members)
+    _, match = level_set_fit(labels, invariants)
 
     rows = tuple(
         (index + 1, size, int(invariants[member]))

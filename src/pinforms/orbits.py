@@ -7,9 +7,10 @@ which the structure class builds (``QuadraticStructure.code_map``), so
 ``act`` is needed only as a test oracle.  The group is given by a few
 Dehn-twist transvections (``isometry_generators``), its order in closed
 form (``isometry_group_order``), and ``orbit_labels`` closes orbits over
-all 2**n codes by min-label propagation, blind to the code convention; no
-group is materialized except the brute-force and generated ones kept for
-checks at small dimension.
+all 2**n codes by min-label propagation, blind to the code convention;
+``level_set_fit`` reads off those labels whether an invariant's level sets
+are the orbits.  No group is materialized except the brute-force and
+generated ones kept for checks at small dimension.
 """
 
 from __future__ import annotations
@@ -315,9 +316,14 @@ def orbit_partition(form: IntersectionForm, structures, generators=None):
     return tuple(sorted(orbits, key=lambda orb: orb[0].values))
 
 
-def level_sets(structures, invariant) -> set[frozenset]:
-    """The structures grouped by invariant value, as a set of frozensets."""
-    groups: dict[int, set] = {}
-    for s in structures:
-        groups.setdefault(invariant(s), set()).add(s)
-    return {frozenset(v) for v in groups.values()}
+def level_set_fit(labels: np.ndarray, invariants) -> tuple[bool, bool]:
+    """(constant, exact): an invariant indexed by code on the orbits of ``orbit_labels``.
+
+    ``constant``: it is constant on each orbit; ``exact``: it also separates
+    the orbits, so they are its level sets.  Each orbit's label is its
+    smallest code, so the roots (labels == arange) are one code per orbit.
+    """
+    invariants = np.asarray(invariants)
+    constant = bool((invariants[labels] == invariants).all())
+    roots = np.flatnonzero(labels == np.arange(labels.size))
+    return constant, constant and len(set(invariants[roots].tolist())) == roots.size

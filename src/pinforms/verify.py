@@ -41,13 +41,13 @@ from .orbits import (
     banding_isometry,
     isometry_generators,
     isometry_group,
-    level_sets,
-    orbit_partition,
+    level_set_fit,
+    orbit_labels,
 )
 from .pinplus import enumerate_pinplus, is_well_defined, mod4_homology, PinPlusForm
 from .refinements import (
     Refinement,
-    arf_majority,
+    arf_spectrum,
     arf_symplectic,
     enumerate_refinements,
     spin_census,
@@ -262,7 +262,9 @@ def _suite_enhancement_identity() -> list[CheckResult]:
         for s in _standard_surfaces(10):
             structures = _structures(Enhancement, s.form)
             table = Enhancement.value_table(s.form, [e.values for e in structures])
-            parity_holds = ((table & 1) == _pair_table(s.form).diagonal()).all(axis=1)
+            # x.x is the parity of x & the diagonal of the pairing
+            diagonal = sum(d << i for i, d in enumerate(s.form.diagonal))
+            parity_holds = ((table & 1) == _parity_vector(diagonal, s.form.dim)).all(axis=1)
             for e, holds in zip(structures, parity_holds.tolist()):
                 if not holds:
                     yield f"{s.label} values {e.values}"
@@ -277,11 +279,13 @@ def _suite_enhancement_identity() -> list[CheckResult]:
 
 
 def _suite_arf_consistency() -> list[CheckResult]:
+    # the sign of each Gauss sum in ``arf_spectrum`` is the majority value
     return [_first("arf-consistency", "majority-equals-block-formula (g<=5)", (
         f"g={g} values {q.values}"
         for g in range(1, 6)
-        for q in _structures(Refinement, hyperbolic_form(g))
-        if arf_majority(q) != arf_symplectic(q)
+        for form in [hyperbolic_form(g)]
+        for q, majority in zip(_structures(Refinement, form), arf_spectrum(form).tolist())
+        if majority != arf_symplectic(q)
     ))]
 
 
@@ -309,11 +313,6 @@ def _suite_spin_census() -> list[CheckResult]:
 def _histograms(form, structures) -> list[list[int]]:
     """Value counts (n0, n1, n2, n3) of each structure on ``form``, from one batch."""
     return value_histograms(form, [e.values for e in structures]).tolist()
-
-
-def _brown_lookup(structures):
-    """Brown invariant of each structure (all on one pairing), as a lookup function."""
-    return dict(zip(structures, brown_gauss_many(structures).tolist())).__getitem__
 
 
 def _suite_brown_compass() -> list[CheckResult]:
@@ -446,20 +445,16 @@ def _suite_isometry_groups() -> list[CheckResult]:
     ]
 
 
-def _orbits_differ(form, structures, invariant, generators=None) -> bool:
-    orbits = orbit_partition(form, structures, generators=generators)
-    return {frozenset(o) for o in orbits} != level_sets(structures, invariant)
-
-
 def _suite_orbit_level_sets() -> list[CheckResult]:
+    # invariants in code order against ``orbit_labels``: ``level_set_fit`` is the test that ``orbits`` prints
     suite = "orbit-level-sets"
     out = [
         _first(suite, "brute-orbits-equal-brown-level-sets (k<=4)", (
             f"k={k}"
             for k in range(1, 5)
             for form in [identity_form(k)]
-            for structures in [_structures(Enhancement, form)]
-            if _orbits_differ(form, structures, _brown_lookup(structures), isometry_group(form, "brute"))
+            for labels in [orbit_labels(form, Enhancement, isometry_group(form, "brute"))]
+            if not level_set_fit(labels, brown_gauss_many(_structures(Enhancement, form)))[1]
         )),
         # transvections generate the whole symplectic group over GF(2),
         # so these orbits are full isometry-group orbits
@@ -467,7 +462,8 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
             f"g={g}"
             for g in range(1, 4)
             for form in [hyperbolic_form(g)]
-            if _orbits_differ(form, _structures(Refinement, form), arf_symplectic)
+            for labels in [orbit_labels(form, Refinement)]
+            if not level_set_fit(labels, [arf_symplectic(q) for q in _structures(Refinement, form)])[1]
         )),
     ]
 
@@ -475,15 +471,13 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
     details = []
     for k in range(5, 9):
         form = identity_form(k)
-        structures = _structures(Enhancement, form)
-        orbits = orbit_partition(form, structures)
-        brown = _brown_lookup(structures)
-        if any(len({brown(e) for e in orbit}) != 1 for orbit in orbits):
+        labels = orbit_labels(form, Enhancement)
+        constant, exact = level_set_fit(labels, brown_gauss_many(_structures(Enhancement, form)))
+        if not constant:
             ok = False
             details.append(f"k={k} orbit with mixed invariant")
             break
-        exact = {frozenset(o) for o in orbits} == level_sets(structures, brown)
-        details.append(f"k={k}:{'exact' if exact else f'{len(orbits)} orbits (generators incomplete)'}")
+        details.append(f"k={k}:{'exact' if exact else f'{len(set(labels.tolist()))} orbits (generators incomplete)'}")
     out.append(_check(suite, "generated-orbits-invariant-constant (k<=8)", ok, " ".join(details)))
     return out
 
@@ -661,13 +655,6 @@ def _suite_pinplus_identity() -> list[CheckResult]:
     return [_first("pinplus-identity", "defining-identity-on-mod4-classes (sampled)", breaks())]
 
 
-def _orbit_index(surface, structures) -> dict:
-    """Orbit number of each structure under the brute-force isometry group."""
-    group = isometry_group(surface.form, "brute")
-    orbits = orbit_partition(surface.form, structures, generators=group)
-    return {s: i for i, orbit in enumerate(orbits) for s in orbit}
-
-
 def _suite_bordism() -> list[CheckResult]:
     suite = "bordism"
 
@@ -675,23 +662,23 @@ def _suite_bordism() -> list[CheckResult]:
         for k in range(1, 5):
             surface = nonorientable_surface(k)
             structures = _structures(Enhancement, surface.form)
-            orbit_of = _orbit_index(surface, structures)
+            labels = orbit_labels(surface.form, Enhancement, isometry_group(surface.form, "brute")).tolist()
             for a in structures:
                 for b in structures:
                     same_class = cobordant((surface, a), (surface, b))
                     if same_class != (bordism_class(surface, a) == bordism_class(surface, b)):
                         yield f"k={k}"
-                    if same_class != (orbit_of[a] == orbit_of[b]):
+                    if same_class != (labels[a.code] == labels[b.code]):
                         yield f"k={k} {a.values} vs {b.values}"
 
     def spin_breaks():
         for g in (1, 2):
             surface = orientable_surface(g)
             structures = _structures(Refinement, surface.form)
-            orbit_of = _orbit_index(surface, structures)
+            labels = orbit_labels(surface.form, Refinement, isometry_group(surface.form, "brute")).tolist()
             for a in structures:
                 for b in structures:
-                    if cobordant((surface, a), (surface, b)) != (orbit_of[a] == orbit_of[b]):
+                    if cobordant((surface, a), (surface, b)) != (labels[a.code] == labels[b.code]):
                         yield f"g={g} {a.values} vs {b.values}"
 
     return [

@@ -1,5 +1,6 @@
 """Isometries of the mod-2 pairing, group generation, and orbit partitions."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
@@ -10,6 +11,7 @@ from pinforms import (
     LimitError,
     Refinement,
     act,
+    arf_spectrum,
     arf_symplectic,
     banding_isometry,
     brown_gauss,
@@ -27,7 +29,8 @@ from pinforms import (
     orientable_surface,
     transvection,
 )
-from pinforms.orbits import isometry_group_order, mulclose, orbit_labels, orbit_summary
+from pinforms.enhancements import brown_spectrum
+from pinforms.orbits import isometry_group_order, level_set_fit, mulclose, orbit_labels, orbit_summary
 from pinforms.surfaces import is_alternating, standard_basis
 from strategies import congruent_form, congruent_forms
 
@@ -425,3 +428,35 @@ def test_orbit_labels_reject_other_pairings_and_large_dimensions():
         orbit_labels(identity_form(2), Enhancement, isometry_generators(identity_form(3)))
     with pytest.raises(LimitError):
         orbit_labels(identity_form(21), Enhancement, [])
+
+
+def test_level_set_fit_verdicts():
+    # the twist orbits on N:3 are its Brown level sets: codes 1, 2, 4 have Brown 1 and 3, 5, 6 have 7
+    form = identity_form(3)
+    labels = orbit_labels(form, Enhancement)
+    brown = brown_spectrum(form)
+    assert level_set_fit(labels, brown) == (True, True)
+    # swapping the invariants of codes 0 and 1 mixes the orbit {1, 2, 4}
+    assert level_set_fit(labels, brown[[1, 0, 2, 3, 4, 5, 6, 7]]) == (False, False)
+    # with no generators each orbit is one code, and codes 1 and 2 on N:2 share Brown 0
+    plane = identity_form(2)
+    assert level_set_fit(orbit_labels(plane, Enhancement, []), brown_spectrum(plane)) == (True, False)
+
+
+@pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
+def test_level_set_fit_matches_the_partition_of_structure_objects(surface):
+    # the per-object route: orbits of structure objects against level sets of structure objects
+    form = surface.form
+    gens = isometry_generators(form)
+    for kind in structure_kinds(form):
+        structures = kind.enumerate_all(form)
+        spectrum = arf_spectrum(form) if kind is Refinement else brown_spectrum(form)
+        for invariants in (spectrum, np.roll(spectrum, 1)):
+            level_sets = {}
+            for s in structures:
+                level_sets.setdefault(int(invariants[s.code]), set()).add(s)
+            for subset in (gens, gens[-1:], ()):
+                parts = orbit_partition(form, structures, generators=subset)
+                constant = all(len({int(invariants[s.code]) for s in orbit}) == 1 for orbit in parts)
+                exact = {frozenset(o) for o in parts} == {frozenset(v) for v in level_sets.values()}
+                assert level_set_fit(orbit_labels(form, kind, subset), invariants) == (constant, exact)

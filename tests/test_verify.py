@@ -373,3 +373,86 @@ def test_parity_fault_in_one_value_table_row_fails_with_that_structure(monkeypat
     assert parity == CheckResult(
         "enhancement-identity", "parity-rule-exhaustive (dim<=10)", FAIL, "N:7 values (3, 3, 1, 1, 3, 1, 3)"
     )
+
+
+def test_code_label_suites_build_no_structure_from_a_code(monkeypatch):
+    # each form's one enumeration and each spectrum's code-0 row build structures by design; they run
+    # uncounted, so what is counted is built by the suites: orbits of objects, one value row per structure
+    calls = Counter()
+    uncounted = []
+
+    def counted(name, func):
+        def call(*args):
+            if not uncounted:
+                calls[name] += 1
+            return func(*args)
+        return call
+
+    def quiet(func):
+        def call(*args):
+            uncounted.append(func)
+            try:
+                return func(*args)
+            finally:
+                uncounted.pop()
+        return call
+
+    monkeypatch.setattr(
+        QuadraticStructure, "from_code", classmethod(counted("from_code", QuadraticStructure.from_code.__func__))
+    )
+    monkeypatch.setattr(QuadraticStructure, "values_on_all", counted("values_on_all", QuadraticStructure.values_on_all))
+    for name in ("enumerate_all", "gauss_sums"):
+        monkeypatch.setattr(QuadraticStructure, name, classmethod(quiet(getattr(QuadraticStructure, name).__func__)))
+    results = run_suites(["orbit-level-sets", "bordism", "arf-consistency"])
+    assert [r.status for r in results] == [PASS] * 6
+    assert calls == Counter()
+
+
+def flip_brown(monkeypatch, form, code):
+    """Add 2 to the Brown invariant of the structure with ``code`` in every batch on ``form``."""
+    clean = verify.brown_gauss_many
+
+    def faulty(structures):
+        structures = list(structures)
+        invariants = clean(structures)
+        if structures[0].form == form:
+            for s, e in enumerate(structures):
+                if e.code == code:
+                    invariants[s] = (invariants[s] + 2) % 8
+        return invariants
+
+    monkeypatch.setattr(verify, "brown_gauss_many", faulty)
+
+
+def test_flipped_brown_invariant_fails_the_brute_level_sets_at_its_genus(monkeypatch):
+    flip_brown(monkeypatch, identity_form(3), 0b011)
+    brute, transvection, generated = run_suites(["orbit-level-sets"])
+    assert brute == CheckResult("orbit-level-sets", "brute-orbits-equal-brown-level-sets (k<=4)", FAIL, "k=3")
+    assert transvection.status == generated.status == PASS
+
+
+def test_flipped_brown_invariant_mixes_a_generated_orbit(monkeypatch):
+    flip_brown(monkeypatch, identity_form(6), 0b000011)
+    generated = run_suites(["orbit-level-sets"])[2]
+    assert generated == CheckResult(
+        "orbit-level-sets",
+        "generated-orbits-invariant-constant (k<=8)",
+        FAIL,
+        "k=5:exact k=6 orbit with mixed invariant",
+    )
+
+
+def test_flipped_arf_spectrum_code_fails_with_that_structure(monkeypatch):
+    form, code = hyperbolic_form(2), 0b0110
+    clean = verify.arf_spectrum
+
+    def faulty(f):
+        spectrum = clean(f)
+        if f == form:
+            spectrum[code] ^= 1
+        return spectrum
+
+    monkeypatch.setattr(verify, "arf_spectrum", faulty)
+    (result,) = run_suites(["arf-consistency"])
+    detail = f"g=2 values {Refinement.from_code(form, code).values}"
+    assert result == CheckResult("arf-consistency", "majority-equals-block-formula (g<=5)", FAIL, detail)
