@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .enhancements import Enhancement, brown_normal_form, brown_spectrum
-from .refinements import Census, Refinement, arf_normal_form
+from .refinements import Census, Refinement, arf_normal_form, spin_closed_form
 from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim
 
 FLAG_CONFIRMED = "CONFIRMED"
@@ -36,6 +36,7 @@ FLAG_CONJECTURE_FAILED = "CONJECTURE-FAILED"
 
 THEORY_SPIN = "spin"
 THEORY_PIN_MINUS = "pin-"
+THEORIES = (THEORY_SPIN, THEORY_PIN_MINUS)
 
 
 @lru_cache(maxsize=64)
@@ -90,14 +91,11 @@ class ClosedFormEntry:
     corrected_flag: str | None = None
 
 
-def _closed_form_counts(surface: Surface) -> dict[int, Fraction]:
-    two = Fraction(2)
+def _closed_form_counts(surface: Surface) -> dict[int, Fraction | int]:
     if surface.kind == "orientable":
-        g = surface.genus
-        return {
-            0: two ** (g - 1) * (two**g + 1),
-            4: two ** (g - 1) * (two**g - 1),
-        }
+        # an enhancement from a refinement has Brown invariant 4 * Arf
+        return {4 * arf: count for arf, count in spin_closed_form(surface.genus).items()}
+    two = Fraction(2)
     k = surface.genus
     if k % 2:
         plus = two ** (k - 2) + two ** ((k - 3) // 2)

@@ -21,6 +21,7 @@ from pathlib import Path
 from .census import (
     FLAG_CONFIRMED,
     FLAG_DISPUTED,
+    THEORIES,
     THEORY_PIN_MINUS,
     THEORY_SPIN,
     bordism_class,
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="count structures by invariant value")
     p_census.add_argument("-s", "--surface", required=True, help="surface spec, e.g. S:2 or N:3")
-    p_census.add_argument("-t", "--theory", choices=(THEORY_SPIN, THEORY_PIN_MINUS), required=True)
+    p_census.add_argument("-t", "--theory", choices=THEORIES, required=True)
     p_census.add_argument("--compare", action="store_true", help="add closed-form and recursion columns")
     add_common(p_census)
     p_census.set_defaults(handler=cmd_census)
@@ -307,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_inv.add_mutually_exclusive_group(required=True)
     group.add_argument("-q", "--refinement", help="comma-separated Z/2 basis values")
     group.add_argument("-e", "--enhancement", help="comma-separated Z/4 basis values")
-    p_inv.add_argument("-t", "--theory", choices=(THEORY_SPIN, THEORY_PIN_MINUS), default=None)
+    p_inv.add_argument("-t", "--theory", choices=THEORIES, default=None)
     add_common(p_inv)
     p_inv.set_defaults(handler=cmd_invariant)
 
     p_orb = sub.add_parser("orbits", help="isometry orbits of structures and invariant level sets")
     p_orb.add_argument("-s", "--surface", required=True)
-    p_orb.add_argument("-t", "--theory", choices=(THEORY_SPIN, THEORY_PIN_MINUS), required=True)
+    p_orb.add_argument("-t", "--theory", choices=THEORIES, required=True)
     add_common(p_orb)
     p_orb.set_defaults(handler=cmd_orbits)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -81,22 +81,26 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(suite: str, name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, PASS if ok else FAIL, detail)
+# A suite returns its rows as (check, status, detail); ``SUITES`` attaches the suite name.
+Row = tuple[str, str, str]
 
 
-def _first(suite: str, name: str, counterexamples) -> CheckResult:
+def _check(name: str, ok: bool, detail: str = "") -> Row:
+    return name, PASS if ok else FAIL, detail
+
+
+def _first(name: str, counterexamples) -> Row:
     """PASS if the lazy stream of counterexample details is empty, else FAIL with the first one.
 
     Nothing after the first counterexample is evaluated, so seeded samples are drawn only as far as used.
     """
     detail = next(iter(counterexamples), None)
-    return _check(suite, name, detail is None, detail or "")
+    return _check(name, detail is None, detail or "")
 
 
-def _standard_surfaces(max_dim: int, min_dim: int = 1, include_sphere: bool = False):
+def _standard_surfaces(max_dim: int, include_sphere: bool = False):
     surfaces = [orientable_surface(0)] if include_sphere else []
-    for d in range(min_dim, max_dim + 1):
+    for d in range(1, max_dim + 1):
         if d % 2 == 0:
             surfaces.append(orientable_surface(d // 2))
         surfaces.append(nonorientable_surface(d))
@@ -155,8 +159,7 @@ def _xor_table(vals: np.ndarray) -> np.ndarray:
     return table
 
 
-def _suite_forms_core() -> list[CheckResult]:
-    suite = "forms-core"
+def _suite_forms_core() -> list[Row]:
     rng = random.Random(0xF0123)
 
     def bilinearity_breaks():
@@ -176,13 +179,13 @@ def _suite_forms_core() -> list[CheckResult]:
                 yield f"classes out of order at {s.label}"
 
     return [
-        _first(suite, "standard-forms-symmetric-invertible", (
+        _first("standard-forms-symmetric-invertible", (
             f"asymmetric pairing at {s.label}"
             for s in _standard_surfaces(12)
             if any(s.form.entry(i, j) != s.form.entry(j, i) for i in range(s.form.dim) for j in range(s.form.dim))
         )),
-        _first(suite, "pairing-bilinear (sampled, dim<=12)", bilinearity_breaks()),
-        _first(suite, "class-enumeration-count-order (dim<=10)", enumeration_faults()),
+        _first("pairing-bilinear (sampled, dim<=12)", bilinearity_breaks()),
+        _first("class-enumeration-count-order (dim<=10)", enumeration_faults()),
     ]
 
 
@@ -227,36 +230,23 @@ def _identity_breaks(kind, cases):
                     break
 
 
-def _suite_refinement_identity() -> list[CheckResult]:
-    # refinements exist only on alternating pairings, so only orientable
-    # surfaces appear here
-    suite = "refinement-identity"
-    rng = random.Random(0xA5F1)
-    exhaustive = (
-        (s, _structures(Refinement, s.form))
-        for s in map(orientable_surface, range(1, FULL_IDENTITY_DIM // 2 + 1))
-    )
-    sampled = (
-        (s, _sampled_codes(Refinement, s.form, 8, rng))
-        for s in map(orientable_surface, range(FULL_IDENTITY_DIM // 2 + 1, 7))
-    )
+def _identity_rows(kind, surfaces, rng) -> list[Row]:
+    """The defining identity on all structures of ``kind`` to ``FULL_IDENTITY_DIM``, then on 8 seeded codes a surface."""
+    exhaustive = ((s, _structures(kind, s.form)) for s in surfaces if s.form.dim <= FULL_IDENTITY_DIM)
+    sampled = ((s, _sampled_codes(kind, s.form, 8, rng)) for s in surfaces if s.form.dim > FULL_IDENTITY_DIM)
+    max_dim = max(s.form.dim for s in surfaces)
     return [
-        _first(
-            suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(Refinement, exhaustive)
-        ),
-        _first(suite, "defining-identity-sampled (dim<=12)", _identity_breaks(Refinement, sampled)),
+        _first(f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(kind, exhaustive)),
+        _first(f"defining-identity-sampled (dim<={max_dim})", _identity_breaks(kind, sampled)),
     ]
 
 
-def _suite_enhancement_identity() -> list[CheckResult]:
-    suite = "enhancement-identity"
-    rng = random.Random(0xE41)
-    exhaustive = ((s, _structures(Enhancement, s.form)) for s in _standard_surfaces(FULL_IDENTITY_DIM))
-    sampled = (
-        (s, _sampled_codes(Enhancement, s.form, 8, rng))
-        for s in _standard_surfaces(10, min_dim=FULL_IDENTITY_DIM + 1)
-    )
+def _suite_refinement_identity() -> list[Row]:
+    # refinements exist only on alternating pairings, so only orientable surfaces appear here
+    return _identity_rows(Refinement, [orientable_surface(g) for g in range(1, 7)], random.Random(0xA5F1))
 
+
+def _suite_enhancement_identity() -> list[Row]:
     def parity_breaks():
         # every enhancement at every class, from one value table per surface, walked in enumeration order
         for s in _standard_surfaces(10):
@@ -270,17 +260,14 @@ def _suite_enhancement_identity() -> list[CheckResult]:
                     yield f"{s.label} values {e.values}"
 
     return [
-        _first(
-            suite, f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(Enhancement, exhaustive)
-        ),
-        _first(suite, "defining-identity-sampled (dim<=10)", _identity_breaks(Enhancement, sampled)),
-        _first(suite, "parity-rule-exhaustive (dim<=10)", parity_breaks()),
+        *_identity_rows(Enhancement, _standard_surfaces(10), random.Random(0xE41)),
+        _first("parity-rule-exhaustive (dim<=10)", parity_breaks()),
     ]
 
 
-def _suite_arf_consistency() -> list[CheckResult]:
+def _suite_arf_consistency() -> list[Row]:
     # the sign of each Gauss sum in ``arf_spectrum`` is the majority value
-    return [_first("arf-consistency", "majority-equals-block-formula (g<=5)", (
+    return [_first("majority-equals-block-formula (g<=5)", (
         f"g={g} values {q.values}"
         for g in range(1, 6)
         for form in [hyperbolic_form(g)]
@@ -289,7 +276,7 @@ def _suite_arf_consistency() -> list[CheckResult]:
     ))]
 
 
-def _suite_spin_census() -> list[CheckResult]:
+def _suite_spin_census() -> list[Row]:
     # spin_census (the Walsh-Hadamard kernel) itself raises if its counts and
     # the closed form disagree; the per-object tally is checked here
     def faults():
@@ -301,7 +288,7 @@ def _suite_spin_census() -> list[CheckResult]:
             if tally != spin_closed_form(g):
                 yield f"g={g} per-object tally {dict(tally)}"
 
-    return [_first("spin-census", "enumeration-equals-closed-form (g<=5)", faults())]
+    return [_first("enumeration-equals-closed-form (g<=5)", faults())]
 
 
 # The Gauss-sum checks below evaluate the structures of one pairing as one
@@ -315,9 +302,9 @@ def _histograms(form, structures) -> list[list[int]]:
     return value_histograms(form, [e.values for e in structures]).tolist()
 
 
-def _suite_brown_compass() -> list[CheckResult]:
+def _suite_brown_compass() -> list[Row]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
-    return [_first("brown-compass", "gauss-equals-normal-form (dim<=10)", (
+    return [_first("gauss-equals-normal-form (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
         for structures in [_structures(Enhancement, s.form)]
@@ -326,8 +313,8 @@ def _suite_brown_compass() -> list[CheckResult]:
     ))]
 
 
-def _suite_gauss_magnitude() -> list[CheckResult]:
-    return [_first("gauss-magnitude", "magnitude-squared-is-2**n (dim<=10)", (
+def _suite_gauss_magnitude() -> list[Row]:
+    return [_first("magnitude-squared-is-2**n (dim<=10)", (
         f"{s.label} values {e.values}"
         for s in _standard_surfaces(10, include_sphere=True)
         for structures in [_structures(Enhancement, s.form)]
@@ -336,7 +323,7 @@ def _suite_gauss_magnitude() -> list[CheckResult]:
     ))]
 
 
-def _suite_additivity() -> list[CheckResult]:
+def _suite_additivity() -> list[Row]:
     def breaks():
         surfaces = _standard_surfaces(7, include_sphere=True)
         batches = {}
@@ -358,11 +345,11 @@ def _suite_additivity() -> list[CheckResult]:
                     if total != (b1 + b2) % 8:
                         yield f"{s1.label}+{s2.label} {e1.values}|{e2.values}"
 
-    return [_first("additivity", "invariant-adds-over-block-sums (total dim<=8)", breaks())]
+    return [_first("invariant-adds-over-block-sums (total dim<=8)", breaks())]
 
 
-def _suite_doubling() -> list[CheckResult]:
-    return [_first("doubling", "doubled-refinement-invariant-is-4-arf (g<=4)", (
+def _suite_doubling() -> list[Row]:
+    return [_first("doubled-refinement-invariant-is-4-arf (g<=4)", (
         f"g={g} values {q.values}"
         for g in range(1, 5)
         for refinements in [_structures(Refinement, hyperbolic_form(g))]
@@ -371,7 +358,7 @@ def _suite_doubling() -> list[CheckResult]:
     ))]
 
 
-def _suite_capping() -> list[CheckResult]:
+def _suite_capping() -> list[Row]:
     plane_value = {1: 1, 3: 7}
 
     def breaks():
@@ -385,11 +372,10 @@ def _suite_capping() -> list[CheckResult]:
                 if totals[pos // k] != (rest + plane_value[removed]) % 8:
                     yield f"k={k} values {structures[pos // k].values} index {pos % k}"
 
-    return [_first("capping", "invariant-splits-off-one-summand (k<=8)", breaks())]
+    return [_first("invariant-splits-off-one-summand (k<=8)", breaks())]
 
 
-def _suite_action_invariance() -> list[CheckResult]:
-    suite = "action-invariance"
+def _suite_action_invariance() -> list[Row]:
     rng = random.Random(0xAC7)
 
     def pin_breaks():
@@ -421,13 +407,12 @@ def _suite_action_invariance() -> list[CheckResult]:
 
     # both checks draw from the one seeded generator, in this order
     return [
-        _first(suite, "histogram-and-invariant-preserved (sampled, dim<=6)", pin_breaks()),
-        _first(suite, "arf-preserved (sampled, g<=3)", spin_breaks()),
+        _first("histogram-and-invariant-preserved (sampled, dim<=6)", pin_breaks()),
+        _first("arf-preserved (sampled, g<=3)", spin_breaks()),
     ]
 
 
-def _suite_isometry_groups() -> list[CheckResult]:
-    suite = "isometry-groups"
+def _suite_isometry_groups() -> list[Row]:
     ok = True
     details = []
     for s in _standard_surfaces(4):
@@ -440,31 +425,32 @@ def _suite_isometry_groups() -> list[CheckResult]:
             break
     in_group = banding_isometry(4) in isometry_group(identity_form(4), "brute")
     return [
-        _check(suite, "generated-equals-brute (dim<=4)", ok, "orders " + " ".join(details)),
-        _check(suite, "banding-motion-in-brute-group (k=4)", in_group),
+        _check("generated-equals-brute (dim<=4)", ok, "orders " + " ".join(details)),
+        _check("banding-motion-in-brute-group (k=4)", in_group),
     ]
 
 
-def _suite_orbit_level_sets() -> list[CheckResult]:
+def _level_set_misfits(kind, cases):
+    """Labels of the (label, form, generators) cases whose orbits are not the level sets of Brown or Arf."""
+    for label, form, generators in cases:
+        labels = orbit_labels(form, kind, generators)
+        structures = _structures(kind, form)
+        invariants = brown_gauss_many(structures) if kind is Enhancement else [arf_symplectic(q) for q in structures]
+        if not level_set_fit(labels, invariants)[1]:
+            yield label
+
+
+def _suite_orbit_level_sets() -> list[Row]:
     # invariants in code order against ``orbit_labels``: ``level_set_fit`` is the test that ``orbits`` prints
-    suite = "orbit-level-sets"
     out = [
-        _first(suite, "brute-orbits-equal-brown-level-sets (k<=4)", (
-            f"k={k}"
-            for k in range(1, 5)
-            for form in [identity_form(k)]
-            for labels in [orbit_labels(form, Enhancement, isometry_group(form, "brute"))]
-            if not level_set_fit(labels, brown_gauss_many(_structures(Enhancement, form)))[1]
-        )),
+        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, (
+            (f"k={k}", form, isometry_group(form, "brute")) for k in range(1, 5) for form in [identity_form(k)]
+        ))),
         # transvections generate the whole symplectic group over GF(2),
         # so these orbits are full isometry-group orbits
-        _first(suite, "transvection-orbits-equal-arf-level-sets (g<=3)", (
-            f"g={g}"
-            for g in range(1, 4)
-            for form in [hyperbolic_form(g)]
-            for labels in [orbit_labels(form, Refinement)]
-            if not level_set_fit(labels, [arf_symplectic(q) for q in _structures(Refinement, form)])[1]
-        )),
+        _first("transvection-orbits-equal-arf-level-sets (g<=3)", _level_set_misfits(Refinement, (
+            (f"g={g}", hyperbolic_form(g), None) for g in range(1, 4)
+        ))),
     ]
 
     ok = True
@@ -478,13 +464,11 @@ def _suite_orbit_level_sets() -> list[CheckResult]:
             details.append(f"k={k} orbit with mixed invariant")
             break
         details.append(f"k={k}:{'exact' if exact else f'{len(set(labels.tolist()))} orbits (generators incomplete)'}")
-    out.append(_check(suite, "generated-orbits-invariant-constant (k<=8)", ok, " ".join(details)))
+    out.append(_check("generated-orbits-invariant-constant (k<=8)", ok, " ".join(details)))
     return out
 
 
-def _suite_banding() -> list[CheckResult]:
-    suite = "banding"
-
+def _suite_banding() -> list[Row]:
     def image_faults():
         for k in range(4, 9):
             iso = banding_isometry(k)
@@ -495,28 +479,25 @@ def _suite_banding() -> list[CheckResult]:
                 if iso(H1Class(k, 1 << i)).bits != 1 << i:
                     yield f"k={k} moved fixed summand {i}"
 
-    out = [_first(suite, "first-class-goes-to-three-fold-sum (4<=k<=8)", image_faults())]
-    e = _structures(Enhancement, identity_form(4))[0]
-    if e.values != (1, 1, 1, 1):
-        out.append(_check(suite, "constant-one-enhancement-first", False, str(e.values)))
-        return out
-    moved = act(banding_isometry(4), e)
-    out.append(
-        _check(suite, "value-3-reachable-from-all-ones (k=4)", moved.values[0] == 3, f"moved values {moved.values}")
-    )
-
+    moved = act(banding_isometry(4), Enhancement(identity_form(4), (1, 1, 1, 1)))
     rejected = False
     try:
         banding_isometry(3)
     except ValueError:
         rejected = True
-    out.append(_check(suite, "rejected-below-genus-4", rejected))
-    return out
+    return [
+        _first("first-class-goes-to-three-fold-sum (4<=k<=8)", image_faults()),
+        _check("value-3-reachable-from-all-ones (k=4)", moved.values[0] == 3, f"moved values {moved.values}"),
+        _check("rejected-below-genus-4", rejected),
+    ]
 
 
-def _suite_pin_census() -> list[CheckResult]:
-    suite = "pin-census"
+def _unconfirmed(cases):
+    """Labels of the (label, closed-form entries) cases with an entry that is not CONFIRMED."""
+    return (label for label, entries in cases if any(entry.flag != FLAG_CONFIRMED for entry in entries))
 
+
+def _suite_pin_census() -> list[Row]:
     def recursion_faults():
         for k in range(1, 13):
             recursion = pin_census_recursive(k)
@@ -533,21 +514,15 @@ def _suite_pin_census() -> list[CheckResult]:
         for k in range(2, 11, 2)
     }
     out = [
-        _first(suite, "recursion-equals-enumeration (k<=12)", recursion_faults()),
-        _first(suite, "odd-genus-closed-form-confirmed (k<=11)", (
-            f"k={k}"
-            for k in range(1, 12, 2)
-            if any(entry.flag != FLAG_CONFIRMED for entry in pin_census_closed_form(nonorientable_surface(k)))
+        _first("recursion-equals-enumeration (k<=12)", recursion_faults()),
+        _first("odd-genus-closed-form-confirmed (k<=11)", _unconfirmed(
+            (f"k={k}", pin_census_closed_form(nonorientable_surface(k))) for k in range(1, 12, 2)
         )),
-        _first(suite, "orientable-closed-form-confirmed (g<=5)", (
-            f"g={g}"
-            for g in range(1, 6)
-            if any(entry.flag != FLAG_CONFIRMED for entry in pin_census_closed_form(orientable_surface(g)))
+        _first("orientable-closed-form-confirmed (g<=5)", _unconfirmed(
+            (f"g={g}", pin_census_closed_form(orientable_surface(g))) for g in range(1, 6)
         )),
-        _first(suite, "even-genus-closed-form-confirmed-at-2-4-6 (k<=10)", (
-            f"k={k} side entries"
-            for k, entries in even_genus.items()
-            if any(entries[i].flag != FLAG_CONFIRMED for i in (2, 4, 6))
+        _first("even-genus-closed-form-confirmed-at-2-4-6 (k<=10)", _unconfirmed(
+            (f"k={k} side entries", [entries[i] for i in (2, 4, 6)]) for k, entries in even_genus.items()
         )),
     ]
 
@@ -571,9 +546,9 @@ def _suite_pin_census() -> list[CheckResult]:
         "invariants vanishing"
     )
     out += [
-        CheckResult(suite, "even-genus-invariant-0", DISPUTED if corrected_ok else FAIL, "; ".join(mismatches)),
-        _check(suite, "even-genus-invariant-0-corrected-form (k<=10)", corrected_ok, corrected),
-        CheckResult(suite, "even-genus-vanishing-wording", DISPUTED, wording),
+        ("even-genus-invariant-0", DISPUTED if corrected_ok else FAIL, "; ".join(mismatches)),
+        _check("even-genus-invariant-0-corrected-form (k<=10)", corrected_ok, corrected),
+        ("even-genus-vanishing-wording", DISPUTED, wording),
     ]
 
     def census_faults():
@@ -586,7 +561,7 @@ def _suite_pin_census() -> list[CheckResult]:
             if sum(census.values()) != 1 << (2 * g) or any(i % 2 for i in census):
                 yield f"g={g} census {census}"
 
-    out.append(_first(suite, "totals-and-support-parity (k<=12, g<=5)", census_faults()))
+    out.append(_first("totals-and-support-parity (k<=12, g<=5)", census_faults()))
     return out
 
 
@@ -598,18 +573,17 @@ def _pinplus_by_candidate(surface) -> list[PinPlusForm]:
     return [q for q in candidates if is_well_defined(q).ok]
 
 
-def _pinplus_faults(label: str, surface, expected: int):
-    """Count and element-for-element faults of ``enumerate_pinplus`` on one surface."""
-    found = enumerate_pinplus(surface)
-    if len(found) != expected:
-        yield f"{label} count {len(found)}"
-    if found != _pinplus_by_candidate(surface):
-        yield f"{label} differs from the per-candidate filter"
+def _pinplus_faults(cases):
+    """Count (2**n in dimension n) and element-for-element faults of ``enumerate_pinplus``, per (label, surface)."""
+    for label, surface in cases:
+        found = enumerate_pinplus(surface)
+        if len(found) != 1 << surface.form.dim:
+            yield f"{label} count {len(found)}"
+        if found != _pinplus_by_candidate(surface):
+            yield f"{label} differs from the per-candidate filter"
 
 
-def _suite_pinplus_existence() -> list[CheckResult]:
-    suite = "pinplus-existence"
-
+def _suite_pinplus_existence() -> list[Row]:
     def odd_genus_faults():
         for k in range(1, 8, 2):
             surface = nonorientable_surface(k)
@@ -620,21 +594,15 @@ def _suite_pinplus_existence() -> list[CheckResult]:
                 yield f"k={k} missing relation witness"
 
     return [
-        _first(suite, "odd-genus-has-none (k<=7)", odd_genus_faults()),
-        _first(suite, "even-genus-has-2**k (k<=8)", (
-            fault
-            for k in range(2, 9, 2)
-            for fault in _pinplus_faults(f"k={k}", nonorientable_surface(k), 1 << k)
+        _first("odd-genus-has-none (k<=7)", odd_genus_faults()),
+        _first("even-genus-has-2**k (k<=8)", _pinplus_faults(
+            (f"k={k}", nonorientable_surface(k)) for k in range(2, 9, 2)
         )),
-        _first(suite, "orientable-has-2**2g (g<=4)", (
-            fault
-            for g in range(0, 5)
-            for fault in _pinplus_faults(f"g={g}", orientable_surface(g), 1 << (2 * g))
-        )),
+        _first("orientable-has-2**2g (g<=4)", _pinplus_faults((f"g={g}", orientable_surface(g)) for g in range(0, 5))),
     ]
 
 
-def _suite_pinplus_identity() -> list[CheckResult]:
+def _suite_pinplus_identity() -> list[Row]:
     rng = random.Random(0x9147)
 
     def breaks():
@@ -652,60 +620,61 @@ def _suite_pinplus_identity() -> list[CheckResult]:
                     if q(total) != q(x) ^ q(y) ^ model.form.pairing_bits(xbits, ybits):
                         yield f"{surface.label} x={x} y={y}"
 
-    return [_first("pinplus-identity", "defining-identity-on-mod4-classes (sampled)", breaks())]
+    return [_first("defining-identity-on-mod4-classes (sampled)", breaks())]
 
 
-def _suite_bordism() -> list[CheckResult]:
-    suite = "bordism"
+def _bordism_breaks(kind, cases):
+    """Pairs of structures of ``kind`` where cobordism, equal invariants and one brute-force orbit disagree."""
+    for label, surface in cases:
+        structures = _structures(kind, surface.form)
+        labels = orbit_labels(surface.form, kind, isometry_group(surface.form, "brute")).tolist()
+        for a in structures:
+            for b in structures:
+                same_class = cobordant((surface, a), (surface, b))
+                if same_class != (bordism_class(surface, a) == bordism_class(surface, b)):
+                    yield label
+                if same_class != (labels[a.code] == labels[b.code]):
+                    yield f"{label} {a.values} vs {b.values}"
 
-    def pin_breaks():
-        for k in range(1, 5):
-            surface = nonorientable_surface(k)
-            structures = _structures(Enhancement, surface.form)
-            labels = orbit_labels(surface.form, Enhancement, isometry_group(surface.form, "brute")).tolist()
-            for a in structures:
-                for b in structures:
-                    same_class = cobordant((surface, a), (surface, b))
-                    if same_class != (bordism_class(surface, a) == bordism_class(surface, b)):
-                        yield f"k={k}"
-                    if same_class != (labels[a.code] == labels[b.code]):
-                        yield f"k={k} {a.values} vs {b.values}"
 
-    def spin_breaks():
-        for g in (1, 2):
-            surface = orientable_surface(g)
-            structures = _structures(Refinement, surface.form)
-            labels = orbit_labels(surface.form, Refinement, isometry_group(surface.form, "brute")).tolist()
-            for a in structures:
-                for b in structures:
-                    if cobordant((surface, a), (surface, b)) != (labels[a.code] == labels[b.code]):
-                        yield f"g={g} {a.values} vs {b.values}"
-
+def _suite_bordism() -> list[Row]:
     return [
-        _first(suite, "cobordant-iff-equal-invariant-iff-same-orbit (N, dim<=4)", pin_breaks()),
-        _first(suite, "cobordant-iff-same-orbit (S, dim<=4)", spin_breaks()),
+        _first("cobordant-iff-equal-invariant-iff-same-orbit (N, dim<=4)", _bordism_breaks(
+            Enhancement, ((f"k={k}", nonorientable_surface(k)) for k in range(1, 5))
+        )),
+        _first("cobordant-iff-same-orbit (S, dim<=4)", _bordism_breaks(
+            Refinement, ((f"g={g}", orientable_surface(g)) for g in (1, 2))
+        )),
     ]
 
 
+def _named_rows(name: str, rows) -> list[CheckResult]:
+    return [CheckResult(name, *row) for row in rows()]
+
+
+# Each suite under its name: a zero-argument callable returning its rows as ``CheckResult``s.
 SUITES = {
-    "forms-core": _suite_forms_core,
-    "refinement-identity": _suite_refinement_identity,
-    "enhancement-identity": _suite_enhancement_identity,
-    "arf-consistency": _suite_arf_consistency,
-    "spin-census": _suite_spin_census,
-    "brown-compass": _suite_brown_compass,
-    "gauss-magnitude": _suite_gauss_magnitude,
-    "additivity": _suite_additivity,
-    "doubling": _suite_doubling,
-    "capping": _suite_capping,
-    "action-invariance": _suite_action_invariance,
-    "isometry-groups": _suite_isometry_groups,
-    "orbit-level-sets": _suite_orbit_level_sets,
-    "banding": _suite_banding,
-    "pin-census": _suite_pin_census,
-    "pinplus-existence": _suite_pinplus_existence,
-    "pinplus-identity": _suite_pinplus_identity,
-    "bordism": _suite_bordism,
+    name: partial(_named_rows, name, rows)
+    for name, rows in {
+        "forms-core": _suite_forms_core,
+        "refinement-identity": _suite_refinement_identity,
+        "enhancement-identity": _suite_enhancement_identity,
+        "arf-consistency": _suite_arf_consistency,
+        "spin-census": _suite_spin_census,
+        "brown-compass": _suite_brown_compass,
+        "gauss-magnitude": _suite_gauss_magnitude,
+        "additivity": _suite_additivity,
+        "doubling": _suite_doubling,
+        "capping": _suite_capping,
+        "action-invariance": _suite_action_invariance,
+        "isometry-groups": _suite_isometry_groups,
+        "orbit-level-sets": _suite_orbit_level_sets,
+        "banding": _suite_banding,
+        "pin-census": _suite_pin_census,
+        "pinplus-existence": _suite_pinplus_existence,
+        "pinplus-identity": _suite_pinplus_identity,
+        "bordism": _suite_bordism,
+    }.items()
 }
 
 

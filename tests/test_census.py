@@ -149,6 +149,14 @@ def test_reference_census_orientable_beyond_enumeration_is_independent(monkeypat
         assert census._block_sum_census({0: 3, 4: 1}, g) == pin_census_enumerated(orientable_surface(g))
 
 
+def test_orientable_closed_form_column_reads_the_spin_closed_form(capsys, monkeypatch):
+    # one source for 2^(g-1)(2^g +/- 1): the pin- entry at Brown 4 * Arf is the spin count at Arf
+    monkeypatch.setattr(census, "spin_closed_form", lambda g: {0: 7, 1: 9})
+    assert main(["census", "-s", "S:2", "-t", "pin-", "--compare", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(row[0], row[2], row[3]) for row in rows] == [(0, 7, FLAG_DISPUTED), (4, 9, FLAG_DISPUTED)]
+
+
 def test_closed_form_orientable_confirmed():
     for g in (1, 2, 3):
         entries = pin_census_closed_form(orientable_surface(g))

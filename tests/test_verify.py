@@ -87,6 +87,31 @@ def test_a_string_names_one_suite(monkeypatch):
         run_suites("no-such-suite")
 
 
+def pinned_rows(suite):
+    return [row for row in json.loads(PINNED.read_text(encoding="utf-8"))["rows"] if row[0] == suite]
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_each_suite_run_alone_gives_its_pinned_rows(name):
+    # each suite seeds its own samples and reads no state an earlier suite left
+    expected = pinned_rows(name)
+    assert expected
+    assert [[r.suite, r.name, r.status, r.detail] for r in run_suites(name)] == expected
+
+
+def test_banding_rows_do_not_depend_on_the_enumeration_order(monkeypatch):
+    enumerate_all = QuadraticStructure.enumerate_all.__func__
+
+    def reversed_on_n4(kind, form):
+        structures = list(enumerate_all(kind, form))
+        return structures[::-1] if form == identity_form(4) else structures
+
+    monkeypatch.setattr(QuadraticStructure, "enumerate_all", classmethod(reversed_on_n4))
+    expected = pinned_rows("banding")
+    assert len(expected) == 3 and {row[2] for row in expected} == {PASS}
+    assert [[r.suite, r.name, r.status, r.detail] for r in run_suites("banding")] == expected
+
+
 def test_single_suite_runs_clean():
     results = run_suites(["forms-core"])
     assert results
