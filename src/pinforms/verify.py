@@ -231,7 +231,7 @@ def _identity_breaks(kind, cases):
 
 
 def _identity_rows(kind, surfaces, rng) -> list[Row]:
-    """The defining identity on all structures of ``kind`` to ``FULL_IDENTITY_DIM``, then on 8 seeded codes a surface."""
+    """The defining identity on all structures of ``kind`` to ``FULL_IDENTITY_DIM``, then 8 seeded codes per surface."""
     exhaustive = ((s, _structures(kind, s.form)) for s in surfaces if s.form.dim <= FULL_IDENTITY_DIM)
     sampled = ((s, _sampled_codes(kind, s.form, 8, rng)) for s in surfaces if s.form.dim > FULL_IDENTITY_DIM)
     max_dim = max(s.form.dim for s in surfaces)
