@@ -15,6 +15,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import gf2
 from .census import (
     FLAG_CONFIRMED,
     FLAG_CONJECTURED_CONFIRMED,
@@ -55,6 +56,7 @@ from .refinements import (
 )
 from .surfaces import (
     H1Class,
+    _parity_vector,
     enumerate_classes,
     hyperbolic_form,
     identity_form,
@@ -68,8 +70,8 @@ FAIL = "FAIL"
 DISPUTED = "DISPUTED"
 
 # Exhaustive pair checks of the defining identities run up to this dimension;
-# beyond it (up to the stated suite maxima) a seeded sample of structures is
-# checked against the full pair table instead.
+# beyond it (up to the stated suite maxima) every pair is checked on a seeded
+# sample of structures instead.
 FULL_IDENTITY_DIM = 6
 
 
@@ -93,6 +95,8 @@ def _first(name: str, counterexamples) -> Row:
     """PASS if the lazy stream of counterexample details is empty, else FAIL with the first one.
 
     Nothing after the first counterexample is evaluated, so seeded samples are drawn only as far as used.
+    A stream that evaluates a batch at once (the identity checks take a surface's structures together)
+    evaluates the whole batch holding the first counterexample, and no batch after it.
     """
     detail = next(iter(counterexamples), None)
     return _check(name, detail is None, detail or "")
@@ -116,47 +120,6 @@ def _structures(kind, form) -> tuple:
     """
     enumerate_all = enumerate_enhancements if kind is Enhancement else enumerate_refinements
     return tuple(enumerate_all(form))
-
-
-def _parity_vector(mask: int, n: int) -> np.ndarray:
-    """Parity of mask & y for every y < 2**n, built by doubling over the bits of y."""
-    out = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(n):
-        block = 1 << j
-        np.bitwise_xor(out[:block], (mask >> j) & 1, out=out[block : 2 * block])
-    return out
-
-
-def _pair_table(form) -> np.ndarray:
-    """x.y for every pair of classes, as a (2**n, 2**n) uint8 table built by doubling over the rows.
-
-    A class x = 2**i + x' with x' < 2**i has x.y = x'.y plus the parity of
-    rows[i] & y, so the block of rows [2**i, 2**(i+1)) is the block below it
-    xor that parity vector.
-    """
-    n = form.dim
-    table = np.zeros((1 << n, 1 << n), dtype=np.uint8)
-    for i, row in enumerate(form.rows):
-        block = 1 << i
-        np.bitwise_xor(table[:block], _parity_vector(row, n), out=table[block : 2 * block])
-    return table
-
-
-def _xor_table(vals: np.ndarray) -> np.ndarray:
-    """vals[x ^ y] for every pair x, y < len(vals), built by doubling without a gather.
-
-    For x < 2**i, row x + 2**i is row x with y replaced by y ^ 2**i: its
-    2**i-blocks swapped pairwise, which is a reversed axis of a reshape.
-    """
-    size = vals.size
-    table = np.empty((size, size), dtype=vals.dtype)
-    table[0] = vals
-    block = 1
-    while block < size:
-        shape = (block, size // (2 * block), 2, block)
-        table[block : 2 * block].reshape(shape)[...] = table[:block].reshape(shape)[:, :, ::-1]
-        block *= 2
-    return table
 
 
 def _suite_forms_core() -> list[Row]:
@@ -203,31 +166,115 @@ def _sampled_codes(kind, form, count, rng):
     return [kind.from_code(form, code) for code in _sample_indices(1 << form.dim, count, rng)]
 
 
-# Rows of the pair tables compared at once: 64 rows of 2**12 bytes stay in cache.
+# The structures of one surface are checked at once, one bit of a lane word
+# each: a batch of up to 8, 16, 32 or 64 structures takes the smallest
+# unsigned type with that many bits.  The 2**FULL_IDENTITY_DIM = 64
+# exhaustive structures fill a uint64; a sample has 8.
+_LANE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+# Rows of the pair tables compared at once: 64 rows of 2**12 words stay in cache.
 _CHUNK_ROWS = 64
+
+
+def _lane_planes(table: np.ndarray, planes: int) -> list[np.ndarray]:
+    """Bit planes of an (S, 2**n) value table, S <= 64: bit s of plane p at class x is bit p of table[s, x]."""
+    dtype = next(t for t in _LANE_TYPES if np.iinfo(t).bits >= len(table))
+    lanes = np.arange(len(table), dtype=dtype)[:, None]
+    return [np.bitwise_or.reduce(((table >> p) & 1).astype(dtype) << lanes, axis=0) for p in range(planes)]
+
+
+def _xor_rows(vals: np.ndarray, count: int) -> np.ndarray:
+    """vals[x ^ y] for x < count (a power of two) and every y < len(vals), built by doubling without a gather.
+
+    For x < 2**i, row x + 2**i is row x with y replaced by y ^ 2**i: its
+    2**i-blocks swapped pairwise, which is a reversed axis of a reshape.
+    """
+    size = vals.size
+    table = np.empty((count, size), dtype=vals.dtype)
+    table[0] = vals
+    block = 1
+    while block < count:
+        shape = (block, size // (2 * block), 2, block)
+        table[block : 2 * block].reshape(shape)[...] = table[:block].reshape(shape)[:, :, ::-1]
+        block *= 2
+    return table
+
+
+def _pair_head(form, count: int) -> np.ndarray:
+    """x.y for x < count (a power of two) and every y, as a (count, 2**n) uint8 table built by doubling over the rows.
+
+    A class x = 2**i + x' with x' < 2**i has x.y = x'.y plus the parity of
+    rows[i] & y, so the block of rows [2**i, 2**(i+1)) is the block below it
+    xor that parity vector.
+    """
+    n = form.dim
+    table = np.zeros((count, 1 << n), dtype=np.uint8)
+    for i in range(count.bit_length() - 1):
+        block = 1 << i
+        np.bitwise_xor(table[:block], _parity_vector(form.rows[i], n), out=table[block : 2 * block])
+    return table
+
+
+def _pair_rows(form, head: np.ndarray, lo: int) -> np.ndarray:
+    """x.y for the rows x = lo + r, r < len(head), with lo a multiple of len(head), from ``head = _pair_head``.
+
+    Then x = lo ^ r, so x.y = r.y + lo.y, and lo.y is the parity of (F lo) & y.
+    """
+    return head ^ _parity_vector(gf2.mat_vec(form.rows, lo), form.dim)
+
+
+def _broken_lanes(kind, form, table: np.ndarray) -> int:
+    """Bit s set for each row s of an (S, 2**n) value table of ``kind``, S <= 64, that breaks the defining identity.
+
+    The rows are packed into lane words by ``_lane_planes``, low plane L and,
+    for m = 4, high plane H, and every pair x, y is compared as word logic on
+    all rows at once.  m = 2: L[x^y] = L[x] ^ L[y] ^ x.y.  m = 4: the low bits
+    add without carry, L[x^y] = L[x] ^ L[y], and the high bits take the carry
+    L[x] & L[y] and 2 x.y, H[x^y] = H[x] ^ H[y] ^ (L[x] & L[y]) ^ x.y, with
+    x.y spread over all lanes.  A value outside Z/m breaks its row too.
+
+    Rows x = lo + r are compared a chunk of r < C at a time, lo a multiple of
+    C, so no (2**n, 2**n) table is built.  The left side is the first C rows
+    of the xor table of the plane read at lo ^ y; as y ^ lo moves whole
+    blocks of C columns, they are the blocks of the plane's own first C xor
+    rows (``_xor_rows``, built once) taken in the order lo ^ y.  The pairs
+    are ``_pair_rows``.
+    """
+    size = table.shape[1]
+    count = min(_CHUNK_ROWS, size)
+    planes = _lane_planes(table, kind.modulus.bit_length() - 1)
+    low = planes[0]
+    all_lanes = low.dtype.type((1 << len(table)) - 1)
+    xors = [_xor_rows(plane, count).reshape(count, size // count, count) for plane in planes]
+    head = _pair_head(form, count)
+    blocks = np.arange(size // count)
+    broken = sum(1 << s for s in np.flatnonzero((table >= kind.modulus).any(axis=1)).tolist())
+    for lo in range(0, size, count):
+        rows = slice(lo, lo + count)
+        misses = [np.take(xor, blocks ^ (lo // count), axis=1).reshape(count, size) for xor in xors]
+        # left side xor right side, plane by plane: the (m/2) x.y term and the carry land on the top plane
+        for miss, plane in zip(misses, planes):
+            miss ^= plane[rows, None]
+            miss ^= plane
+        misses[-1] ^= _pair_rows(form, head, lo) * all_lanes
+        if len(planes) > 1:
+            misses[1] ^= low[rows, None] & low
+        for miss in misses:
+            broken |= int(np.bitwise_or.reduce(miss, axis=None))
+    return broken
 
 
 def _identity_breaks(kind, cases):
     """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, structures of kind) cases.
 
-    Every pair x, y is compared: the left side is ``_xor_table`` of the
-    values and the right side is built a chunk of rows at a time; the first
-    bad chunk ends the structure's comparison.
+    A surface's structures (at most 64) are one ``value_table`` and one
+    ``_broken_lanes`` call, which compares every pair x, y of each.  The
+    broken ones are yielded in batch order, so the first detail is the first
+    broken structure of the first surface batch that has one.
     """
-    mask = kind.modulus - 1
     for surface, structures in cases:
-        half_pairs = kind.modulus // 2 * _pair_table(surface.form)
-        for s in structures:
-            vals = s.values_on_all().astype(np.uint8)
-            lhs = _xor_table(vals)
-            for lo in range(0, vals.size, _CHUNK_ROWS):
-                rows = slice(lo, lo + _CHUNK_ROWS)
-                rhs = np.add(vals[rows, None], vals)
-                rhs += half_pairs[rows]
-                rhs &= mask
-                if not np.array_equal(lhs[rows], rhs):
-                    yield f"{surface.label} values {s.values}"
-                    break
+        broken = _broken_lanes(kind, surface.form, kind.value_table(surface.form, [s.values for s in structures]))
+        yield from (f"{surface.label} values {s.values}" for lane, s in enumerate(structures) if broken >> lane & 1)
 
 
 def _identity_rows(kind, surfaces, rng) -> list[Row]:
@@ -624,14 +671,18 @@ def _suite_pinplus_identity() -> list[Row]:
 
 
 def _bordism_breaks(kind, cases):
-    """Pairs of structures of ``kind`` where cobordism, equal invariants and one brute-force orbit disagree."""
+    """Pairs of structures of ``kind`` where cobordism, equal invariants and one brute-force orbit disagree.
+
+    Each structure's ``bordism_class`` is read once per surface, by code; ``cobordant`` runs on every pair.
+    """
     for label, surface in cases:
         structures = _structures(kind, surface.form)
+        classes = {s.code: bordism_class(surface, s) for s in structures}
         labels = orbit_labels(surface.form, kind, isometry_group(surface.form, "brute")).tolist()
         for a in structures:
             for b in structures:
                 same_class = cobordant((surface, a), (surface, b))
-                if same_class != (bordism_class(surface, a) == bordism_class(surface, b)):
+                if same_class != (classes[a.code] == classes[b.code]):
                     yield label
                 if same_class != (labels[a.code] == labels[b.code]):
                     yield f"{label} {a.values} vs {b.values}"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from pinforms import (
     InvariantViolation,
     QuadraticStructure,
     Refinement,
+    census,
     enhancements,
     gf2,
     hyperbolic_form,
@@ -21,6 +23,7 @@ from pinforms import (
     verify,
 )
 from pinforms.cli import OutputRecord, main
+from pinforms.surfaces import _parity_vector
 from pinforms.verify import DISPUTED, FAIL, PASS, SUITES, CheckResult, run_suites, summarize
 from strategies import congruent_form, congruent_forms
 
@@ -180,7 +183,105 @@ def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatc
     assert seen.count(seen[-1]) == 1
 
 
-# the oracle kernels against their naive definitions
+# the lane kernel of the identity suites against the per-structure route it replaced
+
+
+def pair_table(form):
+    """x.y for every pair of classes, as a (2**n, 2**n) uint8 table built by doubling over the rows."""
+    n = form.dim
+    table = np.zeros((1 << n, 1 << n), dtype=np.uint8)
+    for i, row in enumerate(form.rows):
+        block = 1 << i
+        np.bitwise_xor(table[:block], _parity_vector(row, n), out=table[block : 2 * block])
+    return table
+
+
+def xor_table(vals):
+    """vals[x ^ y] for every pair x, y < len(vals), built by doubling without a gather."""
+    size = vals.size
+    table = np.empty((size, size), dtype=vals.dtype)
+    table[0] = vals
+    block = 1
+    while block < size:
+        shape = (block, size // (2 * block), 2, block)
+        table[block : 2 * block].reshape(shape)[...] = table[:block].reshape(shape)[:, :, ::-1]
+        block *= 2
+    return table
+
+
+def oracle_broken_rows(kind, form, table):
+    """Rows of a value table that break the defining identity, one structure at a time, in uint8.
+
+    Every pair x, y: the left side is the full table of vals[x ^ y], the right
+    side vals[x] + vals[y] + (m/2) x.y mod m, compared 64 rows at a time.
+    """
+    mask = kind.modulus - 1
+    half_pairs = kind.modulus // 2 * pair_table(form)
+    for s, vals in enumerate(table):
+        lhs = xor_table(vals)
+        for lo in range(0, vals.size, 64):
+            rows = slice(lo, lo + 64)
+            rhs = np.add(vals[rows, None], vals)
+            rhs += half_pairs[rows]
+            rhs &= mask
+            if not np.array_equal(lhs[rows], rhs):
+                yield s
+                break
+
+
+def lanes_of(mask):
+    return [lane for lane in range(mask.bit_length()) if mask >> lane & 1]
+
+
+KERNEL_BATCHES = {
+    "N:6-exhaustive": (Enhancement, identity_form(6), None),
+    "S:3-exhaustive": (Refinement, hyperbolic_form(3), None),
+    "S:6-sampled": (Refinement, hyperbolic_form(6), 8),
+    "N:12-sampled": (Enhancement, identity_form(12), 8),
+}
+
+# (lane, class, xor) faults for a batch of ``lanes`` structures on ``size`` classes
+KERNEL_FAULTS = {
+    "clean": lambda lanes, size: [],
+    "first-lane": lambda lanes, size: [(0, 5, 1)],
+    "middle-lane": lambda lanes, size: [(lanes // 2, size // 2 + 3, 1)],
+    "last-lane": lambda lanes, size: [(lanes - 1, 1, 1)],
+    # an enhancement value moved by 2; a refinement value leaves Z/2
+    "high-plane-only": lambda lanes, size: [(lanes // 2, size - 7, 2)],
+    "last-row-chunk": lambda lanes, size: [(lanes - 2, size - 1, 1)],
+    "two-lanes": lambda lanes, size: [(lanes - 1, 2, 1), (1, size - 2, 2)],
+}
+
+
+@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
+@pytest.mark.parametrize("batch", list(KERNEL_BATCHES))
+def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, fault):
+    kind, form, count = KERNEL_BATCHES[batch]
+    if count is None:
+        structures = kind.enumerate_all(form)
+    else:
+        structures = verify._sampled_codes(kind, form, count, random.Random(7))
+    table = kind.value_table(form, [s.values for s in structures])
+    assert len(table) == (64 if count is None else 8)
+    for lane, x, flip in KERNEL_FAULTS[fault](*table.shape):
+        table[lane, x] ^= flip
+    broken = verify._broken_lanes(kind, form, table)
+    expected = list(oracle_broken_rows(kind, form, table))
+    assert lanes_of(broken) == expected
+    assert bool(expected) == (fault != "clean")
+    # the first broken structure of the batch, the one whose detail the check reports
+    if expected:
+        assert (broken & -broken).bit_length() - 1 == expected[0]
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 8, 9, 16, 17, 32, 33, 64])
+def test_lane_planes_pack_one_bit_per_structure_in_the_smallest_word(lanes):
+    table = np.random.default_rng(lanes).integers(0, 4, (lanes, 32), dtype=np.uint8)
+    planes = verify._lane_planes(table, 2)
+    assert planes[0].dtype.itemsize * 8 == next(bits for bits in (8, 16, 32, 64) if bits >= lanes)
+    for p, plane in enumerate(planes):
+        for s in range(lanes):
+            assert np.array_equal((plane >> s) & 1, (table[s] >> p) & 1)
 
 
 def naive_pair_table(form):
@@ -195,10 +296,20 @@ def naive_xor_table(vals):
 
 
 def assert_kernels_match(form):
-    assert np.array_equal(verify._pair_table(form), naive_pair_table(form))
-    noise = np.random.default_rng(form.dim).integers(0, 256, 1 << form.dim, dtype=np.uint8)
-    for vals in (noise, Enhancement.from_code(form, 0).values_on_all().astype(np.uint8)):
-        assert np.array_equal(verify._xor_table(vals), naive_xor_table(vals))
+    size = 1 << form.dim
+    pairs = naive_pair_table(form)
+    assert np.array_equal(pair_table(form), pairs)
+    noise = np.random.default_rng(form.dim).integers(0, 256, size, dtype=np.uint8)
+    values = [(vals, naive_xor_table(vals)) for vals in (noise, Enhancement.from_code(form, 0).values_on_all())]
+    for vals, xors in values:
+        assert np.array_equal(xor_table(vals), xors)
+    # the kernel's row chunks (one below dimension 7, several above), then all rows at once
+    for count in (min(verify._CHUNK_ROWS, size), size):
+        head = verify._pair_head(form, count)
+        for lo in range(0, size, count):
+            assert np.array_equal(verify._pair_rows(form, head, lo), pairs[lo : lo + count])
+        for vals, xors in values:
+            assert np.array_equal(verify._xor_rows(vals, count), xors[:count])
 
 
 @pytest.mark.parametrize(
@@ -229,40 +340,90 @@ def test_sampled_codes_pick_what_sampling_the_enumeration_picked(kind, form):
 SAMPLED_REFINEMENT_CHECK = "defining-identity-sampled (dim<=12)"
 
 
+def spy_refinement_batches(monkeypatch, flip=None):
+    """Record the (dim, basis values) of every refinement batch evaluated, in order.
+
+    ``flip = (dim, lane, x)`` flips the value at class x of structure ``lane`` in each batch on a dim-``dim`` pairing.
+    """
+    value_table = QuadraticStructure.value_table.__func__
+    batches = []
+
+    def faulty(kind, form, values):
+        table = value_table(kind, form, values)
+        batches.append((form.dim, [tuple(row) for row in np.asarray(values).tolist()]))
+        if flip and form.dim == flip[0]:
+            table[flip[1:]] ^= 1
+        return table
+
+    monkeypatch.setattr(Refinement, "value_table", classmethod(faulty))
+    return batches
+
+
 def test_flipped_value_fails_the_sampled_refinement_check(monkeypatch):
-    values_on_all = Refinement.values_on_all
-    seen = []
-
-    def faulty(q):
-        vals = values_on_all(q)
-        if q.form.dim == 12:
-            seen.append(q)
-            if len(seen) == 3:
-                vals = vals.copy()
-                vals[-1] ^= 1  # a class in the last row chunk
-        return vals
-
-    monkeypatch.setattr(Refinement, "values_on_all", faulty)
+    batches = spy_refinement_batches(monkeypatch, (12, 2, -1))  # a class in the last row chunk
     exhaustive, sampled = run_suites(["refinement-identity"])
     assert exhaustive.status == PASS
-    assert sampled == CheckResult("refinement-identity", SAMPLED_REFINEMENT_CHECK, FAIL, f"S:6 values {seen[2].values}")
-    # the faulty structure's comparison stops the check
-    assert len(seen) == 3
+    dims = [dim for dim, _ in batches]
+    detail = f"S:6 values {batches[dims.index(12)][1][2]}"
+    assert sampled == CheckResult("refinement-identity", SAMPLED_REFINEMENT_CHECK, FAIL, detail)
+    # the surface batch is the unit of evaluation: nothing after S:6's one batch is evaluated
+    assert dims[-1] == 12 and dims.count(12) == 1
+
+
+def test_identity_check_evaluates_no_surface_after_the_first_broken_batch(monkeypatch):
+    batches = spy_refinement_batches(monkeypatch, (10, 5, 0))
+    sampled = run_suites(["refinement-identity"])[1]
+    dims = [dim for dim, _ in batches]
+    assert sampled.detail == f"S:5 values {batches[dims.index(10)][1][5]}"
+    assert 12 not in dims
 
 
 def test_pair_fault_in_the_last_row_chunk_is_seen(monkeypatch):
-    pair_table = verify._pair_table
+    pair_rows = verify._pair_rows
 
-    def faulty(form):
-        table = pair_table(form)
-        if form.dim == 12:
-            table[-1, -1] ^= 1
-        return table
+    def faulty(form, head, lo):
+        rows = pair_rows(form, head, lo)
+        if form.dim == 12 and lo + len(head) == 1 << 12:
+            rows[-1, -1] ^= 1
+        return rows
 
-    monkeypatch.setattr(verify, "_pair_table", faulty)
+    monkeypatch.setattr(verify, "_pair_rows", faulty)
+    batches = spy_refinement_batches(monkeypatch)
     sampled = run_suites(["refinement-identity"])[1]
     assert (sampled.name, sampled.status) == (SAMPLED_REFINEMENT_CHECK, FAIL)
-    assert sampled.detail.startswith("S:6 values ")
+    # a pair fault breaks every structure of the batch; the detail names the first
+    assert sampled.detail == f"S:6 values {batches[-1][1][0]}"
+
+
+def test_identity_suites_build_no_square_table():
+    # numpy reports its buffers to tracemalloc; the per-structure route peaked at 48 MiB
+    # at S:6, where a (2**12, 2**12) table takes 16 MiB
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        results = run_suites(["refinement-identity", "enhancement-identity"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in results] == [PASS] * 5
+    assert peak < 8 << 20
+
+
+def test_bordism_reads_each_structures_class_once(monkeypatch):
+    calls = Counter()
+    clean = census.bordism_class
+
+    def counted(surface, structure):
+        calls[surface.form.dim] += 1
+        return clean(surface, structure)
+
+    monkeypatch.setattr(census, "bordism_class", counted)
+    monkeypatch.setattr(verify, "bordism_class", counted)
+    assert [r.status for r in run_suites("bordism")] == [PASS, PASS]
+    # N:1 to N:4 and S:1, S:2: two classes per pair inside ``cobordant``, one per structure by code
+    dims = (1, 2, 3, 4, 2, 4)
+    assert sum(calls.values()) == sum(2 * 4**n + 2**n for n in dims) == 1274
 
 
 # the Gauss-sum suites read one batch of histograms per surface
