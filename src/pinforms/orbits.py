@@ -7,7 +7,7 @@ which the structure class builds (``QuadraticStructure.code_map``), so
 ``act`` is needed only as a test oracle.  The group is given by a few
 Dehn-twist transvections (``isometry_generators``), its order in closed
 form (``isometry_group_order``), and ``orbit_labels`` closes orbits over
-all 2**n codes by min-label propagation, blind to the code convention;
+all 2**n codes by pulling labels from images, blind to the code convention;
 ``level_set_fit`` reads off those labels whether an invariant's level sets
 are the orbits.  No group is materialized except the brute-force and
 generated ones kept for checks at small dimension.
@@ -248,12 +248,12 @@ def _image_row(columns: tuple[int, ...], shift: int) -> np.ndarray:
 def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     """The smallest code in each code's orbit, for every code of structures of class ``kind``.
 
-    ``kind.code_map`` gives each generator's affine map on codes, which is
-    expanded to an image row.  A generator permutes the
-    codes, so ``new[row] = minimum(new[row], new)`` is an exact elementwise
-    update; each pass over the generators is followed by pointer jumping
-    (labels = labels[labels]), and passes repeat until nothing changes.
-    The default generators are ``isometry_generators(form)``.
+    ``kind.code_map`` gives each generator's affine map on codes, expanded to an image
+    row.  Each code pulls its image's label (labels = minimum(labels, labels[row])), each
+    pass over the generators is followed by pointer jumping (labels = labels[labels]), and
+    passes repeat until nothing changes.  At the fixpoint no label falls from a code to its
+    image, so labels are constant on every cycle of a generator: the pull along g alone
+    closes the orbits, involution or not.  The default generators are ``isometry_generators(form)``.
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "orbit labels")
@@ -264,8 +264,7 @@ def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     while True:
         before = labels.copy()
         for columns, shift in maps:
-            row = _image_row(columns, shift)
-            labels[row] = np.minimum(labels[row], labels)
+            np.minimum(labels, labels[_image_row(columns, shift)], out=labels)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):

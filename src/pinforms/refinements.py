@@ -20,7 +20,8 @@ from .surfaces import (
     standard_basis,
 )
 
-# A census maps invariant values to structure counts; zero counts are dropped.
+# Structure counts by invariant value.  Pin- censuses drop zero counts; spin
+# censuses always carry both Arf values, 0 and 1.
 Census = dict[int, int]
 
 

@@ -30,7 +30,7 @@ from pinforms import (
     transvection,
 )
 from pinforms.enhancements import brown_spectrum
-from pinforms.orbits import isometry_group_order, level_set_fit, mulclose, orbit_labels, orbit_summary
+from pinforms.orbits import _image_row, isometry_group_order, level_set_fit, mulclose, orbit_labels, orbit_summary
 from pinforms.surfaces import is_alternating, standard_basis
 from strategies import congruent_form, congruent_forms
 
@@ -262,6 +262,24 @@ def test_orbit_partition_matches_reference(surface):
         for gens in generator_sets:
             expected = reference_orbit_partition(form, structures, gens)
             assert orbit_partition(form, structures, generators=gens) == expected
+
+
+@pytest.mark.parametrize(
+    "form, u, w",
+    [(identity_form(5), 0b00011, 0b00110), (hyperbolic_form(2), 0b0001, 0b0010)],
+    ids=["N:5 v1+v2, v2+v3", "S:2 a1, b1"],
+)
+def test_orbit_labels_close_along_a_non_involution_alone(form, u, w):
+    # two twists along classes that pair to 1 compose to a map of order 3, so the
+    # orbits of this one generator are closed in one direction only
+    g = transvection(form, u) @ transvection(form, w)
+    inverse = Isometry(form, gf2.transpose(g.inverse_columns, form.dim))
+    for kind in structure_kinds(form):
+        row = _image_row(*kind.code_map(form, g))
+        assert not np.array_equal(row[row], np.arange(row.size))
+        structures = kind.enumerate_all(form)
+        assert orbit_partition(form, structures, generators=[g]) == reference_orbit_partition(form, structures, [g])
+        assert np.array_equal(orbit_labels(form, kind, [g]), orbit_labels(form, kind, [inverse]))
 
 
 def test_orbit_partition_of_a_subset_closes_whole_orbits():

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from pinforms import (
     gf2,
     hyperbolic_form,
     identity_form,
+    nonorientable_surface,
     verify,
 )
 from pinforms.cli import OutputRecord, main
@@ -120,6 +122,41 @@ def test_single_suite_runs_clean():
     assert results
     assert all(r.status == PASS for r in results)
     assert all(r.suite == "forms-core" for r in results)
+
+
+ZERO_ENTRIES = [
+    f"k={k}: formula {formula} vs enumerated {enumerated}"
+    for k, formula, enumerated in [(2, 1, 2), (4, 8, 6), (6, 64, 20), (8, 512, 72), (10, 4096, 272)]
+]
+
+
+@pytest.mark.parametrize(
+    "changes, k4_detail",
+    [
+        ({"flag": census.FLAG_CONFIRMED}, ["k=4 unexpectedly CONFIRMED"]),
+        ({"corrected_flag": census.FLAG_CONJECTURE_FAILED}, [ZERO_ENTRIES[1], "k=4 corrected flag CONJECTURE-FAILED"]),
+    ],
+    ids=["entry-confirmed", "corrected-form-failed"],
+)
+def test_pin_census_fails_on_a_wrong_even_genus_invariant_0_flag(monkeypatch, changes, k4_detail):
+    # the k=4 invariant-0 entry comes back with one flag changed; both invariant-0 rows fail
+    closed_form = verify.pin_census_closed_form
+
+    def patched(surface):
+        entries = closed_form(surface)
+        if surface == nonorientable_surface(4):
+            entries = tuple(replace(e, **changes) if e.invariant == 0 else e for e in entries)
+        return entries
+
+    monkeypatch.setattr(verify, "pin_census_closed_form", patched)
+    expected = pinned_rows("pin-census")
+    assert [row[1] for row in expected[4:6]] == [
+        "even-genus-invariant-0",
+        "even-genus-invariant-0-corrected-form (k<=10)",
+    ]
+    expected[4][2:] = [FAIL, "; ".join([ZERO_ENTRIES[0], *k4_detail, *ZERO_ENTRIES[2:]])]
+    expected[5][2] = FAIL
+    assert [[r.suite, r.name, r.status, r.detail] for r in run_suites("pin-census")] == expected
 
 
 def test_full_run_has_no_failures_and_exactly_two_disputes():
