@@ -12,9 +12,10 @@ flagged DISPUTED and reported next to the corrected expression
 2**(k-2) + 2**((k-2)/2).
 
 A bordism class is one structure's invariant, read off its values on a
-standard basis of the pairing (``brown_normal_form``, ``arf_normal_form``):
-O(n**2) per query once the basis is cached, with no class table, up to
-dimension ``MAX_NORMAL_FORM_DIM``.
+standard basis of the pairing (``brown_normal_form``, ``arf_normal_form``).
+Each pairing's basis and, per basis vector, its set-bit indices and cross
+term are cached (``standard_basis_terms``), so a query only adds up basis
+values, with no class table, up to dimension ``MAX_NORMAL_FORM_DIM``.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     """Arf class of a refinement (spin) or Brown class of an enhancement (pin-).
 
     Both come from the normal form: the structure's values on the cached
-    ``standard_basis`` of the pairing, added up over its projective or
+    ``standard_basis`` of the pairing (``standard_basis_values``, read from
+    the cached terms of each basis vector), added up over its projective or
     hyperbolic planes.  No value table over the 2**n classes is built, so
     any dimension up to ``MAX_NORMAL_FORM_DIM`` answers; above it the
     reduction raises ``LimitError``.  The Gauss-sum routes (``brown_gauss``,

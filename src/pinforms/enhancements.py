@@ -172,11 +172,13 @@ def brown_normal_form(e: Enhancement) -> int:
     invariant 4 exactly when e(a) = e(b) = 2 (Brown, "Generalizations of the
     Kervaire invariant", 1972; Kirby-Taylor, "Pin structures on
     low-dimensional manifolds", 1990).  The basis comes from the cached
-    ``standard_basis`` and each value from the quadratic identity, so no
-    class table is built.
+    ``standard_basis`` and each basis value from its cached terms
+    (``standard_basis_values``: set-bit indices and cross terms, cached
+    per pairing), so no class table is built and a query only adds basis
+    values at cached indices.
     """
-    layout, basis = standard_basis(e.form)
-    values = [e(v) for v in basis]
+    layout, _ = standard_basis(e.form)
+    values = e.standard_basis_values()
     odd = layout == "identity"
     # every standard basis vector has self-pairing 1 (identity) or 0 (hyperbolic)
     broken = next((i for i, v in enumerate(values) if v & 1 != odd), None)

@@ -206,22 +206,30 @@ def mulclose(generators) -> set[Isometry]:
 
 @lru_cache(maxsize=8)
 def _brute_group(form: IntersectionForm) -> frozenset[Isometry]:
+    """Every matrix A with A^T F A = F, filtered out of all 2**(n*n) as word logic on row masks.
+
+    Matrix number c has row i = bits [i n, (i+1) n) of c, and each row is
+    one uint32 array over all c.  Row k of FA is the xor of the rows of A
+    picked by F's row k; row i of A^T (FA) is the xor of the rows k of FA
+    where bit i of A's row k is set.  Each survivor is a validated ``Isometry``.
+    """
     n = form.dim
     if n == 0:
         return frozenset({Isometry(form, ())})
-    total = 1 << (n * n)
-    idx = np.arange(total, dtype=np.uint32)
-    mats = ((idx[:, None] >> np.arange(n * n, dtype=np.uint32)) & 1).astype(np.uint8)
-    mats = mats.reshape(total, n, n)
-    m = form.matrix
-    prod = (np.matmul(np.matmul(mats.transpose(0, 2, 1), m), mats)) % 2
-    keep = np.nonzero((prod == m).all(axis=(1, 2)))[0]
+    codes = np.arange(1 << (n * n), dtype=np.uint32)
     mask = (1 << n) - 1
-    group = []
-    for code in keep.tolist():
-        rows = tuple((code >> (i * n)) & mask for i in range(n))
-        group.append(Isometry(form, rows))
-    return frozenset(group)
+    rows = [(codes >> (i * n)) & mask for i in range(n)]
+    fa = [np.bitwise_xor.reduce([rows[j] for j in range(n) if f >> j & 1]) for f in form.rows]
+    keep = np.ones(codes.size, dtype=bool)
+    for i, f in enumerate(form.rows):
+        product = np.zeros_like(codes)
+        for row, fa_row in zip(rows, fa):
+            product ^= fa_row * ((row >> i) & 1)
+        keep &= product == f
+    return frozenset(
+        Isometry(form, tuple((code >> (i * n)) & mask for i in range(n)))
+        for code in codes[keep].tolist()
+    )
 
 
 def isometry_group(form: IntersectionForm, method: str = "brute") -> frozenset[Isometry]:

@@ -17,7 +17,6 @@ from .surfaces import (
     hyperbolic_form,
     is_alternating,
     is_hyperbolic_form,
-    standard_basis,
 )
 
 # Structure counts by invariant value.  Pin- censuses drop zero counts; spin
@@ -69,11 +68,12 @@ def arf_normal_form(q: Refinement) -> int:
     """Sum of q(a_i) q(b_i) over a symplectic basis of the pairing, in O(n**2).
 
     The basis comes from the cached ``standard_basis``, so any alternating
-    pairing works, and each value from the quadratic identity, so no class
-    table is built.
+    pairing works, and each basis value from its cached terms
+    (``standard_basis_values``: set-bit indices and cross terms, cached
+    per pairing), so no class table is built and a query only adds basis
+    values at cached indices.
     """
-    _, basis = standard_basis(q.form)
-    values = [q(v) for v in basis]
+    values = q.standard_basis_values()
     return sum(a * b for a, b in zip(values[0::2], values[1::2])) & 1
 
 

@@ -242,6 +242,27 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     return layout, basis
 
 
+def _set_bits(x: int) -> tuple[int, ...]:
+    """Indices of the set bits of x, lowest first, in one pass over those bits."""
+    bits = []
+    while x:
+        bits.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return tuple(bits)
+
+
+@lru_cache(maxsize=64)
+def standard_basis_terms(form: IntersectionForm) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(set-bit indices of v, cross_pairs(v)) for each vector v of ``standard_basis(form)``.
+
+    A structure's value on v is the sum of its basis values at those
+    indices plus (m/2) cross_pairs(v), mod m, so with this table cached the
+    basis values of a structure cost no walk over the pairing
+    (``QuadraticStructure.standard_basis_values``).
+    """
+    return tuple((_set_bits(v), cross_pairs(form, v)) for v in standard_basis(form)[1])
+
+
 @dataclass(frozen=True)
 class Surface:
     """A closed surface in standard form."""
@@ -490,6 +511,22 @@ class QuadraticStructure:
             linear += values[i]
             cross ^= (rows[i] & rest).bit_count() & 1
         return (linear + self.modulus // 2 * cross) % self.modulus
+
+    def standard_basis_values(self) -> list[int]:
+        """s on each vector of ``standard_basis(form)``, from the cached ``standard_basis_terms``.
+
+        Each value is the sum of the basis values at the vector's set bits
+        plus (m/2) times its cross term, mod m: the quadratic identity,
+        without a table over the 2**n classes.
+        """
+        values, half = self.values, self.modulus // 2
+        out = []
+        for bits, cross in standard_basis_terms(self.form):
+            total = half * cross
+            for i in bits:
+                total += values[i]
+            out.append(total % self.modulus)
+        return out
 
     def values_on_all(self) -> np.ndarray:
         """Values on all 2**n classes, indexed by integer encoding: ``value_table`` on a batch of one."""

@@ -31,8 +31,6 @@ from .enhancements import (
     brown_from_histograms,
     brown_gauss_many,
     brown_normal_form,
-    cap_off_summand,
-    direct_sum_enhancement,
     enhancement_from_refinement,
     enumerate_enhancements,
     value_histograms,
@@ -57,6 +55,7 @@ from .refinements import (
 from .surfaces import (
     H1Class,
     _parity_vector,
+    direct_sum,
     enumerate_classes,
     hyperbolic_form,
     identity_form,
@@ -141,12 +140,16 @@ def _suite_forms_core() -> list[Row]:
             if [c.bits for c in classes] != list(range(1 << s.form.dim)):
                 yield f"classes out of order at {s.label}"
 
+    def form_faults():
+        for s in _standard_surfaces(12):
+            n = s.form.dim
+            if any(s.form.entry(i, j) != s.form.entry(j, i) for i in range(n) for j in range(n)):
+                yield f"asymmetric pairing at {s.label}"
+            if gf2.rank(s.form.rows) != n:
+                yield f"singular pairing at {s.label}"
+
     return [
-        _first("standard-forms-symmetric-invertible", (
-            f"asymmetric pairing at {s.label}"
-            for s in _standard_surfaces(12)
-            if any(s.form.entry(i, j) != s.form.entry(j, i) for i in range(s.form.dim) for j in range(s.form.dim))
-        )),
+        _first("standard-forms-symmetric-invertible", form_faults()),
         _first("pairing-bilinear (sampled, dim<=12)", bilinearity_breaks()),
         _first("class-enumeration-count-order (dim<=10)", enumeration_faults()),
     ]
@@ -349,6 +352,27 @@ def _histograms(form, structures) -> list[list[int]]:
     return value_histograms(form, [e.values for e in structures]).tolist()
 
 
+def _value_rows(form, structures) -> np.ndarray:
+    """Basis values of a batch of structures on ``form`` as an (S, n) uint8 array, row s for structure s."""
+    return np.array([s.values for s in structures], dtype=np.uint8).reshape(len(structures), form.dim)
+
+
+def _brown_rows(form, values) -> np.ndarray:
+    """Brown invariant of each row of an (S, n) basis-value array on ``form``, from one ``value_histograms`` batch."""
+    return brown_from_histograms(form.dim, value_histograms(form, values))
+
+
+def _block_sum_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Row len(second) * s + t: row s of ``first`` then row t of ``second``, the values of ``direct_sum_enhancement``."""
+    return np.concatenate([np.repeat(first, len(second), axis=0), np.tile(second, (len(first), 1))], axis=1)
+
+
+def _cap_off_rows(values: np.ndarray) -> np.ndarray:
+    """Row k * s + i: row s of a (S, k) value array without column i, the values ``cap_off_summand(e, i)`` keeps."""
+    k = values.shape[1]
+    return np.stack([np.delete(values, i, axis=1) for i in range(k)], axis=1).reshape(-1, k - 1)
+
+
 def _suite_brown_compass() -> list[Row]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
     return [_first("gauss-equals-normal-form (dim<=10)", (
@@ -379,18 +403,21 @@ def _suite_additivity() -> list[Row]:
             # each surface's batch is evaluated once, when a pair first needs it
             if s.label not in batches:
                 structures = _structures(Enhancement, s.form)
-                batches[s.label] = list(zip(structures, brown_gauss_many(structures).tolist()))
+                values = _value_rows(s.form, structures)
+                batches[s.label] = structures, values, _brown_rows(s.form, values)
             return batches[s.label]
 
         for s1 in surfaces:
             for s2 in surfaces:
                 if s1.form.dim + s2.form.dim > 8:
                     continue
-                pairs = [(left, right) for left in with_invariants(s1) for right in with_invariants(s2)]
-                sums = brown_gauss_many(direct_sum_enhancement(e1, e2) for (e1, _), (e2, _) in pairs)
-                for ((e1, b1), (e2, b2)), total in zip(pairs, sums.tolist()):
-                    if total != (b1 + b2) % 8:
-                        yield f"{s1.label}+{s2.label} {e1.values}|{e2.values}"
+                (left, v1, b1), (right, v2, b2) = with_invariants(s1), with_invariants(s2)
+                # pair number len(right) * i + j block-sums structure i of s1 with structure j of s2
+                sums = _brown_rows(direct_sum(s1.form, s2.form), _block_sum_rows(v1, v2))
+                expected = (np.repeat(b1, len(right)) + np.tile(b2, len(left))) % 8
+                for pos in np.flatnonzero(sums != expected).tolist():
+                    e1, e2 = left[pos // len(right)], right[pos % len(right)]
+                    yield f"{s1.label}+{s2.label} {e1.values}|{e2.values}"
 
     return [_first("invariant-adds-over-block-sums (total dim<=8)", breaks())]
 
@@ -406,18 +433,19 @@ def _suite_doubling() -> list[Row]:
 
 
 def _suite_capping() -> list[Row]:
-    plane_value = {1: 1, 3: 7}
-
     def breaks():
         for k in range(2, 9):
-            structures = _structures(Enhancement, identity_form(k))
-            totals = brown_gauss_many(structures).tolist()
-            # rest number k * s + index caps summand ``index`` off structure s
-            capped = [cap_off_summand(e, index) for e in structures for index in range(k)]
-            rests = brown_gauss_many(rest for rest, _ in capped).tolist()
-            for pos, ((_, removed), rest) in enumerate(zip(capped, rests)):
-                if totals[pos // k] != (rest + plane_value[removed]) % 8:
-                    yield f"k={k} values {structures[pos // k].values} index {pos % k}"
+            form = identity_form(k)
+            structures = _structures(Enhancement, form)
+            values = _value_rows(form, structures)
+            totals = _brown_rows(form, values)
+            # rest number k * s + index caps summand ``index`` off structure s, so the
+            # removed values in that order are the flat value array; a projective plane
+            # carrying value 1 has invariant 1, one carrying value 3 has invariant 7
+            rests = _brown_rows(identity_form(k - 1), _cap_off_rows(values))
+            planes = np.where(values.ravel() == 1, 1, 7)
+            for pos in np.flatnonzero(np.repeat(totals, k) != (rests + planes) % 8).tolist():
+                yield f"k={k} values {structures[pos // k].values} index {pos % k}"
 
     return [_first("invariant-splits-off-one-summand (k<=8)", breaks())]
 

@@ -16,6 +16,7 @@ from pinforms import (
     brown_gauss_many,
     brown_spectrum,
     cap_off_summand,
+    direct_sum,
     direct_sum_enhancement,
     enhancement_from_refinement,
     enhancements,
@@ -28,6 +29,7 @@ from pinforms import (
     orientable_surface,
     value_histogram,
     value_histograms,
+    verify,
 )
 from strategies import congruent_form, congruent_forms
 
@@ -122,6 +124,35 @@ def test_cap_off_summand():
         cap_off_summand(e, 3)
     with pytest.raises(ValueError):
         cap_off_summand(Enhancement(identity_form(1), (1,)), 0)
+
+
+# The additivity and capping suites build block sums and cap-offs as value
+# arrays; these pin the array rows to the structure-level helpers.
+
+
+def test_block_sum_rows_are_the_direct_sum_enhancements():
+    surfaces = verify._standard_surfaces(8, include_sphere=True)
+    for s1 in surfaces:
+        for s2 in surfaces:
+            if s1.form.dim + s2.form.dim > 8:
+                continue
+            left, right = enumerate_enhancements(s1.form), enumerate_enhancements(s2.form)
+            rows = verify._block_sum_rows(verify._value_rows(s1.form, left), verify._value_rows(s2.form, right))
+            sums = [direct_sum_enhancement(e1, e2) for e1 in left for e2 in right]
+            assert {e.form for e in sums} == {direct_sum(s1.form, s2.form)}
+            assert rows.dtype == np.uint8
+            assert [e.values for e in sums] == [tuple(row) for row in rows.tolist()], (s1.label, s2.label)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_cap_off_rows_are_the_capped_summands(k):
+    structures = enumerate_enhancements(identity_form(k))
+    values = verify._value_rows(identity_form(k), structures)
+    rows = verify._cap_off_rows(values)
+    capped = [cap_off_summand(e, index) for e in structures for index in range(k)]
+    assert rows.dtype == np.uint8
+    assert [rest for rest, _ in capped] == [Enhancement(identity_form(k - 1), tuple(row)) for row in rows.tolist()]
+    assert [removed for _, removed in capped] == values.ravel().tolist()
 
 
 # the batch kernel against the per-structure class table

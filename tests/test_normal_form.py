@@ -30,7 +30,7 @@ from pinforms import (
 from pinforms.cli import OutputRecord, main
 from pinforms.enhancements import brown_normal_form, histogram_from_brown
 from pinforms.refinements import arf_normal_form
-from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis
+from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis, standard_basis_terms
 from strategies import congruent_form, congruent_forms
 
 SURFACES = [orientable_surface(g) for g in range(6)] + [nonorientable_surface(k) for k in range(1, 11)]
@@ -59,6 +59,70 @@ def brown_additive(surface, values) -> int:
 
 def arf_additive(values) -> int:
     return sum(a * b for a, b in zip(values[0::2], values[1::2])) % 2
+
+
+# ``standard_basis_values`` reads cached terms; the oracle walks the quadratic identity per basis vector
+
+
+def walked_basis_values(s) -> list[int]:
+    return [s(v) for v in standard_basis(s.form)[1]]
+
+
+def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
+    layout, _ = standard_basis(form)
+    for e in enhancements:
+        walked = walked_basis_values(e)
+        assert e.standard_basis_values() == walked, e.values
+        if layout == "identity":
+            beta = sum(1 if v == 1 else -1 for v in walked) % 8
+        else:
+            beta = 4 * sum(1 for a, b in zip(walked[0::2], walked[1::2]) if a == b == 2) % 8
+        assert brown_normal_form(e) == beta, e.values
+    for q in refinements:
+        walked = walked_basis_values(q)
+        assert q.standard_basis_values() == walked, q.values
+        assert arf_normal_form(q) == arf_additive(walked), q.values
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
+def test_normal_forms_equal_the_basis_walk_on_every_structure(surface):
+    form = surface.form
+    refinements = enumerate_refinements(form) if surface.kind == "orientable" else ()
+    assert_normal_forms_match_the_walk(form, enumerate_enhancements(form), refinements)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(congruent_forms(max_dim=8))
+def test_normal_forms_equal_the_basis_walk_on_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    form = congruent_form(base, m)
+    refinements = enumerate_refinements(form) if is_alternating(form) else ()
+    assert_normal_forms_match_the_walk(form, enumerate_enhancements(form), refinements)
+
+
+@pytest.mark.parametrize("surface", [nonorientable_surface(64), nonorientable_surface(256), orientable_surface(128)],
+                         ids=lambda s: s.label)
+def test_normal_forms_equal_the_basis_walk_on_seeded_samples(surface):
+    form = surface.form
+    rng = random.Random(surface.form.dim)
+    codes = [rng.getrandbits(form.dim) for _ in range(20)]
+    refinements = [Refinement.from_code(form, c) for c in codes] if surface.kind == "orientable" else ()
+    assert_normal_forms_match_the_walk(form, [Enhancement.from_code(form, c) for c in codes], refinements)
+
+
+@pytest.mark.parametrize("base", ["identity", "hyperbolic"])
+def test_normal_forms_equal_the_basis_walk_on_a_congruent_form_in_dimension_64(base):
+    # basis vectors with many set bits, where the cached terms do the work a walk would
+    rng = random.Random(64)
+    m = ()
+    while gf2.rank(m) < 64:
+        m = tuple(rng.getrandbits(64) for _ in range(64))
+    form = congruent_form(base, m)
+    assert any(len(bits) > 1 and cross for bits, cross in standard_basis_terms(form))
+    codes = [rng.getrandbits(64) for _ in range(20)]
+    refinements = [Refinement.from_code(form, c) for c in codes] if base == "hyperbolic" else ()
+    assert_normal_forms_match_the_walk(form, [Enhancement.from_code(form, c) for c in codes], refinements)
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
@@ -193,7 +257,7 @@ def test_oversized_surface_refused_before_its_form_is_built(capsys, argv, dim):
 
 def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
     # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect
-    monkeypatch.setattr(Enhancement, "__call__", lambda e, x: 2)
+    monkeypatch.setattr(Enhancement, "standard_basis_values", lambda e: [2] * e.form.dim)
     code, out, err = run_cli(capsys, "invariant", "-s", "N:3", "-e", "1,1,1")
     assert (code, out) == (1, "")
     assert err.startswith("error: value 2 on identity basis vector 0 breaks parity")

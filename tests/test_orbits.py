@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from pinforms import (
     Enhancement,
     H1Class,
+    IntersectionForm,
     Isometry,
     LimitError,
     Refinement,
@@ -43,6 +44,37 @@ BRUTE_ORDERS = {
     ("hyperbolic", 1): 6,
     ("hyperbolic", 2): 720,
 }
+
+
+def matmul_brute_group(form):
+    """The oracle for ``isometry_group(form, "brute")``: A^T F A = F as a uint8 matmul over all 2**(n*n) matrices."""
+    n = form.dim
+    if n == 0:
+        return frozenset({Isometry(form, ())})
+    total = 1 << (n * n)
+    idx = np.arange(total, dtype=np.uint32)
+    mats = ((idx[:, None] >> np.arange(n * n, dtype=np.uint32)) & 1).astype(np.uint8)
+    mats = mats.reshape(total, n, n)
+    m = form.matrix
+    prod = (np.matmul(np.matmul(mats.transpose(0, 2, 1), m), mats)) % 2
+    keep = np.nonzero((prod == m).all(axis=(1, 2)))[0]
+    mask = (1 << n) - 1
+    return frozenset(Isometry(form, tuple((code >> (i * n)) & mask for i in range(n))) for code in keep.tolist())
+
+
+def every_form(n):
+    """Every symmetric invertible n-by-n pairing over GF(2), from the n(n+1)/2 entries on and above the diagonal."""
+    entries = [(i, j) for i in range(n) for j in range(i, n)]
+    forms = []
+    for bits in range(1 << len(entries)):
+        rows = [0] * n
+        for e, (i, j) in enumerate(entries):
+            if bits >> e & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        if gf2.rank(rows) == n:
+            forms.append(IntersectionForm(n, tuple(rows)))
+    return forms
 
 
 def reference_orbit_partition(form, structures, generators):
@@ -148,6 +180,19 @@ def test_generated_equals_brute_identity_forms(dim):
 def test_generated_equals_brute_hyperbolic_forms(g):
     form = hyperbolic_form(g)
     assert isometry_group(form, method="generated") == isometry_group(form, method="brute")
+
+
+# every pairing up to dimension 3, and the standard ones in dimension 4; the
+# congruent dimension-4 pairings are drawn in the twist-generator test below
+@pytest.mark.parametrize(
+    "form",
+    [f for n in range(4) for f in every_form(n)] + [identity_form(4), hyperbolic_form(2)],
+    ids=lambda f: f"{f.dim}:{','.join(map(str, f.rows))}",
+)
+def test_bit_sliced_brute_group_equals_the_matmul_filter(form):
+    group = isometry_group(form, "brute")
+    assert group == matmul_brute_group(form)
+    assert len(group) == isometry_group_order(form)
 
 
 def test_brute_group_size_limit():
@@ -413,7 +458,7 @@ def test_twist_generators_generate_the_brute_group_on_congruent_forms(case):
     assume(gf2.rank(m) == len(m))
     form = congruent_form(base, m)
     group = mulclose(isometry_generators(form)) | {Isometry(form, gf2.identity(form.dim))}
-    assert group == isometry_group(form, "brute")
+    assert group == isometry_group(form, "brute") == matmul_brute_group(form)
     assert len(group) == isometry_group_order(form)
 
 

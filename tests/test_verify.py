@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 
 from pinforms import (
     Enhancement,
+    IntersectionForm,
     InvariantViolation,
     QuadraticStructure,
     Refinement,
@@ -122,6 +123,22 @@ def test_single_suite_runs_clean():
     assert results
     assert all(r.status == PASS for r in results)
     assert all(r.suite == "forms-core" for r in results)
+
+
+def test_forms_core_fails_a_singular_standard_form(monkeypatch):
+    # IntersectionForm refuses a singular matrix, so the symmetric rank-1 pairing on N:2 is written past the check
+    singular = IntersectionForm(2, (0b01, 0b10))
+    object.__setattr__(singular, "rows", (0b11, 0b11))
+    clean = verify._standard_surfaces
+
+    def with_singular(max_dim, include_sphere=False):
+        return [replace(s, form=singular) if s.label == "N:2" else s for s in clean(max_dim, include_sphere)]
+
+    monkeypatch.setattr(verify, "_standard_surfaces", with_singular)
+    expected = pinned_rows("forms-core")
+    assert expected[0][1] == "standard-forms-symmetric-invertible"
+    expected[0][2:] = [FAIL, "singular pairing at N:2"]
+    assert [[r.suite, r.name, r.status, r.detail] for r in run_suites("forms-core")] == expected
 
 
 ZERO_ENTRIES = [
