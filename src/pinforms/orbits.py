@@ -10,7 +10,10 @@ form (``isometry_group_order``), and ``orbit_labels`` closes orbits over
 all 2**n codes by pulling labels from images, blind to the code convention;
 ``level_set_fit`` reads off those labels whether an invariant's level sets
 are the orbits.  No group is materialized except the brute-force and
-generated ones kept for checks at small dimension.
+generated ones kept for checks at small dimension, and those are sorted
+(G, n) uint32 arrays of row masks (``group_rows``), each element checked by
+one batch A^T F A = F test; ``Isometry`` objects are built from them only
+for the callers of ``isometry_group`` and ``mulclose``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,14 @@ from .surfaces import (
 
 # Brute-force and generated groups are materialized up to this dimension.
 MAX_BRUTE_DIM = 4
+# Group closure keys each matrix by its n*n entries in a uint32 and marks
+# them in a dense mask over all 2**(n*n) keys, so it stops here.
+MAX_CLOSURE_DIM = 5
 # Safety stop for group closure; beyond this the group is not materialized.
 DEFAULT_GROUP_CAP = 1 << 20
+# Orbit pulls expand the image rows of a chunk of generators at once, the
+# chunk's (chunk, 2**n) uint32 block within this many bytes.
+_IMAGE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,11 @@ class Isometry:
 
     @cached_property
     def inverse_columns(self) -> tuple[int, ...]:
-        """Column masks of the inverse: entry i is the preimage of basis vector i."""
+        """Column masks of the inverse: entry i is the preimage of basis vector i.
+
+        Found by elimination (``gf2.inverse``) for ``act``, the oracle;
+        ``code_map`` takes the adjoint F^-1 A^T F of a whole batch instead.
+        """
         n = self.form.dim
         inv = gf2.inverse(self.rows, n)
         # preserving a nondegenerate pairing forces invertibility
@@ -171,108 +184,187 @@ def isometry_group_order(form: IntersectionForm) -> int:
     return (1 << (k - 1)) * _sp_order((k - 2) // 2)
 
 
-def mulclose(generators) -> set[Isometry]:
-    """Multiplicative closure of a generator set, breadth-first.
+def _pack(rows: np.ndarray, n: int) -> np.ndarray:
+    """Packed uint32 keys of (..., n) row masks: row i at bits [i n, (i+1) n); key order sorts a group."""
+    return np.bitwise_or.reduce(rows << (n * np.arange(n, dtype=np.uint32)), axis=-1)
 
-    Products are taken on row tuples (``gf2.mat_mul``) and looked up among
-    the row tuples found so far; an ``Isometry``, validated on construction,
-    is built only for a new element, so each element is checked once.  A
-    closure past ``DEFAULT_GROUP_CAP`` elements raises ``LimitError``.
+
+def _unpack(keys: np.ndarray, n: int, dtype=np.uint32) -> np.ndarray:
+    """The (..., n) row masks of packed keys, inverting ``_pack``; a view of rows-first memory, as the batch kernels keep it."""
+    shifts = n * np.arange(n, dtype=np.uint32).reshape((n,) + (1,) * keys.ndim)
+    rows = ((keys >> shifts) & np.uint32((1 << n) - 1)).astype(dtype, copy=False)
+    return rows.transpose(*range(1, rows.ndim), 0)
+
+
+def _preserves_pairing(form: IntersectionForm, rows: np.ndarray) -> np.ndarray:
+    """Whether A^T F A = F, for each matrix A of a batch of (..., n) unsigned row masks."""
+    pairing = np.array(form.rows, dtype=rows.dtype)
+    product = gf2.batch_mul(gf2.batch_transpose(rows, form.dim), gf2.batch_mul(pairing, rows))
+    return (product == pairing).all(axis=-1)
+
+
+def _checked_rows(form: IntersectionForm, rows) -> np.ndarray:
+    """A (G, n) batch of row masks as a uint32 array, every matrix checked to preserve the pairing in one batch.
+
+    A wrong shape, a row mask out of range or a matrix that does not
+    preserve the pairing raises ``ValueError``, as ``Isometry`` does.
     """
-    gens = sorted(set(generators), key=lambda iso: iso.rows)
+    n = form.dim
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"row array of shape {rows.shape} is not a batch of {n}-by-{n} matrices")
+    if rows.size and (rows.min() < 0 or rows.max() >= 1 << n):
+        raise ValueError("row mask out of range")
+    rows = rows.astype(np.uint32)
+    if not _preserves_pairing(form, rows).all():
+        raise ValueError("matrix does not preserve the pairing")
+    return rows
+
+
+def _generator_rows(form: IntersectionForm, generators) -> np.ndarray:
+    """Generators as a (G, n) uint32 row array: an array is checked by ``_checked_rows``, isometries by their pairing."""
+    if isinstance(generators, np.ndarray):
+        return _checked_rows(form, generators)
+    gens = list(generators)
+    if any(g.form != form for g in gens):
+        raise ValueError("generator and pairing differ")
+    return np.array([g.rows for g in gens], dtype=np.uint32).reshape(len(gens), form.dim)
+
+
+def _mark_new(keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The distinct keys not yet marked in ``seen``, sorted; they are marked on the way out."""
+    keys = np.sort(keys[~seen[keys]])
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    seen[keys] = True
+    return keys
+
+
+def _closure(form: IntersectionForm, generators: np.ndarray) -> np.ndarray:
+    """The group of (G, n) rows that the (k, n) generator rows and the identity generate, sorted by packed key.
+
+    Breadth-first on packed keys: each round multiplies every generator
+    into the frontier in one ``gf2.batch_mul`` and keeps the products not
+    yet marked in a dense mask over all 2**(n*n) keys.  The whole closure
+    is then checked in one batch (``_checked_rows``).  A closure past
+    ``DEFAULT_GROUP_CAP`` elements raises ``LimitError``.
+    """
+    n = form.dim
+    check_dim(n, MAX_CLOSURE_DIM, "group closure")
+    seen = np.zeros(1 << (n * n), dtype=bool)
+    identity = _pack(np.array(gf2.identity(n), dtype=np.uint32), n)
+    frontier = _mark_new(np.append(_pack(generators, n), identity), seen)
+    found = [frontier]
+    total = frontier.size
+    while frontier.size:
+        frontier = _mark_new(_pack(gf2.batch_mul(generators[:, None], _unpack(frontier, n)), n).ravel(), seen)
+        found.append(frontier)
+        total += frontier.size
+        if total > DEFAULT_GROUP_CAP:
+            raise LimitError(f"group closure exceeded {DEFAULT_GROUP_CAP} elements")
+    return _checked_rows(form, _unpack(np.sort(np.concatenate(found)), n))
+
+
+def mulclose(generators) -> set[Isometry]:
+    """Multiplicative closure of a set of isometries, as ``Isometry`` objects.
+
+    The closure runs on row arrays (``_closure``).  The generators come back
+    as given, and an ``Isometry`` is built only for each other element, at
+    this boundary; no generators give the empty set.
+    """
+    gens = list(dict.fromkeys(generators))
     if not gens:
         return set()
     form = gens[0].form
     if any(g.form != form for g in gens):
         raise ValueError("cannot compose isometries of different pairings")
-    els = {g.rows: g for g in gens}
-    identity = gf2.identity(form.dim)
-    if identity not in els:
-        els[identity] = Isometry(form, identity)
-    frontier = sorted(els)
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = gf2.mat_mul(a.rows, b)
-                if c not in els:
-                    els[c] = Isometry(form, c)
-                    new.append(c)
-                    if len(els) > DEFAULT_GROUP_CAP:
-                        raise LimitError(f"group closure exceeded {DEFAULT_GROUP_CAP} elements")
-        frontier = sorted(new)
-    return set(els.values())
+    known = {g.rows: g for g in gens}
+    rows = _closure(form, _generator_rows(form, gens))
+    return {known[r] if r in known else Isometry(form, r) for r in map(tuple, rows.tolist())}
 
 
 @lru_cache(maxsize=8)
-def _brute_group(form: IntersectionForm) -> frozenset[Isometry]:
-    """Every matrix A with A^T F A = F, filtered out of all 2**(n*n) as word logic on row masks.
+def _brute_group(form: IntersectionForm) -> np.ndarray:
+    """Every matrix A with A^T F A = F, filtered out of all 2**(n*n) in one batch, as a read-only (G, n) uint32 array.
 
-    Matrix number c has row i = bits [i n, (i+1) n) of c, and each row is
-    one uint32 array over all c.  Row k of FA is the xor of the rows of A
-    picked by F's row k; row i of A^T (FA) is the xor of the rows k of FA
-    where bit i of A's row k is set.  Each survivor is a validated ``Isometry``.
+    Matrix number c is the one with packed key c (``_unpack``), so the
+    survivors come out sorted by key.  The filter (``_preserves_pairing``:
+    a batch transpose and two batch products) runs on rows of the narrowest
+    unsigned type that holds n bits, and it is the validation.  The array
+    is cached, and read-only so that no caller can change it for the next.
     """
     n = form.dim
-    if n == 0:
-        return frozenset({Isometry(form, ())})
-    codes = np.arange(1 << (n * n), dtype=np.uint32)
-    mask = (1 << n) - 1
-    rows = [(codes >> (i * n)) & mask for i in range(n)]
-    fa = [np.bitwise_xor.reduce([rows[j] for j in range(n) if f >> j & 1]) for f in form.rows]
-    keep = np.ones(codes.size, dtype=bool)
-    for i, f in enumerate(form.rows):
-        product = np.zeros_like(codes)
-        for row, fa_row in zip(rows, fa):
-            product ^= fa_row * ((row >> i) & 1)
-        keep &= product == f
-    return frozenset(
-        Isometry(form, tuple((code >> (i * n)) & mask for i in range(n)))
-        for code in codes[keep].tolist()
-    )
+    rows = _unpack(np.arange(1 << (n * n), dtype=np.uint32), n, np.min_scalar_type((1 << n) - 1))
+    group = rows[_preserves_pairing(form, rows)].astype(np.uint32)
+    group.setflags(write=False)
+    return group
 
 
-def isometry_group(form: IntersectionForm, method: str = "brute") -> frozenset[Isometry]:
-    """The full pairing-preserving group, by exhaustive filter or generator closure."""
+def group_rows(form: IntersectionForm, method: str = "brute") -> np.ndarray:
+    """The full pairing-preserving group as a (G, n) uint32 array of row masks, by exhaustive filter or generator closure.
+
+    Elements are sorted by packed key (row i at bits [i n, (i+1) n)), so
+    both methods give equal arrays exactly when they give one group.  The
+    brute-force array is cached and read-only.
+    """
     if method == "brute":
         check_dim(form.dim, MAX_BRUTE_DIM, "brute-force groups")
         return _brute_group(form)
     if method == "generated":
         check_dim(form.dim, MAX_BRUTE_DIM, "generated groups")
-        # the closure holds the identity unless there are no generators at all
-        return frozenset(mulclose(isometry_generators(form)) or {Isometry(form, gf2.identity(form.dim))})
+        return _closure(form, _generator_rows(form, isometry_generators(form)))
     raise ValueError(f"unknown method {method!r}")
 
 
-def _image_row(columns: tuple[int, ...], shift: int) -> np.ndarray:
-    """Image of every code under c -> Tc xor t, by doubling: codes 2**j to 2**(j+1) - 1 are the codes below them xor column j."""
-    row = np.empty(1 << len(columns), dtype=np.uint32)
-    row[0] = shift
-    for j, column in enumerate(columns):
-        np.bitwise_xor(row[: 1 << j], column, out=row[1 << j : 2 << j])
+def isometry_group(form: IntersectionForm, method: str = "brute") -> frozenset[Isometry]:
+    """The full pairing-preserving group as ``Isometry`` objects: ``group_rows``, built for the caller."""
+    return frozenset(Isometry(form, rows) for rows in group_rows(form, method).tolist())
+
+
+def _image_row(columns, shifts) -> np.ndarray:
+    """Image of every code under c -> Tc xor t, for one map ((n,) columns, one shift) or a batch ((G, n), (G,)).
+
+    Built by doubling: codes 2**j to 2**(j+1) - 1 are the codes below them
+    xor column j.  A batch gives one (G, 2**n) row per map.
+    """
+    columns = np.asarray(columns, dtype=np.uint32)
+    shifts = np.asarray(shifts, dtype=np.uint32)
+    n = columns.shape[-1]
+    row = np.empty(shifts.shape + (1 << n,), dtype=np.uint32)
+    row[..., 0] = shifts
+    for j in range(n):
+        np.bitwise_xor(row[..., : 1 << j], columns[..., j, None], out=row[..., 1 << j : 2 << j])
     return row
 
 
 def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     """The smallest code in each code's orbit, for every code of structures of class ``kind``.
 
-    ``kind.code_map`` gives each generator's affine map on codes, expanded to an image
-    row.  Each code pulls its image's label (labels = minimum(labels, labels[row])), each
-    pass over the generators is followed by pointer jumping (labels = labels[labels]), and
-    passes repeat until nothing changes.  At the fixpoint no label falls from a code to its
-    image, so labels are constant on every cycle of a generator: the pull along g alone
-    closes the orbits, involution or not.  The default generators are ``isometry_generators(form)``.
+    ``generators`` are isometries, or a (G, n) array of row masks checked in
+    one batch (``_checked_rows``); the default is ``isometry_generators(form)``.
+    ``kind.code_map`` gives all their affine maps on codes in one batch, and
+    each pass expands them to image rows a chunk at a time, the chunk's
+    (chunk, 2**n) block within ``_IMAGE_BYTES`` (one generator at a time
+    from dimension 18).  Each code pulls the smallest label among its images
+    in the chunk (labels = minimum(labels, labels[images].min(axis=0))),
+    each pass is followed by pointer jumping (labels = labels[labels]), and
+    passes repeat until nothing changes.  At the fixpoint no label falls from
+    a code to its image, so labels are constant on every cycle of a
+    generator: the pull along g alone closes the orbits, involution or not.
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "orbit labels")
-    if generators is None:
-        generators = isometry_generators(form)
-    maps = [kind.code_map(form, g) for g in generators]
+    rows = _generator_rows(form, isometry_generators(form) if generators is None else generators)
+    columns, shifts = kind.code_map(form, rows)
+    chunk = max(1, _IMAGE_BYTES // (4 << n))
     labels = np.arange(1 << n, dtype=np.uint32)
     while True:
         before = labels.copy()
-        for columns, shift in maps:
-            np.minimum(labels, labels[_image_row(columns, shift)], out=labels)
+        for lo in range(0, len(rows), chunk):
+            pulled = labels[_image_row(columns[lo : lo + chunk], shifts[lo : lo + chunk])]
+            # a chunk of one needs no reduction, which would copy all 2**n labels
+            np.minimum(labels, pulled[0] if len(pulled) == 1 else pulled.min(axis=0), out=labels)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):

@@ -72,7 +72,7 @@ class PinPlusForm:
         n = self.model.generator_count
         if len(coeffs) != n:
             raise ValueError("coefficient count must equal the generator count")
-        form = self.model.form
+        rows = self.model.form.rows
         total = 0
         acc_bits = 0  # mod-2 reduction of the partial sum
         for i, c in enumerate(coeffs):
@@ -80,7 +80,8 @@ class PinPlusForm:
                 raise ValueError("coefficients live in Z/4")
             gen_bit = 1 << i
             for _ in range(c):
-                total ^= self.values[i] ^ form.pairing_bits(acc_bits, gen_bit)
+                # the pairing is symmetric, so the partial sum pairs with e_i as the parity of rows[i] & acc_bits
+                total ^= self.values[i] ^ ((rows[i] & acc_bits).bit_count() & 1)
                 acc_bits ^= gen_bit
         return total
 

@@ -430,24 +430,37 @@ class QuadraticStructure:
         return cls(form, tuple(d + half * ((code >> i) & 1) for i, d in enumerate(form.diagonal)))
 
     @classmethod
-    def code_map(cls, form: IntersectionForm, g) -> tuple[tuple[int, ...], int]:
-        """The map c -> Tc xor t that the isometry ``g`` induces on codes, as (columns of T, t).
+    def code_map(cls, form: IntersectionForm, isometries) -> tuple[np.ndarray, np.ndarray]:
+        """The maps c -> Tc xor t that a batch of isometries induces on codes, as (columns of T, t).
 
-        The pushed-forward structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i)
-        at inverse column p_i, so row i of T is p_i (the columns of T are the
-        rows of the inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).
-        Code 0 has the diagonal as basis values, so s_0(x) is the diagonal
-        weight of x plus (m/2) cross_pairs(x).
+        ``isometries`` is a (G, n) array of row masks, or one isometry (a batch
+        of one); the result is a (G, n) uint32 array of columns and a (G,)
+        array of shifts.  The pushed-forward structure has basis value
+        s_c(p_i) = s_0(p_i) + (m/2)(c.p_i) at inverse column p_i, so row i of
+        T is p_i (the columns of T are the rows of the inverse) and bit i of
+        t is (s_0(p_i) - diag_i) / (m/2).  Code 0 has the diagonal as basis
+        values, so s_0(x) is the diagonal weight of x plus (m/2) cross_pairs(x),
+        read from ``cross_parity_table``.  An isometry's inverse is its adjoint
+        F^-1 A^T F (F^-1 is one ``gf2.inverse`` per call), and one batch
+        product A A^-1 = I checks every inverse at once.
         """
-        if g.form != form:
-            raise ValueError("generator and pairing differ")
-        half = cls.modulus // 2
-        diagonal = sum(d << i for i, d in enumerate(form.diagonal))
-        shift = 0
-        for i, (p, d) in enumerate(zip(g.inverse_columns, form.diagonal)):
-            s0 = ((p & diagonal).bit_count() + half * cross_pairs(form, p)) % cls.modulus
-            shift |= ((s0 - d) // half % 2) << i
-        return gf2.transpose(g.inverse_columns, form.dim), shift
+        if hasattr(isometries, "form"):
+            if isometries.form != form:
+                raise ValueError("generator and pairing differ")
+            isometries = [isometries.rows]
+        n, half = form.dim, cls.modulus // 2
+        rows = np.asarray(isometries, dtype=np.uint32).reshape(len(isometries), n)
+        # F and F^-1 are symmetric, so the transpose of the adjoint, whose rows are the preimages, is F A F^-1
+        preimages = gf2.batch_mul(gf2.batch_mul(form.rows, rows), gf2.inverse(form.rows, n))
+        inverse = gf2.batch_transpose(preimages, n)
+        # preserving a nondegenerate pairing forces invertibility
+        if (gf2.batch_mul(rows, inverse) != gf2.identity(n)).any():
+            raise InvariantViolation("isometry inverse fails rows . inverse = identity")
+        diagonal = np.array(form.diagonal, dtype=np.int64)
+        weight = ((preimages[..., None] >> np.arange(n, dtype=np.uint32)) & 1) @ diagonal
+        # s_0(p_i) - diag_i is even (p_i.p_i = diag_i), so reduced mod m its half is bit i of t
+        bits = (weight - diagonal + half * cross_parity_table(form)[preimages]) % cls.modulus // half
+        return inverse, (bits @ (1 << np.arange(n))).astype(np.uint32)
 
     @classmethod
     def enumerate_all(cls, form: IntersectionForm) -> list:

@@ -15,7 +15,7 @@ from pinforms import (
     orbits,
 )
 from pinforms.cli import main
-from pinforms.orbits import _image_row, orbit_labels
+from pinforms.orbits import _image_row, group_rows, orbit_labels
 
 CASES = [pytest.param(identity_form(k), Enhancement, id=f"N:{k}-pin-") for k in range(1, 8)] + [
     pytest.param(hyperbolic_form(g), kind, id=f"S:{g}-{theory}")
@@ -27,8 +27,29 @@ CASES = [pytest.param(identity_form(k), Enhancement, id=f"N:{k}-pin-") for k in 
 @pytest.mark.parametrize("form, kind", CASES)
 def test_code_map_equals_act_code_by_code(form, kind):
     for g in isometry_generators(form):
-        row = _image_row(*kind.code_map(form, g)).tolist()
+        (row,) = _image_row(*kind.code_map(form, g)).tolist()
         assert row == [act(g, kind.from_code(form, c)).code for c in range(1 << form.dim)]
+
+
+@pytest.mark.parametrize(
+    "form, kind",
+    [
+        pytest.param(hyperbolic_form(2), Enhancement, id="S:2-pin-"),
+        pytest.param(hyperbolic_form(2), Refinement, id="S:2-spin"),
+        pytest.param(identity_form(4), Enhancement, id="N:4-pin-"),
+    ],
+)
+def test_batch_code_map_equals_act_over_the_whole_brute_group(form, kind):
+    rows = group_rows(form, "brute")
+    columns, shifts = kind.code_map(form, rows)
+    assert columns.shape == rows.shape and shifts.shape == (len(rows),)
+    images = _image_row(columns, shifts).tolist()
+    for row, image in zip(rows.tolist(), images):
+        g = Isometry(form, row)
+        assert image == [act(g, kind.from_code(form, c)).code for c in range(1 << form.dim)]
+        # one isometry is a batch of one
+        (one,) = _image_row(*kind.code_map(form, g)).tolist()
+        assert one == image
 
 
 def test_code_map_rejects_a_generator_of_another_pairing():

@@ -2,6 +2,9 @@
 
 import random
 
+import numpy as np
+import pytest
+
 from pinforms import gf2
 
 
@@ -87,3 +90,50 @@ def test_mat_vec_linear():
     for _ in range(30):
         x, y = rng.randrange(1 << n), rng.randrange(1 << n)
         assert gf2.mat_vec(rows, x ^ y) == gf2.mat_vec(rows, x) ^ gf2.mat_vec(rows, y)
+
+
+def _random_batch(rng, shape, n):
+    return np.array([rng.randrange(1 << n) for _ in range(int(np.prod(shape)) * n)], dtype=np.uint32).reshape(*shape, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 5, 8])
+def test_batch_mul_is_mat_mul_on_every_matrix(n):
+    rng = random.Random(300 + n)
+    a, b = _random_batch(rng, (3, 7), n), _random_batch(rng, (3, 7), n)
+    single = tuple(rng.randrange(1 << n) for _ in range(n))
+    products = gf2.batch_mul(a, b)
+    assert products.shape == (3, 7, n) and products.dtype == np.uint32
+    # a tuple broadcasts as one matrix, on either side
+    left, right = gf2.batch_mul(single, b), gf2.batch_mul(a, single)
+    # leading axes broadcast: matrix a[i, j] against every matrix b[i, k]
+    outer = gf2.batch_mul(a[:, :, None], b[:, None, :])
+    for i in range(3):
+        for j in range(7):
+            x, y = tuple(a[i, j].tolist()), tuple(b[i, j].tolist())
+            assert tuple(products[i, j].tolist()) == gf2.mat_mul(x, y)
+            assert tuple(left[i, j].tolist()) == gf2.mat_mul(single, y)
+            assert tuple(right[i, j].tolist()) == gf2.mat_mul(x, single)
+            for k in range(7):
+                assert tuple(outer[i, j, k].tolist()) == gf2.mat_mul(x, tuple(b[i, k].tolist()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 8])
+def test_batch_transpose_is_transpose_on_every_matrix(n):
+    rng = random.Random(400 + n)
+    a = _random_batch(rng, (2, 9), n)
+    transposed = gf2.batch_transpose(a, n)
+    assert transposed.shape == a.shape
+    for i in range(2):
+        for j in range(9):
+            assert tuple(transposed[i, j].tolist()) == gf2.transpose(tuple(a[i, j].tolist()), n)
+
+
+def test_batch_kernels_keep_a_narrow_unsigned_width():
+    rng = random.Random(11)
+    a = _random_batch(rng, (5,), 8).astype(np.uint8)
+    b = _random_batch(rng, (5,), 8).astype(np.uint8)
+    assert gf2.batch_mul(a, b).dtype == np.uint8
+    assert gf2.batch_transpose(a, 8).dtype == np.uint8
+    wide = gf2.batch_mul(a.astype(np.uint32), b.astype(np.uint32))
+    assert np.array_equal(gf2.batch_mul(a, b), wide)
+    assert np.array_equal(gf2.batch_transpose(a, 8), gf2.batch_transpose(a.astype(np.uint32), 8))

@@ -31,7 +31,15 @@ from pinforms import (
     transvection,
 )
 from pinforms.enhancements import brown_spectrum
-from pinforms.orbits import _image_row, isometry_group_order, level_set_fit, mulclose, orbit_labels, orbit_summary
+from pinforms.orbits import (
+    _image_row,
+    group_rows,
+    isometry_group_order,
+    level_set_fit,
+    mulclose,
+    orbit_labels,
+    orbit_summary,
+)
 from pinforms.surfaces import is_alternating, standard_basis
 from strategies import congruent_form, congruent_forms
 
@@ -184,15 +192,42 @@ def test_generated_equals_brute_hyperbolic_forms(g):
 
 # every pairing up to dimension 3, and the standard ones in dimension 4; the
 # congruent dimension-4 pairings are drawn in the twist-generator test below
-@pytest.mark.parametrize(
+FILTER_FORMS = pytest.mark.parametrize(
     "form",
     [f for n in range(4) for f in every_form(n)] + [identity_form(4), hyperbolic_form(2)],
     ids=lambda f: f"{f.dim}:{','.join(map(str, f.rows))}",
 )
+
+
+def packed(rows, n):
+    """The packed key of a matrix: row i at bits [i n, (i+1) n)."""
+    return sum(r << (i * n) for i, r in enumerate(rows))
+
+
+@FILTER_FORMS
 def test_bit_sliced_brute_group_equals_the_matmul_filter(form):
     group = isometry_group(form, "brute")
     assert group == matmul_brute_group(form)
     assert len(group) == isometry_group_order(form)
+
+
+@FILTER_FORMS
+def test_group_rows_are_the_matmul_filter_sorted_by_packed_key(form):
+    rows = group_rows(form, "brute")
+    assert rows.dtype == np.uint32 and rows.shape == (isometry_group_order(form), form.dim)
+    expected = sorted((g.rows for g in matmul_brute_group(form)), key=lambda r: packed(r, form.dim))
+    assert [tuple(r) for r in rows.tolist()] == expected
+
+
+def test_brute_group_rows_are_read_only():
+    # the array is cached for every later caller, so writing to it must fail
+    rows = group_rows(identity_form(4), "brute")
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        rows[:] = 0
+    assert group_rows(identity_form(4), "brute") is rows
+    assert len(isometry_group(identity_form(4), "brute")) == 48
 
 
 def test_brute_group_size_limit():
@@ -232,6 +267,16 @@ def test_mulclose_builds_one_isometry_per_new_element_and_equals_the_reference_c
     # every element but the generators is built, and validated, exactly once
     assert sorted(built) == sorted({g.rows for g in group} - {g.rows for g in gens})
     assert group == reference_closure(gens)
+
+
+@pytest.mark.parametrize("form", [hyperbolic_form(2), identity_form(4), identity_form(5)], ids=["S:2", "N:4", "N:5"])
+def test_array_closure_equals_the_reference_closure(form):
+    gens = isometry_generators(form)
+    rows = orbits._closure(form, orbits._generator_rows(form, gens)).tolist()
+    keys = [packed(r, form.dim) for r in rows]
+    assert keys == sorted(set(keys))
+    assert {tuple(r) for r in rows} == {g.rows for g in reference_closure(gens)}
+    assert len(rows) == isometry_group_order(form)
 
 
 def test_mulclose_refuses_generators_on_two_pairings():
@@ -320,7 +365,7 @@ def test_orbit_labels_close_along_a_non_involution_alone(form, u, w):
     g = transvection(form, u) @ transvection(form, w)
     inverse = Isometry(form, gf2.transpose(g.inverse_columns, form.dim))
     for kind in structure_kinds(form):
-        row = _image_row(*kind.code_map(form, g))
+        (row,) = _image_row(*kind.code_map(form, g))
         assert not np.array_equal(row[row], np.arange(row.size))
         structures = kind.enumerate_all(form)
         assert orbit_partition(form, structures, generators=[g]) == reference_orbit_partition(form, structures, [g])
@@ -484,6 +529,38 @@ def test_orbit_summary_follows_the_partition_order(surface):
             parts = orbit_partition(form, kind.enumerate_all(form), generators=subset)
             assert members == [orbit[0].code for orbit in parts]
             assert sizes == [len(orbit) for orbit in parts]
+
+
+def test_a_non_isometry_in_a_row_batch_is_rejected():
+    form = hyperbolic_form(2)
+    rows = np.array(group_rows(form, "brute"))
+    assert np.array_equal(orbit_labels(form, Refinement, rows), orbit_labels(form, Refinement))
+    # a singular matrix in the middle of the batch
+    rows[7] = (0b0001, 0b0001, 0b0100, 0b1000)
+    with pytest.raises(ValueError, match="does not preserve the pairing"):
+        orbit_labels(form, Refinement, rows)
+    rows[7] = (0b10000, 0b0010, 0b0100, 0b1000)
+    with pytest.raises(ValueError, match="out of range"):
+        orbit_labels(form, Refinement, rows)
+    with pytest.raises(ValueError, match="not a batch"):
+        orbit_labels(form, Refinement, rows[:, :3])
+
+
+BUDGET_SURFACES = [nonorientable_surface(k) for k in range(1, 9)] + [orientable_surface(g) for g in range(1, 5)]
+
+
+@pytest.mark.parametrize("surface", BUDGET_SURFACES, ids=lambda s: s.label)
+def test_orbit_labels_do_not_depend_on_the_image_chunk_budget(surface, monkeypatch):
+    # at these dimensions the default budget pulls every generator in one chunk;
+    # a budget of one byte pulls one generator at a time, and the other one three
+    form = surface.form
+    generator_sets = [None] + ([group_rows(form, "brute")] if form.dim <= 4 else [])
+    cases = [(kind, gens) for kind in structure_kinds(form) for gens in generator_sets]
+    whole = [orbit_labels(form, kind, gens) for kind, gens in cases]
+    for budget in (1, 3 * (4 << form.dim)):
+        monkeypatch.setattr(orbits, "_IMAGE_BYTES", budget)
+        for (kind, gens), labels in zip(cases, whole):
+            assert np.array_equal(orbit_labels(form, kind, gens), labels)
 
 
 def test_orbit_labels_reject_other_pairings_and_large_dimensions():

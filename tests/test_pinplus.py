@@ -1,6 +1,7 @@
 """Mod-2 quadratic functions on mod-4 homology and their existence pattern."""
 
 import itertools
+import random
 
 import pytest
 
@@ -179,3 +180,34 @@ def test_enumeration_checks_descent_once(monkeypatch):
     monkeypatch.setattr(pinplus, "is_well_defined", counting)
     assert len(enumerate_pinplus(nonorientable_surface(10))) == 1 << 10
     assert calls == [(0,) * 10]
+
+
+def evaluated_by_pairing_bits(q, coeffs):
+    """The oracle for ``PinPlusForm.__call__``: repeated generator addition, each cross term a full ``pairing_bits``."""
+    form = q.model.form
+    total = acc = 0
+    for i, c in enumerate(coeffs):
+        for _ in range(c):
+            total ^= q.values[i] ^ form.pairing_bits(acc, 1 << i)
+            acc ^= 1 << i
+    return total
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [nonorientable_surface(2), nonorientable_surface(4), orientable_surface(1)],
+    ids=lambda s: s.label,
+)
+def test_evaluation_matches_the_pairing_bits_oracle_on_every_class(surface):
+    n = surface.form.dim
+    for q in enumerate_pinplus(surface):
+        for coeffs in itertools.product(range(4), repeat=n):
+            assert q(coeffs) == evaluated_by_pairing_bits(q, coeffs), (q.values, coeffs)
+
+
+def test_evaluation_matches_the_pairing_bits_oracle_on_a_sample_at_genus_two():
+    rng = random.Random(0x5A2)
+    for q in rng.sample(enumerate_pinplus(orientable_surface(2)), 6):
+        for _ in range(50):
+            coeffs = tuple(rng.randrange(4) for _ in range(4))
+            assert q(coeffs) == evaluated_by_pairing_bits(q, coeffs), (q.values, coeffs)

@@ -14,7 +14,9 @@ from pinforms import (
     enumerate_pinplus,
     hyperbolic_form,
     identity_form,
+    isometry_generators,
     isometry_group,
+    mulclose,
     nonorientable_surface,
     value_histograms,
 )
@@ -100,6 +102,11 @@ LIBRARY_GUARDS = {
         lambda: len(isometry_group(hyperbolic_form(2), "generated")) == 720,
         lambda: isometry_group(hyperbolic_form(3), "generated"),
         "generated groups capped at dimension 4, got 6",
+    ),
+    "group closure": (
+        lambda: len(mulclose(isometry_generators(identity_form(5)))) == 720,
+        lambda: mulclose(isometry_generators(identity_form(6))),
+        "group closure capped at dimension 5, got 6",
     ),
 }
 

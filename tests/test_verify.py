@@ -15,6 +15,7 @@ from pinforms import (
     Enhancement,
     IntersectionForm,
     InvariantViolation,
+    Isometry,
     QuadraticStructure,
     Refinement,
     census,
@@ -23,6 +24,7 @@ from pinforms import (
     hyperbolic_form,
     identity_form,
     nonorientable_surface,
+    orbits,
     verify,
 )
 from pinforms.cli import OutputRecord, main
@@ -646,6 +648,23 @@ def test_code_label_suites_build_no_structure_from_a_code(monkeypatch):
     results = run_suites(["orbit-level-sets", "bordism", "arf-consistency"])
     assert [r.status for r in results] == [PASS] * 6
     assert calls == Counter()
+
+
+def test_group_suites_build_no_group_of_isometry_objects(monkeypatch):
+    # the brute-force and generated groups stay row arrays, each element checked by one batch
+    # A^T F A = F test; what is built is the twist generators and the banding isometry
+    orbits._brute_group.cache_clear()
+    built = []
+    post_init = Isometry.__post_init__
+
+    def counted(iso):
+        built.append(iso.rows)
+        post_init(iso)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counted)
+    results = run_suites(["isometry-groups", "orbit-level-sets", "bordism"])
+    assert [r.status for r in results] == [PASS] * 7
+    assert len(built) < 100
 
 
 def flip_brown(monkeypatch, form, code):
