@@ -16,8 +16,8 @@ from .census import (
     FLAG_CONJECTURE_FAILED,
     FLAG_CONJECTURED_CONFIRMED,
     FLAG_DISPUTED,
-    THEORY_PIN_MINUS,
-    THEORY_SPIN,
+    THEORIES,
+    Theory,
     bordism_class,
     cobordant,
     pin_census_closed_form,

@@ -16,28 +16,32 @@ standard basis of the pairing (``brown_normal_form``, ``arf_normal_form``).
 Each pairing's basis and, per basis vector, its set-bit indices and cross
 term are cached (``standard_basis_terms``), so a query only adds up basis
 values, with no class table, up to dimension ``MAX_NORMAL_FORM_DIM``.
+
+The theories are the ``Theory`` records of ``THEORIES``, which the commands,
+``bordism_class`` and verify read instead of branching on a theory.  A new
+theory is one more record: its ``QuadraticStructure`` subclass (which gives
+``code_map``), enumeration, spectrum, normal form, census and comparison.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .enhancements import Enhancement, brown_normal_form, brown_spectrum
-from .refinements import Census, Refinement, arf_normal_form, spin_closed_form
-from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim
+from .enhancements import Enhancement, brown_normal_form, brown_spectrum, enumerate_enhancements, histogram_from_brown
+from .refinements import (
+    Census, Refinement, arf_normal_form, arf_spectrum, enumerate_refinements, spin_census, spin_closed_form,
+)
+from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim, is_alternating
 
 FLAG_CONFIRMED = "CONFIRMED"
 FLAG_DISPUTED = "DISPUTED"
 FLAG_CONJECTURED_CONFIRMED = "CONJECTURED-CONFIRMED"
 FLAG_CONJECTURE_FAILED = "CONJECTURE-FAILED"
-
-THEORY_SPIN = "spin"
-THEORY_PIN_MINUS = "pin-"
-THEORIES = (THEORY_SPIN, THEORY_PIN_MINUS)
 
 
 @lru_cache(maxsize=64)
@@ -154,6 +158,75 @@ def pin_census_closed_form(surface: Surface) -> tuple[ClosedFormEntry, ...]:
     return tuple(entries)
 
 
+def _spin_comparison(surface: Surface, census: Census) -> tuple[tuple, tuple]:
+    closed = spin_closed_form(surface.genus)
+    rows = tuple(
+        (i, census.get(i, 0), closed[i], FLAG_CONFIRMED if census.get(i, 0) == closed[i] else FLAG_DISPUTED)
+        for i in sorted(closed)
+    )
+    return ("invariant", "enumerated", "closed_form", "flag"), rows
+
+
+def _pin_comparison(surface: Surface, census: Census) -> tuple[tuple, tuple]:
+    columns = ("invariant", "enumerated", "closed_form", "closed_form_flag", "recursion", "corrected", "corrected_flag")
+    entries = {e.invariant: e for e in pin_census_closed_form(surface)}
+    recursion = pin_census_recursive(surface.genus) if surface.kind == "nonorientable" else None
+    rows = []
+    for i in sorted(set(census) | set(entries) | set(recursion or ())):
+        e = entries.get(i)
+        closed = (e.formula_count, e.flag, e.corrected_count, e.corrected_flag) if e else (None,) * 4
+        rows.append((i, census.get(i, 0), *closed[:2], recursion.get(i, 0) if recursion else None, *closed[2:]))
+    return columns, tuple(rows)
+
+
+def _histogram_rows(surface: Surface, beta: int) -> tuple[tuple[str, str], ...]:
+    # the histogram is a function of the dimension, beta and the pairing's parity
+    hist = histogram_from_brown(surface.form.dim, beta, is_alternating(surface.form))
+    return (("histogram", ",".join(str(c) for c in hist)),)
+
+
+@dataclass(frozen=True)
+class Theory:
+    """One structure theory: all that the commands, ``bordism_class`` and verify read of it."""
+
+    name: str  # the ``-t`` choice and ``BordismClass.theory``
+    structure: type  # its ``QuadraticStructure`` subclass
+    invariant: str  # the invariant's name in ``orbits`` and ``invariant`` output
+    orientable_only: bool
+    enumerate_all: Callable  # pairing -> every structure, in code order
+    spectrum: Callable  # pairing -> the invariant of every code
+    normal_form: Callable  # structure -> its invariant, read on a standard basis
+    census: Callable  # surface -> checked counts by invariant value
+    compare: Callable  # surface, census -> the ``census --compare`` columns and rows
+    invariant_rows: Callable  # surface, invariant -> the rows ``invariant`` prints after it
+
+    @property
+    def values_name(self) -> str:
+        """``refinement`` or ``enhancement``: what ``invariant`` calls the given values, and their option."""
+        return self.structure.__name__.lower()
+
+    def require(self, surface: Surface, what: str) -> None:
+        """Refuse a surface that has no structures of this theory; ``what`` names them in the error."""
+        if self.orientable_only and surface.kind != "orientable":
+            raise ValueError(f"{what} need an orientable surface")
+
+
+# The theories, in ``-t`` order.  A function that the benchmark tracer or a test replaces
+# by its module name is called through a lambda, which looks the name up at each call.
+THEORIES = (
+    Theory(
+        "spin", Refinement, "arf", orientable_only=True, spectrum=arf_spectrum, normal_form=arf_normal_form,
+        enumerate_all=lambda form: enumerate_refinements(form), census=lambda surface: spin_census(surface.genus),
+        compare=_spin_comparison, invariant_rows=lambda surface, arf: (),
+    ),
+    Theory(
+        "pin-", Enhancement, "beta", orientable_only=False, spectrum=brown_spectrum, normal_form=brown_normal_form,
+        enumerate_all=lambda form: enumerate_enhancements(form), census=lambda surface: pin_census_enumerated(surface),
+        compare=_pin_comparison, invariant_rows=_histogram_rows,
+    ),
+)
+
+
 @dataclass(frozen=True)
 class BordismClass:
     """Where a structured surface sits in its bordism group."""
@@ -174,15 +247,14 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     ``arf_majority`` and the spectra) share no code with this one and are
     its oracle.
     """
+    # a Surface is orientable exactly when its pairing is alternating, so the
+    # form match puts a refinement, which needs one, on an orientable surface
     if structure.form != surface.form:
         raise ValueError("structure does not live on the given surface")
-    if isinstance(structure, Refinement):
-        # a refinement's pairing is alternating, so the form match already
-        # rules out nonorientable surfaces
-        return BordismClass(THEORY_SPIN, arf_normal_form(structure))
-    if isinstance(structure, Enhancement):
-        return BordismClass(THEORY_PIN_MINUS, brown_normal_form(structure))
-    raise ValueError(f"unsupported structure type {type(structure).__name__}")
+    theory = next((t for t in THEORIES if isinstance(structure, t.structure)), None)
+    if theory is None:
+        raise ValueError(f"unsupported structure type {type(structure).__name__}")
+    return BordismClass(theory.name, theory.normal_form(structure))
 
 
 def cobordant(first: tuple, second: tuple) -> bool:

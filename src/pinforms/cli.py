@@ -5,6 +5,9 @@ the ``json`` format round-trips losslessly through ``OutputRecord``.
 Exit codes: 0 success, 1 genuine property failure or failed internal
 consistency check, 2 bad arguments or illegal structure values, 3
 documented size limit exceeded.
+
+The ``-t`` theories are the records of ``census.THEORIES``; ``census``, ``orbits``
+and ``invariant`` read all that is theory-specific from the record.
 """
 
 from __future__ import annotations
@@ -18,18 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .census import (
-    FLAG_CONFIRMED,
-    FLAG_DISPUTED,
-    THEORIES,
-    THEORY_PIN_MINUS,
-    THEORY_SPIN,
-    bordism_class,
-    pin_census_closed_form,
-    pin_census_enumerated,
-    pin_census_recursive,
-)
-from .enhancements import Enhancement, brown_spectrum, histogram_from_brown
+from .census import THEORIES, bordism_class
 from .orbits import (
     MAX_BRUTE_DIM,
     isometry_generators,
@@ -38,7 +30,6 @@ from .orbits import (
     orbit_labels,
     orbit_summary,
 )
-from .refinements import Refinement, arf_spectrum, spin_census, spin_closed_form
 from .surfaces import (
     InvariantViolation,
     LimitError,
@@ -46,11 +37,12 @@ from .surfaces import (
     MAX_TABLE_DIM,
     Surface,
     check_dim,
-    is_alternating,
     nonorientable_surface,
     orientable_surface,
 )
 from .verify import run_suites, summarize
+
+THEORY_BY_NAME = {theory.name: theory for theory in THEORIES}
 
 
 @dataclass(frozen=True)
@@ -150,100 +142,35 @@ def parse_values(text: str) -> tuple[int, ...]:
 def cmd_census(args) -> tuple[OutputRecord, int]:
     surface = parse_surface(args.surface)
     check_dim(surface.form.dim, MAX_TABLE_DIM, "census enumeration")
-    if args.theory == THEORY_SPIN:
-        if surface.kind != "orientable":
-            raise ValueError("spin structures need an orientable surface")
-        census = spin_census(surface.genus)
+    theory = THEORY_BY_NAME[args.theory]
+    theory.require(surface, f"{theory.name} structures")
+    census = theory.census(surface)
+    meta = (("surface", surface.label), ("theory", theory.name), ("structures", sum(census.values())))
+    if args.compare:
+        columns, rows = theory.compare(surface, census)
     else:
-        census = pin_census_enumerated(surface)
-
-    meta = (
-        ("surface", surface.label),
-        ("theory", args.theory),
-        ("structures", sum(census.values())),
-    )
-    if not args.compare:
-        columns = ("invariant", "count")
-        rows = tuple((i, census[i]) for i in sorted(census))
-        return OutputRecord("census", meta, columns, rows), 0
-
-    if args.theory == THEORY_SPIN:
-        closed = spin_closed_form(surface.genus)
-        columns = ("invariant", "enumerated", "closed_form", "flag")
-        rows = tuple(
-            (i, census.get(i, 0), closed[i], FLAG_CONFIRMED if census.get(i, 0) == closed[i] else FLAG_DISPUTED)
-            for i in sorted(closed)
-        )
-        return OutputRecord("census", meta, columns, rows), 0
-
-    entries = {e.invariant: e for e in pin_census_closed_form(surface)}
-    recursion = pin_census_recursive(surface.genus) if surface.kind == "nonorientable" else None
-    columns = (
-        "invariant",
-        "enumerated",
-        "closed_form",
-        "closed_form_flag",
-        "recursion",
-        "corrected",
-        "corrected_flag",
-    )
-    invariants = sorted(set(census) | set(entries) | set(recursion or ()))
-    rows = []
-    for i in invariants:
-        entry = entries.get(i)
-        rows.append(
-            (
-                i,
-                census.get(i, 0),
-                entry.formula_count if entry else None,
-                entry.flag if entry else None,
-                recursion.get(i, 0) if recursion is not None else None,
-                entry.corrected_count if entry else None,
-                entry.corrected_flag if entry else None,
-            )
-        )
-    return OutputRecord("census", meta, columns, tuple(rows)), 0
+        columns, rows = ("invariant", "count"), tuple((i, census[i]) for i in sorted(census))
+    return OutputRecord("census", meta, columns, rows), 0
 
 
 def cmd_invariant(args) -> tuple[OutputRecord, int]:
     surface = parse_surface(args.surface)
-    values = parse_values(args.refinement if args.refinement is not None else args.enhancement)
-    if args.refinement is not None:
-        theory = THEORY_SPIN
-        if surface.kind != "orientable":
-            raise ValueError("refinement values need an orientable surface")
-        structure = Refinement(surface.form, values)
-        rows = (("arf", bordism_class(surface, structure).value),)
-    else:
-        theory = THEORY_PIN_MINUS
-        structure = Enhancement(surface.form, values)
-        beta = bordism_class(surface, structure).value
-        # the histogram is a function of the dimension, beta and the pairing's parity
-        hist = histogram_from_brown(surface.form.dim, beta, is_alternating(surface.form))
-        rows = (
-            ("beta", beta),
-            ("histogram", ",".join(str(c) for c in hist)),
-        )
-    if args.theory is not None and args.theory != theory:
+    theory = next(t for t in THEORIES if getattr(args, t.values_name) is not None)
+    values = parse_values(getattr(args, theory.values_name))
+    theory.require(surface, f"{theory.values_name} values")
+    value = bordism_class(surface, theory.structure(surface.form, values)).value
+    rows = ((theory.invariant, value),) + theory.invariant_rows(surface, value)
+    if args.theory is not None and args.theory != theory.name:
         raise ValueError(f"theory {args.theory} does not match the given structure values")
-    meta = (
-        ("surface", surface.label),
-        ("theory", theory),
-        ("values", ",".join(str(v) for v in values)),
-    )
+    meta = (("surface", surface.label), ("theory", theory.name), ("values", ",".join(str(v) for v in values)))
     return OutputRecord("invariant", meta, ("name", "value"), rows), 0
 
 
 def cmd_orbits(args) -> tuple[OutputRecord, int]:
     surface = parse_surface(args.surface)
     form = surface.form
-    if args.theory == THEORY_SPIN:
-        if surface.kind != "orientable":
-            raise ValueError("spin structures need an orientable surface")
-        kind, invariant_name, spectrum = Refinement, "arf", arf_spectrum
-    else:
-        kind, invariant_name, spectrum = Enhancement, "beta", brown_spectrum
-
+    theory = THEORY_BY_NAME[args.theory]
+    theory.require(surface, f"{theory.name} structures")
     check_dim(form.dim, MAX_TABLE_DIM, "orbit computation")
     generators = isometry_generators(form)
     if form.dim <= MAX_BRUTE_DIM:
@@ -251,8 +178,8 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
     else:
         group_desc = f"generated ({len(generators)} generators)"
 
-    invariants = spectrum(form)
-    labels = orbit_labels(form, kind, generators)
+    invariants = theory.spectrum(form)
+    labels = orbit_labels(form, theory.structure, generators)
     members, sizes = orbit_summary(labels)
     _, match = level_set_fit(labels, invariants)
 
@@ -262,9 +189,9 @@ def cmd_orbits(args) -> tuple[OutputRecord, int]:
     )
     meta = (
         ("surface", surface.label),
-        ("theory", args.theory),
+        ("theory", theory.name),
         ("group", group_desc),
-        ("invariant", invariant_name),
+        ("invariant", theory.invariant),
     )
     summary = (
         ("orbits", len(members)),
@@ -298,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="count structures by invariant value")
     p_census.add_argument("-s", "--surface", required=True, help="surface spec, e.g. S:2 or N:3")
-    p_census.add_argument("-t", "--theory", choices=THEORIES, required=True)
+    p_census.add_argument("-t", "--theory", choices=tuple(THEORY_BY_NAME), required=True)
     p_census.add_argument("--compare", action="store_true", help="add closed-form and recursion columns")
     add_common(p_census)
     p_census.set_defaults(handler=cmd_census)
@@ -308,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_inv.add_mutually_exclusive_group(required=True)
     group.add_argument("-q", "--refinement", help="comma-separated Z/2 basis values")
     group.add_argument("-e", "--enhancement", help="comma-separated Z/4 basis values")
-    p_inv.add_argument("-t", "--theory", choices=THEORIES, default=None)
+    p_inv.add_argument("-t", "--theory", choices=tuple(THEORY_BY_NAME), default=None)
     add_common(p_inv)
     p_inv.set_defaults(handler=cmd_invariant)
 
     p_orb = sub.add_parser("orbits", help="isometry orbits of structures and invariant level sets")
     p_orb.add_argument("-s", "--surface", required=True)
-    p_orb.add_argument("-t", "--theory", choices=THEORIES, required=True)
+    p_orb.add_argument("-t", "--theory", choices=tuple(THEORY_BY_NAME), required=True)
     add_common(p_orb)
     p_orb.set_defaults(handler=cmd_orbits)
 

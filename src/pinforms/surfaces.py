@@ -265,7 +265,7 @@ def standard_basis_terms(form: IntersectionForm) -> tuple[tuple[tuple[int, ...],
 
 @dataclass(frozen=True)
 class Surface:
-    """A closed surface in standard form."""
+    """A closed surface in standard form; it is orientable exactly when its pairing is alternating."""
 
     kind: str
     genus: int
@@ -277,13 +277,13 @@ class Surface:
         if self.kind == "orientable":
             if self.genus < 0:
                 raise ValueError("orientable genus must be nonnegative")
-            if self.form.dim != 2 * self.genus:
-                raise ValueError("orientable surface needs a rank-2g pairing")
+            if self.form.dim != 2 * self.genus or not is_alternating(self.form):
+                raise ValueError("orientable surface needs an alternating rank-2g pairing")
         else:
             if self.genus < 1:
                 raise ValueError("nonorientable genus must be at least 1")
-            if self.form.dim != self.genus:
-                raise ValueError("nonorientable surface needs a rank-k pairing")
+            if self.form.dim != self.genus or is_alternating(self.form):
+                raise ValueError("nonorientable surface needs a non-alternating rank-k pairing")
 
     @property
     def label(self) -> str:

@@ -20,6 +20,7 @@ from .census import (
     FLAG_CONFIRMED,
     FLAG_CONJECTURED_CONFIRMED,
     FLAG_DISPUTED,
+    THEORIES,
     bordism_class,
     cobordant,
     pin_census_closed_form,
@@ -32,7 +33,6 @@ from .enhancements import (
     brown_gauss_many,
     brown_normal_form,
     enhancement_from_refinement,
-    enumerate_enhancements,
     value_histograms,
 )
 from .orbits import (
@@ -48,7 +48,6 @@ from .refinements import (
     Refinement,
     arf_spectrum,
     arf_symplectic,
-    enumerate_refinements,
     spin_census,
     spin_closed_form,
 )
@@ -117,8 +116,7 @@ def _structures(kind, form) -> tuple:
     Enumerated once per run: each suite that needs a surface's structures
     reads them here, and ``run_suites`` clears the cache when it starts.
     """
-    enumerate_all = enumerate_enhancements if kind is Enhancement else enumerate_refinements
-    return tuple(enumerate_all(form))
+    return tuple(next(t for t in THEORIES if t.structure is kind).enumerate_all(form))
 
 
 def _suite_forms_core() -> list[Row]:
@@ -506,27 +504,26 @@ def _suite_isometry_groups() -> list[Row]:
     ]
 
 
-def _level_set_misfits(kind, cases):
-    """Labels of the (label, form, generators) cases whose orbits are not the level sets of Brown or Arf."""
+def _level_set_misfits(kind, invariants_of, cases):
+    """Labels of the (label, form, generators) cases whose orbits are not the level sets of ``invariants_of``."""
     for label, form, generators in cases:
         labels = orbit_labels(form, kind, generators)
-        structures = _structures(kind, form)
-        invariants = brown_gauss_many(structures) if kind is Enhancement else [arf_symplectic(q) for q in structures]
-        if not level_set_fit(labels, invariants)[1]:
+        if not level_set_fit(labels, invariants_of(_structures(kind, form)))[1]:
             yield label
 
 
 def _suite_orbit_level_sets() -> list[Row]:
     # invariants in code order against ``orbit_labels``: ``level_set_fit`` is the test that ``orbits`` prints
     out = [
-        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, (
+        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, brown_gauss_many, (
             (f"k={k}", form, group_rows(form, "brute")) for k in range(1, 5) for form in [identity_form(k)]
         ))),
         # transvections generate the whole symplectic group over GF(2),
         # so these orbits are full isometry-group orbits
-        _first("transvection-orbits-equal-arf-level-sets (g<=3)", _level_set_misfits(Refinement, (
-            (f"g={g}", hyperbolic_form(g), None) for g in range(1, 4)
-        ))),
+        _first("transvection-orbits-equal-arf-level-sets (g<=3)", _level_set_misfits(
+            Refinement, lambda qs: [arf_symplectic(q) for q in qs],
+            ((f"g={g}", hyperbolic_form(g), None) for g in range(1, 4)),
+        )),
     ]
 
     ok = True

@@ -2,6 +2,7 @@
 
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,8 +12,6 @@ from pinforms import (
     FLAG_CONFIRMED,
     FLAG_CONJECTURED_CONFIRMED,
     FLAG_DISPUTED,
-    THEORY_PIN_MINUS,
-    THEORY_SPIN,
     Enhancement,
     LimitError,
     Refinement,
@@ -203,7 +202,7 @@ def test_bordism_class_spin():
     s = orientable_surface(1)
     q = Refinement(s.form, (1, 1))
     cls = bordism_class(s, q)
-    assert cls.theory == THEORY_SPIN
+    assert cls.theory == "spin"
     assert cls.value == 1
 
 
@@ -211,7 +210,7 @@ def test_bordism_class_pin_minus():
     n = nonorientable_surface(2)
     e = Enhancement(n.form, (1, 1))
     cls = bordism_class(n, e)
-    assert cls.theory == THEORY_PIN_MINUS
+    assert cls.theory == "pin-"
     assert cls.value == 2
 
 
@@ -222,6 +221,9 @@ def test_bordism_class_validation():
         bordism_class(s, Refinement(hyperbolic_form(2), (0,) * 4))
     with pytest.raises(ValueError):
         bordism_class(n, Enhancement(identity_form(3), (1, 1, 1)))
+    # a structure of no theory in THEORIES
+    with pytest.raises(ValueError, match="unsupported structure type SimpleNamespace"):
+        bordism_class(n, SimpleNamespace(form=n.form))
 
 
 def test_cobordant_pairs():

@@ -149,6 +149,35 @@ def test_orbits_output_matches_golden_file(capsys):
         assert out == expected, command
 
 
+# (exit code, stdout, stderr) of ``census`` (with and without ``--compare``, both theories,
+# N:1-8 and S:0-4) and ``invariant`` (-q and -e, with and without -t), plus the theory
+# errors: spin on N:k, the check order at N:21 (census: size first, orbits: orientability
+# first) and -q on N:k.  Captured before the commands read the theory table.
+CENSUS_GOLDEN = Path(__file__).parent / "data" / "census_cli.json"
+
+
+def test_census_and_invariant_output_matches_golden_file(capsys):
+    golden = json.loads(CENSUS_GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 116
+    for command, expected in golden.items():
+        assert list(run_cli(capsys, *command.split())) == expected, command
+
+
+def _theory_choices(command):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in subparsers.choices[command]._actions if a.dest == "theory")
+
+
+@pytest.mark.parametrize("command", ["census", "orbits", "invariant"])
+def test_theory_choices_are_the_table_names(capsys, command):
+    assert tuple(_theory_choices(command)) == tuple(t.name for t in census.THEORIES) == ("spin", "pin-")
+    values = ["-e", "1,1"] if command == "invariant" else []
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "-s", "N:2", "-t", "pin+", *values])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'pin+'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "surface,theory,expected",
     [("N:20", "pin-", pin_census_recursive(20)), ("S:10", "spin", spin_closed_form(10))],

@@ -129,6 +129,26 @@ def test_surface_constructors():
         orientable_surface(-1)
 
 
+@pytest.mark.parametrize(
+    "kind,genus,form,message",
+    [
+        ("nonorientable", 2, hyperbolic_form(1), "nonorientable surface needs a non-alternating rank-k pairing"),
+        ("orientable", 1, identity_form(2), "orientable surface needs an alternating rank-2g pairing"),
+    ],
+)
+def test_surface_kind_must_match_the_pairing_parity(kind, genus, form, message):
+    # the kind must follow the pairing, or "N:2" on a hyperbolic pairing would get a spin bordism class
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Surface(kind, genus, form)
+
+
+def test_surface_accepts_any_pairing_of_its_parity():
+    odd = direct_sum(identity_form(1), hyperbolic_form(1))
+    assert Surface("nonorientable", 3, odd).label == "N:3"
+    alternating = IntersectionForm.from_matrix([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    assert Surface("orientable", 2, alternating).label == "S:2"
+
+
 def test_enumerate_classes_order_and_count():
     f = identity_form(2)
     classes = list(enumerate_classes(f))
