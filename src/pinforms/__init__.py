@@ -70,7 +70,6 @@ from .refinements import (
     spin_census,
 )
 from .surfaces import (
-    H1Class,
     IntersectionForm,
     InvariantViolation,
     LimitError,
@@ -79,7 +78,6 @@ from .surfaces import (
     QuadraticStructure,
     Surface,
     direct_sum,
-    enumerate_classes,
     hyperbolic_form,
     identity_form,
     intersection,

@@ -159,6 +159,12 @@ def pin_census_closed_form(surface: Surface) -> tuple[ClosedFormEntry, ...]:
 
 
 def _spin_comparison(surface: Surface, census: Census) -> tuple[tuple, tuple]:
+    """The ``census -t spin --compare`` table: enumerated and closed-form counts with a flag.
+
+    The flag restates the check ``spin_census`` enforces: the census it gets
+    already equals ``spin_closed_form`` (``InvariantViolation`` otherwise), so
+    it always reads CONFIRMED.
+    """
     closed = spin_closed_form(surface.genus)
     rows = tuple(
         (i, census.get(i, 0), closed[i], FLAG_CONFIRMED if census.get(i, 0) == closed[i] else FLAG_DISPUTED)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import gf2
 from .surfaces import (
-    H1Class,
     IntersectionForm,
     InvariantViolation,
     LimitError,
@@ -83,12 +82,9 @@ class Isometry:
             raise InvariantViolation("isometry inverse fails rows . inverse = identity")
         return gf2.transpose(inv, n)
 
-    def apply_bits(self, xbits: int) -> int:
-        return gf2.mat_vec(self.rows, xbits)
-
-    def __call__(self, x: H1Class | int) -> H1Class:
-        bits = as_bits(x, self.form.dim)
-        return H1Class(self.form.dim, self.apply_bits(bits))
+    def __call__(self, x: int) -> int:
+        """The image of a class, both as bit masks."""
+        return gf2.mat_vec(self.rows, as_bits(x, self.form.dim))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         if other.form != self.form:
@@ -104,7 +100,7 @@ def act(iso: Isometry, structure):
     return type(structure)(iso.form, vals)
 
 
-def transvection(form: IntersectionForm, v: H1Class | int) -> Isometry:
+def transvection(form: IntersectionForm, v: int) -> Isometry:
     """The map x -> x + (x.v) v; an isometry exactly when v is nonzero with v.v = 0."""
     vbits = as_bits(v, form.dim)
     if vbits == 0:

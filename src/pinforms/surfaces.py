@@ -12,13 +12,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 import numpy as np
 
 from . import gf2
 
-# Dense per-class value tables (histograms, censuses, class enumeration) stop here.
+# Dense per-class value tables (histograms, censuses) stop here.
 MAX_TABLE_DIM = 20
 # Reduction to a standard basis (bordism classes, single-structure invariants) stops here.
 MAX_NORMAL_FORM_DIM = 256
@@ -39,52 +39,15 @@ def freeze_ints(obj, field: str):
         object.__setattr__(obj, field, tuple(map(operator.index, seq)))
 
 
-@dataclass(frozen=True)
-class H1Class:
-    """A mod-2 homology class; bit i of ``bits`` is the coefficient of basis vector i."""
+def as_bits(x: int, dim: int) -> int:
+    """A class as its integer bit mask, checked against ``dim``.
 
-    dim: int
-    bits: int
-
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"class bits {self.bits:#x} out of range for dimension {self.dim}")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "H1Class":
-        coeffs = tuple(coeffs)
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            bits |= c << i
-        return cls(len(coeffs), bits)
-
-    @classmethod
-    def zero(cls, dim: int) -> "H1Class":
-        return cls(dim, 0)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.dim))
-
-    def __add__(self, other: "H1Class") -> "H1Class":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return H1Class(self.dim, self.bits ^ other.bits)
-
-
-def as_bits(x: "H1Class | int", dim: int) -> int:
-    """Accept a class or its integer encoding; validate against ``dim``."""
-    if isinstance(x, H1Class):
-        if x.dim != dim:
-            raise ValueError(f"class dimension {x.dim} does not match pairing dimension {dim}")
-        return x.bits
-    if not 0 <= x < (1 << dim):
-        raise ValueError(f"class bits {x:#x} out of range for dimension {dim}")
-    return x
+    ``operator.index`` lets numpy integers through and raises ``TypeError`` on anything else.
+    """
+    bits = operator.index(x)
+    if not 0 <= bits < (1 << dim):
+        raise ValueError(f"class bits {bits:#x} out of range for dimension {dim}")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -161,7 +124,7 @@ def direct_sum(f1: IntersectionForm, f2: IntersectionForm) -> IntersectionForm:
     return IntersectionForm(f1.dim + f2.dim, rows)
 
 
-def intersection(form: IntersectionForm, x: H1Class, y: H1Class) -> int:
+def intersection(form: IntersectionForm, x: int, y: int) -> int:
     """Mod-2 intersection number of two classes."""
     return form.pairing_bits(as_bits(x, form.dim), as_bits(y, form.dim))
 
@@ -300,13 +263,6 @@ def nonorientable_surface(k: int) -> Surface:
     if k < 1:
         raise ValueError("nonorientable genus must be at least 1")
     return Surface("nonorientable", k, identity_form(k))
-
-
-def enumerate_classes(form: IntersectionForm) -> Iterator[H1Class]:
-    """Yield all 2**n classes in ascending integer encoding."""
-    n = form.dim
-    check_dim(n, MAX_TABLE_DIM, "class enumeration")
-    return (H1Class(n, bits) for bits in range(1 << n))
 
 
 def cross_pairs(form: IntersectionForm, xbits: int) -> int:
@@ -509,7 +465,7 @@ class QuadraticStructure:
         table &= cls.modulus - 1
         return table
 
-    def __call__(self, x: H1Class | int) -> int:
+    def __call__(self, x: int) -> int:
         """s(x) in one pass over the set bits of x.
 
         Bit i adds values[i] to the linear part and the parity of rows[i] & the

@@ -234,6 +234,17 @@ def test_exit_code_internal_consistency_failure(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_spin_compare_never_flags_disputed(capsys, monkeypatch):
+    # the spin census is checked against its closed form before the flag column is built,
+    # so a disagreement exits 1 rather than printing a DISPUTED row
+    monkeypatch.setattr(refinements, "arf_spectrum", lambda form: np.zeros(1 << form.dim, dtype=np.int64))
+    code, out, err = run_cli(capsys, "census", "-s", "S:2", "-t", "spin", "--compare")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: enumerated census")
+    assert "DISPUTED" not in err
+
+
 def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
     # a nondegenerate pairing never gives a zero Gauss sum, so it is a defect, not bad input
     # (``invariant`` reads the normal form, so the Gauss sum is reached through the verify suite,
@@ -348,6 +359,16 @@ def test_readme_names_only_existing_options():
     known = {opt for p in (parser, *commands.values()) for action in p._actions for opt in action.option_strings}
     assert named, "the README names no options"
     assert named <= known, sorted(named - known)
+
+
+def test_readme_verify_summary_matches_the_pinned_run():
+    # a golden update of tests/data/verify_all.json must carry README's full-run block along
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A full run ends with:\n\n```\n(.*?)```", readme, re.S)
+    assert block, "the README shows no full-run verify summary"
+    pinned = json.loads((root / "tests" / "data" / "verify_all.json").read_text(encoding="utf-8"))["summary"]
+    assert block.group(1) == "".join(f"{key}: {value}\n" for key, value in pinned.items())
 
 
 def test_parser_is_built_once_and_lazily(package_pythonpath):

@@ -8,9 +8,7 @@ import pytest
 
 from pinforms import (
     Enhancement,
-    H1Class,
     LimitError,
-    enumerate_classes,
     enumerate_pinplus,
     hyperbolic_form,
     identity_form,
@@ -67,11 +65,6 @@ def test_cli_guard_at_its_maximum(capsys, at_cap, over_cap, message):
 
 
 LIBRARY_GUARDS = {
-    "enumerate_classes": (
-        lambda: next(enumerate_classes(identity_form(20))) == H1Class(20, 0),
-        lambda: enumerate_classes(identity_form(21)),
-        "class enumeration capped at dimension 20, got 21",
-    ),
     "orbit_labels": (
         # no generators: every code is its own orbit, so only the guard costs
         lambda: orbit_labels(identity_form(20), Enhancement, []).size == 1 << 20,

@@ -9,9 +9,7 @@ from hypothesis import assume, given, settings
 
 from pinforms import (
     Enhancement,
-    H1Class,
     IntersectionForm,
-    LimitError,
     Refinement,
     Surface,
     arf_normal_form,
@@ -19,7 +17,6 @@ from pinforms import (
     brown_normal_form,
     brown_spectrum,
     direct_sum,
-    enumerate_classes,
     enumerate_enhancements,
     enumerate_refinements,
     gf2,
@@ -29,6 +26,7 @@ from pinforms import (
     nonorientable_surface,
     orientable_surface,
     surfaces,
+    transvection,
     value_histograms,
 )
 from pinforms.cli import main
@@ -42,15 +40,6 @@ from pinforms.surfaces import (
     self_pairing_table,
 )
 from strategies import congruent_form, congruent_forms
-
-
-def test_h1class_basics():
-    x = H1Class.from_coeffs([1, 0, 1])
-    assert x.bits == 0b101
-    assert x.coeffs == (1, 0, 1)
-    y = H1Class.from_coeffs([1, 1, 0])
-    assert (x + y).coeffs == (0, 1, 1)
-    assert H1Class.zero(3).bits == 0
 
 
 def test_hyperbolic_form_matrix():
@@ -97,16 +86,44 @@ def test_direct_sum_blocks():
 
 def test_intersection_values():
     f = hyperbolic_form(1)
-    a = H1Class.from_coeffs([1, 0])
-    b = H1Class.from_coeffs([0, 1])
+    a, b = 0b01, 0b10
     assert intersection(f, a, b) == 1
     assert intersection(f, a, a) == 0
-    assert intersection(f, a + b, a + b) == 0
+    assert intersection(f, a ^ b, a ^ b) == 0
 
     e = identity_form(2)
-    x = H1Class.from_coeffs([1, 1])
+    x = 0b11
     assert intersection(e, x, x) == 0
-    assert intersection(e, H1Class.from_coeffs([1, 0]), x) == 1
+    assert intersection(e, 0b01, x) == 1
+
+
+# Every entry point that takes a class reads it through ``surfaces.as_bits``, as an integer bit mask.
+CLASS_ENTRY_POINTS = {
+    "intersection": (4, lambda x: intersection(hyperbolic_form(2), x, 0b0011)),
+    "transvection": (4, lambda x: transvection(hyperbolic_form(2), x)),
+    "structure-call": (3, Enhancement(identity_form(3), (1, 3, 1))),
+    "isometry-call": (4, transvection(hyperbolic_form(2), 0b0001)),
+}
+
+
+@pytest.mark.parametrize("n,entry", CLASS_ENTRY_POINTS.values(), ids=list(CLASS_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["negative", "too-wide"])
+def test_class_entry_points_refuse_bits_out_of_range(n, entry, bad):
+    x = -1 if bad == "negative" else 1 << n
+    with pytest.raises(ValueError, match=f"^class bits {x:#x} out of range for dimension {n}$"):
+        entry(x)
+
+
+@pytest.mark.parametrize("n,entry", CLASS_ENTRY_POINTS.values(), ids=list(CLASS_ENTRY_POINTS))
+def test_class_entry_points_take_numpy_integers(n, entry):
+    for x in (1, 0b011, (1 << n) - 1):
+        assert entry(np.int64(x)) == entry(np.uint8(x)) == entry(x)
+
+
+@pytest.mark.parametrize("n,entry", CLASS_ENTRY_POINTS.values(), ids=list(CLASS_ENTRY_POINTS))
+def test_class_entry_points_refuse_non_integers(n, entry):
+    with pytest.raises(TypeError):
+        entry(1.5)
 
 
 def test_surface_constructors():
@@ -147,18 +164,6 @@ def test_surface_accepts_any_pairing_of_its_parity():
     assert Surface("nonorientable", 3, odd).label == "N:3"
     alternating = IntersectionForm.from_matrix([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
     assert Surface("orientable", 2, alternating).label == "S:2"
-
-
-def test_enumerate_classes_order_and_count():
-    f = identity_form(2)
-    classes = list(enumerate_classes(f))
-    assert [c.bits for c in classes] == [0, 1, 2, 3]
-    assert all(isinstance(c, H1Class) for c in classes)
-
-
-def test_enumerate_classes_limit():
-    with pytest.raises(LimitError):
-        enumerate_classes(identity_form(21))
 
 
 def test_cross_pairs_examples():
@@ -232,7 +237,7 @@ def assert_call_matches_naive(form):
         for code in sample_codes(form):
             s = kind.from_code(form, code)
             for x in points:
-                assert s(x) == s(H1Class(n, x)) == naive_value(s, x), (kind.__name__, code, x)
+                assert s(x) == s(np.int64(x)) == naive_value(s, x), (kind.__name__, code, x)
 
 
 @pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
