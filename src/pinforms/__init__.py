@@ -33,6 +33,7 @@ from .enhancements import (
     brown_gauss,
     brown_gauss_many,
     brown_normal_form,
+    brown_normal_form_values,
     brown_spectrum,
     cap_off_summand,
     direct_sum_enhancement,
@@ -66,6 +67,7 @@ from .refinements import (
     arf_normal_form,
     arf_spectrum,
     arf_symplectic,
+    arf_symplectic_many,
     enumerate_refinements,
     spin_census,
 )

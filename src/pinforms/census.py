@@ -17,10 +17,11 @@ Each pairing's basis and, per basis vector, its set-bit indices and cross
 term are cached (``standard_basis_terms``), so a query only adds up basis
 values, with no class table, up to dimension ``MAX_NORMAL_FORM_DIM``.
 
-The theories are the ``Theory`` records of ``THEORIES``, which the commands,
-``bordism_class`` and verify read instead of branching on a theory.  A new
+The theories are the ``Theory`` records of ``THEORIES``, which the commands
+and ``bordism_class`` read instead of branching on a theory.  A new
 theory is one more record: its ``QuadraticStructure`` subclass (which gives
-``code_map``), enumeration, spectrum, normal form, census and comparison.
+``code_map`` and ``code_values``), spectrum, normal form, census and
+comparison.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .enhancements import Enhancement, brown_normal_form, brown_spectrum, enumerate_enhancements, histogram_from_brown
-from .refinements import (
-    Census, Refinement, arf_normal_form, arf_spectrum, enumerate_refinements, spin_census, spin_closed_form,
-)
+from .enhancements import Enhancement, brown_normal_form, brown_spectrum, histogram_from_brown
+from .refinements import Census, Refinement, arf_normal_form, arf_spectrum, spin_census, spin_closed_form
 from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim, is_alternating
 
 FLAG_CONFIRMED = "CONFIRMED"
@@ -193,13 +192,12 @@ def _histogram_rows(surface: Surface, beta: int) -> tuple[tuple[str, str], ...]:
 
 @dataclass(frozen=True)
 class Theory:
-    """One structure theory: all that the commands, ``bordism_class`` and verify read of it."""
+    """One structure theory: all that the commands and ``bordism_class`` read of it."""
 
     name: str  # the ``-t`` choice and ``BordismClass.theory``
     structure: type  # its ``QuadraticStructure`` subclass
     invariant: str  # the invariant's name in ``orbits`` and ``invariant`` output
     orientable_only: bool
-    enumerate_all: Callable  # pairing -> every structure, in code order
     spectrum: Callable  # pairing -> the invariant of every code
     normal_form: Callable  # structure -> its invariant, read on a standard basis
     census: Callable  # surface -> checked counts by invariant value
@@ -222,13 +220,13 @@ class Theory:
 THEORIES = (
     Theory(
         "spin", Refinement, "arf", orientable_only=True, spectrum=arf_spectrum, normal_form=arf_normal_form,
-        enumerate_all=lambda form: enumerate_refinements(form), census=lambda surface: spin_census(surface.genus),
-        compare=_spin_comparison, invariant_rows=lambda surface, arf: (),
+        census=lambda surface: spin_census(surface.genus), compare=_spin_comparison,
+        invariant_rows=lambda surface, arf: (),
     ),
     Theory(
         "pin-", Enhancement, "beta", orientable_only=False, spectrum=brown_spectrum, normal_form=brown_normal_form,
-        enumerate_all=lambda form: enumerate_enhancements(form), census=lambda surface: pin_census_enumerated(surface),
-        compare=_pin_comparison, invariant_rows=_histogram_rows,
+        census=lambda surface: pin_census_enumerated(surface), compare=_pin_comparison,
+        invariant_rows=_histogram_rows,
     ),
 )
 
@@ -245,7 +243,7 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     """Arf class of a refinement (spin) or Brown class of an enhancement (pin-).
 
     Both come from the normal form: the structure's values on the cached
-    ``standard_basis`` of the pairing (``standard_basis_values``, read from
+    ``standard_basis`` of the pairing (``values_on_standard_basis``, read from
     the cached terms of each basis vector), added up over its projective or
     hyperbolic planes.  No value table over the 2**n classes is built, so
     any dimension up to ``MAX_NORMAL_FORM_DIM`` answers; above it the

@@ -163,8 +163,8 @@ def brown_compass(e: Enhancement) -> int:
     return _SIGNS_BY_OCTANT.index(signs)
 
 
-def brown_normal_form(e: Enhancement) -> int:
-    """Brown invariant added up over a standard basis of the pairing, in O(n**2).
+def brown_normal_form_values(form: IntersectionForm, values) -> int:
+    """Brown invariant of the enhancement with basis values ``values``, added up over a standard basis, in O(n**2).
 
     On an orthonormal basis v1, ..., vk the enhancement splits into k
     projective planes, each of invariant +1 (value 1) or -1 (value 3); on a
@@ -173,12 +173,12 @@ def brown_normal_form(e: Enhancement) -> int:
     Kervaire invariant", 1972; Kirby-Taylor, "Pin structures on
     low-dimensional manifolds", 1990).  The basis comes from the cached
     ``standard_basis`` and each basis value from its cached terms
-    (``standard_basis_values``: set-bit indices and cross terms, cached
-    per pairing), so no class table is built and a query only adds basis
-    values at cached indices.
+    (``Enhancement.values_on_standard_basis``: set-bit indices and cross
+    terms, cached per pairing), so no class table and no structure object
+    is built, and a query only adds basis values at cached indices.
     """
-    layout, _ = standard_basis(e.form)
-    values = e.standard_basis_values()
+    layout, _ = standard_basis(form)
+    values = Enhancement.values_on_standard_basis(form, values)
     odd = layout == "identity"
     # every standard basis vector has self-pairing 1 (identity) or 0 (hyperbolic)
     broken = next((i for i, v in enumerate(values) if v & 1 != odd), None)
@@ -187,6 +187,11 @@ def brown_normal_form(e: Enhancement) -> int:
     if odd:
         return (values.count(1) - values.count(3)) % 8
     return 4 * sum(a * b // 4 for a, b in zip(values[0::2], values[1::2])) % 8
+
+
+def brown_normal_form(e: Enhancement) -> int:
+    """Brown invariant of ``e`` over a standard basis: ``brown_normal_form_values`` of its basis values."""
+    return brown_normal_form_values(e.form, e.values)
 
 
 def histogram_from_brown(dim: int, beta: int, alternating: bool) -> ValueHistogram:

@@ -56,12 +56,22 @@ def arf_majority(q: Refinement) -> int:
     return 0 if zeros > ones else 1
 
 
-def arf_symplectic(q: Refinement) -> int:
-    """Sum over hyperbolic blocks of q(a_i) q(b_i); standard orientable layout only."""
-    if not is_hyperbolic_form(q.form):
+def arf_symplectic_many(form: IntersectionForm, values) -> np.ndarray:
+    """Sum over hyperbolic blocks of q(a_i) q(b_i) for each row of an (S, n) basis-value array on ``form``.
+
+    Row s of the result belongs to row s of ``values``.  The block formula
+    reads the standard orientable layout only; any other pairing raises
+    ``ValueError``.
+    """
+    if not is_hyperbolic_form(form):
         raise ValueError("the block formula needs the standard hyperbolic layout")
-    vals = q.values
-    return sum(vals[2 * i] * vals[2 * i + 1] for i in range(q.form.dim // 2)) & 1
+    vals = np.asarray(values, dtype=np.int64).reshape(len(values), form.dim)
+    return (vals[:, 0::2] * vals[:, 1::2]).sum(axis=1) & 1
+
+
+def arf_symplectic(q: Refinement) -> int:
+    """Sum over hyperbolic blocks of q(a_i) q(b_i): ``arf_symplectic_many`` on a batch of one."""
+    return int(arf_symplectic_many(q.form, [q.values])[0])
 
 
 def arf_normal_form(q: Refinement) -> int:

@@ -221,7 +221,7 @@ def standard_basis_terms(form: IntersectionForm) -> tuple[tuple[tuple[int, ...],
     A structure's value on v is the sum of its basis values at those
     indices plus (m/2) cross_pairs(v), mod m, so with this table cached the
     basis values of a structure cost no walk over the pairing
-    (``QuadraticStructure.standard_basis_values``).
+    (``QuadraticStructure.values_on_standard_basis``).
     """
     return tuple((_set_bits(v), cross_pairs(form, v)) for v in standard_basis(form)[1])
 
@@ -378,12 +378,27 @@ class QuadraticStructure:
             raise ValueError(f"{type(self).__name__.lower()} values live in Z/{self.modulus}")
 
     @classmethod
+    def code_values(cls, form: IntersectionForm, codes) -> np.ndarray:
+        """Basis values of the structures at ``codes``, as an (S, n) uint8 array in the order of ``codes``.
+
+        Row s is diag_i + (m/2) * bit i of codes[s], the one statement of the
+        code rule.  Codes are read as little-endian bytes, so any dimension
+        works; the first code outside [0, 2**n) raises ``ValueError``.
+        """
+        n = form.dim
+        codes = [operator.index(c) for c in codes]
+        bad = next((c for c in codes if not 0 <= c < 1 << n), None)
+        if bad is not None:
+            raise ValueError(f"code {bad:#x} out of range for dimension {n}")
+        width = (n + 7) // 8
+        raw = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in codes), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(codes), width), axis=1, count=n, bitorder="little")
+        return np.array(form.diagonal, dtype=np.uint8) + cls.modulus // 2 * bits
+
+    @classmethod
     def from_code(cls, form: IntersectionForm, code: int):
-        """The structure whose basis value i is diag_i + (m/2) * bit i of ``code``."""
-        if not 0 <= code < (1 << form.dim):
-            raise ValueError(f"code {code:#x} out of range for dimension {form.dim}")
-        half = cls.modulus // 2
-        return cls(form, tuple(d + half * ((code >> i) & 1) for i, d in enumerate(form.diagonal)))
+        """The structure whose basis value i is diag_i + (m/2) * bit i of ``code``: ``code_values`` on a batch of one."""
+        return cls(form, tuple(cls.code_values(form, [code])[0].tolist()))
 
     @classmethod
     def code_map(cls, form: IntersectionForm, isometries) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +437,7 @@ class QuadraticStructure:
     def enumerate_all(cls, form: IntersectionForm) -> list:
         """All 2**n structures on the pairing, in code order."""
         check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
-        return [cls.from_code(form, code) for code in range(1 << form.dim)]
+        return [cls(form, values) for values in map(tuple, cls.code_values(form, range(1 << form.dim)).tolist())]
 
     @classmethod
     def gauss_sums(cls, form: IntersectionForm) -> np.ndarray:
@@ -481,21 +496,28 @@ class QuadraticStructure:
             cross ^= (rows[i] & rest).bit_count() & 1
         return (linear + self.modulus // 2 * cross) % self.modulus
 
-    def standard_basis_values(self) -> list[int]:
-        """s on each vector of ``standard_basis(form)``, from the cached ``standard_basis_terms``.
+    @classmethod
+    def values_on_standard_basis(cls, form: IntersectionForm, values) -> list[int]:
+        """s on each vector of ``standard_basis(form)`` for the structure with basis values ``values``.
 
         Each value is the sum of the basis values at the vector's set bits
-        plus (m/2) times its cross term, mod m: the quadratic identity,
-        without a table over the 2**n classes.
+        plus (m/2) times its cross term, mod m: the quadratic identity, read
+        from the cached ``standard_basis_terms``, without a table over the
+        2**n classes.  ``values`` is any sequence of n ints, so a row of a
+        value array needs no structure object.
         """
-        values, half = self.values, self.modulus // 2
+        half = cls.modulus // 2
         out = []
-        for bits, cross in standard_basis_terms(self.form):
+        for bits, cross in standard_basis_terms(form):
             total = half * cross
             for i in bits:
                 total += values[i]
-            out.append(total % self.modulus)
+            out.append(total % cls.modulus)
         return out
+
+    def standard_basis_values(self) -> list[int]:
+        """s on each vector of ``standard_basis(form)``: ``values_on_standard_basis`` of this structure."""
+        return self.values_on_standard_basis(self.form, self.values)
 
     def values_on_all(self) -> np.ndarray:
         """Values on all 2**n classes, indexed by integer encoding: ``value_table`` on a batch of one."""

@@ -20,21 +20,13 @@ from .census import (
     FLAG_CONFIRMED,
     FLAG_CONJECTURED_CONFIRMED,
     FLAG_DISPUTED,
-    THEORIES,
     bordism_class,
     cobordant,
     pin_census_closed_form,
     pin_census_enumerated,
     pin_census_recursive,
 )
-from .enhancements import (
-    Enhancement,
-    brown_from_histograms,
-    brown_gauss_many,
-    brown_normal_form,
-    enhancement_from_refinement,
-    value_histograms,
-)
+from .enhancements import Enhancement, brown_from_histograms, brown_normal_form_values, value_histograms
 from .orbits import (
     act,
     banding_isometry,
@@ -47,7 +39,7 @@ from .pinplus import enumerate_pinplus, is_well_defined, mod4_homology, PinPlusF
 from .refinements import (
     Refinement,
     arf_spectrum,
-    arf_symplectic,
+    arf_symplectic_many,
     spin_census,
     spin_closed_form,
 )
@@ -91,7 +83,7 @@ def _first(name: str, counterexamples) -> Row:
     """PASS if the lazy stream of counterexample details is empty, else FAIL with the first one.
 
     Nothing after the first counterexample is evaluated, so seeded samples are drawn only as far as used.
-    A stream that evaluates a batch at once (the identity checks take a surface's structures together)
+    A stream that evaluates a batch at once (most checks take a surface's value rows together)
     evaluates the whole batch holding the first counterexample, and no batch after it.
     """
     detail = next(iter(counterexamples), None)
@@ -108,13 +100,21 @@ def _standard_surfaces(max_dim: int, include_sphere: bool = False):
 
 
 @lru_cache(maxsize=None)
-def _structures(kind, form) -> tuple:
-    """All structures of ``kind`` (``Enhancement`` or ``Refinement``) on ``form``, in code order.
+def _values(kind, form) -> np.ndarray:
+    """Basis values of every structure of ``kind`` (``Enhancement`` or ``Refinement``) on ``form``, in code order.
 
-    Enumerated once per run: each suite that needs a surface's structures
-    reads them here, and ``run_suites`` clears the cache when it starts.
+    A read-only (2**n, n) uint8 array whose row c is code c (``code_values``),
+    built once per run: each suite that needs a surface's structures reads
+    their values here, and ``run_suites`` clears the cache when it starts.
     """
-    return tuple(next(t for t in THEORIES if t.structure is kind).enumerate_all(form))
+    values = kind.code_values(form, range(1 << form.dim))
+    values.setflags(write=False)
+    return values
+
+
+def _row(values: np.ndarray, s: int) -> tuple[int, ...]:
+    """Row s of a value array as a tuple of ints, which prints as the structure's ``values`` do in a detail."""
+    return tuple(values[s].tolist())
 
 
 def _suite_forms_core() -> list[Row]:
@@ -149,11 +149,6 @@ def _sample_indices(size: int, count: int, rng) -> range | list[int]:
 
 def _sampled_structures(all_structures, count, rng):
     return [all_structures[i] for i in _sample_indices(len(all_structures), count, rng)]
-
-
-def _sampled_codes(kind, form, count, rng):
-    """Structures of ``kind`` at sampled codes; the same picks as sampling ``kind.enumerate_all(form)``."""
-    return [kind.from_code(form, code) for code in _sample_indices(1 << form.dim, count, rng)]
 
 
 # The structures of one surface are checked at once, one bit of a lane word
@@ -255,22 +250,26 @@ def _broken_lanes(kind, form, table: np.ndarray) -> int:
 
 
 def _identity_breaks(kind, cases):
-    """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, structures of kind) cases.
+    """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, basis values of kind) cases.
 
-    A surface's structures (at most 64) are one ``value_table`` and one
+    A surface's value rows (at most 64) are one ``value_table`` and one
     ``_broken_lanes`` call, which compares every pair x, y of each.  The
-    broken ones are yielded in batch order, so the first detail is the first
+    broken ones are yielded in row order, so the first detail is the first
     broken structure of the first surface batch that has one.
     """
-    for surface, structures in cases:
-        broken = _broken_lanes(kind, surface.form, kind.value_table(surface.form, [s.values for s in structures]))
-        yield from (f"{surface.label} values {s.values}" for lane, s in enumerate(structures) if broken >> lane & 1)
+    for surface, values in cases:
+        broken = _broken_lanes(kind, surface.form, kind.value_table(surface.form, values))
+        yield from (f"{surface.label} values {_row(values, lane)}" for lane in range(len(values)) if broken >> lane & 1)
 
 
 def _identity_rows(kind, surfaces, rng) -> list[Row]:
     """The defining identity on all structures of ``kind`` to ``FULL_IDENTITY_DIM``, then 8 seeded codes per surface."""
-    exhaustive = ((s, _structures(kind, s.form)) for s in surfaces if s.form.dim <= FULL_IDENTITY_DIM)
-    sampled = ((s, _sampled_codes(kind, s.form, 8, rng)) for s in surfaces if s.form.dim > FULL_IDENTITY_DIM)
+    exhaustive = ((s, _values(kind, s.form)) for s in surfaces if s.form.dim <= FULL_IDENTITY_DIM)
+    sampled = (
+        (s, kind.code_values(s.form, _sample_indices(1 << s.form.dim, 8, rng)))
+        for s in surfaces
+        if s.form.dim > FULL_IDENTITY_DIM
+    )
     max_dim = max(s.form.dim for s in surfaces)
     return [
         _first(f"defining-identity-exhaustive (dim<={FULL_IDENTITY_DIM})", _identity_breaks(kind, exhaustive)),
@@ -285,16 +284,14 @@ def _suite_refinement_identity() -> list[Row]:
 
 def _suite_enhancement_identity() -> list[Row]:
     def parity_breaks():
-        # every enhancement at every class, from one value table per surface, walked in enumeration order
+        # every enhancement at every class, from one value table per surface, reported in code order
         for s in _standard_surfaces(10):
-            structures = _structures(Enhancement, s.form)
-            table = Enhancement.value_table(s.form, [e.values for e in structures])
+            values = _values(Enhancement, s.form)
+            table = Enhancement.value_table(s.form, values)
             # x.x is the parity of x & the diagonal of the pairing
             diagonal = sum(d << i for i, d in enumerate(s.form.diagonal))
             parity_holds = ((table & 1) == _parity_vector(diagonal, s.form.dim)).all(axis=1)
-            for e, holds in zip(structures, parity_holds.tolist()):
-                if not holds:
-                    yield f"{s.label} values {e.values}"
+            yield from (f"{s.label} values {_row(values, pos)}" for pos in np.flatnonzero(~parity_holds).tolist())
 
     return [
         *_identity_rows(Enhancement, _standard_surfaces(10), random.Random(0xE41)),
@@ -304,44 +301,36 @@ def _suite_enhancement_identity() -> list[Row]:
 
 def _suite_arf_consistency() -> list[Row]:
     # the sign of each Gauss sum in ``arf_spectrum`` is the majority value
-    return [_first("majority-equals-block-formula (g<=5)", (
-        f"g={g} values {q.values}"
-        for g in range(1, 6)
-        for form in [hyperbolic_form(g)]
-        for q, majority in zip(_structures(Refinement, form), arf_spectrum(form).tolist())
-        if majority != arf_symplectic(q)
-    ))]
+    def breaks():
+        for g in range(1, 6):
+            form = hyperbolic_form(g)
+            values = _values(Refinement, form)
+            misses = np.flatnonzero(arf_spectrum(form) != arf_symplectic_many(form, values))
+            yield from (f"g={g} values {_row(values, pos)}" for pos in misses.tolist())
+
+    return [_first("majority-equals-block-formula (g<=5)", breaks())]
 
 
 def _suite_spin_census() -> list[Row]:
     # spin_census (the Walsh-Hadamard kernel) itself raises if its counts and
-    # the closed form disagree; the per-object tally is checked here
+    # the closed form disagree; the block formula's tally over every code is checked here
     def faults():
         for g in range(1, 6):
             counts = spin_census(g)
             if counts[0] + counts[1] != 1 << (2 * g):
                 yield f"g={g} total {counts}"
-            tally = Counter(map(arf_symplectic, _structures(Refinement, hyperbolic_form(g))))
+            form = hyperbolic_form(g)
+            tally = Counter(arf_symplectic_many(form, _values(Refinement, form)).tolist())
             if tally != spin_closed_form(g):
                 yield f"g={g} per-object tally {dict(tally)}"
 
     return [_first("enumeration-equals-closed-form (g<=5)", faults())]
 
 
-# The Gauss-sum checks below evaluate the structures of one pairing as one
-# batch (``value_histograms``, ``brown_gauss_many``), then walk the batch
-# structure by structure in enumeration order, so each check reports the
-# first counterexample in that order.
-
-
-def _histograms(form, structures) -> list[list[int]]:
-    """Value counts (n0, n1, n2, n3) of each structure on ``form``, from one batch."""
-    return value_histograms(form, [e.values for e in structures]).tolist()
-
-
-def _value_rows(form, structures) -> np.ndarray:
-    """Basis values of a batch of structures on ``form`` as an (S, n) uint8 array, row s for structure s."""
-    return np.array([s.values for s in structures], dtype=np.uint8).reshape(len(structures), form.dim)
+# The Gauss-sum checks below evaluate the value rows of one pairing as one
+# batch (``value_histograms``, ``_brown_rows``) and find the mismatches with
+# ``np.flatnonzero`` in row order, which is code order, so each check reports
+# the first counterexample in that order.
 
 
 def _brown_rows(form, values) -> np.ndarray:
@@ -363,22 +352,23 @@ def _cap_off_rows(values: np.ndarray) -> np.ndarray:
 def _suite_brown_compass() -> list[Row]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
     return [_first("gauss-equals-normal-form (dim<=10)", (
-        f"{s.label} values {e.values}"
+        f"{s.label} values {tuple(row)}"
         for s in _standard_surfaces(10, include_sphere=True)
-        for structures in [_structures(Enhancement, s.form)]
-        for e, gauss in zip(structures, brown_gauss_many(structures).tolist())
-        if gauss != brown_normal_form(e)
+        for values in [_values(Enhancement, s.form)]
+        for row, gauss in zip(values.tolist(), _brown_rows(s.form, values).tolist())
+        if gauss != brown_normal_form_values(s.form, row)
     ))]
 
 
 def _suite_gauss_magnitude() -> list[Row]:
-    return [_first("magnitude-squared-is-2**n (dim<=10)", (
-        f"{s.label} values {e.values}"
-        for s in _standard_surfaces(10, include_sphere=True)
-        for structures in [_structures(Enhancement, s.form)]
-        for e, (n0, n1, n2, n3) in zip(structures, _histograms(s.form, structures))
-        if (n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim
-    ))]
+    def breaks():
+        for s in _standard_surfaces(10, include_sphere=True):
+            values = _values(Enhancement, s.form)
+            n0, n1, n2, n3 = value_histograms(s.form, values).T
+            misses = np.flatnonzero((n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim)
+            yield from (f"{s.label} values {_row(values, pos)}" for pos in misses.tolist())
+
+    return [_first("magnitude-squared-is-2**n (dim<=10)", breaks())]
 
 
 def _suite_additivity() -> list[Row]:
@@ -389,42 +379,41 @@ def _suite_additivity() -> list[Row]:
         def with_invariants(s):
             # each surface's batch is evaluated once, when a pair first needs it
             if s.label not in batches:
-                structures = _structures(Enhancement, s.form)
-                values = _value_rows(s.form, structures)
-                batches[s.label] = structures, values, _brown_rows(s.form, values)
+                values = _values(Enhancement, s.form)
+                batches[s.label] = values, _brown_rows(s.form, values)
             return batches[s.label]
 
         for s1 in surfaces:
             for s2 in surfaces:
                 if s1.form.dim + s2.form.dim > 8:
                     continue
-                (left, v1, b1), (right, v2, b2) = with_invariants(s1), with_invariants(s2)
-                # pair number len(right) * i + j block-sums structure i of s1 with structure j of s2
+                (v1, b1), (v2, b2) = with_invariants(s1), with_invariants(s2)
+                # pair number len(v2) * i + j block-sums structure i of s1 with structure j of s2
                 sums = _brown_rows(direct_sum(s1.form, s2.form), _block_sum_rows(v1, v2))
-                expected = (np.repeat(b1, len(right)) + np.tile(b2, len(left))) % 8
+                expected = (np.repeat(b1, len(v2)) + np.tile(b2, len(v1))) % 8
                 for pos in np.flatnonzero(sums != expected).tolist():
-                    e1, e2 = left[pos // len(right)], right[pos % len(right)]
-                    yield f"{s1.label}+{s2.label} {e1.values}|{e2.values}"
+                    yield f"{s1.label}+{s2.label} {_row(v1, pos // len(v2))}|{_row(v2, pos % len(v2))}"
 
     return [_first("invariant-adds-over-block-sums (total dim<=8)", breaks())]
 
 
 def _suite_doubling() -> list[Row]:
-    return [_first("doubled-refinement-invariant-is-4-arf (g<=4)", (
-        f"g={g} values {q.values}"
-        for g in range(1, 5)
-        for refinements in [_structures(Refinement, hyperbolic_form(g))]
-        for q, doubled in zip(refinements, brown_gauss_many(map(enhancement_from_refinement, refinements)).tolist())
-        if doubled != (4 * arf_symplectic(q)) % 8
-    ))]
+    # refinement q doubles to the enhancement with basis values 2q
+    def breaks():
+        for g in range(1, 5):
+            form = hyperbolic_form(g)
+            values = _values(Refinement, form)
+            misses = np.flatnonzero(_brown_rows(form, 2 * values) != 4 * arf_symplectic_many(form, values) % 8)
+            yield from (f"g={g} values {_row(values, pos)}" for pos in misses.tolist())
+
+    return [_first("doubled-refinement-invariant-is-4-arf (g<=4)", breaks())]
 
 
 def _suite_capping() -> list[Row]:
     def breaks():
         for k in range(2, 9):
             form = identity_form(k)
-            structures = _structures(Enhancement, form)
-            values = _value_rows(form, structures)
+            values = _values(Enhancement, form)
             totals = _brown_rows(form, values)
             # rest number k * s + index caps summand ``index`` off structure s, so the
             # removed values in that order are the flat value array; a projective plane
@@ -432,7 +421,7 @@ def _suite_capping() -> list[Row]:
             rests = _brown_rows(identity_form(k - 1), _cap_off_rows(values))
             planes = np.where(values.ravel() == 1, 1, 7)
             for pos in np.flatnonzero(np.repeat(totals, k) != (rests + planes) % 8).tolist():
-                yield f"k={k} values {structures[pos // k].values} index {pos % k}"
+                yield f"k={k} values {_row(values, pos // k)} index {pos % k}"
 
     return [_first("invariant-splits-off-one-summand (k<=8)", breaks())]
 
@@ -440,16 +429,21 @@ def _suite_capping() -> list[Row]:
 def _suite_action_invariance() -> list[Row]:
     rng = random.Random(0xAC7)
 
+    def sampled(kind, form):
+        # ``act`` is the oracle here, so the 8 seeded codes become objects, from one ``code_values`` batch
+        rows = kind.code_values(form, _sample_indices(1 << form.dim, 8, rng))
+        return [kind(form, values) for values in map(tuple, rows.tolist())]
+
     def pin_breaks():
         for s in _standard_surfaces(6):
             gens = isometry_generators(s.form)
             if not gens:
                 continue
             isos = [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]
-            structures = _sampled_codes(Enhancement, s.form, 8, rng)
+            structures = sampled(Enhancement, s.form)
             moved = [act(iso, e) for iso in isos for e in structures]
             # one batch: the sampled structures, then their images iso by iso
-            hists = _histograms(s.form, structures + moved)
+            hists = value_histograms(s.form, [e.values for e in structures + moved]).tolist()
             m = len(structures)
             for pos in range(m, m + len(moved)):
                 pair = [hists[pos], hists[pos % m]]
@@ -463,9 +457,10 @@ def _suite_action_invariance() -> list[Row]:
             form = hyperbolic_form(g)
             gens = isometry_generators(form)
             for iso in [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]:
-                for q in _sampled_codes(Refinement, form, 8, rng):
-                    if arf_symplectic(act(iso, q)) != arf_symplectic(q):
-                        yield f"g={g} values {q.values}"
+                structures = sampled(Refinement, form)
+                before = arf_symplectic_many(form, [q.values for q in structures])
+                after = arf_symplectic_many(form, [act(iso, q).values for q in structures])
+                yield from (f"g={g} values {structures[pos].values}" for pos in np.flatnonzero(after != before).tolist())
 
     # both checks draw from the one seeded generator, in this order
     return [
@@ -494,23 +489,26 @@ def _suite_isometry_groups() -> list[Row]:
 
 
 def _level_set_misfits(kind, invariants_of, cases):
-    """Labels of the (label, form, generators) cases whose orbits are not the level sets of ``invariants_of``."""
+    """Labels of the (label, form, generators) cases whose orbits are not the level sets of ``invariants_of``.
+
+    ``invariants_of(form, values)`` reads the invariant of each row of the code-ordered value array.
+    """
     for label, form, generators in cases:
         labels = orbit_labels(form, kind, generators)
-        if not level_set_fit(labels, invariants_of(_structures(kind, form)))[1]:
+        if not level_set_fit(labels, invariants_of(form, _values(kind, form)))[1]:
             yield label
 
 
 def _suite_orbit_level_sets() -> list[Row]:
     # invariants in code order against ``orbit_labels``: ``level_set_fit`` is the test that ``orbits`` prints
     out = [
-        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, brown_gauss_many, (
+        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, _brown_rows, (
             (f"k={k}", form, group_rows(form, "brute")) for k in range(1, 5) for form in [identity_form(k)]
         ))),
         # transvections generate the whole symplectic group over GF(2),
         # so these orbits are full isometry-group orbits
         _first("transvection-orbits-equal-arf-level-sets (g<=3)", _level_set_misfits(
-            Refinement, lambda qs: [arf_symplectic(q) for q in qs],
+            Refinement, arf_symplectic_many,
             ((f"g={g}", hyperbolic_form(g), None) for g in range(1, 4)),
         )),
     ]
@@ -520,7 +518,7 @@ def _suite_orbit_level_sets() -> list[Row]:
     for k in range(5, 9):
         form = identity_form(k)
         labels = orbit_labels(form, Enhancement)
-        constant, exact = level_set_fit(labels, brown_gauss_many(_structures(Enhancement, form)))
+        constant, exact = level_set_fit(labels, _brown_rows(form, _values(Enhancement, form)))
         if not constant:
             ok = False
             details.append(f"k={k} orbit with mixed invariant")
@@ -565,9 +563,10 @@ def _suite_pin_census() -> list[Row]:
             recursion = pin_census_recursive(k)
             if pin_census_enumerated(nonorientable_surface(k)) != recursion:
                 yield f"k={k}"
-            # the census is a transform; up to dimension 10 a per-object tally checks it too
+            # the census is a transform; up to dimension 10 a tally of every code's histogram checks it too
             elif k <= 10:
-                tally = Counter(brown_gauss_many(_structures(Enhancement, identity_form(k))).tolist())
+                form = identity_form(k)
+                tally = Counter(_brown_rows(form, _values(Enhancement, form)).tolist())
                 if tally != recursion:
                     yield f"k={k}"
 
@@ -690,7 +689,7 @@ def _bordism_breaks(kind, cases):
     Each structure's ``bordism_class`` is read once per surface, by code; ``cobordant`` runs on every pair.
     """
     for label, surface in cases:
-        structures = _structures(kind, surface.form)
+        structures = [kind(surface.form, values) for values in map(tuple, _values(kind, surface.form).tolist())]
         classes = {s.code: bordism_class(surface, s) for s in structures}
         labels = orbit_labels(surface.form, kind, group_rows(surface.form, "brute")).tolist()
         for a in structures:
@@ -751,8 +750,8 @@ def run_suites(names) -> list[CheckResult]:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")
     if "all" in selected:
         selected = list(SUITES)
-    # no run reads structures enumerated by an earlier one
-    _structures.cache_clear()
+    # no run reads value arrays built by an earlier one
+    _values.cache_clear()
     results = []
     for name in selected:
         results.extend(SUITES[name]())

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinforms import InvariantViolation, census, enhancements, refinements
+from pinforms import InvariantViolation, census, enhancements, refinements, verify
 from pinforms.census import pin_census_recursive
 from pinforms.cli import OutputRecord, build_parser, main, parse_surface, parse_values
 from pinforms.refinements import spin_closed_form
@@ -248,8 +248,12 @@ def test_spin_compare_never_flags_disputed(capsys, monkeypatch):
 def test_exit_code_zero_gauss_sum(capsys, monkeypatch):
     # a nondegenerate pairing never gives a zero Gauss sum, so it is a defect, not bad input
     # (``invariant`` reads the normal form, so the Gauss sum is reached through the verify suite,
-    # which reads whole batches of histograms)
-    monkeypatch.setattr(enhancements, "value_histograms", lambda form, values: np.ones((len(values), 4), dtype=int))
+    # which reads whole batches of histograms by the name it imports)
+    def ones(form, values):
+        return np.ones((len(values), 4), dtype=int)
+
+    monkeypatch.setattr(enhancements, "value_histograms", ones)
+    monkeypatch.setattr(verify, "value_histograms", ones)
     code, out, err = run_cli(capsys, "verify", "brown-compass")
     assert code == 1
     assert out == ""

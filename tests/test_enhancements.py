@@ -135,7 +135,7 @@ def test_block_sum_rows_are_the_direct_sum_enhancements():
             if s1.form.dim + s2.form.dim > 8:
                 continue
             left, right = enumerate_enhancements(s1.form), enumerate_enhancements(s2.form)
-            rows = verify._block_sum_rows(verify._value_rows(s1.form, left), verify._value_rows(s2.form, right))
+            rows = verify._block_sum_rows(verify._values(Enhancement, s1.form), verify._values(Enhancement, s2.form))
             sums = [direct_sum_enhancement(e1, e2) for e1 in left for e2 in right]
             assert {e.form for e in sums} == {direct_sum(s1.form, s2.form)}
             assert rows.dtype == np.uint8
@@ -145,7 +145,7 @@ def test_block_sum_rows_are_the_direct_sum_enhancements():
 @pytest.mark.parametrize("k", range(2, 9))
 def test_cap_off_rows_are_the_capped_summands(k):
     structures = enumerate_enhancements(identity_form(k))
-    values = verify._value_rows(identity_form(k), structures)
+    values = verify._values(Enhancement, identity_form(k))
     rows = verify._cap_off_rows(values)
     capped = [cap_off_summand(e, index) for e in structures for index in range(k)]
     assert rows.dtype == np.uint8

@@ -28,7 +28,7 @@ from pinforms import (
     value_histogram,
 )
 from pinforms.cli import OutputRecord, main
-from pinforms.enhancements import brown_normal_form, histogram_from_brown
+from pinforms.enhancements import brown_normal_form, brown_normal_form_values, histogram_from_brown
 from pinforms.refinements import arf_normal_form
 from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis, standard_basis_terms
 from strategies import congruent_form, congruent_forms
@@ -123,6 +123,28 @@ def test_normal_forms_equal_the_basis_walk_on_a_congruent_form_in_dimension_64(b
     codes = [rng.getrandbits(64) for _ in range(20)]
     refinements = [Refinement.from_code(form, c) for c in codes] if base == "hyperbolic" else ()
     assert_normal_forms_match_the_walk(form, [Enhancement.from_code(form, c) for c in codes], refinements)
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
+def test_values_level_normal_form_equals_the_object_routes_on_every_structure(surface):
+    # a row of a value array gives what the structure built from it gives
+    form = surface.form
+    rows = Enhancement.code_values(form, range(1 << form.dim)).tolist()
+    enhancements = enumerate_enhancements(form)
+    assert [Enhancement.values_on_standard_basis(form, row) for row in rows] == [
+        e.standard_basis_values() for e in enhancements
+    ]
+    brown = [brown_normal_form_values(form, row) for row in rows]
+    assert brown == [brown_normal_form(e) for e in enhancements] == brown_spectrum(form).tolist()
+    if surface.kind == "orientable":
+        rows = Refinement.code_values(form, range(1 << form.dim)).tolist()
+        refinements = enumerate_refinements(form)
+        basis_values = [Refinement.values_on_standard_basis(form, row) for row in rows]
+        assert basis_values == [q.standard_basis_values() for q in refinements]
+        arf = [arf_normal_form(q) for q in refinements]
+        assert [arf_additive(values) for values in basis_values] == arf
+        # the doubled refinement 2q is the enhancement of Brown invariant 4 Arf(q)
+        assert [brown_normal_form_values(form, [2 * v for v in row]) for row in rows] == [4 * a for a in arf]
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
@@ -257,7 +279,7 @@ def test_oversized_surface_refused_before_its_form_is_built(capsys, argv, dim):
 
 def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
     # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect
-    monkeypatch.setattr(Enhancement, "standard_basis_values", lambda e: [2] * e.form.dim)
+    monkeypatch.setattr(Enhancement, "values_on_standard_basis", classmethod(lambda cls, form, values: [2] * form.dim))
     code, out, err = run_cli(capsys, "invariant", "-s", "N:3", "-e", "1,1,1")
     assert (code, out) == (1, "")
     assert err.startswith("error: value 2 on identity basis vector 0 breaks parity")

@@ -1,13 +1,17 @@
 """Mod-2 refinements of the intersection pairing and the Arf invariant."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinforms import (
+    IntersectionForm,
     Refinement,
     arf_majority,
+    arf_spectrum,
     arf_symplectic,
+    arf_symplectic_many,
     enumerate_refinements,
     hyperbolic_form,
     identity_form,
@@ -87,3 +91,30 @@ def test_spin_census_sphere_and_negative_genus():
     assert spin_census(0) == {0: 1, 1: 0}
     with pytest.raises(ValueError):
         spin_census(-1)
+
+
+@pytest.mark.parametrize("g", range(6))
+def test_arf_symplectic_many_equals_the_per_object_block_formula(g):
+    form = hyperbolic_form(g)
+    refinements = enumerate_refinements(form)
+    many = arf_symplectic_many(form, Refinement.code_values(form, range(1 << form.dim)))
+    assert many.tolist() == [arf_symplectic(q) for q in refinements]
+    # the block formula written out, and the Gauss-sum route that shares no code with it
+    assert many.tolist() == [sum(q.values[2 * i] * q.values[2 * i + 1] for i in range(g)) % 2 for q in refinements]
+    assert many.tolist() == arf_spectrum(form).tolist()
+    # rows in any order, as a list of tuples too
+    assert arf_symplectic_many(form, [q.values for q in refinements[::-1]]).tolist() == many.tolist()[::-1]
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        identity_form(2),
+        # alternating, but the planes pair basis vectors (0, 2) and (1, 3) rather than neighbours
+        IntersectionForm(4, (0b0100, 0b1000, 0b0001, 0b0010)),
+    ],
+    ids=["odd", "alternating-not-interleaved"],
+)
+def test_arf_symplectic_many_refuses_a_non_hyperbolic_layout(form):
+    with pytest.raises(ValueError, match="the block formula needs the standard hyperbolic layout"):
+        arf_symplectic_many(form, np.zeros((1, form.dim), dtype=np.uint8))

@@ -87,8 +87,8 @@ def _theory_dispatches(path: Path) -> list[str]:
 
 
 def test_theories_are_read_from_the_table():
-    # census, orbits, invariant, bordism_class and verify read a census.THEORIES record;
-    # a new theory is one record there, not one more branch in each caller
+    # census, orbits, invariant and bordism_class read a census.THEORIES record, and verify takes the
+    # structure class as a parameter; a new theory is one record there, not one more branch in each caller
     package = Path(pinforms.__file__).parent
     assert [found for name in ("cli.py", "census.py", "verify.py") for found in _theory_dispatches(package / name)] == []
 

@@ -1,6 +1,7 @@
 """Surfaces, mod-2 intersection forms, and homology class plumbing."""
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -258,6 +259,52 @@ def test_value_table_and_call_on_congruent_forms(case):
     form = congruent_form(base, m)
     assert_value_table_matches_each_structure(form)
     assert_call_matches_naive(form)
+
+
+# the batch code rule: basis value i is diag_i + (m/2) * bit i of the code
+
+
+def assert_code_values_match_from_code(form, codes):
+    for kind in structure_kinds(form):
+        half = kind.modulus // 2
+        rows = kind.code_values(form, codes)
+        assert rows.dtype == np.uint8 and rows.shape == (len(codes), form.dim)
+        for code, row in zip(codes, rows.tolist()):
+            assert tuple(row) == kind.from_code(form, code).values
+            assert row == [d + half * (code >> i & 1) for i, d in enumerate(form.diagonal)]
+            # the constructor validates the row, and ``code`` reads it back
+            assert kind(form, row).code == code
+
+
+@pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
+def test_code_values_match_from_code_on_every_code_of_standard_forms(form):
+    assert_code_values_match_from_code(form, range(1 << form.dim))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(congruent_forms(max_dim=10))
+def test_code_values_match_from_code_on_every_code_of_congruent_forms(case):
+    base, m = case
+    assume(gf2.rank(m) == len(m))
+    form = congruent_form(base, m)
+    assert_code_values_match_from_code(form, range(1 << form.dim))
+
+
+@pytest.mark.parametrize("form", [identity_form(64), hyperbolic_form(32), identity_form(256)], ids=form_id)
+def test_code_values_read_every_bit_of_a_wide_code(form):
+    rng = random.Random(form.dim)
+    assert_code_values_match_from_code(form, [0, (1 << form.dim) - 1, *(rng.getrandbits(form.dim) for _ in range(8))])
+
+
+@pytest.mark.parametrize("code", [-1, 1 << 5, 1 << 70])
+def test_code_values_refuse_an_out_of_range_code_as_from_code_does(code):
+    form = identity_form(5)
+    message = f"^code {re.escape(f'{code:#x}')} out of range for dimension 5$"
+    with pytest.raises(ValueError, match=message):
+        Enhancement.from_code(form, code)
+    # the first bad code of a batch is named
+    with pytest.raises(ValueError, match=message):
+        Enhancement.code_values(form, [0, 31, code, -2])
 
 
 # one table kernel: no value route builds the 2**n x n class bit matrix

@@ -1,5 +1,6 @@
 """Cross-check suite: everything passes and the two known disputes stay flagged."""
 
+import functools
 import json
 import random
 import tracemalloc
@@ -201,34 +202,35 @@ def test_full_run_has_no_failures_and_exactly_two_disputes():
 
 
 def test_each_run_enumerates_each_form_once(monkeypatch):
-    # enumerate_enhancements and enumerate_refinements both go through enumerate_all
+    # each (kind, form) value array is built once per run by the cached ``_values``, which run_suites clears
     calls = Counter()
-    enumerate_all = QuadraticStructure.enumerate_all.__func__
+    build = verify._values.__wrapped__
 
     def counted(kind, form):
         calls[kind, form] += 1
-        return enumerate_all(kind, form)
+        return build(kind, form)
 
-    monkeypatch.setattr(QuadraticStructure, "enumerate_all", classmethod(counted))
+    monkeypatch.setattr(verify, "_values", functools.lru_cache(maxsize=None)(counted))
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     for run in (1, 2):
         results = run_suites("all")
         assert [[r.suite, r.name, r.status, r.detail] for r in results] == pinned["rows"]
         assert summarize(results) == pinned["summary"]
-        # once per form in each run: the second run enumerates afresh
+        # once per form in each run: the second run builds afresh
         assert calls and set(calls.values()) == {run}
 
 
 def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatch):
-    normal_form = verify.brown_normal_form
+    normal_form = verify.brown_normal_form_values
     seen = []
 
-    def broken(e):
+    def broken(form, values):
+        e = Enhancement(form, values)
         seen.append(e)
-        value = normal_form(e)
+        value = normal_form(form, values)
         return (value + 1) % 8 if e.form == identity_form(5) and e.values[0] == 3 else value
 
-    monkeypatch.setattr(verify, "brown_normal_form", broken)
+    monkeypatch.setattr(verify, "brown_normal_form_values", broken)
     code = main(["verify", "brown-compass", "--format", "json"])
     record = OutputRecord.from_json(capsys.readouterr().out)
     assert code == 1
@@ -318,7 +320,8 @@ def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, faul
     if count is None:
         structures = kind.enumerate_all(form)
     else:
-        structures = verify._sampled_codes(kind, form, count, random.Random(7))
+        codes = verify._sample_indices(1 << form.dim, count, random.Random(7))
+        structures = [kind.from_code(form, code) for code in codes]
     table = kind.value_table(form, [s.values for s in structures])
     assert len(table) == (64 if count is None else 8)
     for lane, x, flip in KERNEL_FAULTS[fault](*table.shape):
@@ -389,10 +392,14 @@ def test_kernels_match_the_naive_tables_on_congruent_forms(case):
 
 @pytest.mark.parametrize("kind,form", [(Refinement, hyperbolic_form(4)), (Enhancement, identity_form(9))])
 def test_sampled_codes_pick_what_sampling_the_enumeration_picked(kind, form):
+    # the sampled identity checks read rows at sampled codes; they are the structures sampling the enumeration picked
     structures = kind.enumerate_all(form)
     for seed in range(5):
         picked = verify._sampled_structures(structures, 8, random.Random(seed))
-        assert verify._sampled_codes(kind, form, 8, random.Random(seed)) == picked
+        codes = verify._sample_indices(1 << form.dim, 8, random.Random(seed))
+        rows = kind.code_values(form, codes)
+        assert [tuple(row) for row in rows.tolist()] == [s.values for s in picked]
+        assert np.array_equal(rows, verify._values(kind, form)[list(codes)])
 
 
 SAMPLED_REFINEMENT_CHECK = "defining-identity-sampled (dim<=12)"
@@ -547,6 +554,21 @@ def standard_surface_pairs(max_dim, max_total):
     return [(a, b) for a in surfaces for b in surfaces if a.form.dim + b.form.dim <= max_total]
 
 
+def track_running_suite(monkeypatch) -> list[str]:
+    """Wrap every suite so that the last entry of the returned list names the suite running."""
+    running = []
+    for name, suite in list(SUITES.items()):
+        def tracked(suite=suite, name=name):
+            running.append(name)
+            try:
+                return suite()
+            finally:
+                running.pop()
+
+        monkeypatch.setitem(SUITES, name, tracked)
+    return running
+
+
 def test_gauss_suites_read_one_batch_per_case(monkeypatch):
     # a case is a surface, or a surface pair for the direct sums; capping has
     # two per genus k (the totals on N:k and the capped rests on N:(k-1)), and
@@ -563,18 +585,9 @@ def test_gauss_suites_read_one_batch_per_case(monkeypatch):
         "orbit-level-sets": 8,
         "pin-census": 10,
     }
-    running = []
+    running = track_running_suite(monkeypatch)
     batches = Counter()
     singles = Counter()
-    for name, suite in list(SUITES.items()):
-        def tracked(suite=suite, name=name):
-            running.append(name)
-            try:
-                return suite()
-            finally:
-                running.pop()
-
-        monkeypatch.setitem(SUITES, name, tracked)
     batch, single = enhancements.value_histograms, enhancements.value_histogram
 
     def counted_batch(form, values):
@@ -619,18 +632,31 @@ def test_parity_fault_in_one_value_table_row_fails_with_that_structure(monkeypat
     )
 
 
+# The suites whose oracle is a per-object route: ``act``, ``cobordant`` per pair and the banding isometry.
+OBJECT_SUITES = {"action-invariance", "bordism", "banding"}
+
+
 def test_code_label_suites_build_no_structure_from_a_code(monkeypatch):
-    # each form's one enumeration and each spectrum's code-0 row build structures by design; they run
-    # uncounted, so what is counted is built by the suites: orbits of objects, one value row per structure
+    # each spectrum's code-0 row builds a structure by design; it runs uncounted, so what is counted
+    # per suite is built by the suite itself
     calls = Counter()
     uncounted = []
+    running = track_running_suite(monkeypatch)
+    built = Counter()
+    post_init = QuadraticStructure.__post_init__
 
     def counted(name, func):
         def call(*args):
             if not uncounted:
-                calls[name] += 1
+                calls[name, running[-1]] += 1
             return func(*args)
         return call
+
+    def counted_post_init(structure):
+        built["all"] += 1
+        if not uncounted:
+            built[running[-1]] += 1
+        post_init(structure)
 
     def quiet(func):
         def call(*args):
@@ -645,11 +671,17 @@ def test_code_label_suites_build_no_structure_from_a_code(monkeypatch):
         QuadraticStructure, "from_code", classmethod(counted("from_code", QuadraticStructure.from_code.__func__))
     )
     monkeypatch.setattr(QuadraticStructure, "values_on_all", counted("values_on_all", QuadraticStructure.values_on_all))
-    for name in ("enumerate_all", "gauss_sums"):
-        monkeypatch.setattr(QuadraticStructure, name, classmethod(quiet(getattr(QuadraticStructure, name).__func__)))
-    results = run_suites(["orbit-level-sets", "bordism", "arf-consistency"])
-    assert [r.status for r in results] == [PASS] * 6
+    monkeypatch.setattr(QuadraticStructure, "__post_init__", counted_post_init)
+    monkeypatch.setattr(QuadraticStructure, "gauss_sums", classmethod(quiet(QuadraticStructure.gauss_sums.__func__)))
+    results = run_suites("all")
+    assert not [r for r in results if r.status == FAIL]
+    # no suite builds a structure from a code or a table from a structure, and only the
+    # per-object suites build structures at all: 1,016 in action-invariance, 50 in bordism, 2 in banding
     assert calls == Counter()
+    assert {name for name in built if name != "all"} <= OBJECT_SUITES
+    # with the 27 code-0 rows of the spectra, a run builds 1,095 structures; enumerating every
+    # surface's structures as objects built 6,232
+    assert built["all"] <= 1100
 
 
 def test_group_suites_build_no_group_of_isometry_objects(monkeypatch):
@@ -670,19 +702,19 @@ def test_group_suites_build_no_group_of_isometry_objects(monkeypatch):
 
 
 def flip_brown(monkeypatch, form, code):
-    """Add 2 to the Brown invariant of the structure with ``code`` in every batch on ``form``."""
-    clean = verify.brown_gauss_many
+    """Add 2 to the Brown invariant of the structure with ``code`` in every batch of value rows on ``form``."""
+    clean = verify._brown_rows
+    target = Enhancement.from_code(form, code).values
 
-    def faulty(structures):
-        structures = list(structures)
-        invariants = clean(structures)
-        if structures[0].form == form:
-            for s, e in enumerate(structures):
-                if e.code == code:
+    def faulty(f, values):
+        invariants = clean(f, values)
+        if f == form:
+            for s, row in enumerate(np.asarray(values).tolist()):
+                if tuple(row) == target:
                     invariants[s] = (invariants[s] + 2) % 8
         return invariants
 
-    monkeypatch.setattr(verify, "brown_gauss_many", faulty)
+    monkeypatch.setattr(verify, "_brown_rows", faulty)
 
 
 def test_flipped_brown_invariant_fails_the_brute_level_sets_at_its_genus(monkeypatch):
