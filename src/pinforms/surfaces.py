@@ -449,7 +449,7 @@ class QuadraticStructure:
         m = 2, where the terms are +-1); column c belongs to code c.
         """
         check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
-        quarter_turns = cls.from_code(form, 0).values_on_all() * (4 // cls.modulus)
+        quarter_turns = cls.value_table(form, cls.code_values(form, [0]))[0] * (4 // cls.modulus)
         return walsh_hadamard(_QUARTER_TURNS[: cls.modulus // 2, quarter_turns])
 
     @property

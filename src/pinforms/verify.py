@@ -112,6 +112,23 @@ def _values(kind, form) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=None)
+def _histograms(form) -> np.ndarray:
+    """Gauss histograms (n0, n1, n2, n3) of every enhancement on ``form``, in code order.
+
+    A read-only (2**n, 4) array, ``value_histograms`` of ``_values(Enhancement, form)``,
+    counted once per run beside the value array it reads; ``run_suites`` clears it too.
+    """
+    counts = value_histograms(form, _values(Enhancement, form))
+    counts.setflags(write=False)
+    return counts
+
+
+def _brown_codes(form) -> np.ndarray:
+    """Brown invariant of every enhancement on ``form``, in code order, read from the cached ``_histograms``."""
+    return brown_from_histograms(form.dim, _histograms(form))
+
+
 def _row(values: np.ndarray, s: int) -> tuple[int, ...]:
     """Row s of a value array as a tuple of ints, which prints as the structure's ``values`` do in a detail."""
     return tuple(values[s].tolist())
@@ -328,9 +345,10 @@ def _suite_spin_census() -> list[Row]:
 
 
 # The Gauss-sum checks below evaluate the value rows of one pairing as one
-# batch (``value_histograms``, ``_brown_rows``) and find the mismatches with
-# ``np.flatnonzero`` in row order, which is code order, so each check reports
-# the first counterexample in that order.
+# batch and find the mismatches with ``np.flatnonzero`` in row order, which is
+# code order, so each check reports the first counterexample in that order.
+# A surface's exhaustive rows are counted once per run (``_histograms``,
+# ``_brown_codes``); ``_brown_rows`` counts the batches a suite builds itself.
 
 
 def _brown_rows(form, values) -> np.ndarray:
@@ -354,8 +372,7 @@ def _suite_brown_compass() -> list[Row]:
     return [_first("gauss-equals-normal-form (dim<=10)", (
         f"{s.label} values {tuple(row)}"
         for s in _standard_surfaces(10, include_sphere=True)
-        for values in [_values(Enhancement, s.form)]
-        for row, gauss in zip(values.tolist(), _brown_rows(s.form, values).tolist())
+        for row, gauss in zip(_values(Enhancement, s.form).tolist(), _brown_codes(s.form).tolist())
         if gauss != brown_normal_form_values(s.form, row)
     ))]
 
@@ -363,31 +380,23 @@ def _suite_brown_compass() -> list[Row]:
 def _suite_gauss_magnitude() -> list[Row]:
     def breaks():
         for s in _standard_surfaces(10, include_sphere=True):
-            values = _values(Enhancement, s.form)
-            n0, n1, n2, n3 = value_histograms(s.form, values).T
+            n0, n1, n2, n3 = _histograms(s.form).T
             misses = np.flatnonzero((n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim)
-            yield from (f"{s.label} values {_row(values, pos)}" for pos in misses.tolist())
+            yield from (f"{s.label} values {_row(_values(Enhancement, s.form), pos)}" for pos in misses.tolist())
 
     return [_first("magnitude-squared-is-2**n (dim<=10)", breaks())]
 
 
 def _suite_additivity() -> list[Row]:
     def breaks():
-        surfaces = _standard_surfaces(7, include_sphere=True)
-        batches = {}
-
-        def with_invariants(s):
-            # each surface's batch is evaluated once, when a pair first needs it
-            if s.label not in batches:
-                values = _values(Enhancement, s.form)
-                batches[s.label] = values, _brown_rows(s.form, values)
-            return batches[s.label]
-
-        for s1 in surfaces:
-            for s2 in surfaces:
+        # each surface's values and invariants, read once from the per-run caches
+        surfaces = [
+            (s, _values(Enhancement, s.form), _brown_codes(s.form)) for s in _standard_surfaces(7, include_sphere=True)
+        ]
+        for s1, v1, b1 in surfaces:
+            for s2, v2, b2 in surfaces:
                 if s1.form.dim + s2.form.dim > 8:
                     continue
-                (v1, b1), (v2, b2) = with_invariants(s1), with_invariants(s2)
                 # pair number len(v2) * i + j block-sums structure i of s1 with structure j of s2
                 sums = _brown_rows(direct_sum(s1.form, s2.form), _block_sum_rows(v1, v2))
                 expected = (np.repeat(b1, len(v2)) + np.tile(b2, len(v1))) % 8
@@ -414,7 +423,7 @@ def _suite_capping() -> list[Row]:
         for k in range(2, 9):
             form = identity_form(k)
             values = _values(Enhancement, form)
-            totals = _brown_rows(form, values)
+            totals = _brown_codes(form)
             # rest number k * s + index caps summand ``index`` off structure s, so the
             # removed values in that order are the flat value array; a projective plane
             # carrying value 1 has invariant 1, one carrying value 3 has invariant 7
@@ -443,14 +452,15 @@ def _suite_action_invariance() -> list[Row]:
             structures = sampled(Enhancement, s.form)
             moved = [act(iso, e) for iso in isos for e in structures]
             # one batch: the sampled structures, then their images iso by iso
-            hists = value_histograms(s.form, [e.values for e in structures + moved]).tolist()
+            hists = value_histograms(s.form, [e.values for e in structures + moved])
             m = len(structures)
-            for pos in range(m, m + len(moved)):
-                pair = [hists[pos], hists[pos % m]]
-                # the invariants are read only where the histograms agree, so a pair with
-                # different histograms is a counterexample even if one has a bad magnitude
-                if pair[0] != pair[1] or len(set(brown_from_histograms(s.form.dim, pair).tolist())) != 1:
-                    yield f"{s.label} values {structures[pos % m].values}"
+            sources, images = np.tile(hists[:m], (len(isos), 1)), hists[m:]
+            agree = (images == sources).all(axis=1)
+            # equal histograms give equal invariants, so the invariants are read only where the
+            # histograms agree, which raises on a bad magnitude; a pair whose histograms
+            # differ is a counterexample even if one has a bad magnitude
+            brown_from_histograms(s.form.dim, images[agree])
+            yield from (f"{s.label} values {structures[pos % m].values}" for pos in np.flatnonzero(~agree).tolist())
 
     def spin_breaks():
         for g in (1, 2, 3):
@@ -491,24 +501,29 @@ def _suite_isometry_groups() -> list[Row]:
 def _level_set_misfits(kind, invariants_of, cases):
     """Labels of the (label, form, generators) cases whose orbits are not the level sets of ``invariants_of``.
 
-    ``invariants_of(form, values)`` reads the invariant of each row of the code-ordered value array.
+    ``invariants_of(form)`` reads the invariant of every structure of ``kind`` on ``form``, in code order.
     """
     for label, form, generators in cases:
         labels = orbit_labels(form, kind, generators)
-        if not level_set_fit(labels, invariants_of(form, _values(kind, form)))[1]:
+        if not level_set_fit(labels, invariants_of(form))[1]:
             yield label
+
+
+def _arf_codes(form) -> np.ndarray:
+    """Arf invariant of every refinement on ``form``, in code order, by the block formula."""
+    return arf_symplectic_many(form, _values(Refinement, form))
 
 
 def _suite_orbit_level_sets() -> list[Row]:
     # invariants in code order against ``orbit_labels``: ``level_set_fit`` is the test that ``orbits`` prints
     out = [
-        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, _brown_rows, (
+        _first("brute-orbits-equal-brown-level-sets (k<=4)", _level_set_misfits(Enhancement, _brown_codes, (
             (f"k={k}", form, group_rows(form, "brute")) for k in range(1, 5) for form in [identity_form(k)]
         ))),
         # transvections generate the whole symplectic group over GF(2),
         # so these orbits are full isometry-group orbits
         _first("transvection-orbits-equal-arf-level-sets (g<=3)", _level_set_misfits(
-            Refinement, arf_symplectic_many,
+            Refinement, _arf_codes,
             ((f"g={g}", hyperbolic_form(g), None) for g in range(1, 4)),
         )),
     ]
@@ -518,7 +533,7 @@ def _suite_orbit_level_sets() -> list[Row]:
     for k in range(5, 9):
         form = identity_form(k)
         labels = orbit_labels(form, Enhancement)
-        constant, exact = level_set_fit(labels, _brown_rows(form, _values(Enhancement, form)))
+        constant, exact = level_set_fit(labels, _brown_codes(form))
         if not constant:
             ok = False
             details.append(f"k={k} orbit with mixed invariant")
@@ -565,8 +580,7 @@ def _suite_pin_census() -> list[Row]:
                 yield f"k={k}"
             # the census is a transform; up to dimension 10 a tally of every code's histogram checks it too
             elif k <= 10:
-                form = identity_form(k)
-                tally = Counter(_brown_rows(form, _values(Enhancement, form)).tolist())
+                tally = Counter(_brown_codes(identity_form(k)).tolist())
                 if tally != recursion:
                     yield f"k={k}"
 
@@ -686,18 +700,20 @@ def _suite_pinplus_identity() -> list[Row]:
 def _bordism_breaks(kind, cases):
     """Pairs of structures of ``kind`` where cobordism, equal invariants and one brute-force orbit disagree.
 
-    Each structure's ``bordism_class`` is read once per surface, by code; ``cobordant`` runs on every pair.
+    Each structure's ``bordism_class`` is read once per surface; ``cobordant`` runs on every pair.  The
+    structures come from ``_values`` in code order, so a structure's position is its code, and classes
+    and orbit labels are read by position.
     """
     for label, surface in cases:
         structures = [kind(surface.form, values) for values in map(tuple, _values(kind, surface.form).tolist())]
-        classes = {s.code: bordism_class(surface, s) for s in structures}
+        classes = [bordism_class(surface, s) for s in structures]
         labels = orbit_labels(surface.form, kind, group_rows(surface.form, "brute")).tolist()
-        for a in structures:
-            for b in structures:
+        for i, a in enumerate(structures):
+            for j, b in enumerate(structures):
                 same_class = cobordant((surface, a), (surface, b))
-                if same_class != (classes[a.code] == classes[b.code]):
+                if same_class != (classes[i] == classes[j]):
                     yield label
-                if same_class != (labels[a.code] == labels[b.code]):
+                if same_class != (labels[i] == labels[j]):
                     yield f"{label} {a.values} vs {b.values}"
 
 
@@ -750,8 +766,9 @@ def run_suites(names) -> list[CheckResult]:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")
     if "all" in selected:
         selected = list(SUITES)
-    # no run reads value arrays built by an earlier one
+    # no run reads value arrays or histograms built by an earlier one
     _values.cache_clear()
+    _histograms.cache_clear()
     results = []
     for name in selected:
         results.extend(SUITES[name]())

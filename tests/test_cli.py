@@ -286,7 +286,9 @@ def test_exit_code_wrong_gauss_sum_magnitude(capsys, monkeypatch):
     # code 0's values all zero: its transform is 2**n at code 0 and 0 elsewhere, never of magnitude 2**(n/2)
     census._enumerated_items.cache_clear()
     monkeypatch.setattr(
-        enhancements.Enhancement, "values_on_all", lambda e: np.zeros(1 << e.form.dim, dtype=np.uint8)
+        enhancements.Enhancement,
+        "value_table",
+        classmethod(lambda cls, form, values: np.zeros((len(values), 1 << form.dim), dtype=np.uint8)),
     )
     code, out, err = run_cli(capsys, "census", "-s", "N:3", "-t", "pin-")
     assert code == 1

@@ -108,3 +108,65 @@ def test_theory_dispatch_check_sees_each_kind_of_branch(tmp_path):
         encoding="utf-8",
     )
     assert _theory_dispatches(source) == [f"probe.py:{line}" for line in (2, 3, 4, 5, 6, 9)]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _decorator_name(node) -> str | None:
+    # lru_cache, lru_cache(maxsize=None), functools.lru_cache(...), functools.cache
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _uncleared_caches(path: Path) -> list[str]:
+    """Module-level cached functions whose ``cache_clear()`` is not called in ``run_suites``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    cached = [f for f in functions if any(_decorator_name(d) in CACHE_DECORATORS for d in f.decorator_list)]
+    cleared = {
+        node.func.value.id
+        for f in functions
+        if f.name == "run_suites"
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "cache_clear"
+        and isinstance(node.func.value, ast.Name)
+    }
+    return [f"{path.name}:{f.lineno} {f.name}" for f in cached if f.name not in cleared]
+
+
+def test_every_verify_cache_is_cleared_by_run_suites():
+    # a per-run cache that run_suites does not clear would let one run read what an earlier run built
+    path = Path(verify.__file__)
+    assert {"_values", "_histograms"} <= {
+        node.name
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.decorator_list
+    }
+    assert _uncleared_caches(path) == []
+
+
+def test_cache_check_sees_each_kind_of_decorator(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "@lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache\n"
+        "def b(): pass\n"
+        "@cache\n"
+        "def c(): pass\n"
+        "@lru_cache\n"
+        "def d(): pass\n"
+        "@staticmethod\n"
+        "def e(): pass\n"
+        "def run_suites():\n"
+        "    d.cache_clear()\n"
+        "    e.cache_clear()\n",
+        encoding="utf-8",
+    )
+    assert _uncleared_caches(source) == ["probe.py:2 a", "probe.py:4 b", "probe.py:6 c"]

@@ -111,16 +111,24 @@ def test_each_suite_run_alone_gives_its_pinned_rows(name):
 
 
 def test_banding_rows_do_not_depend_on_the_enumeration_order(monkeypatch):
-    enumerate_all = QuadraticStructure.enumerate_all.__func__
+    # banding reads no enumeration at all: nothing enumerates structures or builds a value array while it runs
+    calls = []
 
-    def reversed_on_n4(kind, form):
-        structures = list(enumerate_all(kind, form))
-        return structures[::-1] if form == identity_form(4) else structures
+    def counted(name, func):
+        def call(*args):
+            calls.append(name)
+            return func(*args)
+        return call
 
-    monkeypatch.setattr(QuadraticStructure, "enumerate_all", classmethod(reversed_on_n4))
+    for name in ("enumerate_all", "code_values"):
+        clean = getattr(QuadraticStructure, name).__func__
+        monkeypatch.setattr(QuadraticStructure, name, classmethod(counted(name, clean)))
+    values = counted("_values", verify._values.__wrapped__)
+    monkeypatch.setattr(verify, "_values", functools.lru_cache(maxsize=None)(values))
     expected = pinned_rows("banding")
     assert len(expected) == 3 and {row[2] for row in expected} == {PASS}
     assert [[r.suite, r.name, r.status, r.detail] for r in run_suites("banding")] == expected
+    assert calls == []
 
 
 def test_single_suite_runs_clean():
@@ -218,6 +226,33 @@ def test_each_run_enumerates_each_form_once(monkeypatch):
         assert summarize(results) == pinned["summary"]
         # once per form in each run: the second run builds afresh
         assert calls and set(calls.values()) == {run}
+
+
+def test_each_run_counts_each_exhaustive_form_once(monkeypatch):
+    # each enhancement form's histograms are counted once per run by the cached ``_histograms``,
+    # which run_suites clears
+    calls = Counter()
+    build = verify._histograms.__wrapped__
+
+    def counted(form):
+        calls[form] += 1
+        return build(form)
+
+    monkeypatch.setattr(verify, "_histograms", functools.lru_cache(maxsize=None)(counted))
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    for run in (1, 2):
+        results = run_suites("all")
+        assert [[r.suite, r.name, r.status, r.detail] for r in results] == pinned["rows"]
+        # N:1 to N:10 and S:0 to S:5, once each in each run: the second run counts afresh
+        assert len(calls) == 16 and set(calls.values()) == {run}
+
+
+def test_cached_histograms_are_read_only():
+    form = identity_form(3)
+    counts = verify._histograms(form)
+    assert counts.shape == (8, 4) and not counts.flags.writeable
+    assert np.array_equal(counts, enhancements.value_histograms(form, verify._values(Enhancement, form)))
+    assert verify._histograms(form) is counts
 
 
 def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatch):
@@ -509,15 +544,15 @@ def shifted(counts):
     return n0 - 1, n1, n2 + 1, n3
 
 
-def inject_fault(monkeypatch, fault):
-    """Corrupt the histogram of one structure, N:5 with values (3, 1, 1, 1, 1), in every batch that holds it."""
+def inject_fault(monkeypatch, fault, target=(FAULTY_FORM, FAULTY_VALUES)):
+    """Corrupt the histogram of the (form, values) structure ``target`` in every batch that holds it."""
     clean = enhancements.value_histograms
 
     def faulty(form, values):
         counts = clean(form, values)
-        if form == FAULTY_FORM:
+        if form == target[0]:
             for s, row in enumerate(np.asarray(values).tolist()):
-                if tuple(row) == FAULTY_VALUES:
+                if tuple(row) == target[1]:
                     counts[s] = fault(counts[s])
         return counts
 
@@ -549,6 +584,36 @@ def test_bad_magnitude_in_a_batch_raises_the_per_structure_error(monkeypatch):
             run_suites([suite])
 
 
+ACTION_CHECK = "histogram-and-invariant-preserved (sampled, dim<=6)"
+
+
+def test_one_moved_histogram_fails_action_invariance_with_its_source(monkeypatch):
+    # the 13th image on N:4 gets its first basis value moved by 2, which moves its Brown invariant by 2
+    clean = verify.act
+    calls = Counter()
+
+    def faulty(iso, e):
+        image = clean(iso, e)
+        calls[e.form] += 1
+        if e.form == identity_form(4) and calls[e.form] == 13:
+            return Enhancement(e.form, (image.values[0] ^ 2, *image.values[1:]))
+        return image
+
+    monkeypatch.setattr(verify, "act", faulty)
+    pin, spin = run_suites(["action-invariance"])
+    # the detail the pair-by-pair comparison reported under the same fault: the image's source
+    assert pin == CheckResult("action-invariance", ACTION_CHECK, FAIL, "N:4 values (3, 3, 1, 3)")
+    assert spin.status == PASS
+
+
+def test_bad_magnitude_on_an_agreeing_pair_raises_in_action_invariance(monkeypatch):
+    # (1, 1, 1) is the one structure on N:3 of Brown invariant 3, so every isometry fixes it
+    # and each of its pairs agrees, bad magnitude included
+    inject_fault(monkeypatch, shifted, (identity_form(3), (1, 1, 1)))
+    with pytest.raises(InvariantViolation, match=r"^Gauss sum magnitude 20 is not 2\*\*3$"):
+        run_suites(["action-invariance"])
+
+
 def standard_surface_pairs(max_dim, max_total):
     surfaces = verify._standard_surfaces(max_dim, include_sphere=True)
     return [(a, b) for a in surfaces for b in surfaces if a.form.dim + b.form.dim <= max_total]
@@ -570,20 +635,21 @@ def track_running_suite(monkeypatch) -> list[str]:
 
 
 def test_gauss_suites_read_one_batch_per_case(monkeypatch):
-    # a case is a surface, or a surface pair for the direct sums; capping has
-    # two per genus k (the totals on N:k and the capped rests on N:(k-1)), and
-    # action-invariance one per surface that has generators
+    # A case is a batch a suite builds itself: a surface pair for the direct sums,
+    # a genus k for the doubled refinements and the capped rests on N:(k-1), and
+    # a surface with generators for the action images.  Each surface's exhaustive
+    # enhancements are counted once per run, by the first suite that reads them
+    # (brown-compass: N:1 to N:10 and S:0 to S:5), so gauss-magnitude,
+    # orbit-level-sets, pin-census and the per-surface invariants of additivity
+    # and capping make no call of their own.
     cases = {
         "brown-compass": 16,
-        "gauss-magnitude": 16,
-        "additivity": len(verify._standard_surfaces(7, include_sphere=True)) + len(standard_surface_pairs(7, 8)),
+        "additivity": len(standard_surface_pairs(7, 8)),
         "doubling": 4,
-        "capping": 2 * 7,
+        "capping": 7,
         "action-invariance": sum(
             1 for s in verify._standard_surfaces(6) if verify.isometry_generators(s.form)
         ),
-        "orbit-level-sets": 8,
-        "pin-census": 10,
     }
     running = track_running_suite(monkeypatch)
     batches = Counter()
@@ -604,9 +670,9 @@ def test_gauss_suites_read_one_batch_per_case(monkeypatch):
     results = run_suites("all")
     assert not [r for r in results if r.status == FAIL]
     assert not singles
-    assert set(batches) == set(cases)
-    for name, count in batches.items():
-        assert count <= cases[name], name
+    assert batches == cases
+    # a run counted 166 batches when every suite counted its own surfaces
+    assert sum(batches.values()) == sum(cases.values()) == 114
 
 
 PARITY_FORM, PARITY_CODE = identity_form(7), 0b1010011
@@ -637,51 +703,36 @@ OBJECT_SUITES = {"action-invariance", "bordism", "banding"}
 
 
 def test_code_label_suites_build_no_structure_from_a_code(monkeypatch):
-    # each spectrum's code-0 row builds a structure by design; it runs uncounted, so what is counted
-    # per suite is built by the suite itself
     calls = Counter()
-    uncounted = []
     running = track_running_suite(monkeypatch)
     built = Counter()
     post_init = QuadraticStructure.__post_init__
 
     def counted(name, func):
         def call(*args):
-            if not uncounted:
-                calls[name, running[-1]] += 1
+            calls[name, running[-1]] += 1
             return func(*args)
         return call
 
     def counted_post_init(structure):
         built["all"] += 1
-        if not uncounted:
-            built[running[-1]] += 1
+        built[running[-1]] += 1
         post_init(structure)
-
-    def quiet(func):
-        def call(*args):
-            uncounted.append(func)
-            try:
-                return func(*args)
-            finally:
-                uncounted.pop()
-        return call
 
     monkeypatch.setattr(
         QuadraticStructure, "from_code", classmethod(counted("from_code", QuadraticStructure.from_code.__func__))
     )
     monkeypatch.setattr(QuadraticStructure, "values_on_all", counted("values_on_all", QuadraticStructure.values_on_all))
     monkeypatch.setattr(QuadraticStructure, "__post_init__", counted_post_init)
-    monkeypatch.setattr(QuadraticStructure, "gauss_sums", classmethod(quiet(QuadraticStructure.gauss_sums.__func__)))
     results = run_suites("all")
     assert not [r for r in results if r.status == FAIL]
     # no suite builds a structure from a code or a table from a structure, and only the
     # per-object suites build structures at all: 1,016 in action-invariance, 50 in bordism, 2 in banding
     assert calls == Counter()
     assert {name for name in built if name != "all"} <= OBJECT_SUITES
-    # with the 27 code-0 rows of the spectra, a run builds 1,095 structures; enumerating every
-    # surface's structures as objects built 6,232
-    assert built["all"] <= 1100
+    # the spectra read code 0's value row without an object, so that is all a run builds; with a
+    # code-0 structure per spectrum it built 1,095, and enumerating every surface's structures 6,232
+    assert built["all"] <= 1068
 
 
 def test_group_suites_build_no_group_of_isometry_objects(monkeypatch):
@@ -702,19 +753,16 @@ def test_group_suites_build_no_group_of_isometry_objects(monkeypatch):
 
 
 def flip_brown(monkeypatch, form, code):
-    """Add 2 to the Brown invariant of the structure with ``code`` in every batch of value rows on ``form``."""
-    clean = verify._brown_rows
-    target = Enhancement.from_code(form, code).values
+    """Add 2 to the Brown invariant of ``code`` wherever the cached invariants of ``form`` are read."""
+    clean = verify._brown_codes
 
-    def faulty(f, values):
-        invariants = clean(f, values)
+    def faulty(f):
+        invariants = clean(f)
         if f == form:
-            for s, row in enumerate(np.asarray(values).tolist()):
-                if tuple(row) == target:
-                    invariants[s] = (invariants[s] + 2) % 8
+            invariants[code] = (invariants[code] + 2) % 8
         return invariants
 
-    monkeypatch.setattr(verify, "_brown_rows", faulty)
+    monkeypatch.setattr(verify, "_brown_codes", faulty)
 
 
 def test_flipped_brown_invariant_fails_the_brute_level_sets_at_its_genus(monkeypatch):
