@@ -72,23 +72,30 @@ def value_histograms(form: IntersectionForm, values) -> np.ndarray:
 
     ``values`` holds one row of basis values per enhancement, and row s of
     the result belongs to row s of ``values``.  The rows are counted chunk by
-    chunk in their ``Enhancement.value_table``, and each chunk's table is
-    released before the next is built.  The normal form
-    (``brown_normal_form``) is the route that shares no code with this one.
+    chunk in their ``Enhancement.value_table``, whose two bit planes, low
+    L = value & 1 and high H = value >> 1, are packed eight classes a byte and
+    popcounted: n3 = |L & H|, n1 = |L| - n3, n2 = |H| - n3 and
+    n0 = 2**n - n1 - n2 - n3.  Each chunk's table is released before the next
+    is built.  The normal form (``brown_normal_form``) is the route that
+    shares no code with this one.
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
     vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
     counts = np.empty((len(vals), 4), dtype=np.int64)
     chunk = max(1, _TABLE_BYTES >> n)
-    hits = np.empty((min(chunk, len(vals)), 1 << n), dtype=bool)
     for lo in range(0, len(vals), chunk):
         table = Enhancement.value_table(form, vals[lo : lo + chunk])
-        hit = hits[: len(table)]
-        for v in range(4):
-            np.equal(table, v, out=hit)
-            np.add.reduce(hit, axis=1, out=counts[lo : lo + len(table), v])
+        # bit planes of the values, eight classes a byte; the zero bits that pad a row of 2**n < 8 count nowhere
+        low = np.packbits(table & 1, axis=1, bitorder="little")
+        high = np.packbits(table >> 1, axis=1, bitorder="little")
         del table
+        out = counts[lo : lo + len(low)]
+        for v, plane in ((3, low & high), (1, low), (2, high)):
+            np.add.reduce(np.bitwise_count(plane), axis=1, dtype=np.int64, out=out[:, v])
+        # |L| and |H| both count the classes of value 3
+        out[:, 1:3] -= out[:, 3:]
+        out[:, 0] = (1 << n) - out[:, 1:].sum(axis=1)
     return counts
 
 
@@ -163,7 +170,29 @@ def brown_compass(e: Enhancement) -> int:
     return _SIGNS_BY_OCTANT.index(signs)
 
 
-def brown_normal_form_values(form: IntersectionForm, values) -> int:
+# the values in Z/4 of each parity, indexed by parity
+_VALUES_OF_PARITY = (frozenset((0, 2)), frozenset((1, 3)))
+
+
+def _check_parity(layout: str, values, odd: bool) -> None:
+    """Raise ``InvariantViolation`` on the first standard-basis value whose parity is not ``odd``.
+
+    ``values`` holds one int per basis vector, or one column of ints per
+    basis vector; for columns the message names the first broken row.
+    """
+    if values and isinstance(values[0], np.ndarray):
+        # (row, vector) pairs in row order
+        broken = np.argwhere((np.stack(values, axis=1) & 1) != odd)
+        if len(broken):
+            row, i = broken[0].tolist()
+            raise InvariantViolation(f"value {values[i][row]} on {layout} basis vector {i} breaks parity in row {row}")
+        return
+    if not _VALUES_OF_PARITY[odd].issuperset(values):
+        broken = next(i for i, v in enumerate(values) if v & 1 != odd)
+        raise InvariantViolation(f"value {values[broken]} on {layout} basis vector {broken} breaks parity")
+
+
+def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray:
     """Brown invariant of the enhancement with basis values ``values``, added up over a standard basis, in O(n**2).
 
     On an orthonormal basis v1, ..., vk the enhancement splits into k
@@ -171,22 +200,29 @@ def brown_normal_form_values(form: IntersectionForm, values) -> int:
     symplectic basis a1, b1, ..., ag, bg into g hyperbolic planes, each of
     invariant 4 exactly when e(a) = e(b) = 2 (Brown, "Generalizations of the
     Kervaire invariant", 1972; Kirby-Taylor, "Pin structures on
-    low-dimensional manifolds", 1990).  The basis comes from the cached
-    ``standard_basis`` and each basis value from its cached terms
-    (``Enhancement.values_on_standard_basis``: set-bit indices and cross
-    terms, cached per pairing), so no class table and no structure object
-    is built, and a query only adds basis values at cached indices.
+    low-dimensional manifolds", 1990).  Once parity holds a value v in
+    {1, 3} adds 2 - v, so the identity sum is 2k - (v1 + ... + vk) mod 8.
+    The basis comes from the cached ``standard_basis`` and each basis value
+    from its cached terms (``Enhancement.values_on_standard_basis``: set-bit
+    indices and cross terms, cached per pairing), so no class table and no
+    structure object is built, and a query only adds basis values at cached
+    indices.
+
+    ``values`` is n ints, one structure, and the invariant is an int; or an
+    (n, S) array, a value array transposed, whose column s is structure s,
+    and the invariants are an (S,) int64 array.  The same sums run
+    elementwise on the columns, starting from S zeros, so the sphere
+    (n = 0) still gives one invariant per column.
     """
     layout, _ = standard_basis(form)
+    start = np.zeros(values.shape[1], dtype=np.int64) if isinstance(values, np.ndarray) and values.ndim == 2 else 0
     values = Enhancement.values_on_standard_basis(form, values)
     odd = layout == "identity"
     # every standard basis vector has self-pairing 1 (identity) or 0 (hyperbolic)
-    broken = next((i for i, v in enumerate(values) if v & 1 != odd), None)
-    if broken is not None:
-        raise InvariantViolation(f"value {values[broken]} on {layout} basis vector {broken} breaks parity")
+    _check_parity(layout, values, odd)
     if odd:
-        return (values.count(1) - values.count(3)) % 8
-    return 4 * sum(a * b // 4 for a, b in zip(values[0::2], values[1::2])) % 8
+        return (2 * len(values) - sum(values, start)) % 8
+    return 4 * sum((a * b // 4 for a, b in zip(values[0::2], values[1::2])), start) % 8
 
 
 def brown_normal_form(e: Enhancement) -> int:

@@ -14,6 +14,7 @@ one of them decides descent for all 2^n.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -49,6 +50,9 @@ def mod4_homology(surface: Surface) -> Mod4Homology:
     return Mod4Homology(surface.form, ((2,) * surface.form.dim,))
 
 
+_Z2 = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class PinPlusForm:
     """Mod-2 function on mod-4 classes with q(x+y) = q(x) + q(y) + x.y.
@@ -62,9 +66,9 @@ class PinPlusForm:
 
     def __post_init__(self):
         freeze_ints(self, "values")
-        if len(self.values) != self.model.generator_count:
+        if len(self.values) != self.model.form.dim:
             raise ValueError("generator value count must equal the generator count")
-        if any(v not in (0, 1) for v in self.values):
+        if not _Z2.issuperset(self.values):
             raise ValueError("values live in Z/2")
 
     def __call__(self, coeffs: Sequence[int]) -> int:
@@ -117,4 +121,5 @@ def enumerate_pinplus(surface: Surface) -> list[PinPlusForm]:
     check_dim(n, MAX_TABLE_DIM, "structure enumeration")
     if not is_well_defined(PinPlusForm(model, (0,) * n)).ok:
         return []
-    return [PinPlusForm(model, tuple((code >> i) & 1 for i in range(n))) for code in range(1 << n)]
+    # product counts with its last entry fastest, so reversed it is bit i of the code at index i
+    return [PinPlusForm(model, bits[::-1]) for bits in itertools.product((0, 1), repeat=n)]

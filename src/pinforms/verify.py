@@ -369,12 +369,13 @@ def _cap_off_rows(values: np.ndarray) -> np.ndarray:
 
 def _suite_brown_compass() -> list[Row]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
-    return [_first("gauss-equals-normal-form (dim<=10)", (
-        f"{s.label} values {tuple(row)}"
-        for s in _standard_surfaces(10, include_sphere=True)
-        for row, gauss in zip(_values(Enhancement, s.form).tolist(), _brown_codes(s.form).tolist())
-        if gauss != brown_normal_form_values(s.form, row)
-    ))]
+    def breaks():
+        for s in _standard_surfaces(10, include_sphere=True):
+            values = _values(Enhancement, s.form)
+            misses = np.flatnonzero(brown_normal_form_values(s.form, values.T) != _brown_codes(s.form))
+            yield from (f"{s.label} values {_row(values, pos)}" for pos in misses.tolist())
+
+    return [_first("gauss-equals-normal-form (dim<=10)", breaks())]
 
 
 def _suite_gauss_magnitude() -> list[Row]:

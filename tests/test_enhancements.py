@@ -176,6 +176,7 @@ def assert_batch_matches_bincount(form):
     assert value_histograms(form, []).shape == (0, 4)
 
 
+# dimensions 0 to 3 have fewer than 8 classes, so each packed bit plane is one byte with zero padding
 @pytest.mark.parametrize("form", STANDARD_FORMS, ids=form_id)
 def test_value_histograms_match_bincount_on_standard_forms(form):
     assert_batch_matches_bincount(form)
@@ -197,6 +198,19 @@ def test_value_histograms_in_small_chunks(monkeypatch):
     monkeypatch.setattr(enhancements, "_TABLE_BYTES", 1024)
     assert np.array_equal(value_histograms(form, [e.values for e in structures]), expected)
     assert np.array_equal(value_histograms(form, [e.values for e in structures[:13]]), expected[:13])
+
+
+@pytest.mark.parametrize("dim,codes", [
+    # 2**20 bytes hold 256 rows of 2**12 classes, so 600 rows take three chunks, the last one partial
+    (12, np.random.default_rng(12).integers(0, 1 << 12, size=600).tolist()),
+    (20, [0x5A5A5]),
+], ids=["N:12-600-rows", "N:20-one-row"])
+def test_value_histograms_match_bincount_on_seeded_rows(dim, codes):
+    form = identity_form(dim)
+    values = Enhancement.code_values(form, codes)
+    tables = (Enhancement(form, tuple(row)).values_on_all() for row in values.tolist())
+    expected = np.array([np.bincount(table, minlength=4) for table in tables])
+    assert np.array_equal(value_histograms(form, values), expected)
 
 
 def test_value_histograms_table_stays_within_its_chunk():

@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -70,6 +71,9 @@ def walked_basis_values(s) -> list[int]:
 
 def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
     layout, _ = standard_basis(form)
+    # the column form, on the value array transposed, gives the row form of each structure
+    columns = np.array([e.values for e in enhancements], dtype=np.uint8).reshape(len(enhancements), form.dim).T
+    assert brown_normal_form_values(form, columns).tolist() == [brown_normal_form(e) for e in enhancements]
     for e in enhancements:
         walked = walked_basis_values(e)
         assert e.standard_basis_values() == walked, e.values
@@ -145,6 +149,19 @@ def test_values_level_normal_form_equals_the_object_routes_on_every_structure(su
         assert [arf_additive(values) for values in basis_values] == arf
         # the doubled refinement 2q is the enhancement of Brown invariant 4 Arf(q)
         assert [brown_normal_form_values(form, [2 * v for v in row]) for row in rows] == [4 * a for a in arf]
+
+
+@pytest.mark.parametrize("surface,fault,message", [
+    (nonorientable_surface(3), 2, "value 2 on identity basis vector 1 breaks parity in row 5"),
+    (orientable_surface(2), 1, "value 1 on hyperbolic basis vector 1 breaks parity in row 5"),
+])
+def test_column_parity_fault_names_the_first_broken_row(surface, fault, message):
+    # the standard layouts keep the unit basis, so a basis value is a value of the array
+    values = Enhancement.code_values(surface.form, range(1 << surface.form.dim))
+    values[5, 1] = values[7, 0] = fault
+    with pytest.raises(InvariantViolation) as raised:
+        brown_normal_form_values(surface.form, values.T)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)

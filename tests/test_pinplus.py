@@ -38,10 +38,13 @@ def test_relation_validation():
 
 def test_value_validation():
     model = mod4_homology(nonorientable_surface(2))
-    with pytest.raises(ValueError):
-        PinPlusForm(model, (0,))
-    with pytest.raises(ValueError):
-        PinPlusForm(model, (0, 2))
+    count = "generator value count must equal the generator count"
+    cases = [((0,), count), ((0, 1, 0), count), ((), count), ((0, 2), "values live in Z/2"),
+             ([1, -1], "values live in Z/2"), ((3, 3), "values live in Z/2")]
+    for values, message in cases:
+        with pytest.raises(ValueError) as raised:
+            PinPlusForm(model, values)
+        assert str(raised.value) == message, values
 
 
 def test_evaluation_doubling_and_tripling_rules():

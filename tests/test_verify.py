@@ -256,14 +256,16 @@ def test_cached_histograms_are_read_only():
 
 
 def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatch):
+    # the normal form takes a surface's value array transposed, one column per structure
     normal_form = verify.brown_normal_form_values
     seen = []
 
-    def broken(form, values):
-        e = Enhancement(form, values)
-        seen.append(e)
-        value = normal_form(form, values)
-        return (value + 1) % 8 if e.form == identity_form(5) and e.values[0] == 3 else value
+    def broken(form, columns):
+        seen.append(form)
+        value = normal_form(form, columns)
+        if form == identity_form(5):
+            value = np.where(columns[0] == 3, (value + 1) % 8, value)
+        return value
 
     monkeypatch.setattr(verify, "brown_normal_form_values", broken)
     code = main(["verify", "brown-compass", "--format", "json"])
@@ -272,10 +274,26 @@ def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatc
     assert record.rows == (
         ("brown-compass", "gauss-equals-normal-form (dim<=10)", FAIL, "N:5 values (3, 1, 1, 1, 1)"),
     )
-    # the check stops at its first counterexample
-    assert seen[-1].form == identity_form(5)
-    assert seen[-1].values == (3, 1, 1, 1, 1)
-    assert seen.count(seen[-1]) == 1
+    # the check stops at the surface batch holding its first counterexample: no surface after N:5 is evaluated
+    surfaces = verify._standard_surfaces(10, include_sphere=True)
+    stop = next(i for i, s in enumerate(surfaces) if s.label == "N:5")
+    assert seen == [s.form for s in surfaces[: stop + 1]]
+
+
+def test_brown_compass_reads_the_normal_form_once_per_surface(monkeypatch):
+    normal_form = verify.brown_normal_form_values
+    calls = []
+
+    def counted(form, columns):
+        calls.append((form, columns.shape))
+        return normal_form(form, columns)
+
+    monkeypatch.setattr(verify, "brown_normal_form_values", counted)
+    assert [r.status for r in run_suites("brown-compass")] == [PASS]
+    # N:1 to N:10 and S:0 to S:5, each surface's value array as one batch of columns
+    surfaces = verify._standard_surfaces(10, include_sphere=True)
+    assert len(calls) == 16
+    assert calls == [(s.form, (s.form.dim, 1 << s.form.dim)) for s in surfaces]
 
 
 # the lane kernel of the identity suites against the per-structure route it replaced
