@@ -107,34 +107,60 @@ def value_histogram(e: Enhancement) -> ValueHistogram:
 # the (sign A, sign B) pair of the Gauss sum A + Bi, indexed by octant
 _SIGNS_BY_OCTANT = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
-# the octant indexed by 3 * (sign A + 1) + sign B + 1; -1 marks (0, 0)
-_OCTANT_BY_SIGN_INDEX = np.array(
-    [_SIGNS_BY_OCTANT.index((sa, sb)) if sa or sb else -1 for sa in (-1, 0, 1) for sb in (-1, 0, 1)]
-)
 
+def _octant_table(parity: int) -> np.ndarray:
+    """The octant of each (sign P, sign Q), P = A + B and Q = A - B, indexed by 3 sign P + sign Q mod 9.
 
-def _octants(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Octant of each Gauss sum A + Bi of i**e(x), the Brown invariant, once A**2 + B**2 = 2**dim is checked.
-
-    The only integer points of squared magnitude 2**n are (+-2**(n/2), 0),
-    (0, +-2**(n/2)) and (+-2**((n-1)/2), +-2**((n-1)/2)), so once the
-    magnitude is checked the sign pair fixes the octant.  The first sum with
-    a wrong magnitude raises ``InvariantViolation``.
+    On an octant's ray |A| and |B| are equal or one is zero, so the signs of
+    P and Q are those of sign A + sign B and sign A - sign B.  Only octants
+    of the given parity have sums of squared magnitude 2**n with n of that
+    parity; every other entry, (0, 0) included, is -1.
     """
+    table = np.full(9, -1)
+    for octant in range(parity, 8, 2):
+        sa, sb = _SIGNS_BY_OCTANT[octant]
+        table[(3 * np.sign(sa + sb) + np.sign(sa - sb)) % 9] = octant
+    return table
+
+
+_OCTANT_BY_SIGN_KEY = (_octant_table(0), _octant_table(1))
+
+
+def _octants(dim: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Octant of each Gauss sum A + Bi of i**e(x), the Brown invariant, given P = A + B and Q = A - B.
+
+    A**2 + B**2 = 2**n exactly when P**2 + Q**2 = 2**(n+1), and the only
+    integer points of that circle are (+-2**(n/2), +-2**(n/2)) for even n
+    and (+-2**((n+1)/2), 0), (0, +-2**((n+1)/2)) for odd n.  So a sum is
+    checked without squaring: |P| | |Q| = 2**ceil(n/2) holds exactly when
+    P and Q are each 0 or +-2**ceil(n/2), and then the sign pair must fit
+    the parity of n; the sign pair fixes the octant.  The first sum with a
+    wrong magnitude raises ``InvariantViolation``.
+    """
+    key = np.sign(p)
+    key *= 3
+    key += np.sign(q)
+    octants = _OCTANT_BY_SIGN_KEY[dim & 1][key]
     # a validated enhancement of a nondegenerate pairing always has |sum|**2 = 2**n
-    bad = np.flatnonzero(a * a + b * b != 1 << dim)
-    if bad.size:
-        ab, bb = int(a[bad[0]]), int(b[bad[0]])
+    magnitude = np.abs(p, out=key)
+    magnitude |= np.abs(q)
+    bad = magnitude != 1 << (dim + 1) // 2
+    bad |= octants < 0
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        pb, qb = int(p[first]), int(q[first])
+        ab, bb = (pb + qb) // 2, (pb - qb) // 2
         if (ab, bb) == (0, 0):
             raise InvariantViolation("zero Gauss sum for an enhancement of a nondegenerate pairing")
         raise InvariantViolation(f"Gauss sum magnitude {ab * ab + bb * bb} is not 2**{dim}")
-    return _OCTANT_BY_SIGN_INDEX[3 * (np.sign(a) + 1) + np.sign(b) + 1]
+    return octants
 
 
 def brown_from_histograms(dim: int, counts) -> np.ndarray:
     """Brown invariant of each row of value counts: the octant of the Gauss sum (n0 - n2) + (n1 - n3)i."""
     counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
-    return _octants(dim, counts[:, 0] - counts[:, 2], counts[:, 1] - counts[:, 3])
+    real, imag = counts[:, 0] - counts[:, 2], counts[:, 1] - counts[:, 3]
+    return _octants(dim, real + imag, real - imag)
 
 
 def brown_gauss_many(structures) -> np.ndarray:
@@ -154,11 +180,12 @@ def brown_gauss(e: Enhancement) -> int:
 def brown_spectrum(form: IntersectionForm) -> np.ndarray:
     """Brown invariant of every enhancement on the pairing, indexed by code.
 
-    All 2**n Gauss sums come from one Walsh-Hadamard transform
-    (``Enhancement.gauss_sums``), so the cost is O(n 2**n) rather than a
-    histogram per structure; each sum's octant is read off its sign pair.
+    All 2**n Gauss sums come from one int32 Walsh-Hadamard transform
+    (``Enhancement.folded_sums``), so the cost is O(n 2**n) rather than a
+    histogram per structure; each sum's octant is read off the sign pair of
+    Re + Im and Re - Im.
     """
-    return _octants(form.dim, *Enhancement.gauss_sums(form))
+    return _octants(form.dim, *Enhancement.folded_sums(form))
 
 
 def brown_compass(e: Enhancement) -> int:

@@ -90,11 +90,12 @@ def arf_normal_form(q: Refinement) -> int:
 def arf_spectrum(form: IntersectionForm) -> np.ndarray:
     """Arf invariant of every refinement on the pairing, indexed by code.
 
-    One Walsh-Hadamard transform gives the sum of (-1)**q(x) for every
-    code (``Refinement.gauss_sums``); each sum is +-2**g, and the sign
-    is -1 exactly when the Arf invariant is 1.
+    One int32 Walsh-Hadamard transform gives the sum of (-1)**q(x) for
+    every code (``Refinement.folded_sums``, whose P and Q agree because
+    the terms are real); each sum is +-2**g, and the sign is -1 exactly
+    when the Arf invariant is 1.
     """
-    (sums,) = Refinement.gauss_sums(form)
+    sums, _ = Refinement.folded_sums(form)
     bad = np.flatnonzero(np.abs(sums) != 1 << (form.dim // 2))
     if bad.size:
         c = int(bad[0])

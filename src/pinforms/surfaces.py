@@ -90,6 +90,11 @@ class IntersectionForm:
     def diagonal(self) -> tuple[int, ...]:
         return tuple((self.rows[i] >> i) & 1 for i in range(self.dim))
 
+    @cached_property
+    def diagonal_bits(self) -> int:
+        """The diagonal as a class: x.x is the parity of x & diagonal_bits."""
+        return sum(d << i for i, d in enumerate(self.diagonal))
+
     def pairing_bits(self, x: int, y: int) -> int:
         """Pairing of two classes given as bit masks."""
         return gf2.dot(x, gf2.mat_vec(self.rows, y))
@@ -168,7 +173,7 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     """
     n = form.dim
     check_dim(n, MAX_NORMAL_FORM_DIM, "normal-form reduction")
-    diagonal = sum(d << i for i, d in enumerate(form.diagonal))
+    diagonal = form.diagonal_bits
     rest = [1 << i for i in range(n)]
     odd: list[int] = []
     pairs: list[tuple[int, int]] = []
@@ -294,12 +299,8 @@ def class_bit_matrix(n: int) -> np.ndarray:
 
 
 def _parity_vector(mask: int, n: int) -> np.ndarray:
-    """Parity of mask & y for every y < 2**n, built by doubling over the bits of y."""
-    out = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(n):
-        block = 1 << j
-        np.bitwise_xor(out[:block], (mask >> j) & 1, out=out[block : 2 * block])
-    return out
+    """Parity of mask & y for every y < 2**n, by one popcount over the classes."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32) & mask) & 1
 
 
 @lru_cache(maxsize=32)
@@ -308,13 +309,23 @@ def cross_parity_table(form: IntersectionForm) -> np.ndarray:
 
     A class x = 2**i + y with y < 2**i has cross_pairs(x) = cross_pairs(y)
     plus the parity of rows[i] & y, so the block [2**i, 2**(i+1)) is the
-    block below it xor that parity vector.
+    block below it plus the popcounts of rows[i] & y: three vector
+    operations per row, or one copy where rows[i] has no bit below i.  The
+    uint8 sums wrap mod 256, which keeps their parity, and one mask at the
+    end leaves it.
     """
-    check_dim(form.dim, MAX_TABLE_DIM, "dense class tables")
-    table = np.zeros(1 << form.dim, dtype=np.uint8)
+    n = form.dim
+    check_dim(n, MAX_TABLE_DIM, "dense class tables")
+    table = np.zeros(1 << n, dtype=np.uint8)
+    below = np.arange(1 << max(n - 1, 0), dtype=np.uint32)
     for i, row in enumerate(form.rows):
         block = 1 << i
-        np.bitwise_xor(table[:block], _parity_vector(row, i), out=table[block : 2 * block])
+        low = row & (block - 1)
+        if low:
+            np.add(table[:block], np.bitwise_count(below[:block] & low), out=table[block : 2 * block])
+        else:
+            table[block : 2 * block] = table[:block]
+    table &= 1
     table.setflags(write=False)
     return table
 
@@ -330,29 +341,66 @@ def self_pairing_table(form: IntersectionForm) -> np.ndarray:
     return out
 
 
+def _butterflies(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform over the last axis, of length 2**n, in the dtype of ``values``, which it overwrites.
+
+    Each pass sums and subtracts the even and odd entries into the two
+    contiguous halves of a second buffer: it transforms the lowest bit and
+    moves it to the top, so after n passes every bit is transformed and back
+    in place.  Partial sums reach 2**n max|values|; the dtype must hold them.
+    """
+    size = values.shape[-1]
+    half = size // 2
+    spare = np.empty_like(values)
+    for _ in range(size.bit_length() - 1):
+        even, odd = values[..., 0::2], values[..., 1::2]
+        np.add(even, odd, out=spare[..., :half])
+        np.subtract(even, odd, out=spare[..., half:])
+        values, spare = spare, values
+    return values
+
+
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform over the last axis, of length 2**n, in int64.
+    """Unnormalised Walsh-Hadamard transform over the last axis, of length 2**n, exact in int64.
 
     Entry c of the result is the sum over x of values[..., x] * (-1)**(c.x),
-    c.x being the parity of c & x; one butterfly pass per bit.
+    c.x being the parity of c & x.  The passes run in int32 while
+    max|values| * 2**(n+1) < 2**31, which holds for +-1 terms up to
+    ``MAX_TABLE_DIM``, and in int64 otherwise.  Integer input whose partial
+    sums could leave int64 (max|values| * 2**n >= 2**63) raises
+    ``OverflowError``.
     """
-    out = np.array(values, dtype=np.int64)
-    size = out.shape[-1]
-    if size & (size - 1):
+    values = np.asarray(values)
+    size = values.shape[-1]
+    if size < 1 or size & (size - 1):
         raise ValueError(f"transform length {size} is not a power of two")
-    half = 1
-    while half < size:
-        view = out.reshape(out.shape[:-1] + (size // (2 * half), 2, half))
-        lo, hi = view[..., 0, :], view[..., 1, :]
-        lo += hi  # a + b
-        hi *= -2
-        hi += lo  # (a + b) - 2b = a - b
-        half *= 2
-    return out
+    n = size.bit_length() - 1
+    peak = max(int(values.max()), -int(values.min())) if values.size else 0
+    if peak << n >= 1 << 63:
+        raise OverflowError(f"a transform of entries up to {peak} in length {size} overflows int64")
+    dtype = np.int32 if peak << (n + 1) < 1 << 31 else np.int64
+    return _butterflies(values.astype(dtype)).astype(np.int64, copy=False)
 
 
-# real and imaginary parts of i**t for t = 0, 1, 2, 3 quarter turns
-_QUARTER_TURNS = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)
+def _xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
+    """values[c ^ mask] for every c < 2**n, from ``values`` of length 2**n; ``values`` itself when mask = 0.
+
+    Seen as one axis per run of equal bits of ``mask``, xor with a run of
+    ones reverses that run's axis, so the result is one strided copy.
+    """
+    if not mask:
+        return values
+    shape, flips = [], []
+    top = values.size.bit_length() - 1
+    while top:
+        bit = (mask >> (top - 1)) & 1
+        low = top - 1
+        while low and (mask >> (low - 1)) & 1 == bit:
+            low -= 1
+        shape.append(1 << (top - low))
+        flips.append(slice(None, None, -1 if bit else 1))
+        top = low
+    return values.reshape(shape)[tuple(flips)].reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -440,17 +488,43 @@ class QuadraticStructure:
         return [cls(form, values) for values in map(tuple, cls.code_values(form, range(1 << form.dim)).tolist())]
 
     @classmethod
-    def gauss_sums(cls, form: IntersectionForm) -> np.ndarray:
-        """Gauss sums over all classes of exp(2 pi i s(x) / m), for every code s at once.
+    def folded_sums(cls, form: IntersectionForm) -> tuple[np.ndarray, np.ndarray]:
+        """P = Re + Im and Q = Re - Im of the Gauss sum of every code, indexed by code, from one int32 transform.
 
-        Code c is code 0 plus (m/2)(c.x), which multiplies each term by
-        (-1)**(c.x), so the sums are one Walsh-Hadamard transform of code 0's
-        terms.  Rows are the real and imaginary parts (the real part alone for
-        m = 2, where the terms are +-1); column c belongs to code c.
+        Code c is code 0 plus (m/2)(c.x), which multiplies each term
+        exp(2 pi i s(x) / m) by (-1)**(c.x), so P is one Walsh-Hadamard
+        transform of Re + Im of code 0's terms, which is 1 where s(x) < m/2
+        and -1 elsewhere.  Code 0 has the diagonal as basis values, so s(x)
+        is (m/2) cross_pairs(x) plus the diagonal weight of x.  A term is
+        imaginary exactly where x.x = 1 (m = 4; never for m = 2), and
+        (-1)**(x.x) is (-1)**(delta.x) for the diagonal delta, so
+        Q(c) = P(c ^ delta); Q is P itself when the terms are real.  Partial
+        sums stay within 2**n <= 2**MAX_TABLE_DIM, so int32 is exact.
         """
+        half = cls.modulus // 2
         check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
-        quarter_turns = cls.value_table(form, cls.code_values(form, [0]))[0] * (4 // cls.modulus)
-        return walsh_hadamard(_QUARTER_TURNS[: cls.modulus // 2, quarter_turns])
+        values = cls.value_table(form, [form.diagonal])[0]
+        terms = np.multiply(values >= half, -2, dtype=np.int32)
+        terms += 1
+        sums = _butterflies(terms)
+        return sums, _xor_permuted(sums, form.diagonal_bits if half == 2 else 0)
+
+    @classmethod
+    def gauss_sums(cls, form: IntersectionForm) -> np.ndarray:
+        """Gauss sums over all classes of exp(2 pi i s(x) / m), for every code s at once, in int64.
+
+        Rows are the real and imaginary parts (the real part alone for
+        m = 2, where the terms are +-1); column c belongs to code c.  They
+        are (P + Q) / 2 and (P - Q) / 2 of ``folded_sums``.
+        """
+        p, q = cls.folded_sums(form)
+        if cls.modulus == 2:
+            return p.astype(np.int64).reshape(1, -1)
+        rows = np.empty((2, p.size), dtype=np.int64)
+        np.add(p, q, out=rows[0])
+        np.subtract(p, q, out=rows[1])
+        rows >>= 1
+        return rows
 
     @property
     def code(self) -> int:

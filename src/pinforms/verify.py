@@ -306,8 +306,7 @@ def _suite_enhancement_identity() -> list[Row]:
             values = _values(Enhancement, s.form)
             table = Enhancement.value_table(s.form, values)
             # x.x is the parity of x & the diagonal of the pairing
-            diagonal = sum(d << i for i, d in enumerate(s.form.diagonal))
-            parity_holds = ((table & 1) == _parity_vector(diagonal, s.form.dim)).all(axis=1)
+            parity_holds = ((table & 1) == _parity_vector(s.form.diagonal_bits, s.form.dim)).all(axis=1)
             yield from (f"{s.label} values {_row(values, pos)}" for pos in np.flatnonzero(~parity_holds).tolist())
 
     return [

@@ -18,6 +18,7 @@ from pinforms import (
     bordism_class,
     brown_compass,
     brown_gauss,
+    brown_gauss_many,
     cap_off_summand,
     cobordant,
     direct_sum_enhancement,
@@ -100,16 +101,19 @@ def test_criterion_04_additivity():
         forms.append(identity_form(d))
         if d % 2 == 0:
             forms.append(hyperbolic_form(d // 2))
+    # each summand's invariant is read once per structure, each (f1, f2) batch of block sums in one call
+    structures = {f: enumerate_enhancements(f) for f in forms}
+    invariants = {f: brown_gauss_many(structures[f]).tolist() for f in forms}
     pairs = 0
     for f1, f2 in itertools.product(forms, repeat=2):
         if f1.dim + f2.dim > 8:
             continue
-        for e1 in enumerate_enhancements(f1):
-            b1 = brown_gauss(e1)
-            for e2 in enumerate_enhancements(f2):
-                s = direct_sum_enhancement(e1, e2)
-                assert brown_gauss(s) == (b1 + brown_gauss(e2)) % 8
-                pairs += 1
+        sums = [direct_sum_enhancement(e1, e2) for e1 in structures[f1] for e2 in structures[f2]]
+        expected = [(b1 + b2) % 8 for b1 in invariants[f1] for b2 in invariants[f2]]
+        got = brown_gauss_many(sums).tolist()
+        for s, b, want in zip(sums, got, expected, strict=True):
+            assert b == want, s
+        pairs += len(sums)
     assert pairs > 0
     report(4, f"Brown invariant is additive on all {pairs} direct-sum pairs of total dim <= 8")
 

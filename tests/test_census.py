@@ -19,7 +19,7 @@ from pinforms import (
     arf_spectrum,
     arf_symplectic,
     bordism_class,
-    brown_gauss,
+    brown_gauss_many,
     brown_spectrum,
     cobordant,
     enumerate_enhancements,
@@ -71,7 +71,7 @@ ORACLE_SURFACES = (
 @pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
 def test_spectra_match_per_object_invariants(surface):
     form = surface.form
-    assert brown_spectrum(form).tolist() == [brown_gauss(e) for e in enumerate_enhancements(form)]
+    assert brown_spectrum(form).tolist() == brown_gauss_many(enumerate_enhancements(form)).tolist()
     if surface.kind == "orientable":
         assert arf_spectrum(form).tolist() == [arf_symplectic(q) for q in enumerate_refinements(form)]
 
@@ -83,7 +83,7 @@ def test_spectra_on_congruent_forms(case):
     base, m = case
     assume(gf2.rank(m) == len(m))
     form = congruent_form(base, m)
-    assert brown_spectrum(form).tolist() == [brown_gauss(e) for e in enumerate_enhancements(form)]
+    assert brown_spectrum(form).tolist() == brown_gauss_many(enumerate_enhancements(form)).tolist()
     if is_alternating(form):
         assert arf_spectrum(form).tolist() == [arf_majority(q) for q in enumerate_refinements(form)]
 
@@ -106,6 +106,11 @@ def test_census_at_the_advertised_maximum(capsys):
     code, counts, elapsed = _timed_census_json(capsys, "-s", "S:10", "-t", "spin")
     assert code == 0
     assert counts == spin_closed_form(10)
+    assert elapsed < 10
+    # the orientable half of the split: every imaginary part is zero and the Brown invariant is 0 or 4
+    code, counts, elapsed = _timed_census_json(capsys, "-s", "S:10", "-t", "pin-", "--compare")
+    assert code == 0
+    assert counts == {0: 2**9 * (2**10 + 1), 4: 2**9 * (2**10 - 1)}
     assert elapsed < 10
     assert main(["census", "-s", "N:21", "-t", "pin-"]) == 3
 

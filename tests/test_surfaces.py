@@ -29,6 +29,7 @@ from pinforms import (
     surfaces,
     transvection,
     value_histograms,
+    walsh_hadamard,
 )
 from pinforms.cli import main
 from pinforms.surfaces import (
@@ -355,3 +356,53 @@ def test_one_value_table_row_at_dimension_20_stays_small():
     assert peak < 8 << 20
     points = [0, 1, 0b11, 1 << 19, (1 << 20) - 1]
     assert [int(values[x]) for x in points] == [e(x) for x in points]
+
+
+# the transform against its defining O(4**n) sum
+
+
+def naive_transform(values):
+    """Entry c is the sum over x of values[..., x] * (-1)**popcount(c & x), in Python ints."""
+    size = values.shape[-1]
+    flat = values.reshape(-1, size).tolist()
+    out = [[sum(v if (c & x).bit_count() % 2 == 0 else -v for x, v in enumerate(row)) for c in range(size)] for row in flat]
+    return np.array(out, dtype=object).reshape(values.shape)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_walsh_hadamard_matches_the_defining_sum(n):
+    rng = np.random.default_rng(n)
+    for shape in [(1 << n,), (2, 3, 1 << n)]:
+        values = rng.integers(-9, 10, size=shape)
+        got = walsh_hadamard(values)
+        assert got.dtype == np.int64 and got.shape == shape
+        assert got.tolist() == naive_transform(values).tolist()
+    signs = 1 - 2 * rng.integers(0, 2, size=(4, 1 << n))
+    assert walsh_hadamard(signs).tolist() == naive_transform(signs).tolist()
+
+
+def test_walsh_hadamard_stays_exact_beyond_int32():
+    # 2**40 * 2**4 overflows int32 many times over; the int64 passes keep every sum exact
+    values = np.array([2**40, -(2**40), 2**40 - 3, 7] * 4, dtype=np.int64)
+    got = walsh_hadamard(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == naive_transform(values).tolist()
+    # the largest entries the int32 passes take at n = 4, and the first ones they do not
+    for peak in (2**26 - 1, 2**26):
+        values = np.full(16, peak, dtype=np.int64)
+        values[1::2] = -peak
+        assert walsh_hadamard(values).tolist() == naive_transform(values).tolist()
+    with pytest.raises(OverflowError):
+        walsh_hadamard(np.full(16, 2**59, dtype=np.int64))
+    # unsigned and Python-int entries are read at their value, never wrapped into int64
+    with pytest.raises(OverflowError):
+        walsh_hadamard(np.full(4, 2**63, dtype=np.uint64))
+    with pytest.raises(OverflowError):
+        walsh_hadamard([2**70, 0])
+    assert walsh_hadamard(np.array([2**40, 3], dtype=np.uint64)).tolist() == [2**40 + 3, 2**40 - 3]
+
+
+@pytest.mark.parametrize("size", [0, 3, 6, 12, 1000])
+def test_walsh_hadamard_rejects_lengths_that_are_not_powers_of_two(size):
+    with pytest.raises(ValueError, match="not a power of two"):
+        walsh_hadamard(np.ones((2, size), dtype=np.int64))
