@@ -364,11 +364,8 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform over the last axis, of length 2**n, exact in int64.
 
     Entry c of the result is the sum over x of values[..., x] * (-1)**(c.x),
-    c.x being the parity of c & x.  The passes run in int32 while
-    max|values| * 2**(n+1) < 2**31, which holds for +-1 terms up to
-    ``MAX_TABLE_DIM``, and in int64 otherwise.  Integer input whose partial
-    sums could leave int64 (max|values| * 2**n >= 2**63) raises
-    ``OverflowError``.
+    c.x being the parity of c & x.  Integer input whose partial sums could
+    leave int64 (max|values| * 2**n >= 2**63) raises ``OverflowError``.
     """
     values = np.asarray(values)
     size = values.shape[-1]
@@ -378,15 +375,16 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     peak = max(int(values.max()), -int(values.min())) if values.size else 0
     if peak << n >= 1 << 63:
         raise OverflowError(f"a transform of entries up to {peak} in length {size} overflows int64")
-    dtype = np.int32 if peak << (n + 1) < 1 << 31 else np.int64
-    return _butterflies(values.astype(dtype)).astype(np.int64, copy=False)
+    return _butterflies(values.astype(np.int64))
 
 
 def _xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
     """values[c ^ mask] for every c < 2**n, from ``values`` of length 2**n; ``values`` itself when mask = 0.
 
     Seen as one axis per run of equal bits of ``mask``, xor with a run of
-    ones reverses that run's axis, so the result is one strided copy.
+    ones reverses that run's axis, so the result is one strided copy, or a
+    reversed view when ``mask`` is all ones.  A gather through
+    arange ^ mask would hold an index array as large as ``values`` too.
     """
     if not mask:
         return values
@@ -503,28 +501,11 @@ class QuadraticStructure:
         """
         half = cls.modulus // 2
         check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
-        values = cls.value_table(form, [form.diagonal])[0]
+        values = cls.value_table(form, cls.code_values(form, [0]))[0]
         terms = np.multiply(values >= half, -2, dtype=np.int32)
         terms += 1
         sums = _butterflies(terms)
         return sums, _xor_permuted(sums, form.diagonal_bits if half == 2 else 0)
-
-    @classmethod
-    def gauss_sums(cls, form: IntersectionForm) -> np.ndarray:
-        """Gauss sums over all classes of exp(2 pi i s(x) / m), for every code s at once, in int64.
-
-        Rows are the real and imaginary parts (the real part alone for
-        m = 2, where the terms are +-1); column c belongs to code c.  They
-        are (P + Q) / 2 and (P - Q) / 2 of ``folded_sums``.
-        """
-        p, q = cls.folded_sums(form)
-        if cls.modulus == 2:
-            return p.astype(np.int64).reshape(1, -1)
-        rows = np.empty((2, p.size), dtype=np.int64)
-        np.add(p, q, out=rows[0])
-        np.subtract(p, q, out=rows[1])
-        rows >>= 1
-        return rows
 
     @property
     def code(self) -> int:

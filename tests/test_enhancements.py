@@ -273,24 +273,26 @@ RE_OF_TURN, IM_OF_TURN = np.array([1, 0, -1, 0]), np.array([0, 1, 0, -1])
 
 
 def assert_gauss_sums_match_each_structure(form):
-    rows = Enhancement.gauss_sums(form)
-    assert rows.dtype == np.int64 and rows.shape == (2, 1 << form.dim)
+    p, q = Enhancement.folded_sums(form)
+    assert p.shape == q.shape == (1 << form.dim,)
+    real, imag = (p.astype(np.int64) + q) // 2, (p.astype(np.int64) - q) // 2
     for e in enumerate_enhancements(form):
         values = e.values_on_all()
-        assert rows[:, e.code].tolist() == [RE_OF_TURN[values].sum(), IM_OF_TURN[values].sum()], e
+        assert [real[e.code], imag[e.code]] == [RE_OF_TURN[values].sum(), IM_OF_TURN[values].sum()], e
     if not any(form.diagonal):
         # every term i**e(x) is real where x.x = 0
-        assert not rows[1].any()
-        (real,) = Refinement.gauss_sums(form)
-        signs = [int((1 - 2 * q.values_on_all().astype(np.int64)).sum()) for q in enumerate_refinements(form)]
-        assert real.tolist() == signs
+        assert (p == q).all()
+        p, q = Refinement.folded_sums(form)
+        assert (p == q).all()
+        signs = [int((1 - 2 * s.values_on_all().astype(np.int64)).sum()) for s in enumerate_refinements(form)]
+        assert p.tolist() == signs
 
 
 SPLIT_FORMS = [identity_form(k) for k in range(1, 7)] + [hyperbolic_form(g) for g in range(1, 4)]
 
 
 @pytest.mark.parametrize("form", SPLIT_FORMS, ids=form_id)
-def test_gauss_sums_on_standard_forms(form):
+def test_folded_sums_on_standard_forms(form):
     assert_gauss_sums_match_each_structure(form)
 
 
@@ -298,7 +300,7 @@ def test_gauss_sums_on_standard_forms(form):
 @given(congruent_forms(max_dim=6))
 @example(("identity", (0b011, 0b010, 0b100)))  # diagonal (1, 0, 1)
 @example(("identity", (0b0011, 0b0010, 0b0100, 0b1000)))  # diagonal (1, 0, 1, 1)
-def test_gauss_sums_on_congruent_forms(case):
+def test_folded_sums_on_congruent_forms(case):
     base, m = case
     assume(gf2.rank(m) == len(m))
     assert_gauss_sums_match_each_structure(congruent_form(base, m))

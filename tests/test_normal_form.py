@@ -241,7 +241,7 @@ def test_route_builds_no_class_table(capsys, monkeypatch):
         raise AssertionError("the normal-form route must not build a class table")
 
     monkeypatch.setattr(QuadraticStructure, "values_on_all", refuse)
-    monkeypatch.setattr(QuadraticStructure, "gauss_sums", classmethod(refuse))
+    monkeypatch.setattr(QuadraticStructure, "folded_sums", classmethod(refuse))
     for name in ("class_bit_matrix", "cross_parity_table", "self_pairing_table"):
         monkeypatch.setattr(surfaces, name, refuse)
     n21, s11 = nonorientable_surface(21), orientable_surface(11)

@@ -382,16 +382,11 @@ def test_walsh_hadamard_matches_the_defining_sum(n):
 
 
 def test_walsh_hadamard_stays_exact_beyond_int32():
-    # 2**40 * 2**4 overflows int32 many times over; the int64 passes keep every sum exact
+    # 2**40 * 2**4 overflows int32 many times over; every sum stays exact
     values = np.array([2**40, -(2**40), 2**40 - 3, 7] * 4, dtype=np.int64)
     got = walsh_hadamard(values)
     assert got.dtype == np.int64
     assert got.tolist() == naive_transform(values).tolist()
-    # the largest entries the int32 passes take at n = 4, and the first ones they do not
-    for peak in (2**26 - 1, 2**26):
-        values = np.full(16, peak, dtype=np.int64)
-        values[1::2] = -peak
-        assert walsh_hadamard(values).tolist() == naive_transform(values).tolist()
     with pytest.raises(OverflowError):
         walsh_hadamard(np.full(16, 2**59, dtype=np.int64))
     # unsigned and Python-int entries are read at their value, never wrapped into int64
