@@ -174,9 +174,6 @@ def _sampled_structures(all_structures, count, rng):
 # exhaustive structures fill a uint64; a sample has 8.
 _LANE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
-# Rows of the pair tables compared at once: 64 rows of 2**12 words stay in cache.
-_CHUNK_ROWS = 64
-
 
 def _lane_planes(table: np.ndarray, planes: int) -> list[np.ndarray]:
     """Bit planes of an (S, 2**n) value table, S <= 64: bit s of plane p at class x is bit p of table[s, x]."""
@@ -185,84 +182,61 @@ def _lane_planes(table: np.ndarray, planes: int) -> list[np.ndarray]:
     return [np.bitwise_or.reduce(((table >> p) & 1).astype(dtype) << lanes, axis=0) for p in range(planes)]
 
 
-def _xor_rows(vals: np.ndarray, count: int) -> np.ndarray:
-    """vals[x ^ y] for x < count (a power of two) and every y < len(vals), built by doubling without a gather.
+def _basis_rows(vals: np.ndarray) -> np.ndarray:
+    """vals[x ^ y] for x = 0 and each basis class x = 2**i, every y < len(vals) = 2**n, as an (n + 1, 2**n) array.
 
-    For x < 2**i, row x + 2**i is row x with y replaced by y ^ 2**i: its
-    2**i-blocks swapped pairwise, which is a reversed axis of a reshape.
+    Row 0 is vals; row i + 1 is vals with its 2**i-blocks swapped pairwise,
+    which is a reversed axis of a reshape.
     """
     size = vals.size
-    table = np.empty((count, size), dtype=vals.dtype)
-    table[0] = vals
-    block = 1
-    while block < count:
-        shape = (block, size // (2 * block), 2, block)
-        table[block : 2 * block].reshape(shape)[...] = table[:block].reshape(shape)[:, :, ::-1]
-        block *= 2
-    return table
+    rows = np.empty((size.bit_length(), size), dtype=vals.dtype)
+    rows[0] = vals
+    for i in range(size.bit_length() - 1):
+        rows[i + 1].reshape(-1, 2, 1 << i)[...] = vals.reshape(-1, 2, 1 << i)[:, ::-1]
+    return rows
 
 
-def _pair_head(form, count: int) -> np.ndarray:
-    """x.y for x < count (a power of two) and every y, as a (count, 2**n) uint8 table built by doubling over the rows.
+def _basis_pairs(form) -> np.ndarray:
+    """x.y for x = 0 and each basis class x = 2**i, every y, as an (n + 1, 2**n) uint8 table.
 
-    A class x = 2**i + x' with x' < 2**i has x.y = x'.y plus the parity of
-    rows[i] & y, so the block of rows [2**i, 2**(i+1)) is the block below it
-    xor that parity vector.
+    2**i.y is the parity of rows[i] & y.
     """
     n = form.dim
-    table = np.zeros((count, 1 << n), dtype=np.uint8)
-    for i in range(count.bit_length() - 1):
-        block = 1 << i
-        np.bitwise_xor(table[:block], _parity_vector(form.rows[i], n), out=table[block : 2 * block])
-    return table
-
-
-def _pair_rows(form, head: np.ndarray, lo: int) -> np.ndarray:
-    """x.y for the rows x = lo + r, r < len(head), with lo a multiple of len(head), from ``head = _pair_head``.
-
-    Then x = lo ^ r, so x.y = r.y + lo.y, and lo.y is the parity of (F lo) & y.
-    """
-    return head ^ _parity_vector(gf2.mat_vec(form.rows, lo), form.dim)
+    return np.stack([np.zeros(1 << n, dtype=np.uint8), *(_parity_vector(row, n) for row in form.rows)])
 
 
 def _broken_lanes(kind, form, table: np.ndarray) -> int:
     """Bit s set for each row s of an (S, 2**n) value table of ``kind``, S <= 64, that breaks the defining identity.
 
     The rows are packed into lane words by ``_lane_planes``, low plane L and,
-    for m = 4, high plane H, and every pair x, y is compared as word logic on
-    all rows at once.  m = 2: L[x^y] = L[x] ^ L[y] ^ x.y.  m = 4: the low bits
+    for m = 4, high plane H, and pairs x, y are compared as word logic on all
+    rows at once.  m = 2: L[x^y] = L[x] ^ L[y] ^ x.y.  m = 4: the low bits
     add without carry, L[x^y] = L[x] ^ L[y], and the high bits take the carry
     L[x] & L[y] and 2 x.y, H[x^y] = H[x] ^ H[y] ^ (L[x] & L[y]) ^ x.y, with
     x.y spread over all lanes.  A value outside Z/m breaks its row too.
 
-    Rows x = lo + r are compared a chunk of r < C at a time, lo a multiple of
-    C, so no (2**n, 2**n) table is built.  The left side is the first C rows
-    of the xor table of the plane read at lo ^ y; as y ^ lo moves whole
-    blocks of C columns, they are the blocks of the plane's own first C xor
-    rows (``_xor_rows``, built once) taken in the order lo ^ y.  The pairs
-    are ``_pair_rows``.
+    Only the pairs with x = 0 or x a basis class 2**i are compared, and they
+    decide every pair.  If the identity holds at (x1, y) and at (x2, y) for
+    every y, then s(x1 + x2 + y) = s(x1) + s(x2 + y) + (m/2) x1.(x2 + y) =
+    s(x1 + x2) + s(y) + (m/2) (x1 + x2).y, as (m/2) x.y is additive in each
+    argument mod m.  So the classes x at which the identity holds for every y
+    are closed under addition, and they are all classes once they hold the
+    basis (and 0, which an empty basis does not give).  That is n + 1 rows of
+    2**n words per plane (``_basis_rows``, ``_basis_pairs``) where every pair
+    is 4**n.
     """
-    size = table.shape[1]
-    count = min(_CHUNK_ROWS, size)
     planes = _lane_planes(table, kind.modulus.bit_length() - 1)
     low = planes[0]
     all_lanes = low.dtype.type((1 << len(table)) - 1)
-    xors = [_xor_rows(plane, count).reshape(count, size // count, count) for plane in planes]
-    head = _pair_head(form, count)
-    blocks = np.arange(size // count)
+    basis = [0, *(1 << i for i in range(form.dim))]
     broken = sum(1 << s for s in np.flatnonzero((table >= kind.modulus).any(axis=1)).tolist())
-    for lo in range(0, size, count):
-        rows = slice(lo, lo + count)
-        misses = [np.take(xor, blocks ^ (lo // count), axis=1).reshape(count, size) for xor in xors]
-        # left side xor right side, plane by plane: the (m/2) x.y term and the carry land on the top plane
-        for miss, plane in zip(misses, planes):
-            miss ^= plane[rows, None]
-            miss ^= plane
-        misses[-1] ^= _pair_rows(form, head, lo) * all_lanes
-        if len(planes) > 1:
-            misses[1] ^= low[rows, None] & low
-        for miss in misses:
-            broken |= int(np.bitwise_or.reduce(miss, axis=None))
+    # left side xor right side, plane by plane: the (m/2) x.y term and the carry land on the top plane
+    misses = [_basis_rows(plane) ^ plane[basis, None] ^ plane for plane in planes]
+    misses[-1] ^= _basis_pairs(form) * all_lanes
+    if len(planes) > 1:
+        misses[1] ^= low[basis, None] & low
+    for miss in misses:
+        broken |= int(np.bitwise_or.reduce(miss, axis=None))
     return broken
 
 
@@ -270,7 +244,7 @@ def _identity_breaks(kind, cases):
     """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, basis values of kind) cases.
 
     A surface's value rows (at most 64) are one ``value_table`` and one
-    ``_broken_lanes`` call, which compares every pair x, y of each.  The
+    ``_broken_lanes`` call, which decides every pair x, y of each.  The
     broken ones are yielded in row order, so the first detail is the first
     broken structure of the first surface batch that has one.
     """
@@ -305,9 +279,10 @@ def _suite_enhancement_identity() -> list[Row]:
         for s in _standard_surfaces(10):
             values = _values(Enhancement, s.form)
             table = Enhancement.value_table(s.form, values)
-            # x.x is the parity of x & the diagonal of the pairing
-            parity_holds = ((table & 1) == _parity_vector(s.form.diagonal_bits, s.form.dim)).all(axis=1)
-            yield from (f"{s.label} values {_row(values, pos)}" for pos in np.flatnonzero(~parity_holds).tolist())
+            # x.x is the parity of x & the diagonal of the pairing; the fresh table becomes the residue in place
+            table ^= _parity_vector(s.form.diagonal_bits, s.form.dim)
+            table &= 1
+            yield from (f"{s.label} values {_row(values, pos)}" for pos in np.flatnonzero(table.any(axis=1)).tolist())
 
     return [
         *_identity_rows(Enhancement, _standard_surfaces(10), random.Random(0xE41)),

@@ -17,7 +17,7 @@ from pinforms import (
     arf_majority,
     arf_spectrum,
     bordism_class,
-    brown_gauss,
+    brown_gauss_many,
     brown_spectrum,
     cobordant,
     enumerate_enhancements,
@@ -26,10 +26,10 @@ from pinforms import (
     nonorientable_surface,
     orientable_surface,
     surfaces,
-    value_histogram,
+    value_histograms,
 )
 from pinforms.cli import OutputRecord, main
-from pinforms.enhancements import brown_normal_form, brown_normal_form_values, histogram_from_brown
+from pinforms.enhancements import ValueHistogram, brown_normal_form, brown_normal_form_values, histogram_from_brown
 from pinforms.refinements import arf_normal_form
 from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis, standard_basis_terms
 from strategies import congruent_form, congruent_forms
@@ -181,8 +181,9 @@ def test_normal_form_equals_the_gauss_routes_on_congruent_forms(case):
     base, m = case
     assume(gf2.rank(m) == len(m))
     form = congruent_form(base, m)
-    for e in enumerate_enhancements(form):
-        assert brown_normal_form(e) == brown_gauss(e), e.values
+    structures = enumerate_enhancements(form)
+    for e, beta in zip(structures, brown_gauss_many(structures).tolist()):
+        assert brown_normal_form(e) == beta, e.values
     if is_alternating(form):
         for q in enumerate_refinements(form):
             assert arf_normal_form(q) == arf_majority(q), q.values
@@ -196,9 +197,9 @@ def test_normal_form_equals_the_gauss_routes_on_congruent_forms(case):
 def test_closed_form_histogram_equals_the_counted_one(surface):
     form = surface.form
     alternating = is_alternating(form)
-    for code, beta in enumerate(brown_spectrum(form).tolist()):
-        expected = value_histogram(Enhancement.from_code(form, code))
-        assert histogram_from_brown(form.dim, beta, alternating) == expected, code
+    counted = value_histograms(form, Enhancement.code_values(form, range(1 << form.dim))).tolist()
+    for code, (beta, expected) in enumerate(zip(brown_spectrum(form).tolist(), counted)):
+        assert histogram_from_brown(form.dim, beta, alternating) == ValueHistogram(*expected), code
 
 
 def test_closed_form_histogram_rejects_impossible_invariants():

@@ -170,3 +170,47 @@ def test_cache_check_sees_each_kind_of_decorator(tmp_path):
         encoding="utf-8",
     )
     assert _uncleared_caches(source) == ["probe.py:2 a", "probe.py:4 b", "probe.py:6 c"]
+
+
+def _uncalled_helpers(paths) -> list[str]:
+    """Module-level ``def _name`` helpers that no code in ``paths`` names outside the helper's own body."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+
+    def named(node) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum((named(tree) for tree in trees.values()), Counter())
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        if everywhere[node.name] == named(node)[node.name]
+    ]
+
+
+def test_every_private_helper_has_a_caller_in_the_library():
+    # a helper that only tests call is dead weight in the library; the tests should exercise what the library runs
+    assert _uncalled_helpers(SOURCES) == []
+
+
+def test_uncalled_helper_check_sees_each_kind_of_use(tmp_path):
+    first, second = tmp_path / "probe.py", tmp_path / "other.py"
+    first.write_text(
+        "def _called(): pass\n"
+        "def _unused(): pass\n"
+        "def _only_recursive(n): return _only_recursive(n - 1)\n"
+        "def _read_as_attribute(): pass\n"
+        "def _called_from_the_other_module(): pass\n"
+        "def __getattr__(name): pass\n"
+        "def public(): return _called() + probe._read_as_attribute()\n"
+        "class Host:\n"
+        "    def _method(self): pass\n",
+        encoding="utf-8",
+    )
+    second.write_text("from .probe import _unused\nvalue = _called_from_the_other_module\n", encoding="utf-8")
+    assert _uncalled_helpers([first, second]) == ["probe.py:2 _unused", "probe.py:3 _only_recursive"]

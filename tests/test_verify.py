@@ -353,22 +353,13 @@ KERNEL_BATCHES = {
     "N:12-sampled": (Enhancement, identity_form(12), 8),
 }
 
-# (lane, class, xor) faults for a batch of ``lanes`` structures on ``size`` classes
-KERNEL_FAULTS = {
-    "clean": lambda lanes, size: [],
-    "first-lane": lambda lanes, size: [(0, 5, 1)],
-    "middle-lane": lambda lanes, size: [(lanes // 2, size // 2 + 3, 1)],
-    "last-lane": lambda lanes, size: [(lanes - 1, 1, 1)],
-    # an enhancement value moved by 2; a refinement value leaves Z/2
-    "high-plane-only": lambda lanes, size: [(lanes // 2, size - 7, 2)],
-    "last-row-chunk": lambda lanes, size: [(lanes - 2, size - 1, 1)],
-    "two-lanes": lambda lanes, size: [(lanes - 1, 2, 1), (1, size - 2, 2)],
-}
+
+def random_values(size: int, m: int) -> np.ndarray:
+    return np.random.default_rng(size).integers(0, m, size, dtype=np.uint8)
 
 
-@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
-@pytest.mark.parametrize("batch", list(KERNEL_BATCHES))
-def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, fault):
+def kernel_batch_table(batch: str) -> np.ndarray:
+    """The value table of a ``KERNEL_BATCHES`` batch: all 64 structures, or 8 sampled as the sampled checks sample."""
     kind, form, count = KERNEL_BATCHES[batch]
     if count is None:
         structures = kind.enumerate_all(form)
@@ -377,15 +368,123 @@ def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, faul
         structures = [kind.from_code(form, code) for code in codes]
     table = kind.value_table(form, [s.values for s in structures])
     assert len(table) == (64 if count is None else 8)
-    for lane, x, flip in KERNEL_FAULTS[fault](*table.shape):
-        table[lane, x] ^= flip
+    return table
+
+
+# (lane, classes, xor) faults for a batch of ``lanes`` structures of modulus m on ``size`` classes
+KERNEL_FAULTS = {
+    "clean": lambda lanes, size, m: [],
+    "first-lane": lambda lanes, size, m: [(0, 5, 1)],
+    "middle-lane": lambda lanes, size, m: [(lanes // 2, size // 2 + 3, 1)],
+    "last-lane": lambda lanes, size, m: [(lanes - 1, 1, 1)],
+    # an enhancement value moved by 2; a refinement value leaves Z/2
+    "high-plane-only": lambda lanes, size, m: [(lanes // 2, size - 7, 2)],
+    "last-row-chunk": lambda lanes, size, m: [(lanes - 2, size - 1, 1)],
+    "two-lanes": lambda lanes, size, m: [(lanes - 1, 2, 1), (1, size - 2, 2)],
+    # the low plane alone flipped on the last 64 classes (every class below dimension 7)
+    "last-64-low-plane": lambda lanes, size, m: [(lanes - 1, slice(-64, None), 1)],
+    "first-and-last-64": lambda lanes, size, m: [(lanes // 2, 3, 1), (lanes // 2, size - 2, 1)],
+    # xor with uniform values of Z/m leaves the lane uniformly random in Z/m
+    "random-lane": lambda lanes, size, m: [(lanes // 3, slice(None), random_values(size, m))],
+    # every class from 64 on flipped, a fault constant on each block of 64 classes (none below dimension 7)
+    "all-but-first-64": lambda lanes, size, m: [(0, slice(64, None), 1)],
+}
+
+
+def assert_lanes_match_the_oracle(kind, form, table) -> list[int]:
+    """The lane kernel's mask is the oracle's broken rows, lane for lane; returns those rows."""
     broken = verify._broken_lanes(kind, form, table)
     expected = list(oracle_broken_rows(kind, form, table))
     assert lanes_of(broken) == expected
-    assert bool(expected) == (fault != "clean")
     # the first broken structure of the batch, the one whose detail the check reports
     if expected:
         assert (broken & -broken).bit_length() - 1 == expected[0]
+    return expected
+
+
+@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
+@pytest.mark.parametrize("batch", list(KERNEL_BATCHES))
+def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, fault):
+    kind, form, _ = KERNEL_BATCHES[batch]
+    table = kernel_batch_table(batch)
+    clean = table.copy()
+    for lane, x, flip in KERNEL_FAULTS[fault](*table.shape, kind.modulus):
+        table[lane, x] ^= flip
+    expected = assert_lanes_match_the_oracle(kind, form, table)
+    assert bool(expected) == (not np.array_equal(table, clean))
+
+
+@pytest.mark.parametrize("bit", ["lowest", "middle", "top"])
+@pytest.mark.parametrize("batch", list(KERNEL_BATCHES))
+def test_a_fault_one_basis_row_alone_sees_is_seen(batch, bit):
+    # 1 added mod m on every class with bit i set.  For m = 4 the identity then fails exactly at the pairs
+    # x, y that both have bit i, so of the basis classes only x = 2**i sees it; for m = 2 the lane is
+    # another refinement, and nothing is broken.
+    kind, form, _ = KERNEL_BATCHES[batch]
+    table = kernel_batch_table(batch)
+    i = {"lowest": 0, "middle": form.dim // 2, "top": form.dim - 1}[bit]
+    table[1] += ((np.arange(table.shape[1]) >> i) & 1).astype(np.uint8)
+    table[1] &= kind.modulus - 1
+    assert assert_lanes_match_the_oracle(kind, form, table) == ([1] if kind.modulus == 4 else [])
+
+
+@pytest.mark.parametrize("kind", [Enhancement, Refinement])
+def test_lane_kernel_sees_a_nonzero_value_at_class_0_on_the_sphere(kind):
+    # on a 0-dimensional pairing the one pair is (0, 0), where the identity says s(0) = 0; there is no basis class
+    table = np.array([[0], [1], [0]], dtype=np.uint8)
+    assert assert_lanes_match_the_oracle(kind, identity_form(0), table) == [1]
+
+
+def random_invertible(n: int, rng) -> tuple[int, ...]:
+    while True:
+        m = tuple(rng.randrange(1 << n) for _ in range(n))
+        if gf2.rank(m) == n:
+            return m
+
+
+def test_lane_kernel_matches_the_oracle_on_a_seeded_sweep():
+    # 200 tables of both kinds at dimensions 7-12 (refinements at the even ones), on standard pairings and
+    # on random congruent ones, each with 1-3 point faults, 1% noise, a fault constant on blocks of 2**j
+    # classes and zero on the first block, or c x_i x_j added mod m to each lane; the last two leave some
+    # lanes valid structures.  Lanes are 1-64 up to dimension 9, then 1-16, 1-4 and 1 at dimensions 10, 11 and
+    # 12: the oracle costs 4**n per lane.
+    rng = random.Random(0x5EED)
+    np_rng = np.random.default_rng(0x5EED)
+    faults = ("points", "noise", "blocks", "bits")
+    outcomes = Counter()
+    for case in range(200):
+        kind = (Enhancement, Refinement)[case % 2]
+        n = rng.choice((7, 8, 9, 10, 11, 12) if kind is Enhancement else (8, 10, 12))
+        base = "hyperbolic" if n % 2 == 0 and (kind is Refinement or rng.random() < 0.5) else "identity"
+        basis = random_invertible(n, rng) if rng.random() < 0.5 else tuple(1 << i for i in range(n))
+        form = congruent_form(base, basis)
+        size, m = 1 << n, kind.modulus
+        lanes = rng.randint(1, 64 >> 2 * max(0, n - 9))
+        table = kind.value_table(form, kind.code_values(form, [rng.randrange(size) for _ in range(lanes)]))
+        fault = faults[case // 2 % len(faults)]
+        if fault == "points":
+            for _ in range(rng.randint(1, 3)):
+                table[rng.randrange(lanes), rng.randrange(size)] ^= rng.randrange(1, m)
+        elif fault == "noise":
+            hit = np_rng.random(table.shape) < 0.01
+            table[hit] ^= np_rng.integers(1, m, int(hit.sum()), dtype=np.uint8)
+        elif fault == "blocks":
+            block = 1 << rng.randrange(n)
+            per_block = np_rng.integers(0, m, (lanes, size // block), dtype=np.uint8)
+            per_block[:, 0] = 0
+            table ^= np.repeat(per_block, block, axis=1)
+        else:
+            classes = np.arange(size)
+            for lane in range(lanes):
+                i, j = rng.randrange(n), rng.randrange(n)
+                table[lane] += (rng.randrange(1, m) * (classes >> i & classes >> j & 1)).astype(np.uint8)
+            table &= m - 1
+        expected = assert_lanes_match_the_oracle(kind, form, table)
+        outcomes[kind, fault, "broken"] += len(expected)
+        outcomes[kind, fault, "clean"] += lanes - len(expected)
+    # each kind of fault broke lanes of each kind of structure, and the structured ones left some lanes clean
+    assert all(outcomes[kind, fault, "broken"] for kind in (Enhancement, Refinement) for fault in faults)
+    assert all(outcomes[kind, fault, "clean"] for kind in (Enhancement, Refinement) for fault in ("blocks", "bits"))
 
 
 @pytest.mark.parametrize("lanes", [1, 7, 8, 9, 16, 17, 32, 33, 64])
@@ -414,16 +513,13 @@ def assert_kernels_match(form):
     pairs = naive_pair_table(form)
     assert np.array_equal(pair_table(form), pairs)
     noise = np.random.default_rng(form.dim).integers(0, 256, size, dtype=np.uint8)
-    values = [(vals, naive_xor_table(vals)) for vals in (noise, Enhancement.from_code(form, 0).values_on_all())]
-    for vals, xors in values:
+    # the kernel's rows: x = 0 and each basis class x = 2**i, against every y
+    basis = [0, *(1 << i for i in range(form.dim))]
+    assert np.array_equal(verify._basis_pairs(form), pairs[basis])
+    for vals in (noise, Enhancement.from_code(form, 0).values_on_all()):
+        xors = naive_xor_table(vals)
         assert np.array_equal(xor_table(vals), xors)
-    # the kernel's row chunks (one below dimension 7, several above), then all rows at once
-    for count in (min(verify._CHUNK_ROWS, size), size):
-        head = verify._pair_head(form, count)
-        for lo in range(0, size, count):
-            assert np.array_equal(verify._pair_rows(form, head, lo), pairs[lo : lo + count])
-        for vals, xors in values:
-            assert np.array_equal(verify._xor_rows(vals, count), xors[:count])
+        assert np.array_equal(verify._basis_rows(vals), xors[basis])
 
 
 @pytest.mark.parametrize(
@@ -478,7 +574,7 @@ def spy_refinement_batches(monkeypatch, flip=None):
 
 
 def test_flipped_value_fails_the_sampled_refinement_check(monkeypatch):
-    batches = spy_refinement_batches(monkeypatch, (12, 2, -1))  # a class in the last row chunk
+    batches = spy_refinement_batches(monkeypatch, (12, 2, -1))  # the last class
     exhaustive, sampled = run_suites(["refinement-identity"])
     assert exhaustive.status == PASS
     dims = [dim for dim, _ in batches]
@@ -497,15 +593,16 @@ def test_identity_check_evaluates_no_surface_after_the_first_broken_batch(monkey
 
 
 def test_pair_fault_in_the_last_row_chunk_is_seen(monkeypatch):
-    pair_rows = verify._pair_rows
+    basis_pairs = verify._basis_pairs
 
-    def faulty(form, head, lo):
-        rows = pair_rows(form, head, lo)
-        if form.dim == 12 and lo + len(head) == 1 << 12:
-            rows[-1, -1] ^= 1
-        return rows
+    def faulty(form):
+        pairs = basis_pairs(form)
+        if form.dim == 12:
+            # x.y at the top basis class x = 2**11 and the last class y = 2**12 - 1 (the last row, by symmetry)
+            pairs[-1, -1] ^= 1
+        return pairs
 
-    monkeypatch.setattr(verify, "_pair_rows", faulty)
+    monkeypatch.setattr(verify, "_basis_pairs", faulty)
     batches = spy_refinement_batches(monkeypatch)
     sampled = run_suites(["refinement-identity"])[1]
     assert (sampled.name, sampled.status) == (SAMPLED_REFINEMENT_CHECK, FAIL)
