@@ -85,7 +85,6 @@ from .surfaces import (
     intersection,
     nonorientable_surface,
     orientable_surface,
-    walsh_hadamard,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from . import gf2
 from .surfaces import (
     IntersectionForm,
     InvariantViolation,
-    LimitError,
     MAX_TABLE_DIM,
     as_bits,
     check_dim,
@@ -43,8 +42,6 @@ MAX_BRUTE_DIM = 4
 # Group closure keys each matrix by its n*n entries in a uint32 and marks
 # them in a dense mask over all 2**(n*n) keys, so it stops here.
 MAX_CLOSURE_DIM = 5
-# Safety stop for group closure; beyond this the group is not materialized.
-DEFAULT_GROUP_CAP = 1 << 20
 # Orbit pulls expand the image rows of a chunk of generators at once, the
 # chunk's (chunk, 2**n) uint32 block within this many bytes.
 _IMAGE_BYTES = 1 << 20
@@ -243,8 +240,7 @@ def _closure(form: IntersectionForm, generators: np.ndarray) -> np.ndarray:
     Breadth-first on packed keys: each round multiplies every generator
     into the frontier in one ``gf2.batch_mul`` and keeps the products not
     yet marked in a dense mask over all 2**(n*n) keys.  The whole closure
-    is then checked in one batch (``_checked_rows``).  A closure past
-    ``DEFAULT_GROUP_CAP`` elements raises ``LimitError``.
+    is then checked in one batch (``_checked_rows``).
     """
     n = form.dim
     check_dim(n, MAX_CLOSURE_DIM, "group closure")
@@ -252,13 +248,9 @@ def _closure(form: IntersectionForm, generators: np.ndarray) -> np.ndarray:
     identity = _pack(np.array(gf2.identity(n), dtype=np.uint32), n)
     frontier = _mark_new(np.append(_pack(generators, n), identity), seen)
     found = [frontier]
-    total = frontier.size
     while frontier.size:
         frontier = _mark_new(_pack(gf2.batch_mul(generators[:, None], _unpack(frontier, n)), n).ravel(), seen)
         found.append(frontier)
-        total += frontier.size
-        if total > DEFAULT_GROUP_CAP:
-            raise LimitError(f"group closure exceeded {DEFAULT_GROUP_CAP} elements")
     return _checked_rows(form, _unpack(np.sort(np.concatenate(found)), n))
 
 

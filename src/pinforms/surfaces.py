@@ -360,24 +360,6 @@ def _butterflies(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform over the last axis, of length 2**n, exact in int64.
-
-    Entry c of the result is the sum over x of values[..., x] * (-1)**(c.x),
-    c.x being the parity of c & x.  Integer input whose partial sums could
-    leave int64 (max|values| * 2**n >= 2**63) raises ``OverflowError``.
-    """
-    values = np.asarray(values)
-    size = values.shape[-1]
-    if size < 1 or size & (size - 1):
-        raise ValueError(f"transform length {size} is not a power of two")
-    n = size.bit_length() - 1
-    peak = max(int(values.max()), -int(values.min())) if values.size else 0
-    if peak << n >= 1 << 63:
-        raise OverflowError(f"a transform of entries up to {peak} in length {size} overflows int64")
-    return _butterflies(values.astype(np.int64))
-
-
 def _xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
     """values[c ^ mask] for every c < 2**n, from ``values`` of length 2**n; ``values`` itself when mask = 0.
 

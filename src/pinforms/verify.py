@@ -168,34 +168,6 @@ def _sampled_structures(all_structures, count, rng):
     return [all_structures[i] for i in _sample_indices(len(all_structures), count, rng)]
 
 
-# The structures of one surface are checked at once, one bit of a lane word
-# each: a batch of up to 8, 16, 32 or 64 structures takes the smallest
-# unsigned type with that many bits.  The 2**FULL_IDENTITY_DIM = 64
-# exhaustive structures fill a uint64; a sample has 8.
-_LANE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
-
-
-def _lane_planes(table: np.ndarray, planes: int) -> list[np.ndarray]:
-    """Bit planes of an (S, 2**n) value table, S <= 64: bit s of plane p at class x is bit p of table[s, x]."""
-    dtype = next(t for t in _LANE_TYPES if np.iinfo(t).bits >= len(table))
-    lanes = np.arange(len(table), dtype=dtype)[:, None]
-    return [np.bitwise_or.reduce(((table >> p) & 1).astype(dtype) << lanes, axis=0) for p in range(planes)]
-
-
-def _basis_rows(vals: np.ndarray) -> np.ndarray:
-    """vals[x ^ y] for x = 0 and each basis class x = 2**i, every y < len(vals) = 2**n, as an (n + 1, 2**n) array.
-
-    Row 0 is vals; row i + 1 is vals with its 2**i-blocks swapped pairwise,
-    which is a reversed axis of a reshape.
-    """
-    size = vals.size
-    rows = np.empty((size.bit_length(), size), dtype=vals.dtype)
-    rows[0] = vals
-    for i in range(size.bit_length() - 1):
-        rows[i + 1].reshape(-1, 2, 1 << i)[...] = vals.reshape(-1, 2, 1 << i)[:, ::-1]
-    return rows
-
-
 def _basis_pairs(form) -> np.ndarray:
     """x.y for x = 0 and each basis class x = 2**i, every y, as an (n + 1, 2**n) uint8 table.
 
@@ -205,15 +177,13 @@ def _basis_pairs(form) -> np.ndarray:
     return np.stack([np.zeros(1 << n, dtype=np.uint8), *(_parity_vector(row, n) for row in form.rows)])
 
 
-def _broken_lanes(kind, form, table: np.ndarray) -> int:
-    """Bit s set for each row s of an (S, 2**n) value table of ``kind``, S <= 64, that breaks the defining identity.
+def _broken_rows(kind, form, table: np.ndarray) -> int:
+    """Bit s set for each row s of an (S, 2**n) value table of ``kind`` that breaks the defining identity.
 
-    The rows are packed into lane words by ``_lane_planes``, low plane L and,
-    for m = 4, high plane H, and pairs x, y are compared as word logic on all
-    rows at once.  m = 2: L[x^y] = L[x] ^ L[y] ^ x.y.  m = 4: the low bits
-    add without carry, L[x^y] = L[x] ^ L[y], and the high bits take the carry
-    L[x] & L[y] and 2 x.y, H[x^y] = H[x] ^ H[y] ^ (L[x] & L[y]) ^ x.y, with
-    x.y spread over all lanes.  A value outside Z/m breaks its row too.
+    All rows at once: the right side s(y) + s(x) + (m/2) x.y mod m is one
+    (S, n + 1, 2**n) uint8 array, the left side s(x + y) is xored into it,
+    and a row is broken where it is nonzero.  The left side is not reduced,
+    so a value outside Z/m breaks its row at x = 0.
 
     Only the pairs with x = 0 or x a basis class 2**i are compared, and they
     decide every pair.  If the identity holds at (x1, y) and at (x2, y) for
@@ -222,35 +192,32 @@ def _broken_lanes(kind, form, table: np.ndarray) -> int:
     argument mod m.  So the classes x at which the identity holds for every y
     are closed under addition, and they are all classes once they hold the
     basis (and 0, which an empty basis does not give).  That is n + 1 rows of
-    2**n words per plane (``_basis_rows``, ``_basis_pairs``) where every pair
-    is 4**n.
+    2**n classes (``_basis_pairs``) where every pair is 4**n.
     """
-    planes = _lane_planes(table, kind.modulus.bit_length() - 1)
-    low = planes[0]
-    all_lanes = low.dtype.type((1 << len(table)) - 1)
+    m, rows = kind.modulus, len(table)
     basis = [0, *(1 << i for i in range(form.dim))]
-    broken = sum(1 << s for s in np.flatnonzero((table >= kind.modulus).any(axis=1)).tolist())
-    # left side xor right side, plane by plane: the (m/2) x.y term and the carry land on the top plane
-    misses = [_basis_rows(plane) ^ plane[basis, None] ^ plane for plane in planes]
-    misses[-1] ^= _basis_pairs(form) * all_lanes
-    if len(planes) > 1:
-        misses[1] ^= low[basis, None] & low
-    for miss in misses:
-        broken |= int(np.bitwise_or.reduce(miss, axis=None))
-    return broken
+    misses = table[:, None, :] + table[:, basis, None]
+    misses += (m // 2) * _basis_pairs(form)
+    misses &= m - 1
+    # the left side at x = 2**i is the table with its 2**i-blocks swapped; copy=False writes into misses or raises
+    misses[:, 0] ^= table
+    for i in range(form.dim):
+        swapped = table.reshape(rows, -1, 2, 1 << i)[:, :, ::-1]
+        misses[:, i + 1].reshape(swapped.shape, copy=False)[...] ^= swapped
+    return sum(1 << s for s in np.flatnonzero(misses.any(axis=(1, 2))).tolist())
 
 
 def _identity_breaks(kind, cases):
     """Structures breaking s(x+y) = s(x) + s(y) + (m/2) x.y mod m, over (surface, basis values of kind) cases.
 
-    A surface's value rows (at most 64) are one ``value_table`` and one
-    ``_broken_lanes`` call, which decides every pair x, y of each.  The
+    A surface's value rows are one ``value_table`` and one
+    ``_broken_rows`` call, which decides every pair x, y of each.  The
     broken ones are yielded in row order, so the first detail is the first
     broken structure of the first surface batch that has one.
     """
     for surface, values in cases:
-        broken = _broken_lanes(kind, surface.form, kind.value_table(surface.form, values))
-        yield from (f"{surface.label} values {_row(values, lane)}" for lane in range(len(values)) if broken >> lane & 1)
+        broken = _broken_rows(kind, surface.form, kind.value_table(surface.form, values))
+        yield from (f"{surface.label} values {_row(values, pos)}" for pos in range(len(values)) if broken >> pos & 1)
 
 
 def _identity_rows(kind, surfaces, rng) -> list[Row]:

@@ -7,11 +7,19 @@ from pinforms import IntersectionForm, gf2, hyperbolic_form, identity_form
 
 @st.composite
 def congruent_forms(draw, max_dim: int = 5):
-    """M^T F M for a standard F of dimension <= max_dim and an invertible M over GF(2)."""
+    """M^T F M for a standard F of dimension <= max_dim and an invertible M over GF(2).
+
+    M is drawn as P L U: a permutation, a unit lower-triangular factor and a
+    unit upper-triangular factor.  Every invertible matrix over GF(2) has
+    such a factorization, so every M can be drawn, and no draw is singular.
+    """
     n = draw(st.integers(1, max_dim))
     base = draw(st.sampled_from(["identity", "hyperbolic"] if n % 2 == 0 else ["identity"]))
-    m = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
-    return base, m
+    p = tuple(1 << j for j in draw(st.permutations(range(n))))
+    # row i has bit i set, plus any bits below it (L) or above it (U)
+    lower = tuple(draw(st.integers(0, (1 << i) - 1)) | 1 << i for i in range(n))
+    upper = tuple(draw(st.integers(0, (1 << (n - 1 - i)) - 1)) << (i + 1) | 1 << i for i in range(n))
+    return base, gf2.mat_mul(gf2.mat_mul(p, lower), upper)
 
 
 def congruent_form(base: str, m: tuple[int, ...]) -> IntersectionForm:

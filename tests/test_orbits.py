@@ -234,12 +234,6 @@ def test_brute_group_size_limit():
         isometry_group(identity_form(5), method="brute")
 
 
-def test_mulclose_cap(monkeypatch):
-    monkeypatch.setattr(orbits, "DEFAULT_GROUP_CAP", 10)
-    with pytest.raises(LimitError):
-        mulclose(isometry_generators(hyperbolic_form(2)))
-
-
 def reference_closure(generators):
     """Closure of a generator set under ``@``, grown until it stops changing."""
     group = set(generators)

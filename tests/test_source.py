@@ -173,7 +173,8 @@ def test_cache_check_sees_each_kind_of_decorator(tmp_path):
 
 
 def _uncalled_helpers(paths) -> list[str]:
-    """Module-level ``def _name`` helpers that no code in ``paths`` names outside the helper's own body."""
+    """Module-level ``def _name`` helpers and ``_NAME = ...`` constants that no code in ``paths`` names outside
+    their own definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
 
     def named(node) -> Counter:
@@ -183,13 +184,23 @@ def _uncalled_helpers(paths) -> list[str]:
             if isinstance(n, (ast.Name, ast.Attribute))
         )
 
+    def defined(node) -> list[str]:
+        if isinstance(node, ast.FunctionDef):
+            return [node.name]
+        if isinstance(node, ast.Assign):
+            return [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            return [node.target.id]
+        return []
+
     everywhere = sum((named(tree) for tree in trees.values()), Counter())
     return [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{node.lineno} {name}"
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
-        if everywhere[node.name] == named(node)[node.name]
+        for name in defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        if everywhere[name] == named(node)[name]
     ]
 
 
@@ -209,8 +220,20 @@ def test_uncalled_helper_check_sees_each_kind_of_use(tmp_path):
         "def __getattr__(name): pass\n"
         "def public(): return _called() + probe._read_as_attribute()\n"
         "class Host:\n"
-        "    def _method(self): pass\n",
+        "    def _method(self): pass\n"
+        "_UNREAD = 1\n"
+        "_READ: int = 2\n"
+        "_READ_ELSEWHERE = 3\n"
+        "__all__ = ['public']\n"
+        "LIMIT = _READ\n",
         encoding="utf-8",
     )
-    second.write_text("from .probe import _unused\nvalue = _called_from_the_other_module\n", encoding="utf-8")
-    assert _uncalled_helpers([first, second]) == ["probe.py:2 _unused", "probe.py:3 _only_recursive"]
+    second.write_text(
+        "from .probe import _unused\nvalue = _called_from_the_other_module\nlimit = probe._READ_ELSEWHERE\n",
+        encoding="utf-8",
+    )
+    assert _uncalled_helpers([first, second]) == [
+        "probe.py:2 _unused",
+        "probe.py:3 _only_recursive",
+        "probe.py:10 _UNREAD",
+    ]

@@ -296,7 +296,7 @@ def test_brown_compass_reads_the_normal_form_once_per_surface(monkeypatch):
     assert calls == [(s.form, (s.form.dim, 1 << s.form.dim)) for s in surfaces]
 
 
-# the lane kernel of the identity suites against the per-structure route it replaced
+# the kernel of the identity suites against the per-structure route it replaced
 
 
 def pair_table(form):
@@ -392,8 +392,8 @@ KERNEL_FAULTS = {
 
 
 def assert_lanes_match_the_oracle(kind, form, table) -> list[int]:
-    """The lane kernel's mask is the oracle's broken rows, lane for lane; returns those rows."""
-    broken = verify._broken_lanes(kind, form, table)
+    """``_broken_rows`` marks the oracle's broken rows, row for row; returns those rows."""
+    broken = verify._broken_rows(kind, form, table)
     expected = list(oracle_broken_rows(kind, form, table))
     assert lanes_of(broken) == expected
     # the first broken structure of the batch, the one whose detail the check reports
@@ -487,16 +487,6 @@ def test_lane_kernel_matches_the_oracle_on_a_seeded_sweep():
     assert all(outcomes[kind, fault, "clean"] for kind in (Enhancement, Refinement) for fault in ("blocks", "bits"))
 
 
-@pytest.mark.parametrize("lanes", [1, 7, 8, 9, 16, 17, 32, 33, 64])
-def test_lane_planes_pack_one_bit_per_structure_in_the_smallest_word(lanes):
-    table = np.random.default_rng(lanes).integers(0, 4, (lanes, 32), dtype=np.uint8)
-    planes = verify._lane_planes(table, 2)
-    assert planes[0].dtype.itemsize * 8 == next(bits for bits in (8, 16, 32, 64) if bits >= lanes)
-    for p, plane in enumerate(planes):
-        for s in range(lanes):
-            assert np.array_equal((plane >> s) & 1, (table[s] >> p) & 1)
-
-
 def naive_pair_table(form):
     idx = np.arange(1 << form.dim)
     bits = (idx[:, None] >> np.arange(form.dim)) & 1
@@ -517,9 +507,7 @@ def assert_kernels_match(form):
     basis = [0, *(1 << i for i in range(form.dim))]
     assert np.array_equal(verify._basis_pairs(form), pairs[basis])
     for vals in (noise, Enhancement.from_code(form, 0).values_on_all()):
-        xors = naive_xor_table(vals)
-        assert np.array_equal(xor_table(vals), xors)
-        assert np.array_equal(verify._basis_rows(vals), xors[basis])
+        assert np.array_equal(xor_table(vals), naive_xor_table(vals))
 
 
 @pytest.mark.parametrize(
