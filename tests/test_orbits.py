@@ -31,6 +31,7 @@ from pinforms import (
 )
 from pinforms.enhancements import brown_spectrum
 from pinforms.orbits import (
+    MAX_CLOSURE_DIM,
     _image_row,
     group_rows,
     isometry_group_order,
@@ -270,6 +271,19 @@ def test_array_closure_equals_the_reference_closure(form):
     assert keys == sorted(set(keys))
     assert {tuple(r) for r in rows} == {g.rows for g in reference_closure(gens)}
     assert len(rows) == isometry_group_order(form)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [identity_form(n) for n in range(1, MAX_CLOSURE_DIM + 1)]
+    + [hyperbolic_form(g) for g in range(1, MAX_CLOSURE_DIM // 2 + 1)],
+    ids=lambda form: f"{'S' if is_alternating(form) else 'N'}:{form.dim}",
+)
+def test_closures_up_to_the_closure_dimension_stay_at_most_720(form):
+    # every pairing is congruent to one of these, and congruent pairings have groups of one order, so no closure
+    # that _closure accepts holds more than 720 isometries
+    rows = orbits._closure(form, orbits._generator_rows(form, isometry_generators(form)))
+    assert len(rows) == isometry_group_order(form) <= 720
 
 
 def test_mulclose_refuses_generators_on_two_pairings():

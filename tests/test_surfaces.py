@@ -33,6 +33,7 @@ from pinforms import (
 from pinforms.cli import main
 from pinforms.surfaces import (
     _butterflies,
+    _xor_permuted,
     class_bit_matrix,
     cross_pairs,
     cross_parity_table,
@@ -380,3 +381,20 @@ def test_walsh_hadamard_matches_the_defining_sum(n):
         assert got.tolist() == naive_transform(values).tolist()
     signs = 1 - 2 * rng.integers(0, 2, size=(4, 1 << n))
     assert _butterflies(signs.astype(np.int64)).tolist() == naive_transform(signs).tolist()
+
+
+def test_butterflies_stay_exact_beyond_int32():
+    # 2**40 * 2**4 overflows int32 many times over; in int64 every sum stays exact
+    values = np.array([2**40, -(2**40), 2**40 - 3, 7] * 4, dtype=np.int64)
+    got = _butterflies(values.copy())
+    assert got.dtype == np.int64
+    assert got.tolist() == naive_transform(values).tolist()
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_xor_permuted_matches_the_index_gather(n):
+    values = np.random.default_rng(n).integers(0, 1 << 16, 1 << n)
+    classes = np.arange(1 << n)
+    assert _xor_permuted(values, 0) is values
+    for mask in range(1, 1 << n):
+        assert _xor_permuted(values, mask).tolist() == values[classes ^ mask].tolist()

@@ -487,6 +487,18 @@ def test_lane_kernel_matches_the_oracle_on_a_seeded_sweep():
     assert all(outcomes[kind, fault, "clean"] for kind in (Enhancement, Refinement) for fault in ("blocks", "bits"))
 
 
+@pytest.mark.parametrize("rows", [1, 64, 65, 200])
+@pytest.mark.parametrize("kind,form", [(Enhancement, identity_form(4)), (Refinement, hyperbolic_form(2))], ids=["N:4", "S:2"])
+def test_broken_rows_marks_every_row_of_a_batch_of_any_size(kind, form, rows):
+    # the mask has one bit per row with no word size behind it, so rows past the first 64 are marked as well
+    rng = random.Random(rows)
+    table = kind.value_table(form, kind.code_values(form, [rng.randrange(1 << form.dim) for _ in range(rows)]))
+    faulted = sorted({*range(rows - 1, -1, -3), rows - 1})
+    for row in faulted:
+        table[row, rng.randrange(1, table.shape[1])] ^= 1
+    assert assert_lanes_match_the_oracle(kind, form, table) == faulted
+
+
 def naive_pair_table(form):
     idx = np.arange(1 << form.dim)
     bits = (idx[:, None] >> np.arange(form.dim)) & 1
