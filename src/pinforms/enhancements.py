@@ -163,18 +163,14 @@ def brown_from_histograms(dim: int, counts) -> np.ndarray:
     return _octants(dim, real + imag, real - imag)
 
 
-def brown_gauss_many(structures) -> np.ndarray:
-    """Brown invariant of each enhancement in a batch on one pairing, from one ``value_histograms`` call."""
-    structures = list(structures)
-    form = structures[0].form if structures else None
-    if form is None or any(e.form is not form and e.form != form for e in structures):
-        raise ValueError("brown_gauss_many needs a nonempty batch of enhancements on one pairing")
-    return brown_from_histograms(form.dim, value_histograms(form, [e.values for e in structures]))
+def brown_gauss_many(form: IntersectionForm, values) -> np.ndarray:
+    """Brown invariant of each row of (S, n) basis values on ``form``, from one ``value_histograms`` call."""
+    return brown_from_histograms(form.dim, value_histograms(form, values))
 
 
 def brown_gauss(e: Enhancement) -> int:
     """Brown invariant read off the exact octant of the Gauss sum: ``brown_gauss_many`` on a batch of one."""
-    return int(brown_gauss_many([e])[0])
+    return int(brown_gauss_many(e.form, [e.values])[0])
 
 
 def brown_spectrum(form: IntersectionForm) -> np.ndarray:
@@ -204,8 +200,8 @@ _VALUES_OF_PARITY = (frozenset((0, 2)), frozenset((1, 3)))
 def _check_parity(layout: str, values, odd: bool) -> None:
     """Raise ``InvariantViolation`` on the first standard-basis value whose parity is not ``odd``.
 
-    ``values`` holds one int per basis vector, or one column of ints per
-    basis vector; for columns the message names the first broken row.
+    ``values`` holds one int per basis vector, or one (S,) array per basis
+    vector over S value rows; for rows the message names the first broken row.
     """
     if values and isinstance(values[0], np.ndarray):
         # (row, vector) pairs in row order
@@ -236,14 +232,14 @@ def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray
     indices.
 
     ``values`` is n ints, one structure, and the invariant is an int; or an
-    (n, S) array, a value array transposed, whose column s is structure s,
-    and the invariants are an (S,) int64 array.  The same sums run
-    elementwise on the columns, starting from S zeros, so the sphere
-    (n = 0) still gives one invariant per column.
+    (S, n) array of value rows, and the invariants are an (S,) int64 array.
+    The same sums run elementwise over the rows, starting from S zeros, so
+    the sphere (n = 0) still gives one invariant per row.
     """
     layout, _ = standard_basis(form)
-    start = np.zeros(values.shape[1], dtype=np.int64) if isinstance(values, np.ndarray) and values.ndim == 2 else 0
-    values = Enhancement.values_on_standard_basis(form, values)
+    rows = isinstance(values, np.ndarray) and values.ndim == 2
+    start = np.zeros(len(values), dtype=np.int64) if rows else 0
+    values = Enhancement.values_on_standard_basis(form, values.T if rows else values)
     odd = layout == "identity"
     # every standard basis vector has self-pairing 1 (identity) or 0 (hyperbolic)
     _check_parity(layout, values, odd)

@@ -429,26 +429,21 @@ class QuadraticStructure:
         return cls(form, tuple(cls.code_values(form, [code])[0].tolist()))
 
     @classmethod
-    def code_map(cls, form: IntersectionForm, isometries) -> tuple[np.ndarray, np.ndarray]:
+    def code_map(cls, form: IntersectionForm, rows) -> tuple[np.ndarray, np.ndarray]:
         """The maps c -> Tc xor t that a batch of isometries induces on codes, as (columns of T, t).
 
-        ``isometries`` is a (G, n) array of row masks, or one isometry (a batch
-        of one); the result is a (G, n) uint32 array of columns and a (G,)
-        array of shifts.  The pushed-forward structure has basis value
-        s_c(p_i) = s_0(p_i) + (m/2)(c.p_i) at inverse column p_i, so row i of
-        T is p_i (the columns of T are the rows of the inverse) and bit i of
-        t is (s_0(p_i) - diag_i) / (m/2).  Code 0 has the diagonal as basis
-        values, so s_0(x) is the diagonal weight of x plus (m/2) cross_pairs(x),
-        read from ``cross_parity_table``.  An isometry's inverse is its adjoint
+        ``rows`` is a (G, n) array of row masks; the result is a (G, n) uint32
+        array of columns and a (G,) array of shifts.  The pushed-forward
+        structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i) at inverse
+        column p_i, so row i of T is p_i (the columns of T are the rows of the
+        inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).  Code 0 has the
+        diagonal as basis values, so s_0(x) is the diagonal weight of x plus
+        (m/2) cross_pairs(x), read from ``cross_parity_table``.  An isometry's inverse is its adjoint
         F^-1 A^T F (F^-1 is one ``gf2.inverse`` per call), and one batch
         product A A^-1 = I checks every inverse at once.
         """
-        if hasattr(isometries, "form"):
-            if isometries.form != form:
-                raise ValueError("generator and pairing differ")
-            isometries = [isometries.rows]
         n, half = form.dim, cls.modulus // 2
-        rows = np.asarray(isometries, dtype=np.uint32).reshape(len(isometries), n)
+        rows = np.asarray(rows, dtype=np.uint32).reshape(len(rows), n)
         # F and F^-1 are symmetric, so the transpose of the adjoint, whose rows are the preimages, is F A F^-1
         preimages = gf2.batch_mul(gf2.batch_mul(form.rows, rows), gf2.inverse(form.rows, n))
         inverse = gf2.batch_transpose(preimages, n)

@@ -26,7 +26,7 @@ from .census import (
     pin_census_enumerated,
     pin_census_recursive,
 )
-from .enhancements import Enhancement, brown_from_histograms, brown_normal_form_values, value_histograms
+from .enhancements import Enhancement, brown_from_histograms, brown_gauss_many, brown_normal_form_values, value_histograms
 from .orbits import (
     act,
     banding_isometry,
@@ -129,9 +129,19 @@ def _brown_codes(form) -> np.ndarray:
     return brown_from_histograms(form.dim, _histograms(form))
 
 
+def _arf_codes(form) -> np.ndarray:
+    """Arf invariant of every refinement on ``form``, in code order, by the block formula."""
+    return arf_symplectic_many(form, _values(Refinement, form))
+
+
 def _row(values: np.ndarray, s: int) -> tuple[int, ...]:
     """Row s of a value array as a tuple of ints, which prints as the structure's ``values`` do in a detail."""
     return tuple(values[s].tolist())
+
+
+def _misses(label: str, values: np.ndarray, broken: np.ndarray):
+    """``"{label} values {row}"`` for each row of ``values`` that the (S,) bool mask ``broken`` sets, in row order."""
+    return (f"{label} values {_row(values, pos)}" for pos in np.flatnonzero(broken).tolist())
 
 
 def _suite_forms_core() -> list[Row]:
@@ -164,10 +174,6 @@ def _sample_indices(size: int, count: int, rng) -> range | list[int]:
     return range(size) if size <= count else sorted(rng.sample(range(size), count))
 
 
-def _sampled_structures(all_structures, count, rng):
-    return [all_structures[i] for i in _sample_indices(len(all_structures), count, rng)]
-
-
 def _basis_pairs(form) -> np.ndarray:
     """x.y for x = 0 and each basis class x = 2**i, every y, as an (n + 1, 2**n) uint8 table.
 
@@ -177,8 +183,8 @@ def _basis_pairs(form) -> np.ndarray:
     return np.stack([np.zeros(1 << n, dtype=np.uint8), *(_parity_vector(row, n) for row in form.rows)])
 
 
-def _broken_rows(kind, form, table: np.ndarray) -> int:
-    """Bit s set for each row s of an (S, 2**n) value table of ``kind`` that breaks the defining identity.
+def _broken_rows(kind, form, table: np.ndarray) -> np.ndarray:
+    """An (S,) bool mask, set at each row of an (S, 2**n) value table of ``kind`` that breaks the defining identity.
 
     All rows at once: the right side s(y) + s(x) + (m/2) x.y mod m is one
     (S, n + 1, 2**n) uint8 array, the left side s(x + y) is xored into it,
@@ -204,7 +210,7 @@ def _broken_rows(kind, form, table: np.ndarray) -> int:
     for i in range(form.dim):
         swapped = table.reshape(rows, -1, 2, 1 << i)[:, :, ::-1]
         misses[:, i + 1].reshape(swapped.shape, copy=False)[...] ^= swapped
-    return sum(1 << s for s in np.flatnonzero(misses.any(axis=(1, 2))).tolist())
+    return misses.any(axis=(1, 2))
 
 
 def _identity_breaks(kind, cases):
@@ -216,8 +222,8 @@ def _identity_breaks(kind, cases):
     broken structure of the first surface batch that has one.
     """
     for surface, values in cases:
-        broken = _broken_rows(kind, surface.form, kind.value_table(surface.form, values))
-        yield from (f"{surface.label} values {_row(values, pos)}" for pos in range(len(values)) if broken >> pos & 1)
+        table = kind.value_table(surface.form, values)
+        yield from _misses(surface.label, values, _broken_rows(kind, surface.form, table))
 
 
 def _identity_rows(kind, surfaces, rng) -> list[Row]:
@@ -249,7 +255,7 @@ def _suite_enhancement_identity() -> list[Row]:
             # x.x is the parity of x & the diagonal of the pairing; the fresh table becomes the residue in place
             table ^= _parity_vector(s.form.diagonal_bits, s.form.dim)
             table &= 1
-            yield from (f"{s.label} values {_row(values, pos)}" for pos in np.flatnonzero(table.any(axis=1)).tolist())
+            yield from _misses(s.label, values, table.any(axis=1))
 
     return [
         *_identity_rows(Enhancement, _standard_surfaces(10), random.Random(0xE41)),
@@ -262,9 +268,7 @@ def _suite_arf_consistency() -> list[Row]:
     def breaks():
         for g in range(1, 6):
             form = hyperbolic_form(g)
-            values = _values(Refinement, form)
-            misses = np.flatnonzero(arf_spectrum(form) != arf_symplectic_many(form, values))
-            yield from (f"g={g} values {_row(values, pos)}" for pos in misses.tolist())
+            yield from _misses(f"g={g}", _values(Refinement, form), arf_spectrum(form) != _arf_codes(form))
 
     return [_first("majority-equals-block-formula (g<=5)", breaks())]
 
@@ -277,8 +281,7 @@ def _suite_spin_census() -> list[Row]:
             counts = spin_census(g)
             if counts[0] + counts[1] != 1 << (2 * g):
                 yield f"g={g} total {counts}"
-            form = hyperbolic_form(g)
-            tally = Counter(arf_symplectic_many(form, _values(Refinement, form)).tolist())
+            tally = Counter(_arf_codes(hyperbolic_form(g)).tolist())
             if tally != spin_closed_form(g):
                 yield f"g={g} per-object tally {dict(tally)}"
 
@@ -289,12 +292,7 @@ def _suite_spin_census() -> list[Row]:
 # batch and find the mismatches with ``np.flatnonzero`` in row order, which is
 # code order, so each check reports the first counterexample in that order.
 # A surface's exhaustive rows are counted once per run (``_histograms``,
-# ``_brown_codes``); ``_brown_rows`` counts the batches a suite builds itself.
-
-
-def _brown_rows(form, values) -> np.ndarray:
-    """Brown invariant of each row of an (S, n) basis-value array on ``form``, from one ``value_histograms`` batch."""
-    return brown_from_histograms(form.dim, value_histograms(form, values))
+# ``_brown_codes``); ``brown_gauss_many`` counts the batches a suite builds itself.
 
 
 def _block_sum_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -313,8 +311,7 @@ def _suite_brown_compass() -> list[Row]:
     def breaks():
         for s in _standard_surfaces(10, include_sphere=True):
             values = _values(Enhancement, s.form)
-            misses = np.flatnonzero(brown_normal_form_values(s.form, values.T) != _brown_codes(s.form))
-            yield from (f"{s.label} values {_row(values, pos)}" for pos in misses.tolist())
+            yield from _misses(s.label, values, brown_normal_form_values(s.form, values) != _brown_codes(s.form))
 
     return [_first("gauss-equals-normal-form (dim<=10)", breaks())]
 
@@ -323,8 +320,7 @@ def _suite_gauss_magnitude() -> list[Row]:
     def breaks():
         for s in _standard_surfaces(10, include_sphere=True):
             n0, n1, n2, n3 = _histograms(s.form).T
-            misses = np.flatnonzero((n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim)
-            yield from (f"{s.label} values {_row(_values(Enhancement, s.form), pos)}" for pos in misses.tolist())
+            yield from _misses(s.label, _values(Enhancement, s.form), (n0 - n2) ** 2 + (n1 - n3) ** 2 != 1 << s.form.dim)
 
     return [_first("magnitude-squared-is-2**n (dim<=10)", breaks())]
 
@@ -340,7 +336,7 @@ def _suite_additivity() -> list[Row]:
                 if s1.form.dim + s2.form.dim > 8:
                     continue
                 # pair number len(v2) * i + j block-sums structure i of s1 with structure j of s2
-                sums = _brown_rows(direct_sum(s1.form, s2.form), _block_sum_rows(v1, v2))
+                sums = brown_gauss_many(direct_sum(s1.form, s2.form), _block_sum_rows(v1, v2))
                 expected = (np.repeat(b1, len(v2)) + np.tile(b2, len(v1))) % 8
                 for pos in np.flatnonzero(sums != expected).tolist():
                     yield f"{s1.label}+{s2.label} {_row(v1, pos // len(v2))}|{_row(v2, pos % len(v2))}"
@@ -354,8 +350,7 @@ def _suite_doubling() -> list[Row]:
         for g in range(1, 5):
             form = hyperbolic_form(g)
             values = _values(Refinement, form)
-            misses = np.flatnonzero(_brown_rows(form, 2 * values) != 4 * arf_symplectic_many(form, values) % 8)
-            yield from (f"g={g} values {_row(values, pos)}" for pos in misses.tolist())
+            yield from _misses(f"g={g}", values, brown_gauss_many(form, 2 * values) != 4 * _arf_codes(form) % 8)
 
     return [_first("doubled-refinement-invariant-is-4-arf (g<=4)", breaks())]
 
@@ -369,7 +364,7 @@ def _suite_capping() -> list[Row]:
             # rest number k * s + index caps summand ``index`` off structure s, so the
             # removed values in that order are the flat value array; a projective plane
             # carrying value 1 has invariant 1, one carrying value 3 has invariant 7
-            rests = _brown_rows(identity_form(k - 1), _cap_off_rows(values))
+            rests = brown_gauss_many(identity_form(k - 1), _cap_off_rows(values))
             planes = np.where(values.ravel() == 1, 1, 7)
             for pos in np.flatnonzero(np.repeat(totals, k) != (rests + planes) % 8).tolist():
                 yield f"k={k} values {_row(values, pos // k)} index {pos % k}"
@@ -449,11 +444,6 @@ def _level_set_misfits(kind, invariants_of, cases):
         labels = orbit_labels(form, kind, generators)
         if not level_set_fit(labels, invariants_of(form))[1]:
             yield label
-
-
-def _arf_codes(form) -> np.ndarray:
-    """Arf invariant of every refinement on ``form``, in code order, by the block formula."""
-    return arf_symplectic_many(form, _values(Refinement, form))
 
 
 def _suite_orbit_level_sets() -> list[Row]:
@@ -626,7 +616,8 @@ def _suite_pinplus_identity() -> list[Row]:
         for surface in surfaces:
             model = mod4_homology(surface)
             n = model.generator_count
-            for q in _sampled_structures(enumerate_pinplus(surface), 8, rng):
+            found = enumerate_pinplus(surface)
+            for q in (found[i] for i in _sample_indices(len(found), 8, rng)):
                 for _ in range(25):
                     x = tuple(rng.randrange(4) for _ in range(n))
                     y = tuple(rng.randrange(4) for _ in range(n))

@@ -103,14 +103,14 @@ def test_criterion_04_additivity():
             forms.append(hyperbolic_form(d // 2))
     # each summand's invariant is read once per structure, each (f1, f2) batch of block sums in one call
     structures = {f: enumerate_enhancements(f) for f in forms}
-    invariants = {f: brown_gauss_many(structures[f]).tolist() for f in forms}
+    invariants = {f: brown_gauss_many(f, [e.values for e in structures[f]]).tolist() for f in forms}
     pairs = 0
     for f1, f2 in itertools.product(forms, repeat=2):
         if f1.dim + f2.dim > 8:
             continue
         sums = [direct_sum_enhancement(e1, e2) for e1 in structures[f1] for e2 in structures[f2]]
         expected = [(b1 + b2) % 8 for b1 in invariants[f1] for b2 in invariants[f2]]
-        got = brown_gauss_many(sums).tolist()
+        got = brown_gauss_many(sums[0].form, [e.values for e in sums]).tolist()
         for s, b, want in zip(sums, got, expected, strict=True):
             assert b == want, s
         pairs += len(sums)

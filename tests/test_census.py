@@ -71,7 +71,8 @@ ORACLE_SURFACES = (
 @pytest.mark.parametrize("surface", ORACLE_SURFACES, ids=lambda s: s.label)
 def test_spectra_match_per_object_invariants(surface):
     form = surface.form
-    assert brown_spectrum(form).tolist() == brown_gauss_many(enumerate_enhancements(form)).tolist()
+    structures = enumerate_enhancements(form)
+    assert brown_spectrum(form).tolist() == brown_gauss_many(form, [e.values for e in structures]).tolist()
     if surface.kind == "orientable":
         assert arf_spectrum(form).tolist() == [arf_symplectic(q) for q in enumerate_refinements(form)]
 
@@ -83,7 +84,8 @@ def test_spectra_on_congruent_forms(case):
     base, m = case
     assume(gf2.rank(m) == len(m))
     form = congruent_form(base, m)
-    assert brown_spectrum(form).tolist() == brown_gauss_many(enumerate_enhancements(form)).tolist()
+    structures = enumerate_enhancements(form)
+    assert brown_spectrum(form).tolist() == brown_gauss_many(form, [e.values for e in structures]).tolist()
     if is_alternating(form):
         assert arf_spectrum(form).tolist() == [arf_majority(q) for q in enumerate_refinements(form)]
 

@@ -27,7 +27,7 @@ CASES = [pytest.param(identity_form(k), Enhancement, id=f"N:{k}-pin-") for k in 
 @pytest.mark.parametrize("form, kind", CASES)
 def test_code_map_equals_act_code_by_code(form, kind):
     for g in isometry_generators(form):
-        (row,) = _image_row(*kind.code_map(form, g)).tolist()
+        (row,) = _image_row(*kind.code_map(form, [g.rows])).tolist()
         assert row == [act(g, kind.from_code(form, c)).code for c in range(1 << form.dim)]
 
 
@@ -47,15 +47,15 @@ def test_batch_code_map_equals_act_over_the_whole_brute_group(form, kind):
     for row, image in zip(rows.tolist(), images):
         g = Isometry(form, row)
         assert image == [act(g, kind.from_code(form, c)).code for c in range(1 << form.dim)]
-        # one isometry is a batch of one
-        (one,) = _image_row(*kind.code_map(form, g)).tolist()
+        # one isometry's rows are a batch of one
+        (one,) = _image_row(*kind.code_map(form, [g.rows])).tolist()
         assert one == image
 
 
-def test_code_map_rejects_a_generator_of_another_pairing():
+def test_orbit_labels_rejects_a_generator_of_another_pairing():
     (g, *_) = isometry_generators(identity_form(3))
     with pytest.raises(ValueError, match="generator and pairing differ"):
-        Enhancement.code_map(identity_form(4), g)
+        orbit_labels(identity_form(4), Enhancement, [g])
 
 
 def test_orbit_labels_builds_one_isometry_per_generator(monkeypatch):

@@ -71,9 +71,9 @@ def walked_basis_values(s) -> list[int]:
 
 def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
     layout, _ = standard_basis(form)
-    # the column form, on the value array transposed, gives the row form of each structure
-    columns = np.array([e.values for e in enhancements], dtype=np.uint8).reshape(len(enhancements), form.dim).T
-    assert brown_normal_form_values(form, columns).tolist() == [brown_normal_form(e) for e in enhancements]
+    # the batch form, on a value array, gives the form of each structure's row
+    rows = np.array([e.values for e in enhancements], dtype=np.uint8).reshape(len(enhancements), form.dim)
+    assert brown_normal_form_values(form, rows).tolist() == [brown_normal_form(e) for e in enhancements]
     for e in enhancements:
         walked = walked_basis_values(e)
         assert e.standard_basis_values() == walked, e.values
@@ -155,12 +155,12 @@ def test_values_level_normal_form_equals_the_object_routes_on_every_structure(su
     (nonorientable_surface(3), 2, "value 2 on identity basis vector 1 breaks parity in row 5"),
     (orientable_surface(2), 1, "value 1 on hyperbolic basis vector 1 breaks parity in row 5"),
 ])
-def test_column_parity_fault_names_the_first_broken_row(surface, fault, message):
+def test_row_parity_fault_names_the_first_broken_row(surface, fault, message):
     # the standard layouts keep the unit basis, so a basis value is a value of the array
     values = Enhancement.code_values(surface.form, range(1 << surface.form.dim))
     values[5, 1] = values[7, 0] = fault
     with pytest.raises(InvariantViolation) as raised:
-        brown_normal_form_values(surface.form, values.T)
+        brown_normal_form_values(surface.form, values)
     assert str(raised.value) == message
 
 
@@ -182,7 +182,7 @@ def test_normal_form_equals_the_gauss_routes_on_congruent_forms(case):
     assume(gf2.rank(m) == len(m))
     form = congruent_form(base, m)
     structures = enumerate_enhancements(form)
-    for e, beta in zip(structures, brown_gauss_many(structures).tolist()):
+    for e, beta in zip(structures, brown_gauss_many(form, [e.values for e in structures]).tolist()):
         assert brown_normal_form(e) == beta, e.values
     if is_alternating(form):
         for q in enumerate_refinements(form):

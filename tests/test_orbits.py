@@ -372,7 +372,7 @@ def test_orbit_labels_close_along_a_non_involution_alone(form, u, w):
     g = transvection(form, u) @ transvection(form, w)
     inverse = Isometry(form, gf2.transpose(g.inverse_columns, form.dim))
     for kind in structure_kinds(form):
-        (row,) = _image_row(*kind.code_map(form, g))
+        (row,) = _image_row(*kind.code_map(form, [g.rows]))
         assert not np.array_equal(row[row], np.arange(row.size))
         structures = kind.enumerate_all(form)
         assert orbit_partition(form, structures, generators=[g]) == reference_orbit_partition(form, structures, [g])

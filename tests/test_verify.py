@@ -256,15 +256,15 @@ def test_cached_histograms_are_read_only():
 
 
 def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatch):
-    # the normal form takes a surface's value array transposed, one column per structure
+    # the normal form takes a surface's value array, one row per structure
     normal_form = verify.brown_normal_form_values
     seen = []
 
-    def broken(form, columns):
+    def broken(form, rows):
         seen.append(form)
-        value = normal_form(form, columns)
+        value = normal_form(form, rows)
         if form == identity_form(5):
-            value = np.where(columns[0] == 3, (value + 1) % 8, value)
+            value = np.where(rows[:, 0] == 3, (value + 1) % 8, value)
         return value
 
     monkeypatch.setattr(verify, "brown_normal_form_values", broken)
@@ -284,16 +284,16 @@ def test_brown_compass_reads_the_normal_form_once_per_surface(monkeypatch):
     normal_form = verify.brown_normal_form_values
     calls = []
 
-    def counted(form, columns):
-        calls.append((form, columns.shape))
-        return normal_form(form, columns)
+    def counted(form, rows):
+        calls.append((form, rows.shape))
+        return normal_form(form, rows)
 
     monkeypatch.setattr(verify, "brown_normal_form_values", counted)
     assert [r.status for r in run_suites("brown-compass")] == [PASS]
-    # N:1 to N:10 and S:0 to S:5, each surface's value array as one batch of columns
+    # N:1 to N:10 and S:0 to S:5, each surface's value array as one batch of rows
     surfaces = verify._standard_surfaces(10, include_sphere=True)
     assert len(calls) == 16
-    assert calls == [(s.form, (s.form.dim, 1 << s.form.dim)) for s in surfaces]
+    assert calls == [(s.form, (1 << s.form.dim, s.form.dim)) for s in surfaces]
 
 
 # the kernel of the identity suites against the per-structure route it replaced
@@ -342,8 +342,9 @@ def oracle_broken_rows(kind, form, table):
                 break
 
 
-def lanes_of(mask):
-    return [lane for lane in range(mask.bit_length()) if mask >> lane & 1]
+def rows_of(mask):
+    """The rows that an (S,) bool mask sets, in order."""
+    return np.flatnonzero(mask).tolist()
 
 
 KERNEL_BATCHES = {
@@ -371,46 +372,47 @@ def kernel_batch_table(batch: str) -> np.ndarray:
     return table
 
 
-# (lane, classes, xor) faults for a batch of ``lanes`` structures of modulus m on ``size`` classes
+# (row, classes, xor) faults for a batch of ``rows`` structures of modulus m on ``size`` classes
 KERNEL_FAULTS = {
-    "clean": lambda lanes, size, m: [],
-    "first-lane": lambda lanes, size, m: [(0, 5, 1)],
-    "middle-lane": lambda lanes, size, m: [(lanes // 2, size // 2 + 3, 1)],
-    "last-lane": lambda lanes, size, m: [(lanes - 1, 1, 1)],
+    "clean": lambda rows, size, m: [],
+    "first-row": lambda rows, size, m: [(0, 5, 1)],
+    "middle-row": lambda rows, size, m: [(rows // 2, size // 2 + 3, 1)],
+    "last-row": lambda rows, size, m: [(rows - 1, 1, 1)],
     # an enhancement value moved by 2; a refinement value leaves Z/2
-    "high-plane-only": lambda lanes, size, m: [(lanes // 2, size - 7, 2)],
-    "last-row-chunk": lambda lanes, size, m: [(lanes - 2, size - 1, 1)],
-    "two-lanes": lambda lanes, size, m: [(lanes - 1, 2, 1), (1, size - 2, 2)],
-    # the low plane alone flipped on the last 64 classes (every class below dimension 7)
-    "last-64-low-plane": lambda lanes, size, m: [(lanes - 1, slice(-64, None), 1)],
-    "first-and-last-64": lambda lanes, size, m: [(lanes // 2, 3, 1), (lanes // 2, size - 2, 1)],
-    # xor with uniform values of Z/m leaves the lane uniformly random in Z/m
-    "random-lane": lambda lanes, size, m: [(lanes // 3, slice(None), random_values(size, m))],
-    # every class from 64 on flipped, a fault constant on each block of 64 classes (none below dimension 7)
-    "all-but-first-64": lambda lanes, size, m: [(0, slice(64, None), 1)],
+    "value-moved-by-2": lambda rows, size, m: [(rows // 2, size - 7, 2)],
+    "last-row-chunk": lambda rows, size, m: [(rows - 2, size - 1, 1)],
+    "two-rows": lambda rows, size, m: [(rows - 1, 2, 1), (1, size - 2, 2)],
+    # bit 0 of the values flipped on the last 64 classes, which are all the classes of the dimension-6 batches
+    "last-64-bit-0": lambda rows, size, m: [(rows - 1, slice(-64, None), 1)],
+    "first-and-last-64": lambda rows, size, m: [(rows // 2, 3, 1), (rows // 2, size - 2, 1)],
+    # xor with uniform values of Z/m leaves the row uniformly random in Z/m
+    "random-row": lambda rows, size, m: [(rows // 3, slice(None), random_values(size, m))],
+    # every class from 64 on flipped, a fault constant on each block of 64 classes; the dimension-6 batches have
+    # only 64 classes, so they stay clean
+    "all-but-first-64": lambda rows, size, m: [(0, slice(64, None), 1)],
 }
 
 
-def assert_lanes_match_the_oracle(kind, form, table) -> list[int]:
+def assert_broken_rows_match_the_oracle(kind, form, table) -> list[int]:
     """``_broken_rows`` marks the oracle's broken rows, row for row; returns those rows."""
     broken = verify._broken_rows(kind, form, table)
     expected = list(oracle_broken_rows(kind, form, table))
-    assert lanes_of(broken) == expected
+    assert rows_of(broken) == expected
     # the first broken structure of the batch, the one whose detail the check reports
     if expected:
-        assert (broken & -broken).bit_length() - 1 == expected[0]
+        assert np.argmax(broken) == expected[0]
     return expected
 
 
 @pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
 @pytest.mark.parametrize("batch", list(KERNEL_BATCHES))
-def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, fault):
+def test_identity_kernel_breaks_the_rows_the_per_structure_route_breaks(batch, fault):
     kind, form, _ = KERNEL_BATCHES[batch]
     table = kernel_batch_table(batch)
     clean = table.copy()
-    for lane, x, flip in KERNEL_FAULTS[fault](*table.shape, kind.modulus):
-        table[lane, x] ^= flip
-    expected = assert_lanes_match_the_oracle(kind, form, table)
+    for row, x, flip in KERNEL_FAULTS[fault](*table.shape, kind.modulus):
+        table[row, x] ^= flip
+    expected = assert_broken_rows_match_the_oracle(kind, form, table)
     assert bool(expected) == (not np.array_equal(table, clean))
 
 
@@ -418,21 +420,21 @@ def test_lane_kernel_breaks_the_lanes_the_per_structure_route_breaks(batch, faul
 @pytest.mark.parametrize("batch", list(KERNEL_BATCHES))
 def test_a_fault_one_basis_row_alone_sees_is_seen(batch, bit):
     # 1 added mod m on every class with bit i set.  For m = 4 the identity then fails exactly at the pairs
-    # x, y that both have bit i, so of the basis classes only x = 2**i sees it; for m = 2 the lane is
+    # x, y that both have bit i, so of the basis classes only x = 2**i sees it; for m = 2 the row is
     # another refinement, and nothing is broken.
     kind, form, _ = KERNEL_BATCHES[batch]
     table = kernel_batch_table(batch)
     i = {"lowest": 0, "middle": form.dim // 2, "top": form.dim - 1}[bit]
     table[1] += ((np.arange(table.shape[1]) >> i) & 1).astype(np.uint8)
     table[1] &= kind.modulus - 1
-    assert assert_lanes_match_the_oracle(kind, form, table) == ([1] if kind.modulus == 4 else [])
+    assert assert_broken_rows_match_the_oracle(kind, form, table) == ([1] if kind.modulus == 4 else [])
 
 
 @pytest.mark.parametrize("kind", [Enhancement, Refinement])
-def test_lane_kernel_sees_a_nonzero_value_at_class_0_on_the_sphere(kind):
+def test_identity_kernel_sees_a_nonzero_value_at_class_0_on_the_sphere(kind):
     # on a 0-dimensional pairing the one pair is (0, 0), where the identity says s(0) = 0; there is no basis class
     table = np.array([[0], [1], [0]], dtype=np.uint8)
-    assert assert_lanes_match_the_oracle(kind, identity_form(0), table) == [1]
+    assert assert_broken_rows_match_the_oracle(kind, identity_form(0), table) == [1]
 
 
 def random_invertible(n: int, rng) -> tuple[int, ...]:
@@ -442,12 +444,12 @@ def random_invertible(n: int, rng) -> tuple[int, ...]:
             return m
 
 
-def test_lane_kernel_matches_the_oracle_on_a_seeded_sweep():
+def test_identity_kernel_matches_the_oracle_on_a_seeded_sweep():
     # 200 tables of both kinds at dimensions 7-12 (refinements at the even ones), on standard pairings and
     # on random congruent ones, each with 1-3 point faults, 1% noise, a fault constant on blocks of 2**j
-    # classes and zero on the first block, or c x_i x_j added mod m to each lane; the last two leave some
-    # lanes valid structures.  Lanes are 1-64 up to dimension 9, then 1-16, 1-4 and 1 at dimensions 10, 11 and
-    # 12: the oracle costs 4**n per lane.
+    # classes and zero on the first block, or c x_i x_j added mod m to each row; the last two leave some
+    # rows valid structures.  Rows are 1-64 up to dimension 9, then 1-16, 1-4 and 1 at dimensions 10, 11 and
+    # 12: the oracle costs 4**n per row.
     rng = random.Random(0x5EED)
     np_rng = np.random.default_rng(0x5EED)
     faults = ("points", "noise", "blocks", "bits")
@@ -459,30 +461,30 @@ def test_lane_kernel_matches_the_oracle_on_a_seeded_sweep():
         basis = random_invertible(n, rng) if rng.random() < 0.5 else tuple(1 << i for i in range(n))
         form = congruent_form(base, basis)
         size, m = 1 << n, kind.modulus
-        lanes = rng.randint(1, 64 >> 2 * max(0, n - 9))
-        table = kind.value_table(form, kind.code_values(form, [rng.randrange(size) for _ in range(lanes)]))
+        rows = rng.randint(1, 64 >> 2 * max(0, n - 9))
+        table = kind.value_table(form, kind.code_values(form, [rng.randrange(size) for _ in range(rows)]))
         fault = faults[case // 2 % len(faults)]
         if fault == "points":
             for _ in range(rng.randint(1, 3)):
-                table[rng.randrange(lanes), rng.randrange(size)] ^= rng.randrange(1, m)
+                table[rng.randrange(rows), rng.randrange(size)] ^= rng.randrange(1, m)
         elif fault == "noise":
             hit = np_rng.random(table.shape) < 0.01
             table[hit] ^= np_rng.integers(1, m, int(hit.sum()), dtype=np.uint8)
         elif fault == "blocks":
             block = 1 << rng.randrange(n)
-            per_block = np_rng.integers(0, m, (lanes, size // block), dtype=np.uint8)
+            per_block = np_rng.integers(0, m, (rows, size // block), dtype=np.uint8)
             per_block[:, 0] = 0
             table ^= np.repeat(per_block, block, axis=1)
         else:
             classes = np.arange(size)
-            for lane in range(lanes):
+            for row in range(rows):
                 i, j = rng.randrange(n), rng.randrange(n)
-                table[lane] += (rng.randrange(1, m) * (classes >> i & classes >> j & 1)).astype(np.uint8)
+                table[row] += (rng.randrange(1, m) * (classes >> i & classes >> j & 1)).astype(np.uint8)
             table &= m - 1
-        expected = assert_lanes_match_the_oracle(kind, form, table)
+        expected = assert_broken_rows_match_the_oracle(kind, form, table)
         outcomes[kind, fault, "broken"] += len(expected)
-        outcomes[kind, fault, "clean"] += lanes - len(expected)
-    # each kind of fault broke lanes of each kind of structure, and the structured ones left some lanes clean
+        outcomes[kind, fault, "clean"] += rows - len(expected)
+    # each kind of fault broke rows of each kind of structure, and the structured ones left some rows clean
     assert all(outcomes[kind, fault, "broken"] for kind in (Enhancement, Refinement) for fault in faults)
     assert all(outcomes[kind, fault, "clean"] for kind in (Enhancement, Refinement) for fault in ("blocks", "bits"))
 
@@ -490,13 +492,15 @@ def test_lane_kernel_matches_the_oracle_on_a_seeded_sweep():
 @pytest.mark.parametrize("rows", [1, 64, 65, 200])
 @pytest.mark.parametrize("kind,form", [(Enhancement, identity_form(4)), (Refinement, hyperbolic_form(2))], ids=["N:4", "S:2"])
 def test_broken_rows_marks_every_row_of_a_batch_of_any_size(kind, form, rows):
-    # the mask has one bit per row with no word size behind it, so rows past the first 64 are marked as well
+    # the mask has one bool per row with no word size behind it, so rows past the first 64 are marked as well
     rng = random.Random(rows)
     table = kind.value_table(form, kind.code_values(form, [rng.randrange(1 << form.dim) for _ in range(rows)]))
     faulted = sorted({*range(rows - 1, -1, -3), rows - 1})
     for row in faulted:
         table[row, rng.randrange(1, table.shape[1])] ^= 1
-    assert assert_lanes_match_the_oracle(kind, form, table) == faulted
+    broken = verify._broken_rows(kind, form, table)
+    assert broken.dtype == bool and broken.shape == (rows,)
+    assert assert_broken_rows_match_the_oracle(kind, form, table) == faulted
 
 
 def naive_pair_table(form):
@@ -544,7 +548,7 @@ def test_sampled_codes_pick_what_sampling_the_enumeration_picked(kind, form):
     # the sampled identity checks read rows at sampled codes; they are the structures sampling the enumeration picked
     structures = kind.enumerate_all(form)
     for seed in range(5):
-        picked = verify._sampled_structures(structures, 8, random.Random(seed))
+        picked = [structures[i] for i in verify._sample_indices(len(structures), 8, random.Random(seed))]
         codes = verify._sample_indices(1 << form.dim, 8, random.Random(seed))
         rows = kind.code_values(form, codes)
         assert [tuple(row) for row in rows.tolist()] == [s.values for s in picked]
@@ -557,7 +561,7 @@ SAMPLED_REFINEMENT_CHECK = "defining-identity-sampled (dim<=12)"
 def spy_refinement_batches(monkeypatch, flip=None):
     """Record the (dim, basis values) of every refinement batch evaluated, in order.
 
-    ``flip = (dim, lane, x)`` flips the value at class x of structure ``lane`` in each batch on a dim-``dim`` pairing.
+    ``flip = (dim, row, x)`` flips the value at class x of structure ``row`` in each batch on a dim-``dim`` pairing.
     """
     value_table = QuadraticStructure.value_table.__func__
     batches = []
