@@ -23,6 +23,7 @@ from .surfaces import (
     IntersectionForm,
     InvariantViolation,
     QuadraticStructure,
+    _xor_permuted,
     check_dim,
     direct_sum,
     identity_form,
@@ -81,7 +82,7 @@ def value_histograms(form: IntersectionForm, values) -> np.ndarray:
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
-    vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
+    vals = Enhancement.value_rows(form, values)
     counts = np.empty((len(vals), 4), dtype=np.int64)
     chunk = max(1, _TABLE_BYTES >> n)
     for lo in range(0, len(vals), chunk):
@@ -179,9 +180,11 @@ def brown_spectrum(form: IntersectionForm) -> np.ndarray:
     All 2**n Gauss sums come from one int32 Walsh-Hadamard transform
     (``Enhancement.folded_sums``), so the cost is O(n 2**n) rather than a
     histogram per structure; each sum's octant is read off the sign pair of
-    Re + Im and Re - Im.
+    P = Re + Im and Q = Re - Im.  A term i**e(x) is imaginary exactly where
+    x.x = 1, the parity of x & delta for the diagonal delta, so Q(c) = P(c ^ delta).
     """
-    return _octants(form.dim, *Enhancement.folded_sums(form))
+    p = Enhancement.folded_sums(form)
+    return _octants(form.dim, p, _xor_permuted(p, form.diagonal_bits))
 
 
 def brown_compass(e: Enhancement) -> int:
@@ -193,8 +196,9 @@ def brown_compass(e: Enhancement) -> int:
     return _SIGNS_BY_OCTANT.index(signs)
 
 
-# the values in Z/4 of each parity, indexed by parity
+# the values in Z/4 of each parity, indexed by parity, and all of Z/4
 _VALUES_OF_PARITY = (frozenset((0, 2)), frozenset((1, 3)))
+_Z4 = frozenset(range(4))
 
 
 def _check_parity(layout: str, values, odd: bool) -> None:
@@ -231,13 +235,18 @@ def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray
     structure object is built, and a query only adds basis values at cached
     indices.
 
-    ``values`` is n ints, one structure, and the invariant is an int; or an
-    (S, n) array of value rows, and the invariants are an (S,) int64 array.
+    ``values`` is n ints, one structure, and the invariant is an int; or any
+    (S, n) array-like of value rows, and the invariants are an (S,) int64 array.
     The same sums run elementwise over the rows, starting from S zeros, so
-    the sphere (n = 0) still gives one invariant per row.
+    the sphere (n = 0) still gives one invariant per row.  A value outside Z/4
+    raises ``ValueError``; n ints, as ``bordism_class`` passes them, skip numpy.
     """
     layout, _ = standard_basis(form)
-    rows = isinstance(values, np.ndarray) and values.ndim == 2
+    rows = (not len(values) or not isinstance(values[0], int)) and np.ndim(values) == 2
+    if rows:
+        values = Enhancement.value_rows(form, values)
+    elif len(values) != form.dim or not _Z4.issuperset(values):
+        raise ValueError(f"expected {form.dim} enhancement values in Z/4, got {tuple(values)}")
     start = np.zeros(len(values), dtype=np.int64) if rows else 0
     values = Enhancement.values_on_standard_basis(form, values.T if rows else values)
     odd = layout == "identity"

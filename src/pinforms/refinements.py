@@ -65,8 +65,8 @@ def arf_symplectic_many(form: IntersectionForm, values) -> np.ndarray:
     """
     if not is_hyperbolic_form(form):
         raise ValueError("the block formula needs the standard hyperbolic layout")
-    vals = np.asarray(values, dtype=np.int64).reshape(len(values), form.dim)
-    return (vals[:, 0::2] * vals[:, 1::2]).sum(axis=1) & 1
+    vals = Refinement.value_rows(form, values)
+    return (vals[:, 0::2] * vals[:, 1::2]).sum(axis=1, dtype=np.int64) & 1
 
 
 def arf_symplectic(q: Refinement) -> int:
@@ -91,11 +91,11 @@ def arf_spectrum(form: IntersectionForm) -> np.ndarray:
     """Arf invariant of every refinement on the pairing, indexed by code.
 
     One int32 Walsh-Hadamard transform gives the sum of (-1)**q(x) for
-    every code (``Refinement.folded_sums``, whose P and Q agree because
-    the terms are real); each sum is +-2**g, and the sign is -1 exactly
-    when the Arf invariant is 1.
+    every code (``Refinement.folded_sums``, the whole sum because every term
+    is real); each sum is +-2**g, and the sign is -1 exactly when the Arf
+    invariant is 1.
     """
-    sums, _ = Refinement.folded_sums(form)
+    sums = Refinement.folded_sums(form)
     bad = np.flatnonzero(np.abs(sums) != 1 << (form.dim // 2))
     if bad.size:
         c = int(bad[0])

@@ -77,11 +77,7 @@ class IntersectionForm:
     @property
     def matrix(self) -> np.ndarray:
         n = self.dim
-        out = np.zeros((n, n), dtype=np.uint8)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = (self.rows[i] >> j) & 1
-        return out
+        return np.array([[self.entry(i, j) for j in range(n)] for i in range(n)], dtype=np.uint8).reshape(n, n)
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -332,11 +328,9 @@ def cross_parity_table(form: IntersectionForm) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def self_pairing_table(form: IntersectionForm) -> np.ndarray:
-    """x.x for every class; linear in x because the pairing is symmetric."""
+    """x.x for every class: the parity of x & the diagonal, linear in x because the pairing is symmetric."""
     check_dim(form.dim, MAX_TABLE_DIM, "dense class tables")
-    bits = class_bit_matrix(form.dim)
-    vec = np.array(form.diagonal, dtype=np.uint8)
-    out = (bits @ vec) & 1
+    out = _parity_vector(form.diagonal_bits, form.dim)
     out.setflags(write=False)
     return out
 
@@ -363,24 +357,16 @@ def _butterflies(values: np.ndarray) -> np.ndarray:
 def _xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
     """values[c ^ mask] for every c < 2**n, from ``values`` of length 2**n; ``values`` itself when mask = 0.
 
-    Seen as one axis per run of equal bits of ``mask``, xor with a run of
-    ones reverses that run's axis, so the result is one strided copy, or a
-    reversed view when ``mask`` is all ones.  A gather through
+    Seen as a (2,) * n array, whose axis k is bit n - 1 - k of the index,
+    xor with ``mask`` reverses the axes of its set bits: a view when
+    ``mask`` is all ones, else one strided copy.  A gather through
     arange ^ mask would hold an index array as large as ``values`` too.
     """
     if not mask:
         return values
-    shape, flips = [], []
-    top = values.size.bit_length() - 1
-    while top:
-        bit = (mask >> (top - 1)) & 1
-        low = top - 1
-        while low and (mask >> (low - 1)) & 1 == bit:
-            low -= 1
-        shape.append(1 << (top - low))
-        flips.append(slice(None, None, -1 if bit else 1))
-        top = low
-    return values.reshape(shape)[tuple(flips)].reshape(-1)
+    n = values.size.bit_length() - 1
+    flips = tuple(slice(None, None, -1) if mask >> bit & 1 else slice(None) for bit in reversed(range(n)))
+    return values.reshape((2,) * n)[flips].reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -450,10 +436,9 @@ class QuadraticStructure:
         # preserving a nondegenerate pairing forces invertibility
         if (gf2.batch_mul(rows, inverse) != gf2.identity(n)).any():
             raise InvariantViolation("isometry inverse fails rows . inverse = identity")
-        diagonal = np.array(form.diagonal, dtype=np.int64)
-        weight = ((preimages[..., None] >> np.arange(n, dtype=np.uint32)) & 1) @ diagonal
+        weight = np.bitwise_count(preimages & form.diagonal_bits).astype(np.int64)
         # s_0(p_i) - diag_i is even (p_i.p_i = diag_i), so reduced mod m its half is bit i of t
-        bits = (weight - diagonal + half * cross_parity_table(form)[preimages]) % cls.modulus // half
+        bits = (weight - form.diagonal + half * cross_parity_table(form)[preimages]) % cls.modulus // half
         return inverse, (bits @ (1 << np.arange(n))).astype(np.uint32)
 
     @classmethod
@@ -463,31 +448,35 @@ class QuadraticStructure:
         return [cls(form, values) for values in map(tuple, cls.code_values(form, range(1 << form.dim)).tolist())]
 
     @classmethod
-    def folded_sums(cls, form: IntersectionForm) -> tuple[np.ndarray, np.ndarray]:
-        """P = Re + Im and Q = Re - Im of the Gauss sum of every code, indexed by code, from one int32 transform.
+    def folded_sums(cls, form: IntersectionForm) -> np.ndarray:
+        """P = Re + Im of the Gauss sum of every code, indexed by code, from one int32 transform.
 
         Code c is code 0 plus (m/2)(c.x), which multiplies each term
         exp(2 pi i s(x) / m) by (-1)**(c.x), so P is one Walsh-Hadamard
         transform of Re + Im of code 0's terms, which is 1 where s(x) < m/2
         and -1 elsewhere.  Code 0 has the diagonal as basis values, so s(x)
-        is (m/2) cross_pairs(x) plus the diagonal weight of x.  A term is
-        imaginary exactly where x.x = 1 (m = 4; never for m = 2), and
-        (-1)**(x.x) is (-1)**(delta.x) for the diagonal delta, so
-        Q(c) = P(c ^ delta); Q is P itself when the terms are real.  Partial
+        is (m/2) cross_pairs(x) plus the diagonal weight of x.  Partial
         sums stay within 2**n <= 2**MAX_TABLE_DIM, so int32 is exact.
         """
-        half = cls.modulus // 2
         check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
         values = cls.value_table(form, cls.code_values(form, [0]))[0]
-        terms = np.multiply(values >= half, -2, dtype=np.int32)
+        terms = np.multiply(values >= cls.modulus // 2, -2, dtype=np.int32)
         terms += 1
-        sums = _butterflies(terms)
-        return sums, _xor_permuted(sums, form.diagonal_bits if half == 2 else 0)
+        return _butterflies(terms)
 
     @property
     def code(self) -> int:
         half = self.modulus // 2
         return sum((v - d) // half << i for i, (v, d) in enumerate(zip(self.values, self.form.diagonal)))
+
+    @classmethod
+    def value_rows(cls, form: IntersectionForm, values) -> np.ndarray:
+        """Any (S, n) array-like of basis values as uint8 rows; the first row with a value outside Z/m raises ``ValueError``."""
+        rows = np.asarray(values).reshape(len(values), form.dim)
+        if rows.size and not 0 <= rows.min() <= rows.max() < cls.modulus:
+            row = int(((rows < 0) | (rows >= cls.modulus)).any(axis=1).argmax())
+            raise ValueError(f"{cls.__name__.lower()} values live in Z/{cls.modulus}: row {row} is {tuple(rows[row].tolist())}")
+        return rows.astype(np.uint8, copy=False)
 
     @classmethod
     def value_table(cls, form: IntersectionForm, values) -> np.ndarray:
@@ -502,7 +491,7 @@ class QuadraticStructure:
         """
         cross = cross_parity_table(form)  # its guard runs before anything is allocated
         n = form.dim
-        vals = np.asarray(values, dtype=np.uint8).reshape(len(values), n)
+        vals = cls.value_rows(form, values)
         table = np.empty((len(vals), 1 << n), dtype=np.uint8)
         table[:, 0] = 0
         for i in range(n):

@@ -266,19 +266,23 @@ RE_OF_TURN, IM_OF_TURN = np.array([1, 0, -1, 0]), np.array([0, 1, 0, -1])
 
 
 def assert_gauss_sums_match_each_structure(form):
-    p, q = Enhancement.folded_sums(form)
-    assert p.shape == q.shape == (1 << form.dim,)
+    p = Enhancement.folded_sums(form)
+    assert p.dtype == np.int32 and p.shape == (1 << form.dim,)
+    # Q = Re - Im is P at c ^ delta, the rule brown_spectrum reads, here by an index gather
+    q = p[np.arange(p.size) ^ form.diagonal_bits]
     real, imag = (p.astype(np.int64) + q) // 2, (p.astype(np.int64) - q) // 2
     for e in enumerate_enhancements(form):
         values = e.values_on_all()
         assert [real[e.code], imag[e.code]] == [RE_OF_TURN[values].sum(), IM_OF_TURN[values].sum()], e
+    assert brown_spectrum(form).tolist() == [brown_gauss(e) for e in enumerate_enhancements(form)]
     if not any(form.diagonal):
         # every term i**e(x) is real where x.x = 0
         assert (p == q).all()
-        p, q = Refinement.folded_sums(form)
-        assert (p == q).all()
+        # and e = 2q has i**e(x) = (-1)**q(x), so the refinement of the same code has the same sum
+        sums = Refinement.folded_sums(form)
+        assert sums.dtype == np.int32 and sums.tolist() == p.tolist()
         signs = [int((1 - 2 * s.values_on_all().astype(np.int64)).sum()) for s in enumerate_refinements(form)]
-        assert p.tolist() == signs
+        assert sums.tolist() == signs
 
 
 SPLIT_FORMS = [identity_form(k) for k in range(1, 7)] + [hyperbolic_form(g) for g in range(1, 4)]

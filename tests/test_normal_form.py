@@ -2,6 +2,7 @@
 
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from pinforms import (
     Refinement,
     arf_majority,
     arf_spectrum,
+    arf_symplectic_many,
     bordism_class,
     brown_gauss_many,
     brown_spectrum,
     cobordant,
+    enhancements,
     enumerate_enhancements,
     enumerate_refinements,
     gf2,
+    hyperbolic_form,
+    identity_form,
     nonorientable_surface,
     orientable_surface,
     surfaces,
@@ -310,3 +315,48 @@ def test_gram_check_catches_a_wrong_reduction():
     form.__dict__["diagonal"] = (1, 0)
     with pytest.raises(InvariantViolation, match="Gram row"):
         standard_basis.__wrapped__(form)
+
+
+# every batch kernel reads its value rows through QuadraticStructure.value_rows, which refuses a value outside Z/m
+N2, N3, S1 = identity_form(2), identity_form(3), hyperbolic_form(1)
+OUT_OF_RANGE = {
+    "gauss-5": (brown_gauss_many, N3, [[5, 1, 1]], r"^enhancement values live in Z/4: row 0 is \(5, 1, 1\)$"),
+    # an int64 -1 must not wrap to 255 (read as 3), nor a Python -1 raise numpy's OverflowError
+    "gauss-int64-minus-1": (brown_gauss_many, N3, np.array([[1, 1, 1], [-1, 1, 1]]), r"row 1 is \(-1, 1, 1\)$"),
+    "gauss-python-minus-1": (brown_gauss_many, N3, [[1, 1, 1], [-1, 1, 1]], r"row 1 is \(-1, 1, 1\)$"),
+    "histograms-7": (value_histograms, N2, [[1, 1], [3, 1], [1, 7]], r"Z/4: row 2 is \(1, 7\)$"),
+    "table-4": (Enhancement.value_table, N2, [[1, 4]], r"Z/4: row 0 is \(1, 4\)$"),
+    "refinement-table-2": (Refinement.value_table, S1, [[0, 2]], r"^refinement values live in Z/2: row 0 is \(0, 2\)$"),
+    "arf-3": (arf_symplectic_many, S1, [[3, 3]], r"Z/2: row 0 is \(3, 3\)$"),
+    "normal-form-rows-5": (brown_normal_form_values, N3, [[1, 1, 1], [5, 1, 1]], r"Z/4: row 1 is \(5, 1, 1\)$"),
+    "normal-form-5": (brown_normal_form_values, N3, (5, 1, 1), r"^expected 3 enhancement values in Z/4, got \(5, 1, 1\)$"),
+    "normal-form-minus-1": (brown_normal_form_values, N3, (-1, 1, 1), r"got \(-1, 1, 1\)$"),
+    "normal-form-short": (brown_normal_form_values, N3, (1, 1), r"got \(1, 1\)$"),
+}
+
+
+@pytest.mark.parametrize("kernel,form,values,message", OUT_OF_RANGE.values(), ids=list(OUT_OF_RANGE))
+def test_batch_kernels_refuse_values_outside_the_modulus(kernel, form, values, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(form, values)
+
+
+@pytest.mark.parametrize("surface", [orientable_surface(0), orientable_surface(2), nonorientable_surface(3)],
+                         ids=lambda s: s.label)
+def test_normal_form_reads_any_array_like_of_rows(surface):
+    form = surface.form
+    values = Enhancement.code_values(form, range(1 << form.dim))
+    expected = brown_normal_form_values(form, values).tolist()
+    assert brown_normal_form_values(form, values.tolist()).tolist() == expected
+    assert brown_normal_form_values(form, tuple(map(tuple, values.tolist()))).tolist() == expected
+    # a tuple of n ints, as bordism_class passes it, is one structure
+    assert [brown_normal_form_values(form, tuple(row)) for row in values.tolist()] == expected
+
+
+def test_one_structure_normal_form_calls_no_numpy(monkeypatch):
+    # bordism_class and invariant pass a tuple of n ints; its range check and sums stay pure Python
+    monkeypatch.setattr(enhancements, "np", SimpleNamespace(ndarray=np.ndarray))
+    assert brown_normal_form_values(identity_form(3), (1, 1, 3)) == 1
+    assert brown_normal_form_values(hyperbolic_form(2), (2, 2, 0, 2)) == 4
+    with pytest.raises(ValueError, match="got"):
+        brown_normal_form_values(identity_form(3), (5, 1, 1))

@@ -37,6 +37,65 @@ def test_orbits_leaves_the_code_convention_to_the_structure_classes():
     assert found == []
 
 
+MODULUS_NAMES = {"modulus", "half"}
+
+
+def _holds_modulus(node) -> bool:
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return bool(names & MODULUS_NAMES)
+
+
+def _is_literal(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(_is_literal(e) for e in node.elts)
+    return isinstance(node, ast.Constant)
+
+
+def _modulus_branches(path: Path) -> list[str]:
+    """Comparisons of an expression holding ``modulus`` or ``half`` with a literal, and ``match`` statements on one.
+
+    A chained comparison is read pair by pair, so a range check 0 <= x < modulus compares no literal with m.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for a, b in zip(operands, operands[1:]):
+                if _holds_modulus(a) and _is_literal(b) or _is_literal(a) and _holds_modulus(b):
+                    lines.add(node.lineno)
+        elif isinstance(node, ast.Match) and _holds_modulus(node.subject):
+            lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_quadratic_structure_leaves_each_theory_to_its_subclass():
+    # QuadraticStructure reads m only through m and m/2; a rule for one modulus belongs to Refinement or Enhancement
+    path = Path(pinforms.__file__).parent / "surfaces.py"
+    assert _modulus_branches(path) == []
+    assert _theory_dispatches(path) == []
+
+
+def test_modulus_branch_check_sees_each_kind_of_branch(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "a = half == 2\n"
+        "b = 4 != self.modulus\n"
+        "c = x if cls.modulus // 2 > 1 else 0\n"
+        "d = modulus in (2, 4)\n"
+        "match cls.modulus:\n"
+        "    case 2:\n"
+        "        pass\n"
+        "e = values >= half\n"
+        "f = x == 2\n"
+        "g = 0 <= x < self.modulus\n"
+        "h = 0 <= x < half <= 2\n",
+        encoding="utf-8",
+    )
+    assert _modulus_branches(source) == [f"probe.py:{line}" for line in (1, 2, 3, 4, 5, 11)]
+
+
 def test_verify_writes_each_suite_name_once():
     # the SUITES registration names a suite's rows, so no suite repeats its own name
     path = Path(verify.__file__)

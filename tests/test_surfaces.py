@@ -398,3 +398,6 @@ def test_xor_permuted_matches_the_index_gather(n):
     assert _xor_permuted(values, 0) is values
     for mask in range(1, 1 << n):
         assert _xor_permuted(values, mask).tolist() == values[classes ^ mask].tolist()
+    # the diagonal of a standard surface is 0 or all ones, so brown_spectrum reads Q as a view of P
+    for mask in (0, (1 << n) - 1):
+        assert np.shares_memory(_xor_permuted(values, mask), values)
