@@ -32,7 +32,6 @@ from .enhancements import (
     brown_from_histograms,
     brown_gauss,
     brown_gauss_many,
-    brown_normal_form,
     brown_normal_form_values,
     brown_spectrum,
     cap_off_summand,
@@ -64,10 +63,9 @@ from .refinements import (
     Census,
     Refinement,
     arf_majority,
-    arf_normal_form,
+    arf_normal_form_values,
     arf_spectrum,
     arf_symplectic,
-    arf_symplectic_many,
     enumerate_refinements,
     spin_census,
 )

@@ -11,11 +11,11 @@ with enumeration (1 vs 2 at genus 2, 8 vs 6 at genus 4); such entries are
 flagged DISPUTED and reported next to the corrected expression
 2**(k-2) + 2**((k-2)/2).
 
-A bordism class is one structure's invariant, read off its values on a
-standard basis of the pairing (``brown_normal_form``, ``arf_normal_form``).
-Each pairing's basis and, per basis vector, its set-bit indices and cross
-term are cached (``standard_basis_terms``), so a query only adds up basis
-values, with no class table, up to dimension ``MAX_NORMAL_FORM_DIM``.
+A bordism class is one structure's invariant, its values on a standard
+basis (``values_on_standard_basis``) added up over the planes of the pairing
+(``brown_normal_form_values``, ``arf_normal_form_values``).  The basis and
+each vector's set-bit indices and cross term are cached, so a query only
+adds up basis values, with no class table, up to ``MAX_NORMAL_FORM_DIM``.
 
 The theories are the ``Theory`` records of ``THEORIES``, which the commands
 and ``bordism_class`` read instead of branching on a theory.  A new
@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .enhancements import Enhancement, brown_normal_form, brown_spectrum, histogram_from_brown
-from .refinements import Census, Refinement, arf_normal_form, arf_spectrum, spin_census, spin_closed_form
+from .enhancements import Enhancement, brown_normal_form_values, brown_spectrum, histogram_from_brown
+from .refinements import Census, Refinement, arf_normal_form_values, arf_spectrum, spin_census, spin_closed_form
 from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim, is_alternating
 
 FLAG_CONFIRMED = "CONFIRMED"
@@ -199,7 +199,7 @@ class Theory:
     invariant: str  # the invariant's name in ``orbits`` and ``invariant`` output
     orientable_only: bool
     spectrum: Callable  # pairing -> the invariant of every code
-    normal_form: Callable  # structure -> its invariant, read on a standard basis
+    normal_form: Callable  # pairing, basis values -> the invariant, read on a standard basis
     census: Callable  # surface -> checked counts by invariant value
     compare: Callable  # surface, census -> the ``census --compare`` columns and rows
     invariant_rows: Callable  # surface, invariant -> the rows ``invariant`` prints after it
@@ -219,12 +219,12 @@ class Theory:
 # by its module name is called through a lambda, which looks the name up at each call.
 THEORIES = (
     Theory(
-        "spin", Refinement, "arf", orientable_only=True, spectrum=arf_spectrum, normal_form=arf_normal_form,
+        "spin", Refinement, "arf", orientable_only=True, spectrum=arf_spectrum, normal_form=arf_normal_form_values,
         census=lambda surface: spin_census(surface.genus), compare=_spin_comparison,
         invariant_rows=lambda surface, arf: (),
     ),
     Theory(
-        "pin-", Enhancement, "beta", orientable_only=False, spectrum=brown_spectrum, normal_form=brown_normal_form,
+        "pin-", Enhancement, "beta", orientable_only=False, spectrum=brown_spectrum, normal_form=brown_normal_form_values,
         census=lambda surface: pin_census_enumerated(surface), compare=_pin_comparison,
         invariant_rows=_histogram_rows,
     ),
@@ -242,9 +242,9 @@ class BordismClass:
 def bordism_class(surface: Surface, structure) -> BordismClass:
     """Arf class of a refinement (spin) or Brown class of an enhancement (pin-).
 
-    Both come from the normal form: the structure's values on the cached
-    ``standard_basis`` of the pairing (``values_on_standard_basis``, read from
-    the cached terms of each basis vector), added up over its projective or
+    Both come from the theory's normal form of the structure's form and
+    basis values: its values on the cached ``standard_basis`` of the pairing
+    (``values_on_standard_basis``), added up over the projective or
     hyperbolic planes.  No value table over the 2**n classes is built, so
     any dimension up to ``MAX_NORMAL_FORM_DIM`` answers; above it the
     reduction raises ``LimitError``.  The Gauss-sum routes (``brown_gauss``,
@@ -258,7 +258,7 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     theory = next((t for t in THEORIES if isinstance(structure, t.structure)), None)
     if theory is None:
         raise ValueError(f"unsupported structure type {type(structure).__name__}")
-    return BordismClass(theory.name, theory.normal_form(structure))
+    return BordismClass(theory.name, theory.normal_form(structure.form, structure.values))
 
 
 def cobordant(first: tuple, second: tuple) -> bool:

@@ -7,8 +7,8 @@ Gauss sum of i**e(x) over all classes, read by one checked reader from value
 histograms (``brown_gauss_many``) or one Walsh-Hadamard transform of every
 code (``brown_spectrum``), both counted from ``Enhancement.value_table``;
 ``brown_compass`` looks one histogram's sign pair up in the same octant
-table.  ``brown_normal_form``, a sum over a standard basis, is the route
-that shares no code with these.
+table.  ``brown_normal_form_values``, a sum over a standard basis for one
+enhancement or value rows, is the route that shares no code with these.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .surfaces import (
     check_dim,
     direct_sum,
     identity_form,
+    is_alternating,
     is_identity_form,
-    standard_basis,
 )
 
 
@@ -77,8 +77,8 @@ def value_histograms(form: IntersectionForm, values) -> np.ndarray:
     L = value & 1 and high H = value >> 1, are packed eight classes a byte and
     popcounted: n3 = |L & H|, n1 = |L| - n3, n2 = |H| - n3 and
     n0 = 2**n - n1 - n2 - n3.  Each chunk's table is released before the next
-    is built.  The normal form (``brown_normal_form``) is the route that
-    shares no code with this one.
+    is built.  The normal form (``brown_normal_form_values``) is the route
+    that shares no code with this one.
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
@@ -196,29 +196,6 @@ def brown_compass(e: Enhancement) -> int:
     return _SIGNS_BY_OCTANT.index(signs)
 
 
-# the values in Z/4 of each parity, indexed by parity, and all of Z/4
-_VALUES_OF_PARITY = (frozenset((0, 2)), frozenset((1, 3)))
-_Z4 = frozenset(range(4))
-
-
-def _check_parity(layout: str, values, odd: bool) -> None:
-    """Raise ``InvariantViolation`` on the first standard-basis value whose parity is not ``odd``.
-
-    ``values`` holds one int per basis vector, or one (S,) array per basis
-    vector over S value rows; for rows the message names the first broken row.
-    """
-    if values and isinstance(values[0], np.ndarray):
-        # (row, vector) pairs in row order
-        broken = np.argwhere((np.stack(values, axis=1) & 1) != odd)
-        if len(broken):
-            row, i = broken[0].tolist()
-            raise InvariantViolation(f"value {values[i][row]} on {layout} basis vector {i} breaks parity in row {row}")
-        return
-    if not _VALUES_OF_PARITY[odd].issuperset(values):
-        broken = next(i for i, v in enumerate(values) if v & 1 != odd)
-        raise InvariantViolation(f"value {values[broken]} on {layout} basis vector {broken} breaks parity")
-
-
 def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray:
     """Brown invariant of the enhancement with basis values ``values``, added up over a standard basis, in O(n**2).
 
@@ -229,37 +206,17 @@ def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray
     Kervaire invariant", 1972; Kirby-Taylor, "Pin structures on
     low-dimensional manifolds", 1990).  Once parity holds a value v in
     {1, 3} adds 2 - v, so the identity sum is 2k - (v1 + ... + vk) mod 8.
-    The basis comes from the cached ``standard_basis`` and each basis value
-    from its cached terms (``Enhancement.values_on_standard_basis``: set-bit
-    indices and cross terms, cached per pairing), so no class table and no
-    structure object is built, and a query only adds basis values at cached
-    indices.
+    The basis is orthonormal exactly when the pairing is not alternating.
 
-    ``values`` is n ints, one structure, and the invariant is an int; or any
-    (S, n) array-like of value rows, and the invariants are an (S,) int64 array.
-    The same sums run elementwise over the rows, starting from S zeros, so
-    the sphere (n = 0) still gives one invariant per row.  A value outside Z/4
-    raises ``ValueError``; n ints, as ``bordism_class`` passes them, skip numpy.
+    The basis values, their checks and the choice between one structure
+    and value rows are ``Enhancement.values_on_standard_basis``: n ints give
+    an int, with no numpy call and no structure object, and any (S, n)
+    array-like of value rows an (S,) int64 array.
     """
-    layout, _ = standard_basis(form)
-    rows = (not len(values) or not isinstance(values[0], int)) and np.ndim(values) == 2
-    if rows:
-        values = Enhancement.value_rows(form, values)
-    elif len(values) != form.dim or not _Z4.issuperset(values):
-        raise ValueError(f"expected {form.dim} enhancement values in Z/4, got {tuple(values)}")
-    start = np.zeros(len(values), dtype=np.int64) if rows else 0
-    values = Enhancement.values_on_standard_basis(form, values.T if rows else values)
-    odd = layout == "identity"
-    # every standard basis vector has self-pairing 1 (identity) or 0 (hyperbolic)
-    _check_parity(layout, values, odd)
-    if odd:
-        return (2 * len(values) - sum(values, start)) % 8
-    return 4 * sum((a * b // 4 for a, b in zip(values[0::2], values[1::2])), start) % 8
-
-
-def brown_normal_form(e: Enhancement) -> int:
-    """Brown invariant of ``e`` over a standard basis: ``brown_normal_form_values`` of its basis values."""
-    return brown_normal_form_values(e.form, e.values)
+    basis, zero = Enhancement.values_on_standard_basis(form, values)
+    if not is_alternating(form):
+        return (2 * len(basis) - sum(basis, zero)) % 8
+    return 4 * sum((a * b // 4 for a, b in zip(basis[0::2], basis[1::2])), zero) % 8
 
 
 def histogram_from_brown(dim: int, beta: int, alternating: bool) -> ValueHistogram:

@@ -34,6 +34,7 @@ from .surfaces import (
     freeze_ints,
     identity_form,
     is_alternating,
+    matrix_rows,
     standard_basis,
 )
 
@@ -199,16 +200,10 @@ def _preserves_pairing(form: IntersectionForm, rows: np.ndarray) -> np.ndarray:
 def _checked_rows(form: IntersectionForm, rows) -> np.ndarray:
     """A (G, n) batch of row masks as a uint32 array, every matrix checked to preserve the pairing in one batch.
 
-    A wrong shape, a row mask out of range or a matrix that does not
-    preserve the pairing raises ``ValueError``, as ``Isometry`` does.
+    A wrong shape or a row mask out of range (``matrix_rows``), or a matrix
+    that does not preserve the pairing, raises ``ValueError``, as ``Isometry`` does.
     """
-    n = form.dim
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"row array of shape {rows.shape} is not a batch of {n}-by-{n} matrices")
-    if rows.size and (rows.min() < 0 or rows.max() >= 1 << n):
-        raise ValueError("row mask out of range")
-    rows = rows.astype(np.uint32)
+    rows = matrix_rows(form, rows)
     if not _preserves_pairing(form, rows).all():
         raise ValueError("matrix does not preserve the pairing")
     return rows

@@ -1,9 +1,10 @@
 """Mod-2 quadratic refinements of the intersection pairing and their Arf invariant.
 
 The Arf invariant is the majority value over all classes (``arf_majority``,
-``arf_spectrum``), or a sum over a symplectic basis (``arf_symplectic`` on
-the standard layout, ``arf_normal_form`` on any pairing); the table routes
-and the basis routes share no code.
+``arf_spectrum``), or a sum over a symplectic basis
+(``arf_normal_form_values``, for one refinement or value rows on any
+alternating pairing; ``arf_symplectic`` on the standard layout); the table
+routes and the basis route share no code.
 """
 
 from __future__ import annotations
@@ -56,35 +57,29 @@ def arf_majority(q: Refinement) -> int:
     return 0 if zeros > ones else 1
 
 
-def arf_symplectic_many(form: IntersectionForm, values) -> np.ndarray:
-    """Sum over hyperbolic blocks of q(a_i) q(b_i) for each row of an (S, n) basis-value array on ``form``.
+def arf_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray:
+    """Arf invariant of the refinement with basis values ``values``: sum of q(a_i) q(b_i) over a symplectic basis.
 
-    Row s of the result belongs to row s of ``values``.  The block formula
-    reads the standard orientable layout only; any other pairing raises
-    ``ValueError``.
+    The basis values come from ``Refinement.values_on_standard_basis``, so
+    any alternating pairing works and no class table is built: one
+    structure's n ints give an int, and (S, n) value rows an (S,) int64
+    array.  A pairing that is not alternating carries no refinement and
+    raises ``ValueError`` before any value is read.
     """
-    if not is_hyperbolic_form(form):
-        raise ValueError("the block formula needs the standard hyperbolic layout")
-    vals = Refinement.value_rows(form, values)
-    return (vals[:, 0::2] * vals[:, 1::2]).sum(axis=1, dtype=np.int64) & 1
+    if not is_alternating(form):
+        raise ValueError("refinements need an alternating pairing (orientable surface)")
+    basis, zero = Refinement.values_on_standard_basis(form, values)
+    return sum((a * b for a, b in zip(basis[0::2], basis[1::2])), zero) & 1
 
 
 def arf_symplectic(q: Refinement) -> int:
-    """Sum over hyperbolic blocks of q(a_i) q(b_i): ``arf_symplectic_many`` on a batch of one."""
-    return int(arf_symplectic_many(q.form, [q.values])[0])
+    """Sum over hyperbolic blocks of q(a_i) q(b_i) on the standard orientable layout, where the standard basis is the unit basis.
 
-
-def arf_normal_form(q: Refinement) -> int:
-    """Sum of q(a_i) q(b_i) over a symplectic basis of the pairing, in O(n**2).
-
-    The basis comes from the cached ``standard_basis``, so any alternating
-    pairing works, and each basis value from its cached terms
-    (``standard_basis_values``: set-bit indices and cross terms, cached
-    per pairing), so no class table is built and a query only adds basis
-    values at cached indices.
+    Any other pairing raises ``ValueError``; ``arf_normal_form_values`` reads any alternating one.
     """
-    values = q.standard_basis_values()
-    return sum(a * b for a, b in zip(values[0::2], values[1::2])) & 1
+    if not is_hyperbolic_form(q.form):
+        raise ValueError("the block formula needs the standard hyperbolic layout")
+    return arf_normal_form_values(q.form, q.values)
 
 
 def arf_spectrum(form: IntersectionForm) -> np.ndarray:

@@ -140,13 +140,24 @@ def is_hyperbolic_form(form: IntersectionForm) -> bool:
 
 
 def is_alternating(form: IntersectionForm) -> bool:
-    return all(d == 0 for d in form.diagonal)
+    return not form.diagonal_bits
 
 
 def check_dim(n: int, cap: int, what: str):
     """Refuse dimensions above ``cap`` with ``LimitError``; every size guard goes through here."""
     if n > cap:
         raise LimitError(f"{what} capped at dimension {cap}, got {n}")
+
+
+def matrix_rows(form: IntersectionForm, rows) -> np.ndarray:
+    """A (G, n) batch of n-by-n row masks as a uint32 array; a wrong shape or a mask outside [0, 2**n) raises ``ValueError``."""
+    n = form.dim
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"row array of shape {rows.shape} is not a batch of {n}-by-{n} matrices")
+    if rows.size and (rows.min() < 0 or rows.max() >= 1 << n):
+        raise ValueError("row mask out of range")
+    return rows.astype(np.uint32)
 
 
 @lru_cache(maxsize=64)
@@ -381,14 +392,23 @@ class QuadraticStructure:
     """
 
     modulus: ClassVar[int]
+    # Z/m, and the values s can take on a class x, indexed by x.x: those with 2 s = (m/2)(x.x) mod m
+    residues: ClassVar[frozenset[int]]
+    values_of_parity: ClassVar[tuple[frozenset[int], frozenset[int]]]
     form: IntersectionForm
     values: tuple[int, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        m = cls.modulus
+        cls.residues = frozenset(range(m))
+        cls.values_of_parity = tuple(frozenset(s for s in range(m) if 2 * s % m == m // 2 * xx) for xx in (0, 1))
 
     def __post_init__(self):
         freeze_ints(self, "values")
         if len(self.values) != self.form.dim:
             raise ValueError("basis value count must equal the pairing dimension")
-        if not set(self.values).issubset(range(self.modulus)):
+        if not self.residues.issuperset(self.values):
             raise ValueError(f"{type(self).__name__.lower()} values live in Z/{self.modulus}")
 
     @classmethod
@@ -418,7 +438,7 @@ class QuadraticStructure:
     def code_map(cls, form: IntersectionForm, rows) -> tuple[np.ndarray, np.ndarray]:
         """The maps c -> Tc xor t that a batch of isometries induces on codes, as (columns of T, t).
 
-        ``rows`` is a (G, n) array of row masks; the result is a (G, n) uint32
+        ``rows`` is a (G, n) array of row masks, read through ``matrix_rows``; the result is a (G, n) uint32
         array of columns and a (G,) array of shifts.  The pushed-forward
         structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i) at inverse
         column p_i, so row i of T is p_i (the columns of T are the rows of the
@@ -429,7 +449,7 @@ class QuadraticStructure:
         product A A^-1 = I checks every inverse at once.
         """
         n, half = form.dim, cls.modulus // 2
-        rows = np.asarray(rows, dtype=np.uint32).reshape(len(rows), n)
+        rows = matrix_rows(form, rows)
         # F and F^-1 are symmetric, so the transpose of the adjoint, whose rows are the preimages, is F A F^-1
         preimages = gf2.batch_mul(gf2.batch_mul(form.rows, rows), gf2.inverse(form.rows, n))
         inverse = gf2.batch_transpose(preimages, n)
@@ -471,8 +491,10 @@ class QuadraticStructure:
 
     @classmethod
     def value_rows(cls, form: IntersectionForm, values) -> np.ndarray:
-        """Any (S, n) array-like of basis values as uint8 rows; the first row with a value outside Z/m raises ``ValueError``."""
+        """Any (S, n) array-like of integer basis values as uint8 rows; another dtype, or a row with a value outside Z/m, raises ``ValueError``."""
         rows = np.asarray(values).reshape(len(values), form.dim)
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"{cls.__name__.lower()} values must be integers, got dtype {rows.dtype}")
         if rows.size and not 0 <= rows.min() <= rows.max() < cls.modulus:
             row = int(((rows < 0) | (rows >= cls.modulus)).any(axis=1).argmax())
             raise ValueError(f"{cls.__name__.lower()} values live in Z/{cls.modulus}: row {row} is {tuple(rows[row].tolist())}")
@@ -518,27 +540,50 @@ class QuadraticStructure:
         return (linear + self.modulus // 2 * cross) % self.modulus
 
     @classmethod
-    def values_on_standard_basis(cls, form: IntersectionForm, values) -> list[int]:
-        """s on each vector of ``standard_basis(form)`` for the structure with basis values ``values``.
+    def values_on_standard_basis(cls, form: IntersectionForm, values) -> tuple[list, int | np.ndarray]:
+        """s on each vector of ``standard_basis(form)``, and the zero that sums over them start from.
 
-        Each value is the sum of the basis values at the vector's set bits
-        plus (m/2) times its cross term, mod m: the quadratic identity, read
-        from the cached ``standard_basis_terms``, without a table over the
-        2**n classes.  ``values`` is any sequence of n ints, so a row of a
-        value array needs no structure object.
+        ``values`` is one structure's n ints, checked in pure Python, giving n
+        ints and the zero 0; or any (S, n) array-like of value rows, read
+        through ``value_rows``, giving n (S,) uint8 columns and S int64 zeros,
+        so a sum over no vector (the sphere) keeps one entry per row.  A value
+        is the sum of the basis values at the vector's set bits plus (m/2) its
+        cross term, mod m, from the cached ``standard_basis_terms`` (uint8 wraps
+        mod 256, which keeps it mod m).  The identity forces 2 s(v) = (m/2)(v.v)
+        mod m, v.v being 1 on the identity layout and 0 on the hyperbolic one;
+        a value that breaks it raises ``InvariantViolation``.
         """
-        half = cls.modulus // 2
+        n, half = form.dim, cls.modulus // 2
+        one = len(values) and isinstance(values[0], int) or np.ndim(values) != 2
+        if one:
+            # a float, Fraction or numpy scalar among the values makes their sum no int
+            if len(values) != n or not cls.residues.issuperset(values) or not isinstance(sum(values), int):
+                raise ValueError(f"expected {n} {cls.__name__.lower()} values in Z/{cls.modulus}, got {tuple(values)}")
+            zero = 0
+        else:
+            values = cls.value_rows(form, values)
+            zero = np.zeros(len(values), dtype=np.int64)
+            values = values.T
         out = []
         for bits, cross in standard_basis_terms(form):
             total = half * cross
             for i in bits:
                 total += values[i]
             out.append(total % cls.modulus)
-        return out
-
-    def standard_basis_values(self) -> list[int]:
-        """s on each vector of ``standard_basis(form)``: ``values_on_standard_basis`` of this structure."""
-        return self.values_on_standard_basis(self.form, self.values)
+        allowed = cls.values_of_parity[not is_alternating(form)]
+        if one:
+            if not allowed.issuperset(out):
+                i = next(i for i, v in enumerate(out) if v not in allowed)
+                raise InvariantViolation(f"value {out[i]} on {standard_basis(form)[0]} basis vector {i} breaks parity")
+        elif out:
+            fits = np.array([s in allowed for s in range(cls.modulus)])
+            broken = ~fits[np.stack(out, axis=1)]
+            if broken.any():
+                # (row, vector) pairs in row order
+                row, i = np.argwhere(broken)[0].tolist()
+                layout = standard_basis(form)[0]
+                raise InvariantViolation(f"value {out[i][row]} on {layout} basis vector {i} breaks parity in row {row}")
+        return out, zero
 
     def values_on_all(self) -> np.ndarray:
         """Values on all 2**n classes, indexed by integer encoding: ``value_table`` on a batch of one."""

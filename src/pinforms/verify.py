@@ -38,8 +38,8 @@ from .orbits import (
 from .pinplus import enumerate_pinplus, is_well_defined, mod4_homology, PinPlusForm
 from .refinements import (
     Refinement,
+    arf_normal_form_values,
     arf_spectrum,
-    arf_symplectic_many,
     spin_census,
     spin_closed_form,
 )
@@ -130,8 +130,8 @@ def _brown_codes(form) -> np.ndarray:
 
 
 def _arf_codes(form) -> np.ndarray:
-    """Arf invariant of every refinement on ``form``, in code order, by the block formula."""
-    return arf_symplectic_many(form, _values(Refinement, form))
+    """Arf invariant of every refinement on ``form``, in code order, by the sum over a standard basis."""
+    return arf_normal_form_values(form, _values(Refinement, form))
 
 
 def _row(values: np.ndarray, s: int) -> tuple[int, ...]:
@@ -405,8 +405,8 @@ def _suite_action_invariance() -> list[Row]:
             gens = isometry_generators(form)
             for iso in [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]:
                 structures = sampled(Refinement, form)
-                before = arf_symplectic_many(form, [q.values for q in structures])
-                after = arf_symplectic_many(form, [act(iso, q).values for q in structures])
+                before = arf_normal_form_values(form, [q.values for q in structures])
+                after = arf_normal_form_values(form, [act(iso, q).values for q in structures])
                 yield from (f"g={g} values {structures[pos].values}" for pos in np.flatnonzero(after != before).tolist())
 
     # both checks draw from the one seeded generator, in this order

@@ -52,6 +52,21 @@ def test_batch_code_map_equals_act_over_the_whole_brute_group(form, kind):
         assert one == image
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # bit 3 on a 3-dimensional pairing must not be dropped, nor a Python -1 surface as numpy's OverflowError
+        pytest.param([[9, 2, 4]], "^row mask out of range$", id="mask-9"),
+        pytest.param([[-1, 2, 4]], "^row mask out of range$", id="mask-minus-1"),
+        pytest.param([[1, 2]], r"^row array of shape \(1, 2\) is not a batch of 3-by-3 matrices$", id="short-row"),
+        pytest.param([1, 2, 4], r"^row array of shape \(3,\) is not a batch", id="one-matrix-unbatched"),
+    ],
+)
+def test_code_map_refuses_a_wrong_shape_or_a_row_mask_out_of_range(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Enhancement.code_map(identity_form(3), rows)
+
+
 def test_orbit_labels_rejects_a_generator_of_another_pairing():
     (g, *_) = isometry_generators(identity_form(3))
     with pytest.raises(ValueError, match="generator and pairing differ"):

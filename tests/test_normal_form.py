@@ -16,8 +16,8 @@ from pinforms import (
     QuadraticStructure,
     Refinement,
     arf_majority,
+    arf_normal_form_values,
     arf_spectrum,
-    arf_symplectic_many,
     bordism_class,
     brown_gauss_many,
     brown_spectrum,
@@ -30,12 +30,12 @@ from pinforms import (
     identity_form,
     nonorientable_surface,
     orientable_surface,
+    refinements,
     surfaces,
     value_histograms,
 )
 from pinforms.cli import OutputRecord, main
-from pinforms.enhancements import ValueHistogram, brown_normal_form, brown_normal_form_values, histogram_from_brown
-from pinforms.refinements import arf_normal_form
+from pinforms.enhancements import ValueHistogram, brown_normal_form_values, histogram_from_brown
 from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis, standard_basis_terms
 from strategies import congruent_form, congruent_forms
 
@@ -67,30 +67,44 @@ def arf_additive(values) -> int:
     return sum(a * b for a, b in zip(values[0::2], values[1::2])) % 2
 
 
-# ``standard_basis_values`` reads cached terms; the oracle walks the quadratic identity per basis vector
+# ``values_on_standard_basis`` reads cached terms; the oracle walks the quadratic identity per basis vector
 
 
 def walked_basis_values(s) -> list[int]:
     return [s(v) for v in standard_basis(s.form)[1]]
 
 
+def basis_values(s) -> list[int]:
+    """The reader's values of one structure on the standard basis; the sums over them start from 0."""
+    values, zero = type(s).values_on_standard_basis(s.form, s.values)
+    assert zero == 0
+    return values
+
+
+def value_array(structures, form) -> np.ndarray:
+    return np.array([s.values for s in structures], dtype=np.uint8).reshape(len(structures), form.dim)
+
+
 def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
     layout, _ = standard_basis(form)
     # the batch form, on a value array, gives the form of each structure's row
-    rows = np.array([e.values for e in enhancements], dtype=np.uint8).reshape(len(enhancements), form.dim)
-    assert brown_normal_form_values(form, rows).tolist() == [brown_normal_form(e) for e in enhancements]
+    rows = value_array(enhancements, form)
+    assert brown_normal_form_values(form, rows).tolist() == [brown_normal_form_values(form, e.values) for e in enhancements]
     for e in enhancements:
         walked = walked_basis_values(e)
-        assert e.standard_basis_values() == walked, e.values
+        assert basis_values(e) == walked, e.values
         if layout == "identity":
             beta = sum(1 if v == 1 else -1 for v in walked) % 8
         else:
             beta = 4 * sum(1 for a, b in zip(walked[0::2], walked[1::2]) if a == b == 2) % 8
-        assert brown_normal_form(e) == beta, e.values
+        assert brown_normal_form_values(form, e.values) == beta, e.values
+    if refinements:
+        rows = value_array(refinements, form)
+        assert arf_normal_form_values(form, rows).tolist() == [arf_normal_form_values(form, q.values) for q in refinements]
     for q in refinements:
         walked = walked_basis_values(q)
-        assert q.standard_basis_values() == walked, q.values
-        assert arf_normal_form(q) == arf_additive(walked), q.values
+        assert basis_values(q) == walked, q.values
+        assert arf_normal_form_values(form, q.values) == arf_additive(walked), q.values
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
@@ -140,18 +154,19 @@ def test_values_level_normal_form_equals_the_object_routes_on_every_structure(su
     form = surface.form
     rows = Enhancement.code_values(form, range(1 << form.dim)).tolist()
     enhancements = enumerate_enhancements(form)
-    assert [Enhancement.values_on_standard_basis(form, row) for row in rows] == [
-        e.standard_basis_values() for e in enhancements
+    assert [Enhancement.values_on_standard_basis(form, row)[0] for row in rows] == [
+        walked_basis_values(e) for e in enhancements
     ]
     brown = [brown_normal_form_values(form, row) for row in rows]
-    assert brown == [brown_normal_form(e) for e in enhancements] == brown_spectrum(form).tolist()
+    assert brown == [bordism_class(surface, e).value for e in enhancements] == brown_spectrum(form).tolist()
     if surface.kind == "orientable":
         rows = Refinement.code_values(form, range(1 << form.dim)).tolist()
         refinements = enumerate_refinements(form)
-        basis_values = [Refinement.values_on_standard_basis(form, row) for row in rows]
-        assert basis_values == [q.standard_basis_values() for q in refinements]
-        arf = [arf_normal_form(q) for q in refinements]
-        assert [arf_additive(values) for values in basis_values] == arf
+        on_basis = [Refinement.values_on_standard_basis(form, row)[0] for row in rows]
+        assert on_basis == [walked_basis_values(q) for q in refinements]
+        arf = [bordism_class(surface, q).value for q in refinements]
+        assert [arf_additive(values) for values in on_basis] == arf
+        assert [arf_normal_form_values(form, row) for row in rows] == arf
         # the doubled refinement 2q is the enhancement of Brown invariant 4 Arf(q)
         assert [brown_normal_form_values(form, [2 * v for v in row]) for row in rows] == [4 * a for a in arf]
 
@@ -188,10 +203,14 @@ def test_normal_form_equals_the_gauss_routes_on_congruent_forms(case):
     form = congruent_form(base, m)
     structures = enumerate_enhancements(form)
     for e, beta in zip(structures, brown_gauss_many(form, [e.values for e in structures]).tolist()):
-        assert brown_normal_form(e) == beta, e.values
+        assert brown_normal_form_values(form, e.values) == beta, e.values
     if is_alternating(form):
-        for q in enumerate_refinements(form):
-            assert arf_normal_form(q) == arf_majority(q), q.values
+        refinements = enumerate_refinements(form)
+        majority = [arf_majority(q) for q in refinements]
+        for q, arf in zip(refinements, majority):
+            assert arf_normal_form_values(form, q.values) == arf, q.values
+        # the rows form on a congruent pairing, whose standard basis is not the unit basis
+        assert arf_normal_form_values(form, value_array(refinements, form)).tolist() == majority
 
 
 @pytest.mark.parametrize(
@@ -301,8 +320,11 @@ def test_oversized_surface_refused_before_its_form_is_built(capsys, argv, dim):
 
 
 def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
-    # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect
-    monkeypatch.setattr(Enhancement, "values_on_standard_basis", classmethod(lambda cls, form, values: [2] * form.dim))
+    # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect;
+    # a wrong cached term reads basis vector 0 as e1 + e2, of value 1 + 1 = 2
+    terms = standard_basis_terms(identity_form(3))
+    wrong = {identity_form(3): (((0, 1), 0),) + terms[1:]}
+    monkeypatch.setattr(surfaces, "standard_basis_terms", lambda form: wrong.get(form) or standard_basis_terms(form))
     code, out, err = run_cli(capsys, "invariant", "-s", "N:3", "-e", "1,1,1")
     assert (code, out) == (1, "")
     assert err.startswith("error: value 2 on identity basis vector 0 breaks parity")
@@ -327,11 +349,18 @@ OUT_OF_RANGE = {
     "histograms-7": (value_histograms, N2, [[1, 1], [3, 1], [1, 7]], r"Z/4: row 2 is \(1, 7\)$"),
     "table-4": (Enhancement.value_table, N2, [[1, 4]], r"Z/4: row 0 is \(1, 4\)$"),
     "refinement-table-2": (Refinement.value_table, S1, [[0, 2]], r"^refinement values live in Z/2: row 0 is \(0, 2\)$"),
-    "arf-3": (arf_symplectic_many, S1, [[3, 3]], r"Z/2: row 0 is \(3, 3\)$"),
+    "arf-3": (arf_normal_form_values, S1, [[3, 3]], r"Z/2: row 0 is \(3, 3\)$"),
+    "arf-one-2": (arf_normal_form_values, S1, (0, 2), r"^expected 2 refinement values in Z/2, got \(0, 2\)$"),
     "normal-form-rows-5": (brown_normal_form_values, N3, [[1, 1, 1], [5, 1, 1]], r"Z/4: row 1 is \(5, 1, 1\)$"),
     "normal-form-5": (brown_normal_form_values, N3, (5, 1, 1), r"^expected 3 enhancement values in Z/4, got \(5, 1, 1\)$"),
     "normal-form-minus-1": (brown_normal_form_values, N3, (-1, 1, 1), r"got \(-1, 1, 1\)$"),
     "normal-form-short": (brown_normal_form_values, N3, (1, 1), r"got \(1, 1\)$"),
+    # a value that is not an integer is refused, not cast: 1.5 must not read as 1, nor 1.0 sum to 3.0
+    "gauss-float": (brown_gauss_many, N3, [[1.5, 1, 1]], r"^enhancement values must be integers, got dtype float64$"),
+    "normal-form-float": (brown_normal_form_values, N3, (1.0, 1, 1), r"got \(1.0, 1, 1\)$"),
+    # no refinement lives on an odd pairing, which is refused before the out-of-range 5 is read
+    "arf-odd-pairing": (arf_normal_form_values, N2, (5, 5), "^refinements need an alternating pairing"),
+    "arf-rows-odd-pairing": (arf_normal_form_values, N2, [[5, 5]], "^refinements need an alternating pairing"),
 }
 
 
@@ -354,9 +383,14 @@ def test_normal_form_reads_any_array_like_of_rows(surface):
 
 
 def test_one_structure_normal_form_calls_no_numpy(monkeypatch):
-    # bordism_class and invariant pass a tuple of n ints; its range check and sums stay pure Python
-    monkeypatch.setattr(enhancements, "np", SimpleNamespace(ndarray=np.ndarray))
+    # bordism_class and invariant pass a tuple of n ints; its range check, sums and parity check stay pure Python
+    for module in (surfaces, enhancements, refinements):
+        monkeypatch.setattr(module, "np", SimpleNamespace(ndarray=np.ndarray))
     assert brown_normal_form_values(identity_form(3), (1, 1, 3)) == 1
     assert brown_normal_form_values(hyperbolic_form(2), (2, 2, 0, 2)) == 4
+    assert arf_normal_form_values(hyperbolic_form(2), (1, 1, 0, 1)) == 1
     with pytest.raises(ValueError, match="got"):
         brown_normal_form_values(identity_form(3), (5, 1, 1))
+    with pytest.raises(ValueError, match="got"):
+        arf_normal_form_values(hyperbolic_form(2), (1, 1, 0, 2))
+

@@ -13,9 +13,9 @@ from pinforms import (
     IntersectionForm,
     Refinement,
     Surface,
-    arf_normal_form,
+    arf_normal_form_values,
     arf_spectrum,
-    brown_normal_form,
+    brown_normal_form_values,
     brown_spectrum,
     direct_sum,
     enumerate_enhancements,
@@ -336,8 +336,8 @@ def test_value_routes_build_no_class_bit_matrix(capsys, monkeypatch):
     assert table.tolist() == [[e(x) for x in range(1 << form.dim)] for e in enhancements]
     assert all(np.array_equal(e.values_on_all(), row) for e, row in zip(enhancements, table))
     assert value_histograms(form, values).tolist() == [np.bincount(row, minlength=4).tolist() for row in table]
-    assert brown_spectrum(form).tolist() == [brown_normal_form(e) for e in enhancements]
-    assert arf_spectrum(spin).tolist() == [arf_normal_form(q) for q in enumerate_refinements(spin)]
+    assert brown_spectrum(form).tolist() == [brown_normal_form_values(form, e.values) for e in enhancements]
+    assert arf_spectrum(spin).tolist() == [arf_normal_form_values(spin, q.values) for q in enumerate_refinements(spin)]
     for argv, before in zip(CLI_CASES, expected):
         assert main(list(argv)) == 0
         assert capsys.readouterr() == before, argv
