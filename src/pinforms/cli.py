@@ -156,12 +156,12 @@ def cmd_census(args) -> tuple[OutputRecord, int]:
 def cmd_invariant(args) -> tuple[OutputRecord, int]:
     surface = parse_surface(args.surface)
     theory = next(t for t in THEORIES if getattr(args, t.values_name) is not None)
+    if args.theory is not None and args.theory != theory.name:
+        raise ValueError(f"theory {args.theory} does not match the given structure values")
     values = parse_values(getattr(args, theory.values_name))
     theory.require(surface, f"{theory.values_name} values")
     value = bordism_class(surface, theory.structure(surface.form, values)).value
     rows = ((theory.invariant, value),) + theory.invariant_rows(surface, value)
-    if args.theory is not None and args.theory != theory.name:
-        raise ValueError(f"theory {args.theory} does not match the given structure values")
     meta = (("surface", surface.label), ("theory", theory.name), ("values", ",".join(str(v) for v in values)))
     return OutputRecord("invariant", meta, ("name", "value"), rows), 0
 

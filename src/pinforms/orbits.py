@@ -9,7 +9,8 @@ Dehn-twist transvections (``isometry_generators``), its order in closed
 form (``isometry_group_order``), and ``orbit_labels`` closes orbits over
 all 2**n codes by pulling labels from images, blind to the code convention;
 ``level_set_fit`` reads off those labels whether an invariant's level sets
-are the orbits.  No group is materialized except the brute-force and
+are the orbits.  Generator rows are checked once, where they enter
+``code_map``.  No group is materialized except the brute-force and
 generated ones kept for checks at small dimension, and those are sorted
 (G, n) uint32 arrays of row masks (``group_rows``), each element checked by
 one batch A^T F A = F test; ``Isometry`` objects are built from them only
@@ -34,7 +35,6 @@ from .surfaces import (
     freeze_ints,
     identity_form,
     is_alternating,
-    matrix_rows,
     standard_basis,
 )
 
@@ -197,23 +197,11 @@ def _preserves_pairing(form: IntersectionForm, rows: np.ndarray) -> np.ndarray:
     return (product == pairing).all(axis=-1)
 
 
-def _checked_rows(form: IntersectionForm, rows) -> np.ndarray:
-    """A (G, n) batch of row masks as a uint32 array, every matrix checked to preserve the pairing in one batch.
-
-    A wrong shape or a row mask out of range (``matrix_rows``), or a matrix
-    that does not preserve the pairing, raises ``ValueError``, as ``Isometry`` does.
-    """
-    rows = matrix_rows(form, rows)
-    if not _preserves_pairing(form, rows).all():
-        raise ValueError("matrix does not preserve the pairing")
-    return rows
-
-
-def _generator_rows(form: IntersectionForm, generators) -> np.ndarray:
-    """Generators as a (G, n) uint32 row array: an array is checked by ``_checked_rows``, isometries by their pairing."""
-    if isinstance(generators, np.ndarray):
-        return _checked_rows(form, generators)
-    gens = list(generators)
+def _generator_rows(form: IntersectionForm, generators):
+    """Isometries as a (G, n) uint32 row array; rows (an array, or a sequence not led by an ``Isometry``) as given, for ``code_map`` to check."""
+    gens = generators if isinstance(generators, np.ndarray) else list(generators)
+    if isinstance(gens, np.ndarray) or (gens and not isinstance(gens[0], Isometry)):
+        return gens
     if any(g.form != form for g in gens):
         raise ValueError("generator and pairing differ")
     return np.array([g.rows for g in gens], dtype=np.uint32).reshape(len(gens), form.dim)
@@ -235,7 +223,8 @@ def _closure(form: IntersectionForm, generators: np.ndarray) -> np.ndarray:
     Breadth-first on packed keys: each round multiplies every generator
     into the frontier in one ``gf2.batch_mul`` and keeps the products not
     yet marked in a dense mask over all 2**(n*n) keys.  The whole closure
-    is then checked in one batch (``_checked_rows``).
+    is then checked in one batch (``_preserves_pairing``); the generators are
+    isometries, so a product outside the group raises ``InvariantViolation``.
     """
     n = form.dim
     check_dim(n, MAX_CLOSURE_DIM, "group closure")
@@ -246,7 +235,10 @@ def _closure(form: IntersectionForm, generators: np.ndarray) -> np.ndarray:
     while frontier.size:
         frontier = _mark_new(_pack(gf2.batch_mul(generators[:, None], _unpack(frontier, n)), n).ravel(), seen)
         found.append(frontier)
-    return _checked_rows(form, _unpack(np.sort(np.concatenate(found)), n))
+    group = _unpack(np.sort(np.concatenate(found)), n)
+    if not _preserves_pairing(form, group).all():
+        raise InvariantViolation("group closure left the isometry group")
+    return group
 
 
 def mulclose(generators) -> set[Isometry]:
@@ -324,9 +316,9 @@ def _image_row(columns, shifts) -> np.ndarray:
 def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     """The smallest code in each code's orbit, for every code of structures of class ``kind``.
 
-    ``generators`` are isometries, or a (G, n) array of row masks checked in
-    one batch (``_checked_rows``); the default is ``isometry_generators(form)``.
-    ``kind.code_map`` gives all their affine maps on codes in one batch, and
+    ``generators`` are isometries, or any (G, n) array-like of row masks; the
+    default is ``isometry_generators(form)``.  ``kind.code_map`` checks the
+    rows, once, and gives all their affine maps on codes in one batch, and
     each pass expands them to image rows a chunk at a time, the chunk's
     (chunk, 2**n) block within ``_IMAGE_BYTES`` (one generator at a time
     from dimension 18).  Each code pulls the smallest label among its images
@@ -338,13 +330,13 @@ def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     """
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "orbit labels")
-    rows = _generator_rows(form, isometry_generators(form) if generators is None else generators)
-    columns, shifts = kind.code_map(form, rows)
+    generators = isometry_generators(form) if generators is None else generators
+    columns, shifts = kind.code_map(form, _generator_rows(form, generators))
     chunk = max(1, _IMAGE_BYTES // (4 << n))
     labels = np.arange(1 << n, dtype=np.uint32)
     while True:
         before = labels.copy()
-        for lo in range(0, len(rows), chunk):
+        for lo in range(0, len(columns), chunk):
             pulled = labels[_image_row(columns[lo : lo + chunk], shifts[lo : lo + chunk])]
             # a chunk of one needs no reduction, which would copy all 2**n labels
             np.minimum(labels, pulled[0] if len(pulled) == 1 else pulled.min(axis=0), out=labels)

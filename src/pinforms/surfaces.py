@@ -438,24 +438,28 @@ class QuadraticStructure:
     def code_map(cls, form: IntersectionForm, rows) -> tuple[np.ndarray, np.ndarray]:
         """The maps c -> Tc xor t that a batch of isometries induces on codes, as (columns of T, t).
 
-        ``rows`` is a (G, n) array of row masks, read through ``matrix_rows``; the result is a (G, n) uint32
+        ``rows`` is any (G, n) array-like of row masks; the result is a (G, n) uint32
         array of columns and a (G,) array of shifts.  The pushed-forward
         structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i) at inverse
         column p_i, so row i of T is p_i (the columns of T are the rows of the
         inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).  Code 0 has the
         diagonal as basis values, so s_0(x) is the diagonal weight of x plus
         (m/2) cross_pairs(x), read from ``cross_parity_table``.  An isometry's inverse is its adjoint
-        F^-1 A^T F (F^-1 is one ``gf2.inverse`` per call), and one batch
-        product A A^-1 = I checks every inverse at once.
+        F^-1 A^T F (F^-1 is one ``gf2.inverse`` per call, which F F^-1 = I checks).
+        A F^-1 A^T F = I holds exactly when A^T F A = F, so that one batch product is
+        the library's check of isometry rows from outside: it, or ``matrix_rows`` on a
+        wrong shape or mask, raises ``ValueError``.
         """
         n, half = form.dim, cls.modulus // 2
+        pairing_inverse = gf2.inverse(form.rows, n)
+        if pairing_inverse is None or gf2.mat_mul(form.rows, pairing_inverse) != gf2.identity(n):
+            raise InvariantViolation("isometry inverse fails F . F^-1 = identity")
         rows = matrix_rows(form, rows)
         # F and F^-1 are symmetric, so the transpose of the adjoint, whose rows are the preimages, is F A F^-1
-        preimages = gf2.batch_mul(gf2.batch_mul(form.rows, rows), gf2.inverse(form.rows, n))
+        preimages = gf2.batch_mul(gf2.batch_mul(form.rows, rows), pairing_inverse)
         inverse = gf2.batch_transpose(preimages, n)
-        # preserving a nondegenerate pairing forces invertibility
         if (gf2.batch_mul(rows, inverse) != gf2.identity(n)).any():
-            raise InvariantViolation("isometry inverse fails rows . inverse = identity")
+            raise ValueError("matrix does not preserve the pairing")
         weight = np.bitwise_count(preimages & form.diagonal_bits).astype(np.int64)
         # s_0(p_i) - diag_i is even (p_i.p_i = diag_i), so reduced mod m its half is bit i of t
         bits = (weight - form.diagonal + half * cross_parity_table(form)[preimages]) % cls.modulus // half

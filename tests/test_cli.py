@@ -102,10 +102,21 @@ def test_invariant_refinement(capsys):
     assert any(ln.split() == ["arf", "1"] for ln in out.splitlines())
 
 
-def test_invariant_theory_cross_check(capsys):
-    code, _, err = run_cli(capsys, "invariant", "-s", "S:1", "-q", "1,1", "-t", "pin-")
-    assert code == 2
-    assert "does not match" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["-s", "S:1", "-q", "1,1", "-t", "pin-"], id="S1-pin-"),
+        # 2 breaks the parity rule on N:3, but the mismatch is refused first
+        pytest.param(["-s", "N:3", "-e", "2,1,1", "-t", "spin"], id="N3-parity"),
+        pytest.param(["-s", "N:256", "-e", ",".join(["1"] * 256), "-t", "spin"], id="N256"),
+    ],
+)
+def test_invariant_theory_cross_check(capsys, monkeypatch, argv):
+    # the mismatch is refused before any invariant is computed
+    monkeypatch.setattr("pinforms.cli.bordism_class", lambda *args: pytest.fail("invariant computed"))
+    code, out, err = run_cli(capsys, "invariant", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: theory {argv[-1]} does not match the given structure values\n"
 
 
 def test_orbits_three_crosscaps(capsys):

@@ -1,5 +1,6 @@
 """Code maps built by the structure classes, and the checked inverse of an isometry."""
 
+import numpy as np
 import pytest
 
 from pinforms import (
@@ -13,6 +14,7 @@ from pinforms import (
     identity_form,
     isometry_generators,
     orbits,
+    surfaces,
 )
 from pinforms.cli import main
 from pinforms.orbits import _image_row, group_rows, orbit_labels
@@ -60,6 +62,8 @@ def test_batch_code_map_equals_act_over_the_whole_brute_group(form, kind):
         pytest.param([[-1, 2, 4]], "^row mask out of range$", id="mask-minus-1"),
         pytest.param([[1, 2]], r"^row array of shape \(1, 2\) is not a batch of 3-by-3 matrices$", id="short-row"),
         pytest.param([1, 2, 4], r"^row array of shape \(3,\) is not a batch", id="one-matrix-unbatched"),
+        # invertible, but it sends x2 to x1 + x2, whose self-pairing is 0
+        pytest.param([[3, 2, 4]], "^matrix does not preserve the pairing$", id="non-isometry"),
     ],
 )
 def test_code_map_refuses_a_wrong_shape_or_a_row_mask_out_of_range(rows, message):
@@ -86,6 +90,22 @@ def test_orbit_labels_builds_one_isometry_per_generator(monkeypatch):
     monkeypatch.setattr(Isometry, "__post_init__", counting)
     orbit_labels(form, Enhancement)
     assert len(built) == expected
+
+
+def test_orbit_labels_checks_a_row_array_once(monkeypatch):
+    form = identity_form(6)
+    rows = np.array([g.rows for g in isometry_generators(form)])
+    calls = []
+    matrix_rows, preserves_pairing = surfaces.matrix_rows, orbits._preserves_pairing
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    monkeypatch.setattr(surfaces, "matrix_rows", counted("matrix_rows", matrix_rows))
+    monkeypatch.setattr(orbits, "_preserves_pairing", counted("_preserves_pairing", preserves_pairing))
+    orbit_labels(form, Enhancement, rows)
+    # the shape and range check, then code_map's own product is the isometry test
+    assert calls == ["matrix_rows"]
 
 
 _true_inverse = gf2.inverse

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from pinforms import (
     Enhancement,
     IntersectionForm,
+    InvariantViolation,
     Isometry,
     LimitError,
     Refinement,
@@ -271,6 +272,14 @@ def test_array_closure_equals_the_reference_closure(form):
     assert keys == sorted(set(keys))
     assert {tuple(r) for r in rows} == {g.rows for g in reference_closure(gens)}
     assert len(rows) == isometry_group_order(form)
+
+
+def test_a_closure_that_leaves_the_group_is_a_defect(monkeypatch):
+    mark_new = orbits._mark_new
+    # key 0 is the zero matrix, so the first round marks a non-isometry into the closure
+    monkeypatch.setattr(orbits, "_mark_new", lambda keys, seen: mark_new(np.append(keys, np.uint32(0)), seen))
+    with pytest.raises(InvariantViolation, match="^group closure left the isometry group$"):
+        group_rows(identity_form(3), "generated")
 
 
 @pytest.mark.parametrize(
@@ -541,7 +550,10 @@ def test_orbit_summary_follows_the_partition_order(surface):
 def test_a_non_isometry_in_a_row_batch_is_rejected():
     form = hyperbolic_form(2)
     rows = np.array(group_rows(form, "brute"))
-    assert np.array_equal(orbit_labels(form, Refinement, rows), orbit_labels(form, Refinement))
+    labels = orbit_labels(form, Refinement)
+    # rows as an array, a list of row lists and a tuple of tuples give the same labels
+    for given in (rows, rows.tolist(), tuple(map(tuple, rows.tolist()))):
+        assert np.array_equal(orbit_labels(form, Refinement, given), labels)
     # a singular matrix in the middle of the batch
     rows[7] = (0b0001, 0b0001, 0b0100, 0b1000)
     with pytest.raises(ValueError, match="does not preserve the pairing"):
