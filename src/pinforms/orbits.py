@@ -12,9 +12,11 @@ all 2**n codes by pulling labels from images, blind to the code convention;
 are the orbits.  Generator rows are checked once, where they enter
 ``code_map``.  No group is materialized except the brute-force and
 generated ones kept for checks at small dimension, and those are sorted
-(G, n) uint32 arrays of row masks (``group_rows``), each element checked by
-one batch A^T F A = F test; ``Isometry`` objects are built from them only
-for the callers of ``isometry_group`` and ``mulclose``.
+(G, n) uint32 arrays of row masks (``group_rows``): the brute-force group
+is read off a grid over all 2**(n*n) candidates that one table of pairings
+x.F^-1.y filters, and the generated one is checked by one batch
+A^T F A = F test; ``Isometry`` objects are built from them only for the
+callers of ``isometry_group`` and ``mulclose``.
 """
 
 from __future__ import annotations
@@ -183,10 +185,10 @@ def _pack(rows: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or.reduce(rows << (n * np.arange(n, dtype=np.uint32)), axis=-1)
 
 
-def _unpack(keys: np.ndarray, n: int, dtype=np.uint32) -> np.ndarray:
-    """The (..., n) row masks of packed keys, inverting ``_pack``; a view of rows-first memory, as the batch kernels keep it."""
+def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n) uint32 row masks of uint32 packed keys, inverting ``_pack``; a view of rows-first memory, as the batch kernels keep it."""
     shifts = n * np.arange(n, dtype=np.uint32).reshape((n,) + (1,) * keys.ndim)
-    rows = ((keys >> shifts) & np.uint32((1 << n) - 1)).astype(dtype, copy=False)
+    rows = (keys >> shifts) & np.uint32((1 << n) - 1)
     return rows.transpose(*range(1, rows.ndim), 0)
 
 
@@ -261,17 +263,36 @@ def mulclose(generators) -> set[Isometry]:
 
 @lru_cache(maxsize=8)
 def _brute_group(form: IntersectionForm) -> np.ndarray:
-    """Every matrix A with A^T F A = F, filtered out of all 2**(n*n) in one batch, as a read-only (G, n) uint32 array.
+    """Every matrix A with A^T F A = F, filtered out of all 2**(n*n) on one grid, as a read-only (G, n) uint32 array.
 
-    Matrix number c is the one with packed key c (``_unpack``), so the
-    survivors come out sorted by key.  The filter (``_preserves_pairing``:
-    a batch transpose and two batch products) runs on rows of the narrowest
-    unsigned type that holds n bits, and it is the validation.  The array
-    is cached, and read-only so that no caller can change it for the next.
+    A^T F A = F holds exactly when A F^-1 A^T = F^-1, whose entry (i, j) is
+    r_i.F^-1.r_j for rows r_i of A.  So one (2**n, 2**n) table holds x.F^-1.y
+    for every pair of row masks, and a boolean grid with one axis per row,
+    row n - 1 first, grows an axis at a time: each entry of F^-1 on or above
+    the diagonal (it is symmetric) ands the table's fits into it, broadcast
+    over the other axes.  Grid position c is the matrix with packed key c
+    (``_unpack``), so the survivors come out sorted by key.  The filter is
+    the validation; the array is cached, and read-only so that no caller can
+    change it for the next.
     """
     n = form.dim
-    rows = _unpack(np.arange(1 << (n * n), dtype=np.uint32), n, np.min_scalar_type((1 << n) - 1))
-    group = rows[_preserves_pairing(form, rows)].astype(np.uint32)
+    inverse = gf2.inverse(form.rows, n)
+    if inverse is None or gf2.mat_mul(form.rows, inverse) != gf2.identity(n):
+        raise InvariantViolation("pairing inverse fails F . F^-1 = identity")
+    codes = np.arange(1 << n, dtype=np.uint32)
+    # F^-1 is symmetric, so its rows are its columns and an image row maps y to F^-1 y
+    pairs = np.bitwise_count(codes[:, None] & _image_row(inverse, 0)) & 1
+    selves = pairs[codes, codes]
+    grid = np.ones((), dtype=bool)
+    for axis in range(n):
+        i = n - 1 - axis
+        grid = grid[..., None] & (selves == inverse[i] >> i & 1)
+        for j in range(i + 1, n):
+            # row j is axis n - 1 - j, already placed
+            shape = [1] * (axis + 1)
+            shape[n - 1 - j] = shape[axis] = 1 << n
+            grid &= (pairs == inverse[i] >> j & 1).reshape(shape)
+    group = _unpack(np.flatnonzero(grid).astype(np.uint32), n)
     group.setflags(write=False)
     return group
 
@@ -281,7 +302,10 @@ def group_rows(form: IntersectionForm, method: str = "brute") -> np.ndarray:
 
     Elements are sorted by packed key (row i at bits [i n, (i+1) n)), so
     both methods give equal arrays exactly when they give one group.  The
-    brute-force array is cached and read-only.
+    brute-force array is filtered out of all 2**(n*n) candidates on one
+    pair-table grid (``_brute_group``), and it is cached and read-only; the
+    generated one is closed from the twist generators and checked by one
+    batch A^T F A = F test.
     """
     if method == "brute":
         check_dim(form.dim, MAX_BRUTE_DIM, "brute-force groups")

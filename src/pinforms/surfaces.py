@@ -395,6 +395,8 @@ class QuadraticStructure:
     # Z/m, and the values s can take on a class x, indexed by x.x: those with 2 s = (m/2)(x.x) mod m
     residues: ClassVar[frozenset[int]]
     values_of_parity: ClassVar[tuple[frozenset[int], frozenset[int]]]
+    # the same sets as bit masks, bit s set when s is a value of that parity
+    parity_masks: ClassVar[tuple[int, int]]
     form: IntersectionForm
     values: tuple[int, ...]
 
@@ -403,6 +405,7 @@ class QuadraticStructure:
         m = cls.modulus
         cls.residues = frozenset(range(m))
         cls.values_of_parity = tuple(frozenset(s for s in range(m) if 2 * s % m == m // 2 * xx) for xx in (0, 1))
+        cls.parity_masks = tuple(sum(1 << s for s in allowed) for allowed in cls.values_of_parity)
 
     def __post_init__(self):
         freeze_ints(self, "values")
@@ -495,13 +498,32 @@ class QuadraticStructure:
 
     @classmethod
     def value_rows(cls, form: IntersectionForm, values) -> np.ndarray:
-        """Any (S, n) array-like of integer basis values as uint8 rows; another dtype, or a row with a value outside Z/m, raises ``ValueError``."""
+        """Any (S, n) array-like of integer basis values as uint8 rows.
+
+        Another dtype raises ``ValueError``, and so does a row with a value
+        outside Z/m, or else a row that breaks the parity rule
+        2 s(v_i) = (m/2)(v_i.v_i) mod m on a basis vector v_i; the message
+        names the first such row.  Both rules are one test: value v fits
+        basis vector i when bit v of the ``parity_masks`` entry of v_i.v_i is
+        set, and a shift by a negative value or past the mask's width gives 0.
+        Parity on the basis gives parity on every class, as both sides are
+        additive mod m.
+        """
+        name, m = cls.__name__.lower(), cls.modulus
         rows = np.asarray(values).reshape(len(values), form.dim)
-        if rows.size and not np.issubdtype(rows.dtype, np.integer):
-            raise ValueError(f"{cls.__name__.lower()} values must be integers, got dtype {rows.dtype}")
-        if rows.size and not 0 <= rows.min() <= rows.max() < cls.modulus:
-            row = int(((rows < 0) | (rows >= cls.modulus)).any(axis=1).argmax())
-            raise ValueError(f"{cls.__name__.lower()} values live in Z/{cls.modulus}: row {row} is {tuple(rows[row].tolist())}")
+        if not rows.size:
+            return rows.astype(np.uint8)
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"{name} values must be integers, got dtype {rows.dtype}")
+        fits = np.array([cls.parity_masks[d] for d in form.diagonal], dtype=np.uint8) >> rows
+        fits &= 1
+        if not fits.all():
+            # a value outside Z/m is named before a parity break
+            outside = ((rows < 0) | (rows >= m)).any(axis=1)
+            broken, rule = (outside, f"live in Z/{m}") if outside.any() else (
+                ~fits.all(axis=1), f"break parity 2 s(v) = {m // 2} (v.v) mod {m}")
+            row = int(broken.argmax())
+            raise ValueError(f"{name} values {rule}: row {row} is {tuple(rows[row].tolist())}")
         return rows.astype(np.uint8, copy=False)
 
     @classmethod
@@ -555,7 +577,9 @@ class QuadraticStructure:
         cross term, mod m, from the cached ``standard_basis_terms`` (uint8 wraps
         mod 256, which keeps it mod m).  The identity forces 2 s(v) = (m/2)(v.v)
         mod m, v.v being 1 on the identity layout and 0 on the hyperbolic one;
-        a value that breaks it raises ``InvariantViolation``.
+        a value that breaks it raises ``InvariantViolation``.  Rows come with
+        parity on the unit basis (``value_rows``), which gives it on every
+        class, so on rows that is a defect of the basis alone.
         """
         n, half = form.dim, cls.modulus // 2
         one = len(values) and isinstance(values[0], int) or np.ndim(values) != 2

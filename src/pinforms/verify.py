@@ -297,7 +297,11 @@ def _suite_spin_census() -> list[Row]:
 
 def _block_sum_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Row len(second) * s + t: row s of ``first`` then row t of ``second``, the values of ``direct_sum_enhancement``."""
-    return np.concatenate([np.repeat(first, len(second), axis=0), np.tile(second, (len(first), 1))], axis=1)
+    (s, k), (t, l) = first.shape, second.shape
+    rows = np.empty((s, t, k + l), dtype=first.dtype)
+    rows[..., :k] = first[:, None]
+    rows[..., k:] = second
+    return rows.reshape(s * t, k + l)
 
 
 def _cap_off_rows(values: np.ndarray) -> np.ndarray:
@@ -331,15 +335,23 @@ def _suite_additivity() -> list[Row]:
         surfaces = [
             (s, _values(Enhancement, s.form), _brown_codes(s.form)) for s in _standard_surfaces(7, include_sphere=True)
         ]
-        for s1, v1, b1 in surfaces:
-            for s2, v2, b2 in surfaces:
-                if s1.form.dim + s2.form.dim > 8:
-                    continue
-                # pair number len(v2) * i + j block-sums structure i of s1 with structure j of s2
-                sums = brown_gauss_many(direct_sum(s1.form, s2.form), _block_sum_rows(v1, v2))
-                expected = (np.repeat(b1, len(v2)) + np.tile(b2, len(v1))) % 8
-                for pos in np.flatnonzero(sums != expected).tolist():
-                    yield f"{s1.label}+{s2.label} {_row(v1, pos // len(v2))}|{_row(v2, pos % len(v2))}"
+        pairs = [(a, b) for a in surfaces for b in surfaces if a[0].form.dim + b[0].form.dim <= 8]
+        forms = [direct_sum(s1.form, s2.form) for (s1, _, _), (s2, _, _) in pairs]
+        # the pairs whose block sums live on one pairing share one batch, made when the first of them is checked
+        sharing = {}
+        for p, form in enumerate(forms):
+            sharing.setdefault(form, []).append(p)
+        sums = {}
+        for p, ((s1, v1, b1), (s2, v2, b2)) in enumerate(pairs):
+            if p not in sums:
+                batch = sharing[forms[p]]
+                rows = [_block_sum_rows(pairs[q][0][1], pairs[q][1][1]) for q in batch]
+                invariants = brown_gauss_many(forms[p], np.concatenate(rows))
+                sums.update(zip(batch, np.split(invariants, np.cumsum([len(r) for r in rows])[:-1])))
+            # pair number len(v2) * i + j block-sums structure i of s1 with structure j of s2
+            expected = np.add.outer(b1, b2).ravel() % 8
+            for pos in np.flatnonzero(sums[p] != expected).tolist():
+                yield f"{s1.label}+{s2.label} {_row(v1, pos // len(v2))}|{_row(v2, pos % len(v2))}"
 
     return [_first("invariant-adds-over-block-sums (total dim<=8)", breaks())]
 
@@ -403,11 +415,14 @@ def _suite_action_invariance() -> list[Row]:
         for g in (1, 2, 3):
             form = hyperbolic_form(g)
             gens = isometry_generators(form)
-            for iso in [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]:
-                structures = sampled(Refinement, form)
-                before = arf_normal_form_values(form, [q.values for q in structures])
-                after = arf_normal_form_values(form, [act(iso, q).values for q in structures])
-                yield from (f"g={g} values {structures[pos].values}" for pos in np.flatnonzero(after != before).tolist())
+            isos = [rng.choice(gens) @ rng.choice(gens) for _ in range(10)]
+            # each isometry moves a sample of its own, drawn after all ten isometries
+            samples = [sampled(Refinement, form) for _ in isos]
+            structures = [q for sample in samples for q in sample]
+            moved = [act(iso, q) for iso, sample in zip(isos, samples) for q in sample]
+            before = arf_normal_form_values(form, [q.values for q in structures])
+            after = arf_normal_form_values(form, [q.values for q in moved])
+            yield from (f"g={g} values {structures[pos].values}" for pos in np.flatnonzero(after != before).tolist())
 
     # both checks draw from the one seeded generator, in this order
     return [

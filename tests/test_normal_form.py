@@ -172,16 +172,27 @@ def test_values_level_normal_form_equals_the_object_routes_on_every_structure(su
 
 
 @pytest.mark.parametrize("surface,fault,message", [
-    (nonorientable_surface(3), 2, "value 2 on identity basis vector 1 breaks parity in row 5"),
-    (orientable_surface(2), 1, "value 1 on hyperbolic basis vector 1 breaks parity in row 5"),
+    (nonorientable_surface(3), 2, "enhancement values break parity 2 s(v) = 2 (v.v) mod 4: row 5 is (3, 2, 3)"),
+    (orientable_surface(2), 1, "enhancement values break parity 2 s(v) = 2 (v.v) mod 4: row 5 is (2, 1, 2, 0)"),
 ])
 def test_row_parity_fault_names_the_first_broken_row(surface, fault, message):
-    # the standard layouts keep the unit basis, so a basis value is a value of the array
+    # the standard layouts keep the unit basis, so a basis value is a value of the array;
+    # a row that breaks parity is bad input, refused with the rows, before any sum is read
     values = Enhancement.code_values(surface.form, range(1 << surface.form.dim))
     values[5, 1] = values[7, 0] = fault
-    with pytest.raises(InvariantViolation) as raised:
+    with pytest.raises(ValueError) as raised:
         brown_normal_form_values(surface.form, values)
     assert str(raised.value) == message
+
+
+def test_broken_basis_value_in_a_row_is_a_defect(monkeypatch):
+    # rows that keep parity on the unit basis keep it on every class, so a standard-basis
+    # value that breaks it is a defect: a wrong cached term reads basis vector 0 as e1 + e2
+    terms = standard_basis_terms(identity_form(3))
+    wrong = {identity_form(3): (((0, 1), 0),) + terms[1:]}
+    monkeypatch.setattr(surfaces, "standard_basis_terms", lambda form: wrong.get(form) or standard_basis_terms(form))
+    with pytest.raises(InvariantViolation, match=r"^value 0 on identity basis vector 0 breaks parity in row 0$"):
+        brown_normal_form_values(identity_form(3), [[1, 3, 1], [1, 1, 1]])
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
@@ -339,7 +350,8 @@ def test_gram_check_catches_a_wrong_reduction():
         standard_basis.__wrapped__(form)
 
 
-# every batch kernel reads its value rows through QuadraticStructure.value_rows, which refuses a value outside Z/m
+# every batch kernel reads its value rows through QuadraticStructure.value_rows, which refuses a value
+# outside Z/m and a row that breaks parity
 N2, N3, S1 = identity_form(2), identity_form(3), hyperbolic_form(1)
 OUT_OF_RANGE = {
     "gauss-5": (brown_gauss_many, N3, [[5, 1, 1]], r"^enhancement values live in Z/4: row 0 is \(5, 1, 1\)$"),
@@ -347,6 +359,10 @@ OUT_OF_RANGE = {
     "gauss-int64-minus-1": (brown_gauss_many, N3, np.array([[1, 1, 1], [-1, 1, 1]]), r"row 1 is \(-1, 1, 1\)$"),
     "gauss-python-minus-1": (brown_gauss_many, N3, [[1, 1, 1], [-1, 1, 1]], r"row 1 is \(-1, 1, 1\)$"),
     "histograms-7": (value_histograms, N2, [[1, 1], [3, 1], [1, 7]], r"Z/4: row 2 is \(1, 7\)$"),
+    # a value outside Z/m is named before a parity break in an earlier row
+    "histograms-7-after-parity": (value_histograms, N2, [[2, 1], [1, 7]], r"Z/4: row 1 is \(1, 7\)$"),
+    # a shift past any width reads as a misfit, not as a value mod 2**64
+    "gauss-uint64-2-to-the-63": (brown_gauss_many, N2, np.array([[1, 1], [1, 2**63]], dtype=np.uint64), r"Z/4: row 1"),
     "table-4": (Enhancement.value_table, N2, [[1, 4]], r"Z/4: row 0 is \(1, 4\)$"),
     "refinement-table-2": (Refinement.value_table, S1, [[0, 2]], r"^refinement values live in Z/2: row 0 is \(0, 2\)$"),
     "arf-3": (arf_normal_form_values, S1, [[3, 3]], r"Z/2: row 0 is \(3, 3\)$"),
@@ -366,6 +382,23 @@ OUT_OF_RANGE = {
 
 @pytest.mark.parametrize("kernel,form,values,message", OUT_OF_RANGE.values(), ids=list(OUT_OF_RANGE))
 def test_batch_kernels_refuse_values_outside_the_modulus(kernel, form, values, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(form, values)
+
+
+# rows inside Z/m that break the parity rule 2 s(v) = (m/2)(v.v) on a basis vector
+PARITY_BREAKS = {
+    "table-parity-2": (Enhancement.value_table, identity_form(1), [[2]], r"^enhancement values break parity 2 s\(v\) = 2 \(v\.v\) mod 4: row 0 is \(2,\)$"),
+    "gauss-parity-0": (brown_gauss_many, identity_form(1), [[0]], r"parity .* row 0 is \(0,\)$"),
+    "normal-form-parity-2": (brown_normal_form_values, identity_form(1), [[2]], r"parity .* row 0 is \(2,\)$"),
+    "histograms-parity": (value_histograms, N2, [[1, 1], [1, 3], [2, 1]], r"parity .* row 2 is \(2, 1\)$"),
+    "refinement-table-odd-pairing": (Refinement.value_table, N2, [[0, 0]], r"^refinement values break parity 2 s\(v\) = 1 \(v\.v\) mod 2: row 0"),
+}
+
+
+@pytest.mark.parametrize("kernel,form,values,message", PARITY_BREAKS.values(), ids=list(PARITY_BREAKS))
+def test_batch_kernels_refuse_rows_that_break_parity(kernel, form, values, message):
+    # each was accepted (a table, a wrong invariant) or raised InvariantViolation, the defect class
     with pytest.raises(ValueError, match=message):
         kernel(form, values)
 

@@ -206,7 +206,7 @@ def packed(rows, n):
 
 
 @FILTER_FORMS
-def test_bit_sliced_brute_group_equals_the_matmul_filter(form):
+def test_brute_group_equals_the_matmul_filter(form):
     group = isometry_group(form, "brute")
     assert group == matmul_brute_group(form)
     assert len(group) == isometry_group_order(form)
@@ -214,10 +214,14 @@ def test_bit_sliced_brute_group_equals_the_matmul_filter(form):
 
 @FILTER_FORMS
 def test_group_rows_are_the_matmul_filter_sorted_by_packed_key(form):
+    # the pair-table grid, built afresh past the cache, and the cached array it gives group_rows
+    fresh = orbits._brute_group.__wrapped__(form)
     rows = group_rows(form, "brute")
-    assert rows.dtype == np.uint32 and rows.shape == (isometry_group_order(form), form.dim)
-    expected = sorted((g.rows for g in matmul_brute_group(form)), key=lambda r: packed(r, form.dim))
-    assert [tuple(r) for r in rows.tolist()] == expected
+    for group in (fresh, rows):
+        assert group.dtype == np.uint32 and group.shape == (isometry_group_order(form), form.dim)
+        expected = sorted((g.rows for g in matmul_brute_group(form)), key=lambda r: packed(r, form.dim))
+        assert [tuple(r) for r in group.tolist()] == expected
+        assert not group.flags.writeable
 
 
 def test_brute_group_rows_are_read_only():

@@ -1,9 +1,12 @@
-"""The benchmark tracer still finds every library name it wraps.
+"""The benchmark tracer still finds every library name it wraps, and changes no result.
 
 ``perfbench/tracer.py`` wraps library functions by name, so removing or
 renaming one breaks only traced benchmark runs.  This installs the tracer in
 a child interpreter against the package under test and checks that it yields
-every per-layer metric ``BENCHMARK.json`` declares.
+every per-layer metric ``BENCHMARK.json`` declares.  The tracer also swaps
+function objects in every pinforms namespace, replaces ``orbits.gf2`` by a
+namespace of gf2's public names and wraps each verify suite, so a traced
+``verify all`` must print the bytes an untraced one prints.
 """
 
 import json
@@ -28,17 +31,46 @@ print(json.dumps(sorted(install(Tracer(time.perf_counter))())))
 """
 
 
-@pytest.mark.skipif(
+# the traced verify run as the benchmark makes it: the tracer is installed first, then ``cli.main`` is looked up
+TRACED_VERIFY = """
+import sys, time
+from tracer import Tracer, install
+install(Tracer(time.perf_counter))
+from pinforms import cli
+code = cli.main(["verify", "all", "--format", "json"])
+sys.stdout.flush()
+sys.exit(code)
+"""
+
+NEEDS_PERFBENCH = pytest.mark.skipif(
     not (PERFBENCH / "tracer.py").is_file() or not (ROOT / "BENCHMARK.json").is_file(),
     reason="no perfbench/ next to the package",
 )
+
+
+def child_env(package_pythonpath):
+    # no bytecode is written into perfbench/
+    pythonpath = os.pathsep.join([package_pythonpath, str(PERFBENCH)])
+    return {**os.environ, "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+@NEEDS_PERFBENCH
 def test_tracer_installs_and_reports_every_per_layer_metric(package_pythonpath):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {metric["name"] for metric in benchmark["per_layer"]}
-    # no bytecode is written into perfbench/
-    pythonpath = os.pathsep.join([package_pythonpath, str(PERFBENCH)])
-    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"}
+    env = child_env(package_pythonpath)
     child = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, cwd=ROOT)
     assert child.returncode == 0, child.stderr
     reported = set(json.loads(child.stdout))
     assert declared - RUNNER_METRICS <= reported, sorted(declared - RUNNER_METRICS - reported)
+
+
+@NEEDS_PERFBENCH
+def test_traced_verify_all_prints_what_an_untraced_run_prints(package_pythonpath):
+    env = child_env(package_pythonpath)
+    argv = ["verify", "all", "--format", "json"]
+    untraced = subprocess.run([sys.executable, "-m", "pinforms.cli", *argv], capture_output=True, env=env, cwd=ROOT)
+    traced = subprocess.run([sys.executable, "-c", TRACED_VERIFY], capture_output=True, env=env, cwd=ROOT)
+    assert untraced.returncode == 0, untraced.stderr.decode()
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == untraced.stdout

@@ -20,6 +20,7 @@ from pinforms import (
     QuadraticStructure,
     Refinement,
     census,
+    direct_sum,
     enhancements,
     gf2,
     hyperbolic_form,
@@ -733,6 +734,58 @@ def test_bad_magnitude_on_an_agreeing_pair_raises_in_action_invariance(monkeypat
         run_suites(["action-invariance"])
 
 
+ADDITIVITY_CHECK = "invariant-adds-over-block-sums (total dim<=8)"
+
+
+def test_additivity_reports_the_first_fault_in_pair_order(monkeypatch):
+    # Faults in N:2+N:1 (third of the four pairs on the rank-3 identity pairing) and in N:1+N:3
+    # (second of the pairs on the rank-4 one): the rank-3 batch is made first, when S:0+N:3 is
+    # checked, but N:1+N:3 comes first in pair order.  Each fault moves a block-sum row's first
+    # value by 2, which keeps parity and moves its Brown invariant by 2; the detail names the
+    # structures of the two surfaces the row was built from.
+    clean = verify._block_sum_rows
+    faults = {(1, 3): 5, (2, 1): 2}
+
+    def faulty(first, second):
+        rows = clean(first, second)
+        odd = first.size and second.size and first[0, 0] & second[0, 0] & 1
+        row = faults.get((first.shape[1], second.shape[1])) if odd else None
+        if row is not None:
+            rows[row, 0] ^= 2
+        return rows
+
+    monkeypatch.setattr(verify, "_block_sum_rows", faulty)
+    (result,) = run_suites(["additivity"])
+    assert result == CheckResult("additivity", ADDITIVITY_CHECK, FAIL, "N:1+N:3 (1,)|(3, 1, 3)")
+
+
+SPIN_ACTION_CHECK = "arf-preserved (sampled, g<=3)"
+
+
+def test_spin_action_reports_the_first_moved_arf_in_isometry_order(monkeypatch):
+    # On S:2 each of the ten isometries moves its own 8 sampled refinements, isometry by
+    # isometry; the 27th and the 42nd image there (the 4th isometry's third structure and the
+    # 6th isometry's second) get their first hyperbolic block's product flipped, which flips Arf
+    clean = verify.act
+    calls = Counter()
+
+    def faulty(iso, q):
+        image = clean(iso, q)
+        if isinstance(q, Refinement) and q.form == hyperbolic_form(2):
+            calls["S:2"] += 1
+            if calls["S:2"] in (27, 42):
+                block = (0, 0) if image.values[:2] == (1, 1) else (1, 1)
+                return Refinement(q.form, block + image.values[2:])
+        return image
+
+    monkeypatch.setattr(verify, "act", faulty)
+    pin, spin = run_suites(["action-invariance"])
+    assert pin.status == PASS
+    assert spin == CheckResult("action-invariance", SPIN_ACTION_CHECK, FAIL, "g=2 values (0, 0, 1, 0)")
+    # all ten isometries' images on S:2 are made before either Arf batch is read
+    assert calls["S:2"] == 80
+
+
 def standard_surface_pairs(max_dim, max_total):
     surfaces = verify._standard_surfaces(max_dim, include_sphere=True)
     return [(a, b) for a in surfaces for b in surfaces if a.form.dim + b.form.dim <= max_total]
@@ -754,8 +807,9 @@ def track_running_suite(monkeypatch) -> list[str]:
 
 
 def test_gauss_suites_read_one_batch_per_case(monkeypatch):
-    # A case is a batch a suite builds itself: a surface pair for the direct sums,
-    # a genus k for the doubled refinements and the capped rests on N:(k-1), and
+    # A case is a batch a suite builds itself: a pairing for the direct sums (all
+    # surface pairs whose block sums live on it), a genus k for the doubled
+    # refinements and the capped rests on N:(k-1), and
     # a surface with generators for the action images.  Each surface's exhaustive
     # enhancements are counted once per run, by the first suite that reads them
     # (brown-compass: N:1 to N:10 and S:0 to S:5), so gauss-magnitude,
@@ -763,7 +817,7 @@ def test_gauss_suites_read_one_batch_per_case(monkeypatch):
     # and capping make no call of their own.
     cases = {
         "brown-compass": 16,
-        "additivity": len(standard_surface_pairs(7, 8)),
+        "additivity": len({direct_sum(a.form, b.form) for a, b in standard_surface_pairs(7, 8)}),
         "doubling": 4,
         "capping": 7,
         "action-invariance": sum(
@@ -790,8 +844,10 @@ def test_gauss_suites_read_one_batch_per_case(monkeypatch):
     assert not [r for r in results if r.status == FAIL]
     assert not singles
     assert batches == cases
-    # a run counted 166 batches when every suite counted its own surfaces
-    assert sum(batches.values()) == sum(cases.values()) == 114
+    # 37 pairings for the 79 surface pairs; a run counted 114 batches with one per
+    # surface pair, and 166 when every suite counted its own surfaces
+    assert cases["additivity"] == 37
+    assert sum(batches.values()) == sum(cases.values()) == 72
 
 
 PARITY_FORM, PARITY_CODE = identity_form(7), 0b1010011
@@ -855,8 +911,9 @@ def test_code_label_suites_build_no_structure_from_a_code(monkeypatch):
 
 
 def test_group_suites_build_no_group_of_isometry_objects(monkeypatch):
-    # the brute-force and generated groups stay row arrays, each element checked by one batch
-    # A^T F A = F test; what is built is the twist generators and the banding isometry
+    # the brute-force and generated groups stay row arrays: the brute-force one is read off a
+    # grid that one table of pairings x.F^-1.y filters, and the generated one is checked by one
+    # batch A^T F A = F test; what is built is the twist generators and the banding isometry
     orbits._brute_group.cache_clear()
     built = []
     post_init = Isometry.__post_init__
