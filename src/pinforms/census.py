@@ -11,11 +11,11 @@ with enumeration (1 vs 2 at genus 2, 8 vs 6 at genus 4); such entries are
 flagged DISPUTED and reported next to the corrected expression
 2**(k-2) + 2**((k-2)/2).
 
-A bordism class is one structure's invariant, its values on a standard
-basis (``values_on_standard_basis``) added up over the planes of the pairing
-(``brown_normal_form_values``, ``arf_normal_form_values``).  The basis and
-each vector's set-bit indices and cross term are cached, so a query only
-adds up basis values, with no class table, up to ``MAX_NORMAL_FORM_DIM``.
+A bordism class is one structure's invariant, its code pulled back onto a
+standard basis (``codes_on_standard_basis``) and read over the planes of
+the pairing (``brown_normal_form_values``, ``arf_normal_form_values``).
+The basis and the pull-back are cached, so a query only xors columns into
+a code, with no class table, up to ``MAX_NORMAL_FORM_DIM``.
 
 The theories are the ``Theory`` records of ``THEORIES``, which the commands
 and ``bordism_class`` read instead of branching on a theory.  A new
@@ -243,8 +243,8 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     """Arf class of a refinement (spin) or Brown class of an enhancement (pin-).
 
     Both come from the theory's normal form of the structure's form and
-    basis values: its values on the cached ``standard_basis`` of the pairing
-    (``values_on_standard_basis``), added up over the projective or
+    basis values: its code on the cached ``standard_basis`` of the pairing
+    (``codes_on_standard_basis``), read over the projective or
     hyperbolic planes.  No value table over the 2**n classes is built, so
     any dimension up to ``MAX_NORMAL_FORM_DIM`` answers; above it the
     reduction raises ``LimitError``.  The Gauss-sum routes (``brown_gauss``,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .refinements import Refinement
+from .refinements import Refinement, arf_of_codes
 from .surfaces import (
     MAX_TABLE_DIM,
     IntersectionForm,
@@ -204,19 +204,18 @@ def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray
     symplectic basis a1, b1, ..., ag, bg into g hyperbolic planes, each of
     invariant 4 exactly when e(a) = e(b) = 2 (Brown, "Generalizations of the
     Kervaire invariant", 1972; Kirby-Taylor, "Pin structures on
-    low-dimensional manifolds", 1990).  Once parity holds a value v in
-    {1, 3} adds 2 - v, so the identity sum is 2k - (v1 + ... + vk) mod 8.
-    The basis is orthonormal exactly when the pairing is not alternating.
-
-    The basis values, their checks and the choice between one structure
-    and value rows are ``Enhancement.values_on_standard_basis``: n ints give
-    an int, with no numpy call and no structure object, and any (S, n)
-    array-like of value rows an (S,) int64 array.
+    low-dimensional manifolds", 1990).  The basis is orthonormal exactly
+    when the pairing is not alternating.  On the code c read there
+    (``Enhancement.codes_on_standard_basis``), value 3 on v_i is bit i set
+    and e(a_i) = e(b_i) = 2 is both bits of plane i set, so the sums are
+    k - 2 |c| mod 8 and 4 Arf(c).  n ints give an int, with no numpy call,
+    and any (S, n) array-like of value rows an (S,) int64 array.
     """
-    basis, zero = Enhancement.values_on_standard_basis(form, values)
-    if not is_alternating(form):
-        return (2 * len(basis) - sum(basis, zero)) % 8
-    return 4 * sum((a * b // 4 for a, b in zip(basis[0::2], basis[1::2])), zero) % 8
+    codes = Enhancement.codes_on_standard_basis(form, values)
+    if is_alternating(form):
+        return 4 * arf_of_codes(codes)
+    weight = codes.bit_count() if isinstance(codes, int) else codes.sum(axis=1, dtype=np.int64)
+    return (form.dim - 2 * weight) % 8
 
 
 def histogram_from_brown(dim: int, beta: int, alternating: bool) -> ValueHistogram:

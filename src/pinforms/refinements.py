@@ -60,16 +60,23 @@ def arf_majority(q: Refinement) -> int:
 def arf_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray:
     """Arf invariant of the refinement with basis values ``values``: sum of q(a_i) q(b_i) over a symplectic basis.
 
-    The basis values come from ``Refinement.values_on_standard_basis``, so
-    any alternating pairing works and no class table is built: one
+    The codes on the basis come from ``Refinement.codes_on_standard_basis``,
+    so any alternating pairing works and no class table is built: one
     structure's n ints give an int, and (S, n) value rows an (S,) int64
     array.  A pairing that is not alternating carries no refinement and
     raises ``ValueError`` before any value is read.
     """
     if not is_alternating(form):
         raise ValueError("refinements need an alternating pairing (orientable surface)")
-    basis, zero = Refinement.values_on_standard_basis(form, values)
-    return sum((a * b for a, b in zip(basis[0::2], basis[1::2])), zero) & 1
+    return arf_of_codes(Refinement.codes_on_standard_basis(form, values))
+
+
+def arf_of_codes(codes: int | np.ndarray) -> int | np.ndarray:
+    """Arf invariant of an int code, or of (S, 2g) code bits, read on a symplectic basis: its planes with both bits set, mod 2."""
+    if isinstance(codes, int):
+        evens = (4 ** ((codes.bit_length() + 1) // 2) - 1) // 3  # bits 0, 2, 4, ... up to the top plane
+        return (codes & codes >> 1 & evens).bit_count() & 1
+    return (codes[:, 0::2] & codes[:, 1::2]).sum(axis=1, dtype=np.int64) & 1
 
 
 def arf_symplectic(q: Refinement) -> int:

@@ -217,27 +217,6 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     return layout, basis
 
 
-def _set_bits(x: int) -> tuple[int, ...]:
-    """Indices of the set bits of x, lowest first, in one pass over those bits."""
-    bits = []
-    while x:
-        bits.append((x & -x).bit_length() - 1)
-        x &= x - 1
-    return tuple(bits)
-
-
-@lru_cache(maxsize=64)
-def standard_basis_terms(form: IntersectionForm) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(set-bit indices of v, cross_pairs(v)) for each vector v of ``standard_basis(form)``.
-
-    A structure's value on v is the sum of its basis values at those
-    indices plus (m/2) cross_pairs(v), mod m, so with this table cached the
-    basis values of a structure cost no walk over the pairing
-    (``QuadraticStructure.values_on_standard_basis``).
-    """
-    return tuple((_set_bits(v), cross_pairs(form, v)) for v in standard_basis(form)[1])
-
-
 @dataclass(frozen=True)
 class Surface:
     """A closed surface in standard form; it is orientable exactly when its pairing is alternating."""
@@ -380,6 +359,22 @@ def _xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
     return values.reshape((2,) * n)[flips].reshape(-1)
 
 
+def _code_bits(codes, n: int) -> np.ndarray:
+    """Bits of ints in [0, 2**n) as an (S, n) uint8 array, bit i in column i, read as little-endian bytes so any n works."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in codes), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(codes), width), axis=1, count=n, bitorder="little")
+
+
+@lru_cache(maxsize=64)
+def _pull_back_bits(columns: tuple[int, ...], shift: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pull_back``'s (columns of B, t) onto r vectors as read-only bits: a float32 (n, r) matrix of the columns, and t."""
+    matrix, bits = _code_bits(columns, r).astype(np.float32), _code_bits([shift], r)[0]
+    matrix.setflags(write=False)
+    bits.setflags(write=False)
+    return matrix, bits
+
+
 @dataclass(frozen=True)
 class QuadraticStructure:
     """Function s with s(x+y) = s(x) + s(y) + (m/2)(x.y) in Z/m, stored by its basis values.
@@ -392,10 +387,8 @@ class QuadraticStructure:
     """
 
     modulus: ClassVar[int]
-    # Z/m, and the values s can take on a class x, indexed by x.x: those with 2 s = (m/2)(x.x) mod m
+    # Z/m, and the values s can take on a class x, indexed by x.x, as bit masks: bit s is set when 2 s = (m/2)(x.x) mod m
     residues: ClassVar[frozenset[int]]
-    values_of_parity: ClassVar[tuple[frozenset[int], frozenset[int]]]
-    # the same sets as bit masks, bit s set when s is a value of that parity
     parity_masks: ClassVar[tuple[int, int]]
     form: IntersectionForm
     values: tuple[int, ...]
@@ -404,8 +397,7 @@ class QuadraticStructure:
         super().__init_subclass__(**kwargs)
         m = cls.modulus
         cls.residues = frozenset(range(m))
-        cls.values_of_parity = tuple(frozenset(s for s in range(m) if 2 * s % m == m // 2 * xx) for xx in (0, 1))
-        cls.parity_masks = tuple(sum(1 << s for s in allowed) for allowed in cls.values_of_parity)
+        cls.parity_masks = tuple(sum(1 << s for s in range(m) if 2 * s % m == m // 2 * xx) for xx in (0, 1))
 
     def __post_init__(self):
         freeze_ints(self, "values")
@@ -427,15 +419,31 @@ class QuadraticStructure:
         bad = next((c for c in codes if not 0 <= c < 1 << n), None)
         if bad is not None:
             raise ValueError(f"code {bad:#x} out of range for dimension {n}")
-        width = (n + 7) // 8
-        raw = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in codes), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(codes), width), axis=1, count=n, bitorder="little")
-        return np.array(form.diagonal, dtype=np.uint8) + cls.modulus // 2 * bits
+        return np.array(form.diagonal, dtype=np.uint8) + cls.modulus // 2 * _code_bits(codes, n)
 
     @classmethod
     def from_code(cls, form: IntersectionForm, code: int):
         """The structure whose basis value i is diag_i + (m/2) * bit i of ``code``: ``code_values`` on a batch of one."""
         return cls(form, tuple(cls.code_values(form, [code])[0].tolist()))
+
+    @classmethod
+    @lru_cache(maxsize=128)
+    def pull_back(cls, form: IntersectionForm, vectors: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The map c -> Bc xor t on codes that restriction to the vectors b_1, ..., b_r induces, as (columns of B, t).
+
+        A structure's code on any basis is its values there halved: s(b) is b.b
+        or b.b + m/2, so s(b) // (m/2) is its bit.  As s_c(b) = s_0(b) + (m/2)(c.b),
+        row i of B is b_i (column j, an r-bit int, holds bit j of each b_i) and
+        bit i of t is s_0(b_i) // (m/2), s_0(b) being the diagonal weight of b
+        plus (m/2) cross_pairs(b), mod m.  Pure Python, cached per class, form
+        and tuple of class bit masks.
+        """
+        m, half = cls.modulus, cls.modulus // 2
+        shift = 0
+        for i, b in enumerate(vectors):
+            weight = (as_bits(b, form.dim) & form.diagonal_bits).bit_count()
+            shift |= (weight + half * cross_pairs(form, b)) % m // half << i
+        return gf2.transpose(vectors, form.dim), shift
 
     @classmethod
     def code_map(cls, form: IntersectionForm, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -444,10 +452,10 @@ class QuadraticStructure:
         ``rows`` is any (G, n) array-like of row masks; the result is a (G, n) uint32
         array of columns and a (G,) array of shifts.  The pushed-forward
         structure has basis value s_c(p_i) = s_0(p_i) + (m/2)(c.p_i) at inverse
-        column p_i, so row i of T is p_i (the columns of T are the rows of the
-        inverse) and bit i of t is (s_0(p_i) - diag_i) / (m/2).  Code 0 has the
-        diagonal as basis values, so s_0(x) is the diagonal weight of x plus
-        (m/2) cross_pairs(x), read from ``cross_parity_table``.  An isometry's inverse is its adjoint
+        column p_i, so this is ``pull_back`` onto the preimages p_i: row i of T
+        is p_i (the columns of T are the rows of the inverse) and bit i of t is
+        s_0(p_i) // (m/2), evaluated on the whole batch at once, with the cross
+        term read from ``cross_parity_table``.  An isometry's inverse is its adjoint
         F^-1 A^T F (F^-1 is one ``gf2.inverse`` per call, which F F^-1 = I checks).
         A F^-1 A^T F = I holds exactly when A^T F A = F, so that one batch product is
         the library's check of isometry rows from outside: it, or ``matrix_rows`` on a
@@ -464,8 +472,7 @@ class QuadraticStructure:
         if (gf2.batch_mul(rows, inverse) != gf2.identity(n)).any():
             raise ValueError("matrix does not preserve the pairing")
         weight = np.bitwise_count(preimages & form.diagonal_bits).astype(np.int64)
-        # s_0(p_i) - diag_i is even (p_i.p_i = diag_i), so reduced mod m its half is bit i of t
-        bits = (weight - form.diagonal + half * cross_parity_table(form)[preimages]) % cls.modulus // half
+        bits = (weight + half * cross_parity_table(form)[preimages]) % cls.modulus // half
         return inverse, (bits @ (1 << np.arange(n))).astype(np.uint32)
 
     @classmethod
@@ -566,52 +573,36 @@ class QuadraticStructure:
         return (linear + self.modulus // 2 * cross) % self.modulus
 
     @classmethod
-    def values_on_standard_basis(cls, form: IntersectionForm, values) -> tuple[list, int | np.ndarray]:
-        """s on each vector of ``standard_basis(form)``, and the zero that sums over them start from.
+    def codes_on_standard_basis(cls, form: IntersectionForm, values) -> int | np.ndarray:
+        """Codes pulled back onto ``standard_basis(form)`` (``pull_back``): bit i is s(v_i) // (m/2).
 
-        ``values`` is one structure's n ints, checked in pure Python, giving n
-        ints and the zero 0; or any (S, n) array-like of value rows, read
-        through ``value_rows``, giving n (S,) uint8 columns and S int64 zeros,
-        so a sum over no vector (the sphere) keeps one entry per row.  A value
-        is the sum of the basis values at the vector's set bits plus (m/2) its
-        cross term, mod m, from the cached ``standard_basis_terms`` (uint8 wraps
-        mod 256, which keeps it mod m).  The identity forces 2 s(v) = (m/2)(v.v)
-        mod m, v.v being 1 on the identity layout and 0 on the hyperbolic one;
-        a value that breaks it raises ``InvariantViolation``.  Rows come with
-        parity on the unit basis (``value_rows``), which gives it on every
-        class, so on rows that is a defect of the basis alone.
+        ``values`` is one structure's n ints, checked in pure Python, giving an
+        int: t with column j of B xored in wherever value j is at least m/2.
+        Or any (S, n) array-like of value rows, read through ``value_rows``,
+        giving (S, n) uint16 code bits: the rows halved times B mod 2, xor t.
+        A value outside Z/m or off the parity rule raises ``ValueError``; a
+        code keeps parity on every basis.
         """
-        n, half = form.dim, cls.modulus // 2
+        m, half = cls.modulus, cls.modulus // 2
         one = len(values) and isinstance(values[0], int) or np.ndim(values) != 2
-        if one:
-            # a float, Fraction or numpy scalar among the values makes their sum no int
-            if len(values) != n or not cls.residues.issuperset(values) or not isinstance(sum(values), int):
-                raise ValueError(f"expected {n} {cls.__name__.lower()} values in Z/{cls.modulus}, got {tuple(values)}")
-            zero = 0
-        else:
-            values = cls.value_rows(form, values)
-            zero = np.zeros(len(values), dtype=np.int64)
-            values = values.T
-        out = []
-        for bits, cross in standard_basis_terms(form):
-            total = half * cross
-            for i in bits:
-                total += values[i]
-            out.append(total % cls.modulus)
-        allowed = cls.values_of_parity[not is_alternating(form)]
-        if one:
-            if not allowed.issuperset(out):
-                i = next(i for i, v in enumerate(out) if v not in allowed)
-                raise InvariantViolation(f"value {out[i]} on {standard_basis(form)[0]} basis vector {i} breaks parity")
-        elif out:
-            fits = np.array([s in allowed for s in range(cls.modulus)])
-            broken = ~fits[np.stack(out, axis=1)]
-            if broken.any():
-                # (row, vector) pairs in row order
-                row, i = np.argwhere(broken)[0].tolist()
-                layout = standard_basis(form)[0]
-                raise InvariantViolation(f"value {out[i][row]} on {layout} basis vector {i} breaks parity in row {row}")
-        return out, zero
+        if not one:
+            rows = cls.value_rows(form, values) // half
+            matrix, shift = _pull_back_bits(*cls.pull_back(form, standard_basis(form)[1]), form.dim)
+            # a float32 product is exact: each sum counts at most MAX_NORMAL_FORM_DIM ones
+            return ((rows @ matrix).astype(np.uint16) ^ shift) & 1
+        name = cls.__name__.lower()
+        # a float, Fraction or numpy scalar among the values makes their sum no int
+        if len(values) != form.dim or not cls.residues.issuperset(values) or not isinstance(sum(values), int):
+            raise ValueError(f"expected {form.dim} {name} values in Z/{m}, got {tuple(values)}")
+        columns, code = cls.pull_back(form, standard_basis(form)[1])
+        for j, (v, d, column) in enumerate(zip(values, form.diagonal, columns)):
+            # value j is diag_j, or diag_j + m/2 where bit j of the code is set (``code_values``)
+            if v >= half:
+                v -= half
+                code ^= column
+            if v != d:
+                raise ValueError(f"{name} value {values[j]} at index {j} breaks parity 2 s(v) = {half} (v.v) mod {m}")
+        return code
 
     def values_on_all(self) -> np.ndarray:
         """Values on all 2**n classes, indexed by integer encoding: ``value_table`` on a batch of one."""

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinforms import InvariantViolation, census, enhancements, refinements, verify
+from pinforms import Enhancement, InvariantViolation, Refinement, census, enhancements, refinements, verify
 from pinforms.census import pin_census_recursive
 from pinforms.cli import OutputRecord, build_parser, main, parse_surface, parse_values
 from pinforms.refinements import spin_closed_form
@@ -172,6 +173,34 @@ def test_census_and_invariant_output_matches_golden_file(capsys):
     assert len(golden) == 116
     for command, expected in golden.items():
         assert list(run_cli(capsys, *command.split())) == expected, command
+
+
+# (argv, exit code, stdout, stderr) of ``invariant`` in table format on seeded structures: pin- on
+# N:1-12, S:0-6, N:256 and S:128, spin on S:0-6 and S:128.  Captured before the normal forms read
+# codes pulled back onto the standard basis, so it pins that rewrite's output byte for byte.
+INVARIANT_GOLDEN = Path(__file__).parent / "data" / "invariant_cli.json"
+
+
+def invariant_golden_commands() -> list[list[str]]:
+    """The seeded ``invariant`` commands of the golden file: up to four distinct codes per surface and theory."""
+    surfaces = [parse_surface(f"N:{k}") for k in (*range(1, 13), 256)]
+    surfaces += [parse_surface(f"S:{g}") for g in (*range(7), 128)]
+    commands = []
+    for surface in surfaces:
+        rng = random.Random(surface.label)
+        codes = list(dict.fromkeys(rng.getrandbits(surface.form.dim) for _ in range(4)))
+        kinds = [(Enhancement, "-e")] + [(Refinement, "-q")] * (surface.kind == "orientable")
+        for kind, flag in kinds:
+            for row in kind.code_values(surface.form, codes).tolist():
+                commands.append(["invariant", "-s", surface.label, flag, ",".join(map(str, row))])
+    return commands
+
+
+def test_invariant_output_matches_golden_file(capsys):
+    golden = json.loads(INVARIANT_GOLDEN.read_text(encoding="utf-8"))
+    assert [argv for argv, *_ in golden] == invariant_golden_commands()
+    for argv, *expected in golden:
+        assert list(run_cli(capsys, *argv)) == expected, argv[:3]
 
 
 def _theory_choices(command):

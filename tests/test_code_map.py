@@ -54,6 +54,37 @@ def test_batch_code_map_equals_act_over_the_whole_brute_group(form, kind):
         assert one == image
 
 
+# every standard surface up to dimension 8, with each of its theories
+PULL_BACK_CASES = [pytest.param(identity_form(k), Enhancement, id=f"N:{k}-pin-") for k in range(1, 9)] + [
+    pytest.param(hyperbolic_form(g), kind, id=f"S:{g}-{theory}")
+    for g in range(5)
+    for kind, theory in ((Enhancement, "pin-"), (Refinement, "spin"))
+]
+
+
+def _preimages(rows, n) -> tuple[int, ...]:
+    """A^-1 e_i for each unit vector e_i: column i of the inverse, read off its rows by ``gf2.inverse``."""
+    return gf2.transpose(gf2.inverse(tuple(rows), n), n)
+
+
+def _assert_pull_back_is_code_map(form, kind, rows):
+    # two evaluations of one rule that share no code: pure-Python restriction and the batched adjoint
+    rows = np.array(rows, dtype=np.uint32).reshape(len(rows), form.dim)
+    columns, shifts = kind.code_map(form, rows)
+    for row, column, shift in zip(rows.tolist(), columns.tolist(), shifts.tolist()):
+        assert kind.pull_back(form, _preimages(row, form.dim)) == (tuple(column), shift), row
+
+
+@pytest.mark.parametrize("form, kind", PULL_BACK_CASES)
+def test_pull_back_onto_the_preimages_is_code_map_on_the_generators(form, kind):
+    _assert_pull_back_is_code_map(form, kind, [g.rows for g in isometry_generators(form)])
+
+
+@pytest.mark.parametrize("form, kind", [p for p in PULL_BACK_CASES if p.values[0].dim <= 4])
+def test_pull_back_onto_the_preimages_is_code_map_over_the_brute_group(form, kind):
+    _assert_pull_back_is_code_map(form, kind, group_rows(form, "brute"))
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

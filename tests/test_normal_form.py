@@ -36,7 +36,7 @@ from pinforms import (
 )
 from pinforms.cli import OutputRecord, main
 from pinforms.enhancements import ValueHistogram, brown_normal_form_values, histogram_from_brown
-from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis, standard_basis_terms
+from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis
 from strategies import congruent_form, congruent_forms
 
 SURFACES = [orientable_surface(g) for g in range(6)] + [nonorientable_surface(k) for k in range(1, 11)]
@@ -67,18 +67,25 @@ def arf_additive(values) -> int:
     return sum(a * b for a, b in zip(values[0::2], values[1::2])) % 2
 
 
-# ``values_on_standard_basis`` reads cached terms; the oracle walks the quadratic identity per basis vector
+# ``codes_on_standard_basis`` reads the cached pull-back; the oracle walks the quadratic identity per basis vector
 
 
 def walked_basis_values(s) -> list[int]:
     return [s(v) for v in standard_basis(s.form)[1]]
 
 
-def basis_values(s) -> list[int]:
-    """The reader's values of one structure on the standard basis; the sums over them start from 0."""
-    values, zero = type(s).values_on_standard_basis(s.form, s.values)
-    assert zero == 0
-    return values
+def walked_code_bits(s) -> list[int]:
+    """Bit i of a structure's code on the standard basis, s(v_i) // (m/2), from the walked values."""
+    return [v // (s.modulus // 2) for v in walked_basis_values(s)]
+
+
+def code_bits(kind, form, values) -> list:
+    """The pulled code of one structure as n bits, or of value rows as one list of n bits per row."""
+    codes = kind.codes_on_standard_basis(form, values)
+    if isinstance(codes, int):
+        return [codes >> i & 1 for i in range(form.dim)]
+    assert codes.shape == (len(values), form.dim)
+    return codes.tolist()
 
 
 def value_array(structures, form) -> np.ndarray:
@@ -90,9 +97,10 @@ def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
     # the batch form, on a value array, gives the form of each structure's row
     rows = value_array(enhancements, form)
     assert brown_normal_form_values(form, rows).tolist() == [brown_normal_form_values(form, e.values) for e in enhancements]
+    assert code_bits(Enhancement, form, rows) == [walked_code_bits(e) for e in enhancements]
     for e in enhancements:
         walked = walked_basis_values(e)
-        assert basis_values(e) == walked, e.values
+        assert code_bits(Enhancement, form, e.values) == walked_code_bits(e), e.values
         if layout == "identity":
             beta = sum(1 if v == 1 else -1 for v in walked) % 8
         else:
@@ -101,9 +109,10 @@ def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
     if refinements:
         rows = value_array(refinements, form)
         assert arf_normal_form_values(form, rows).tolist() == [arf_normal_form_values(form, q.values) for q in refinements]
+        assert code_bits(Refinement, form, rows) == [walked_code_bits(q) for q in refinements]
     for q in refinements:
         walked = walked_basis_values(q)
-        assert basis_values(q) == walked, q.values
+        assert code_bits(Refinement, form, q.values) == walked_code_bits(q), q.values
         assert arf_normal_form_values(form, q.values) == arf_additive(walked), q.values
 
 
@@ -136,13 +145,15 @@ def test_normal_forms_equal_the_basis_walk_on_seeded_samples(surface):
 
 @pytest.mark.parametrize("base", ["identity", "hyperbolic"])
 def test_normal_forms_equal_the_basis_walk_on_a_congruent_form_in_dimension_64(base):
-    # basis vectors with many set bits, where the cached terms do the work a walk would
+    # basis vectors with many set bits, where the pull-back does the work a walk would
     rng = random.Random(64)
     m = ()
     while gf2.rank(m) < 64:
         m = tuple(rng.getrandbits(64) for _ in range(64))
     form = congruent_form(base, m)
-    assert any(len(bits) > 1 and cross for bits, cross in standard_basis_terms(form))
+    for kind in (Enhancement, Refinement) if base == "hyperbolic" else (Enhancement,):
+        columns, shift = kind.pull_back(form, standard_basis(form)[1])
+        assert any(column & (column - 1) for column in columns) and shift
     codes = [rng.getrandbits(64) for _ in range(20)]
     refinements = [Refinement.from_code(form, c) for c in codes] if base == "hyperbolic" else ()
     assert_normal_forms_match_the_walk(form, [Enhancement.from_code(form, c) for c in codes], refinements)
@@ -154,16 +165,14 @@ def test_values_level_normal_form_equals_the_object_routes_on_every_structure(su
     form = surface.form
     rows = Enhancement.code_values(form, range(1 << form.dim)).tolist()
     enhancements = enumerate_enhancements(form)
-    assert [Enhancement.values_on_standard_basis(form, row)[0] for row in rows] == [
-        walked_basis_values(e) for e in enhancements
-    ]
+    assert [code_bits(Enhancement, form, row) for row in rows] == [walked_code_bits(e) for e in enhancements]
     brown = [brown_normal_form_values(form, row) for row in rows]
     assert brown == [bordism_class(surface, e).value for e in enhancements] == brown_spectrum(form).tolist()
     if surface.kind == "orientable":
         rows = Refinement.code_values(form, range(1 << form.dim)).tolist()
         refinements = enumerate_refinements(form)
-        on_basis = [Refinement.values_on_standard_basis(form, row)[0] for row in rows]
-        assert on_basis == [walked_basis_values(q) for q in refinements]
+        on_basis = [code_bits(Refinement, form, row) for row in rows]
+        assert on_basis == [walked_code_bits(q) for q in refinements]
         arf = [bordism_class(surface, q).value for q in refinements]
         assert [arf_additive(values) for values in on_basis] == arf
         assert [arf_normal_form_values(form, row) for row in rows] == arf
@@ -185,14 +194,28 @@ def test_row_parity_fault_names_the_first_broken_row(surface, fault, message):
     assert str(raised.value) == message
 
 
-def test_broken_basis_value_in_a_row_is_a_defect(monkeypatch):
-    # rows that keep parity on the unit basis keep it on every class, so a standard-basis
-    # value that breaks it is a defect: a wrong cached term reads basis vector 0 as e1 + e2
-    terms = standard_basis_terms(identity_form(3))
-    wrong = {identity_form(3): (((0, 1), 0),) + terms[1:]}
-    monkeypatch.setattr(surfaces, "standard_basis_terms", lambda form: wrong.get(form) or standard_basis_terms(form))
-    with pytest.raises(InvariantViolation, match=r"^value 0 on identity basis vector 0 breaks parity in row 0$"):
-        brown_normal_form_values(identity_form(3), [[1, 3, 1], [1, 1, 1]])
+def poison_the_pull_back(monkeypatch):
+    """Make ``pull_back`` read basis vector 0 of N:3 as e1 + e2: codes keep parity, so only a wrong value can show it."""
+    pull_back = QuadraticStructure.pull_back.__func__
+
+    def poisoned(cls, form, vectors):
+        if form == identity_form(3):
+            vectors = (0b011,) + vectors[1:]
+        return pull_back(cls, form, vectors)
+
+    monkeypatch.setattr(QuadraticStructure, "pull_back", classmethod(poisoned))
+
+
+def test_poisoned_pull_back_gives_a_wrong_invariant_in_both_shapes(monkeypatch):
+    # e(e1 + e2) reads 1 + 3 = 0 on (1, 3, 1), of Brown 1, and 1 + 1 = 2 on (1, 1, 1), of Brown 3, which then
+    # reads as Brown 1 too; rows and one structure's ints read one pull-back, and no parity check is left to
+    # turn the fault into an error
+    rows = [[1, 3, 1], [1, 1, 1]]
+    assert brown_normal_form_values(identity_form(3), rows).tolist() == [1, 3]
+    poison_the_pull_back(monkeypatch)
+    assert brown_normal_form_values(identity_form(3), rows).tolist() == [1, 1]
+    assert [brown_normal_form_values(identity_form(3), tuple(row)) for row in rows] == [1, 1]
+    assert brown_gauss_many(identity_form(3), rows).tolist() == [1, 3]
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
@@ -330,15 +353,14 @@ def test_oversized_surface_refused_before_its_form_is_built(capsys, argv, dim):
     assert elapsed < 0.5, f"{argv} took {elapsed:.2f} s"
 
 
-def test_broken_basis_value_is_an_internal_failure(capsys, monkeypatch):
-    # the parity rule holds on every class, so an even value on an orthonormal basis vector is a defect;
-    # a wrong cached term reads basis vector 0 as e1 + e2, of value 1 + 1 = 2
-    terms = standard_basis_terms(identity_form(3))
-    wrong = {identity_form(3): (((0, 1), 0),) + terms[1:]}
-    monkeypatch.setattr(surfaces, "standard_basis_terms", lambda form: wrong.get(form) or standard_basis_terms(form))
-    code, out, err = run_cli(capsys, "invariant", "-s", "N:3", "-e", "1,1,1")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: value 2 on identity basis vector 0 breaks parity")
+def test_poisoned_pull_back_fails_brown_compass(capsys, monkeypatch):
+    # the Gauss-sum octant shares no code with the pull-back, so verify names the first code it misreads
+    poison_the_pull_back(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "brown-compass", "--format", "json")
+    assert (code, err) == (1, "")
+    assert OutputRecord.from_json(out).rows == (
+        ("brown-compass", "gauss-equals-normal-form (dim<=10)", "FAIL", "N:3 values (1, 1, 1)"),
+    )
 
 
 def test_gram_check_catches_a_wrong_reduction():
@@ -403,6 +425,21 @@ def test_batch_kernels_refuse_rows_that_break_parity(kernel, form, values, messa
         kernel(form, values)
 
 
+@pytest.mark.parametrize("form,values,message", [
+    (identity_form(3), (2, 1, 1), r"^enhancement value 2 at index 0 breaks parity 2 s\(v\) = 2 \(v\.v\) mod 4$"),
+    (identity_form(3), (1, 3, 0), r"^enhancement value 0 at index 2 breaks parity"),
+    (hyperbolic_form(1), (1, 0), r"^enhancement value 1 at index 0 breaks parity 2 s\(v\) = 2 \(v\.v\) mod 4$"),
+    (hyperbolic_form(1), (2, 3), r"^enhancement value 3 at index 1 breaks parity"),
+])
+def test_one_structure_that_breaks_parity_is_bad_input(form, values, message):
+    # the same values as a row were refused with ValueError, but as one structure's ints they raised
+    # InvariantViolation, the defect class
+    with pytest.raises(ValueError, match=message):
+        brown_normal_form_values(form, values)
+    with pytest.raises(ValueError, match="parity"):
+        brown_normal_form_values(form, [values])
+
+
 @pytest.mark.parametrize("surface", [orientable_surface(0), orientable_surface(2), nonorientable_surface(3)],
                          ids=lambda s: s.label)
 def test_normal_form_reads_any_array_like_of_rows(surface):
@@ -427,3 +464,10 @@ def test_one_structure_normal_form_calls_no_numpy(monkeypatch):
     with pytest.raises(ValueError, match="got"):
         arf_normal_form_values(hyperbolic_form(2), (1, 1, 0, 2))
 
+
+
+def test_one_structure_normal_form_calls_no_numpy_on_a_cold_cache(monkeypatch):
+    # the reduction and the pull-back it feeds are pure Python too, when they run for the first time
+    standard_basis.cache_clear()
+    QuadraticStructure.pull_back.cache_clear()
+    test_one_structure_normal_form_calls_no_numpy(monkeypatch)
