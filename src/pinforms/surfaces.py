@@ -68,6 +68,11 @@ class IntersectionForm:
             raise ValueError("pairing matrix must be symmetric")
         if gf2.rank(self.rows) != n:
             raise ValueError("pairing matrix must be invertible over GF(2)")
+        # every cache keyed by a form hashes it; the rows are immutable, so the hash is taken once
+        object.__setattr__(self, "_hash", hash((n, self.rows)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_matrix(cls, matrix) -> "IntersectionForm":
@@ -173,10 +178,12 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     layouts get back the unit basis.
 
     Self-pairing is linear (x.x is the parity of x & diagonal) and z.x is the
-    parity of z & Fx, so each split costs one or two matrix-vector products
-    and O(n) word operations: O(n**2) word operations in all, the Gram check
-    included.  Dimensions above ``MAX_NORMAL_FORM_DIM`` raise ``LimitError``;
-    a basis whose Gram matrix is not the layout raises ``InvariantViolation``.
+    parity of z & Fx.  The pairing is symmetric, so Fx is the xor of the rows
+    that x's bits pick (``gf2.mat_mul``): each split costs one or two such
+    products, O(popcount x) word operations each, and O(n) parity tests.  The
+    Gram check is two products, (BF)B^T, one xor per set bit of each factor.
+    Dimensions above ``MAX_NORMAL_FORM_DIM`` raise ``LimitError``; a basis
+    whose Gram matrix is not the layout raises ``InvariantViolation``.
     """
     n = form.dim
     check_dim(n, MAX_NORMAL_FORM_DIM, "normal-form reduction")
@@ -185,20 +192,20 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     odd: list[int] = []
     pairs: list[tuple[int, int]] = []
     while rest:
-        x = next((z for z in rest if gf2.dot(z, diagonal)), None)
+        x = next((z for z in rest if (z & diagonal).bit_count() & 1), None)
         if x is not None:
             rest.remove(x)
             odd.append(x)
-            fx = gf2.mat_vec(form.rows, x)
-            rest = [z ^ (x if gf2.dot(z, fx) else 0) for z in rest]
+            fx = gf2.mat_mul((x,), form.rows)[0]
+            rest = [z ^ (x if (z & fx).bit_count() & 1 else 0) for z in rest]
             continue
         x = rest.pop(0)
-        fx = gf2.mat_vec(form.rows, x)
-        y = next(z for z in rest if gf2.dot(z, fx))  # exists: the rest is nondegenerate
+        fx = gf2.mat_mul((x,), form.rows)[0]
+        y = next(z for z in rest if (z & fx).bit_count() & 1)  # exists: the rest is nondegenerate
         rest.remove(y)
         pairs.append((x, y))
-        fy = gf2.mat_vec(form.rows, y)
-        rest = [z ^ (x if gf2.dot(z, fy) else 0) ^ (y if gf2.dot(z, fx) else 0) for z in rest]
+        fy = gf2.mat_mul((y,), form.rows)[0]
+        rest = [z ^ (x if (z & fy).bit_count() & 1 else 0) ^ (y if (z & fx).bit_count() & 1 else 0) for z in rest]
     if odd:
         e = odd.pop()
         for a, b in pairs:
@@ -209,8 +216,7 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
     else:
         layout, basis = "hyperbolic", tuple(v for ab in pairs for v in ab)
         expected = tuple(1 << (i ^ 1) for i in range(n))
-    images = [gf2.mat_vec(form.rows, v) for v in basis]
-    gram = tuple(sum(gf2.dot(v, fw) << j for j, v in enumerate(basis)) for fw in images)
+    gram = gf2.mat_mul(gf2.mat_mul(basis, form.rows), gf2.transpose(basis, n))
     if gram != expected:
         row = next(i for i, (got, want) in enumerate(zip(gram, expected)) if got != want)
         raise InvariantViolation(f"reduced basis breaks the {layout} layout in Gram row {row}")

@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the test modules."""
 
+import random
+
 from hypothesis import strategies as st
 
 from pinforms import IntersectionForm, gf2, hyperbolic_form, identity_form
@@ -27,3 +29,11 @@ def congruent_form(base: str, m: tuple[int, ...]) -> IntersectionForm:
     n = len(m)
     f = identity_form(n) if base == "identity" else hyperbolic_form(n // 2)
     return IntersectionForm(n, gf2.mat_mul(gf2.mat_mul(gf2.transpose(m, n), f.rows), m))
+
+
+def dense_invertible(n: int, rng: random.Random) -> tuple[int, ...]:
+    """An invertible n-by-n matrix over GF(2) with uniformly drawn rows, redrawn from ``rng`` until invertible."""
+    m: tuple[int, ...] = ()
+    while gf2.rank(m) < n:
+        m = tuple(rng.getrandbits(n) for _ in range(n))
+    return m

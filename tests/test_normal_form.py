@@ -37,7 +37,7 @@ from pinforms import (
 from pinforms.cli import OutputRecord, main
 from pinforms.enhancements import ValueHistogram, brown_normal_form_values, histogram_from_brown
 from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis
-from strategies import congruent_form, congruent_forms
+from strategies import congruent_form, congruent_forms, dense_invertible
 
 SURFACES = [orientable_surface(g) for g in range(6)] + [nonorientable_surface(k) for k in range(1, 11)]
 
@@ -147,10 +147,7 @@ def test_normal_forms_equal_the_basis_walk_on_seeded_samples(surface):
 def test_normal_forms_equal_the_basis_walk_on_a_congruent_form_in_dimension_64(base):
     # basis vectors with many set bits, where the pull-back does the work a walk would
     rng = random.Random(64)
-    m = ()
-    while gf2.rank(m) < 64:
-        m = tuple(rng.getrandbits(64) for _ in range(64))
-    form = congruent_form(base, m)
+    form = congruent_form(base, dense_invertible(64, rng))
     for kind in (Enhancement, Refinement) if base == "hyperbolic" else (Enhancement,):
         columns, shift = kind.pull_back(form, standard_basis(form)[1])
         assert any(column & (column - 1) for column in columns) and shift
@@ -370,6 +367,16 @@ def test_gram_check_catches_a_wrong_reduction():
     form.__dict__["diagonal"] = (1, 0)
     with pytest.raises(InvariantViolation, match="Gram row"):
         standard_basis.__wrapped__(form)
+    # dense congruent forms of dimension 16, whose basis vectors and images have many set bits: a diagonal that
+    # claims one odd vector too many or too few yields a basis that is not orthonormal, and the message names
+    # the first Gram row that breaks the layout, the row a row-by-row check of v_i.v_j finds first
+    for base, flipped, row in (("hyperbolic", 0, 0), ("identity", 6, 6), ("identity", 3, 3)):
+        form = congruent_form(base, dense_invertible(16, random.Random(16)))
+        diagonal = list(form.diagonal)
+        diagonal[flipped] ^= 1
+        form.__dict__["diagonal"] = tuple(diagonal)
+        with pytest.raises(InvariantViolation, match=rf"^reduced basis breaks the identity layout in Gram row {row}$"):
+            standard_basis.__wrapped__(form)
 
 
 # every batch kernel reads its value rows through QuadraticStructure.value_rows, which refuses a value

@@ -1,5 +1,7 @@
 """Isometries of the mod-2 pairing, group generation, and orbit partitions."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -42,7 +44,7 @@ from pinforms.orbits import (
     orbit_summary,
 )
 from pinforms.surfaces import is_alternating, standard_basis
-from strategies import congruent_form, congruent_forms
+from strategies import congruent_form, congruent_forms, dense_invertible
 
 # exhaustively verified orders of the full isometry groups
 BRUTE_ORDERS = {
@@ -505,7 +507,16 @@ def test_standard_basis_on_congruent_forms(case):
     _assert_standard_basis(congruent_form(base, m))
 
 
-@pytest.mark.parametrize("parts", [("N:1", "S:1"), ("S:1", "N:1"), ("N:1", "S:2"), ("S:2", "N:2"), ("S:1", "N:1", "S:1")])
+@pytest.mark.parametrize("base", ["identity", "hyperbolic"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_standard_basis_on_dense_congruent_forms(base, n):
+    # hypothesis draws forms to dimension 8; here the rows have about n/2 set bits and the basis vectors about
+    # n/4, so every product in the reduction and in its Gram check xors many rows
+    _assert_standard_basis(congruent_form(base, dense_invertible(n, random.Random(n))))
+
+
+@pytest.mark.parametrize("parts", [("N:1", "S:1"), ("S:1", "N:1"), ("N:1", "S:2"), ("S:2", "N:2"), ("S:1", "N:1", "S:1"),
+                                   ("S:4", "N:1", "S:3"), ("S:6", "N:3", "S:5")])
 def test_standard_basis_folds_hyperbolic_pairs_into_odd_vectors(parts):
     # <1> + H is congruent to the identity pairing of rank 3, so the pairs must be folded away
     forms = [identity_form(int(p[2:])) if p[0] == "N" else hyperbolic_form(int(p[2:])) for p in parts]

@@ -1,5 +1,6 @@
 """Surfaces, mod-2 intersection forms, and homology class plumbing."""
 
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -53,6 +54,15 @@ def test_hyperbolic_form_matrix():
     # block diagonal with hyperbolic planes on (0,1) and (2,3)
     assert g2.entry(0, 1) == g2.entry(2, 3) == 1
     assert g2.entry(0, 2) == g2.entry(1, 3) == 0
+
+
+def test_form_hash_taken_once_keeps_the_dataclass_contract():
+    # the hash is stored at construction; fields, repr, equality and the hash value stay the generated ones
+    form = IntersectionForm(4, [2, 1, 8, 4])
+    assert [f.name for f in dataclasses.fields(form)] == ["dim", "rows"]
+    assert repr(form) == "IntersectionForm(dim=4, rows=(2, 1, 8, 4))"
+    assert form == hyperbolic_form(2) and hash(form) == hash(hyperbolic_form(2)) == hash((4, (2, 1, 8, 4)))
+    assert form != IntersectionForm(4, (1, 2, 4, 8)) and {form: 1}[hyperbolic_form(2)] == 1
 
 
 def test_identity_form_matrix():
