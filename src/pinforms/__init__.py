@@ -32,7 +32,7 @@ from .enhancements import (
     brown_from_histograms,
     brown_gauss,
     brown_gauss_many,
-    brown_normal_form_values,
+    brown_normal_form,
     brown_spectrum,
     cap_off_summand,
     direct_sum_enhancement,
@@ -63,7 +63,7 @@ from .refinements import (
     Census,
     Refinement,
     arf_majority,
-    arf_normal_form_values,
+    arf_normal_form,
     arf_spectrum,
     arf_symplectic,
     enumerate_refinements,

@@ -11,11 +11,11 @@ with enumeration (1 vs 2 at genus 2, 8 vs 6 at genus 4); such entries are
 flagged DISPUTED and reported next to the corrected expression
 2**(k-2) + 2**((k-2)/2).
 
-A bordism class is one structure's invariant, its code pulled back onto a
-standard basis (``codes_on_standard_basis``) and read over the planes of
-the pairing (``brown_normal_form_values``, ``arf_normal_form_values``).
-The basis and the pull-back are cached, so a query only xors columns into
-a code, with no class table, up to ``MAX_NORMAL_FORM_DIM``.
+A bordism class is one structure's invariant, the code its constructor
+keeps, pulled back onto a standard basis (``codes_on_standard_basis``) and
+read over the planes of the pairing (``brown_normal_form``,
+``arf_normal_form``).  The basis and the pull-back are cached, so a query
+only xors columns into a code, with no class table, up to ``MAX_NORMAL_FORM_DIM``.
 
 The theories are the ``Theory`` records of ``THEORIES``, which the commands
 and ``bordism_class`` read instead of branching on a theory.  A new
@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .enhancements import Enhancement, brown_normal_form_values, brown_spectrum, histogram_from_brown
-from .refinements import Census, Refinement, arf_normal_form_values, arf_spectrum, spin_census, spin_closed_form
+from .enhancements import Enhancement, brown_normal_form, brown_spectrum, histogram_from_brown
+from .refinements import Census, Refinement, arf_normal_form, arf_spectrum, spin_census, spin_closed_form
 from .surfaces import MAX_TABLE_DIM, InvariantViolation, Surface, check_dim, is_alternating
 
 FLAG_CONFIRMED = "CONFIRMED"
@@ -192,14 +192,14 @@ def _histogram_rows(surface: Surface, beta: int) -> tuple[tuple[str, str], ...]:
 
 @dataclass(frozen=True)
 class Theory:
-    """One structure theory: all that the commands and ``bordism_class`` read of it."""
+    """One structure theory: all that the commands and ``bordism_class`` read of it; its normal form reads codes."""
 
     name: str  # the ``-t`` choice and ``BordismClass.theory``
     structure: type  # its ``QuadraticStructure`` subclass
     invariant: str  # the invariant's name in ``orbits`` and ``invariant`` output
     orientable_only: bool
     spectrum: Callable  # pairing -> the invariant of every code
-    normal_form: Callable  # pairing, basis values -> the invariant, read on a standard basis
+    normal_form: Callable  # pairing, int code or array of codes -> the invariant, read on a standard basis
     census: Callable  # surface -> checked counts by invariant value
     compare: Callable  # surface, census -> the ``census --compare`` columns and rows
     invariant_rows: Callable  # surface, invariant -> the rows ``invariant`` prints after it
@@ -219,12 +219,12 @@ class Theory:
 # by its module name is called through a lambda, which looks the name up at each call.
 THEORIES = (
     Theory(
-        "spin", Refinement, "arf", orientable_only=True, spectrum=arf_spectrum, normal_form=arf_normal_form_values,
+        "spin", Refinement, "arf", orientable_only=True, spectrum=arf_spectrum, normal_form=arf_normal_form,
         census=lambda surface: spin_census(surface.genus), compare=_spin_comparison,
         invariant_rows=lambda surface, arf: (),
     ),
     Theory(
-        "pin-", Enhancement, "beta", orientable_only=False, spectrum=brown_spectrum, normal_form=brown_normal_form_values,
+        "pin-", Enhancement, "beta", orientable_only=False, spectrum=brown_spectrum, normal_form=brown_normal_form,
         census=lambda surface: pin_census_enumerated(surface), compare=_pin_comparison,
         invariant_rows=_histogram_rows,
     ),
@@ -243,9 +243,9 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     """Arf class of a refinement (spin) or Brown class of an enhancement (pin-).
 
     Both come from the theory's normal form of the structure's form and
-    basis values: its code on the cached ``standard_basis`` of the pairing
-    (``codes_on_standard_basis``), read over the projective or
-    hyperbolic planes.  No value table over the 2**n classes is built, so
+    code, which its constructor kept: the code on the cached
+    ``standard_basis`` of the pairing (``codes_on_standard_basis``), read
+    over the projective or hyperbolic planes.  No value table over the 2**n classes is built, so
     any dimension up to ``MAX_NORMAL_FORM_DIM`` answers; above it the
     reduction raises ``LimitError``.  The Gauss-sum routes (``brown_gauss``,
     ``arf_majority`` and the spectra) share no code with this one and are
@@ -258,7 +258,7 @@ def bordism_class(surface: Surface, structure) -> BordismClass:
     theory = next((t for t in THEORIES if isinstance(structure, t.structure)), None)
     if theory is None:
         raise ValueError(f"unsupported structure type {type(structure).__name__}")
-    return BordismClass(theory.name, theory.normal_form(structure.form, structure.values))
+    return BordismClass(theory.name, theory.normal_form(structure.form, structure.code))
 
 
 def cobordant(first: tuple, second: tuple) -> bool:

@@ -7,8 +7,8 @@ Gauss sum of i**e(x) over all classes, read by one checked reader from value
 histograms (``brown_gauss_many``) or one Walsh-Hadamard transform of every
 code (``brown_spectrum``), both counted from ``Enhancement.value_table``;
 ``brown_compass`` looks one histogram's sign pair up in the same octant
-table.  ``brown_normal_form_values``, a sum over a standard basis for one
-enhancement or value rows, is the route that shares no code with these.
+table.  ``brown_normal_form``, a sum over a standard basis for one code or
+an array of codes, is the route that shares no code with these.
 """
 
 from __future__ import annotations
@@ -47,15 +47,9 @@ class ValueHistogram(NamedTuple):
 
 
 class Enhancement(QuadraticStructure):
-    """Function e with e(x+y) = e(x) + e(y) + 2 (x.y) in Z/4, stored by its basis values."""
+    """Function e with e(x+y) = e(x) + e(y) + 2 (x.y) and e(x) = x.x mod 2 in Z/4, built from its basis values."""
 
     modulus = 4
-
-    def __post_init__(self):
-        super().__post_init__()
-        for i, (v, d) in enumerate(zip(self.values, self.form.diagonal)):
-            if (v ^ d) & 1:
-                raise ValueError(f"value {v} at index {i} breaks the parity rule e(x) = x.x mod 2")
 
 
 def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
@@ -77,7 +71,7 @@ def value_histograms(form: IntersectionForm, values) -> np.ndarray:
     L = value & 1 and high H = value >> 1, are packed eight classes a byte and
     popcounted: n3 = |L & H|, n1 = |L| - n3, n2 = |H| - n3 and
     n0 = 2**n - n1 - n2 - n3.  Each chunk's table is released before the next
-    is built.  The normal form (``brown_normal_form_values``) is the route
+    is built.  The normal form (``brown_normal_form``) is the route
     that shares no code with this one.
     """
     n = form.dim
@@ -196,8 +190,8 @@ def brown_compass(e: Enhancement) -> int:
     return _SIGNS_BY_OCTANT.index(signs)
 
 
-def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray:
-    """Brown invariant of the enhancement with basis values ``values``, added up over a standard basis, in O(n**2).
+def brown_normal_form(form: IntersectionForm, codes) -> int | np.ndarray:
+    """Brown invariant of the enhancement with code ``codes``, added up over a standard basis, in O(n**2).
 
     On an orthonormal basis v1, ..., vk the enhancement splits into k
     projective planes, each of invariant +1 (value 1) or -1 (value 3); on a
@@ -208,13 +202,13 @@ def brown_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray
     when the pairing is not alternating.  On the code c read there
     (``Enhancement.codes_on_standard_basis``), value 3 on v_i is bit i set
     and e(a_i) = e(b_i) = 2 is both bits of plane i set, so the sums are
-    k - 2 |c| mod 8 and 4 Arf(c).  n ints give an int, with no numpy call,
-    and any (S, n) array-like of value rows an (S,) int64 array.
+    k - 2 |c| mod 8 and 4 Arf(c), by popcount.  An int code gives an int,
+    with no numpy call, and an array-like of codes an (S,) int64 array.
     """
-    codes = Enhancement.codes_on_standard_basis(form, values)
+    codes = Enhancement.codes_on_standard_basis(form, codes)
     if is_alternating(form):
         return 4 * arf_of_codes(codes)
-    weight = codes.bit_count() if isinstance(codes, int) else codes.sum(axis=1, dtype=np.int64)
+    weight = codes.bit_count() if isinstance(codes, int) else np.bitwise_count(codes).astype(np.int64)
     return (form.dim - 2 * weight) % 8
 
 

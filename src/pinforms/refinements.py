@@ -2,9 +2,9 @@
 
 The Arf invariant is the majority value over all classes (``arf_majority``,
 ``arf_spectrum``), or a sum over a symplectic basis
-(``arf_normal_form_values``, for one refinement or value rows on any
-alternating pairing; ``arf_symplectic`` on the standard layout); the table
-routes and the basis route share no code.
+(``arf_normal_form``, for one code or an array of codes on any alternating
+pairing; ``arf_symplectic`` on the standard layout); the table routes and
+the basis route share no code.
 """
 
 from __future__ import annotations
@@ -57,36 +57,37 @@ def arf_majority(q: Refinement) -> int:
     return 0 if zeros > ones else 1
 
 
-def arf_normal_form_values(form: IntersectionForm, values) -> int | np.ndarray:
-    """Arf invariant of the refinement with basis values ``values``: sum of q(a_i) q(b_i) over a symplectic basis.
+def arf_normal_form(form: IntersectionForm, codes) -> int | np.ndarray:
+    """Arf invariant of the refinement with code ``codes``: sum of q(a_i) q(b_i) over a symplectic basis.
 
     The codes on the basis come from ``Refinement.codes_on_standard_basis``,
-    so any alternating pairing works and no class table is built: one
-    structure's n ints give an int, and (S, n) value rows an (S,) int64
-    array.  A pairing that is not alternating carries no refinement and
-    raises ``ValueError`` before any value is read.
+    so any alternating pairing works and no class table is built: an int
+    code gives an int, and an array-like of codes an (S,) int64 array.  A
+    pairing that is not alternating carries no refinement and raises
+    ``ValueError`` before any code is read.
     """
     if not is_alternating(form):
         raise ValueError("refinements need an alternating pairing (orientable surface)")
-    return arf_of_codes(Refinement.codes_on_standard_basis(form, values))
+    return arf_of_codes(Refinement.codes_on_standard_basis(form, codes))
 
 
 def arf_of_codes(codes: int | np.ndarray) -> int | np.ndarray:
-    """Arf invariant of an int code, or of (S, 2g) code bits, read on a symplectic basis: its planes with both bits set, mod 2."""
+    """Arf invariant of an int code or an array of codes on a symplectic basis: popcount of the planes with both bits set, mod 2."""
     if isinstance(codes, int):
         evens = (4 ** ((codes.bit_length() + 1) // 2) - 1) // 3  # bits 0, 2, 4, ... up to the top plane
         return (codes & codes >> 1 & evens).bit_count() & 1
-    return (codes[:, 0::2] & codes[:, 1::2]).sum(axis=1, dtype=np.int64) & 1
+    # array codes have at most MAX_TABLE_DIM bits, so 32 bits of evens cover every plane
+    return (np.bitwise_count(codes & codes >> 1 & 0x55555555) & 1).astype(np.int64)
 
 
 def arf_symplectic(q: Refinement) -> int:
     """Sum over hyperbolic blocks of q(a_i) q(b_i) on the standard orientable layout, where the standard basis is the unit basis.
 
-    Any other pairing raises ``ValueError``; ``arf_normal_form_values`` reads any alternating one.
+    Any other pairing raises ``ValueError``; ``arf_normal_form`` reads any alternating one.
     """
     if not is_hyperbolic_form(q.form):
         raise ValueError("the block formula needs the standard hyperbolic layout")
-    return arf_normal_form_values(q.form, q.values)
+    return arf_normal_form(q.form, q.code)
 
 
 def arf_spectrum(form: IntersectionForm) -> np.ndarray:

@@ -10,8 +10,9 @@ bit i giving the coefficient of basis vector i.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
 from typing import ClassVar
 
 import numpy as np
@@ -155,11 +156,13 @@ def check_dim(n: int, cap: int, what: str):
 
 
 def matrix_rows(form: IntersectionForm, rows) -> np.ndarray:
-    """A (G, n) batch of n-by-n row masks as a uint32 array; a wrong shape or a mask outside [0, 2**n) raises ``ValueError``."""
+    """A (G, n) batch of n-by-n row masks as a uint32 array; a wrong shape, a non-integer dtype or a mask outside [0, 2**n) raises ``ValueError``."""
     n = form.dim
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"row array of shape {rows.shape} is not a batch of {n}-by-{n} matrices")
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"row masks must be integers, got dtype {rows.dtype}")
     if rows.size and (rows.min() < 0 or rows.max() >= 1 << n):
         raise ValueError("row mask out of range")
     return rows.astype(np.uint32)
@@ -365,25 +368,12 @@ def _xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
     return values.reshape((2,) * n)[flips].reshape(-1)
 
 
-def _code_bits(codes, n: int) -> np.ndarray:
-    """Bits of ints in [0, 2**n) as an (S, n) uint8 array, bit i in column i, read as little-endian bytes so any n works."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in codes), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(codes), width), axis=1, count=n, bitorder="little")
-
-
-@lru_cache(maxsize=64)
-def _pull_back_bits(columns: tuple[int, ...], shift: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pull_back``'s (columns of B, t) onto r vectors as read-only bits: a float32 (n, r) matrix of the columns, and t."""
-    matrix, bits = _code_bits(columns, r).astype(np.float32), _code_bits([shift], r)[0]
-    matrix.setflags(write=False)
-    bits.setflags(write=False)
-    return matrix, bits
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # ASCII binary digits to the bytes 0 and 1
 
 
 @dataclass(frozen=True)
 class QuadraticStructure:
-    """Function s with s(x+y) = s(x) + s(y) + (m/2)(x.y) in Z/m, stored by its basis values.
+    """Function s with s(x+y) = s(x) + s(y) + (m/2)(x.y) in Z/m, built from its basis values and kept with its code.
 
     Subclasses fix the modulus m and add the rule that 2 s(x) = (m/2)(x.x)
     forces: x.x = 0 throughout for m = 2, s(x) = x.x mod 2 for m = 4.  So
@@ -398,19 +388,39 @@ class QuadraticStructure:
     parity_masks: ClassVar[tuple[int, int]]
     form: IntersectionForm
     values: tuple[int, ...]
+    code: int = field(init=False, repr=False, compare=False)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         m = cls.modulus
         cls.residues = frozenset(range(m))
         cls.parity_masks = tuple(sum(1 << s for s in range(m) if 2 * s % m == m // 2 * xx) for xx in (0, 1))
+        # per value byte, the ASCII digit of the self-pairing it fits (2 s mod m is 0 or m/2) and of its code bit
+        fitted = [cls.parity_masks[1] >> s & 1 for s in range(m)]
+        cls._diagonal_digits = bytes(48 + xx for xx in fitted).ljust(256, b"0")
+        cls._code_digits = bytes(48 + (s - xx) // (m // 2) for s, xx in enumerate(fitted)).ljust(256, b"0")
 
     def __post_init__(self):
+        """The one check of basis values: count, then Z/m, then parity 2 s(v_i) = (m/2) diag_i, naming the first bad value.
+
+        The values, last first, are read as bytes into the binary digits of the
+        self-pairing each fits and of its code bit; the first number must be the
+        diagonal, and the second is the code, which the structure keeps.
+        """
         freeze_ints(self, "values")
-        if len(self.values) != self.form.dim:
+        values, m = self.values, self.modulus
+        if len(values) != self.form.dim:
             raise ValueError("basis value count must equal the pairing dimension")
-        if not self.residues.issuperset(self.values):
-            raise ValueError(f"{type(self).__name__.lower()} values live in Z/{self.modulus}")
+        if not self.residues.issuperset(values):
+            i = next(i for i, v in enumerate(values) if v not in self.residues)
+            raise ValueError(f"{type(self).__name__.lower()} value {values[i]} at index {i} lies outside Z/{m}")
+        digits = bytes(values)[::-1]
+        misfits = int(digits.translate(self._diagonal_digits) or b"0", 2) ^ self.form.diagonal_bits
+        if misfits:
+            i = (misfits & -misfits).bit_length() - 1
+            raise ValueError(
+                f"{type(self).__name__.lower()} value {values[i]} at index {i} breaks parity 2 s(v) = {m // 2} (v.v) mod {m}")
+        object.__setattr__(self, "code", int(digits.translate(self._code_digits) or b"0", 2))
 
     @classmethod
     def code_values(cls, form: IntersectionForm, codes) -> np.ndarray:
@@ -420,12 +430,13 @@ class QuadraticStructure:
         code rule.  Codes are read as little-endian bytes, so any dimension
         works; the first code outside [0, 2**n) raises ``ValueError``.
         """
-        n = form.dim
+        n, width = form.dim, (form.dim + 7) // 8
         codes = [operator.index(c) for c in codes]
         bad = next((c for c in codes if not 0 <= c < 1 << n), None)
         if bad is not None:
             raise ValueError(f"code {bad:#x} out of range for dimension {n}")
-        return np.array(form.diagonal, dtype=np.uint8) + cls.modulus // 2 * _code_bits(codes, n)
+        raw = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in codes), dtype=np.uint8).reshape(len(codes), width)
+        return np.array(form.diagonal, dtype=np.uint8) + cls.modulus // 2 * np.unpackbits(raw, axis=1, count=n, bitorder="little")
 
     @classmethod
     def from_code(cls, form: IntersectionForm, code: int):
@@ -504,11 +515,6 @@ class QuadraticStructure:
         terms += 1
         return _butterflies(terms)
 
-    @property
-    def code(self) -> int:
-        half = self.modulus // 2
-        return sum((v - d) // half << i for i, (v, d) in enumerate(zip(self.values, self.form.diagonal)))
-
     @classmethod
     def value_rows(cls, form: IntersectionForm, values) -> np.ndarray:
         """Any (S, n) array-like of integer basis values as uint8 rows.
@@ -579,36 +585,32 @@ class QuadraticStructure:
         return (linear + self.modulus // 2 * cross) % self.modulus
 
     @classmethod
-    def codes_on_standard_basis(cls, form: IntersectionForm, values) -> int | np.ndarray:
-        """Codes pulled back onto ``standard_basis(form)`` (``pull_back``): bit i is s(v_i) // (m/2).
+    def codes_on_standard_basis(cls, form: IntersectionForm, codes) -> int | np.ndarray:
+        """Codes pulled back onto ``standard_basis(form)`` by ``pull_back``'s map c -> Bc xor t; no value is read.
 
-        ``values`` is one structure's n ints, checked in pure Python, giving an
-        int: t with column j of B xored in wherever value j is at least m/2.
-        Or any (S, n) array-like of value rows, read through ``value_rows``,
-        giving (S, n) uint16 code bits: the rows halved times B mod 2, xor t.
-        A value outside Z/m or off the parity rule raises ``ValueError``; a
-        code keeps parity on every basis.
+        An int code gives an int, in pure Python: t xor the columns of B at its
+        set bits.  Any array-like of integer codes, up to ``MAX_TABLE_DIM``,
+        gives a uint32 array: one ``gf2.batch_mul`` of the codes as (S, 1) rows
+        with the columns of B, xor t.  A code outside [0, 2**n) raises ``ValueError``.
         """
-        m, half = cls.modulus, cls.modulus // 2
-        one = len(values) and isinstance(values[0], int) or np.ndim(values) != 2
-        if not one:
-            rows = cls.value_rows(form, values) // half
-            matrix, shift = _pull_back_bits(*cls.pull_back(form, standard_basis(form)[1]), form.dim)
-            # a float32 product is exact: each sum counts at most MAX_NORMAL_FORM_DIM ones
-            return ((rows @ matrix).astype(np.uint16) ^ shift) & 1
-        name = cls.__name__.lower()
-        # a float, Fraction or numpy scalar among the values makes their sum no int
-        if len(values) != form.dim or not cls.residues.issuperset(values) or not isinstance(sum(values), int):
-            raise ValueError(f"expected {form.dim} {name} values in Z/{m}, got {tuple(values)}")
-        columns, code = cls.pull_back(form, standard_basis(form)[1])
-        for j, (v, d, column) in enumerate(zip(values, form.diagonal, columns)):
-            # value j is diag_j, or diag_j + m/2 where bit j of the code is set (``code_values``)
-            if v >= half:
-                v -= half
-                code ^= column
-            if v != d:
-                raise ValueError(f"{name} value {values[j]} at index {j} breaks parity 2 s(v) = {half} (v.v) mod {m}")
-        return code
+        n = form.dim
+        try:
+            code = operator.index(codes)
+        except TypeError:
+            check_dim(n, MAX_TABLE_DIM, "batch normal forms")
+            codes = np.asarray(codes)
+            if codes.size and not np.issubdtype(codes.dtype, np.integer):
+                raise ValueError(f"codes must be integers, got dtype {codes.dtype}") from None
+            outside = (codes < 0) | (codes >= 1 << n)
+            if outside.any():
+                raise ValueError(f"code {int(codes[outside][0]):#x} out of range for dimension {n}") from None
+            columns, shift = cls.pull_back(form, standard_basis(form)[1])
+            return gf2.batch_mul(codes.astype(np.uint32).reshape(-1, 1), columns).reshape(-1) ^ np.uint32(shift)
+        if not 0 <= code < 1 << n:
+            raise ValueError(f"code {code:#x} out of range for dimension {n}")
+        columns, shift = cls.pull_back(form, standard_basis(form)[1])
+        # the code's binary digits, bit 0 first, as bytes 0 and 1, select the columns
+        return reduce(operator.xor, compress(columns, bin(code)[:1:-1].encode().translate(_BIT_BYTES)), shift)
 
     def values_on_all(self) -> np.ndarray:
         """Values on all 2**n classes, indexed by integer encoding: ``value_table`` on a batch of one."""

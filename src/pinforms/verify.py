@@ -26,7 +26,7 @@ from .census import (
     pin_census_enumerated,
     pin_census_recursive,
 )
-from .enhancements import Enhancement, brown_from_histograms, brown_gauss_many, brown_normal_form_values, value_histograms
+from .enhancements import Enhancement, brown_from_histograms, brown_gauss_many, brown_normal_form, value_histograms
 from .orbits import (
     act,
     banding_isometry,
@@ -38,7 +38,7 @@ from .orbits import (
 from .pinplus import enumerate_pinplus, is_well_defined, mod4_homology, PinPlusForm
 from .refinements import (
     Refinement,
-    arf_normal_form_values,
+    arf_normal_form,
     arf_spectrum,
     spin_census,
     spin_closed_form,
@@ -131,7 +131,7 @@ def _brown_codes(form) -> np.ndarray:
 
 def _arf_codes(form) -> np.ndarray:
     """Arf invariant of every refinement on ``form``, in code order, by the sum over a standard basis."""
-    return arf_normal_form_values(form, _values(Refinement, form))
+    return arf_normal_form(form, np.arange(1 << form.dim))
 
 
 def _row(values: np.ndarray, s: int) -> tuple[int, ...]:
@@ -314,8 +314,8 @@ def _suite_brown_compass() -> list[Row]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
     def breaks():
         for s in _standard_surfaces(10, include_sphere=True):
-            values = _values(Enhancement, s.form)
-            yield from _misses(s.label, values, brown_normal_form_values(s.form, values) != _brown_codes(s.form))
+            wrong = brown_normal_form(s.form, np.arange(1 << s.form.dim)) != _brown_codes(s.form)
+            yield from _misses(s.label, _values(Enhancement, s.form), wrong)
 
     return [_first("gauss-equals-normal-form (dim<=10)", breaks())]
 
@@ -420,8 +420,8 @@ def _suite_action_invariance() -> list[Row]:
             samples = [sampled(Refinement, form) for _ in isos]
             structures = [q for sample in samples for q in sample]
             moved = [act(iso, q) for iso, sample in zip(isos, samples) for q in sample]
-            before = arf_normal_form_values(form, [q.values for q in structures])
-            after = arf_normal_form_values(form, [q.values for q in moved])
+            before = arf_normal_form(form, [q.code for q in structures])
+            after = arf_normal_form(form, [q.code for q in moved])
             yield from (f"g={g} values {structures[pos].values}" for pos in np.flatnonzero(after != before).tolist())
 
     # both checks draw from the one seeded generator, in this order

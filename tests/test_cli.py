@@ -104,6 +104,21 @@ def test_invariant_refinement(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(["-s", "N:3", "-e", "1,1,5"], "enhancement value 5 at index 2 lies outside Z/4", id="N3-range"),
+        pytest.param(["-s", "N:3", "-e", "2,1,1"], "enhancement value 2 at index 0 breaks parity 2 s(v) = 2 (v.v) mod 4",
+                     id="N3-parity"),
+        pytest.param(["-s", "S:1", "-q", "1,2"], "refinement value 2 at index 1 lies outside Z/2", id="S1-range"),
+    ],
+)
+def test_invariant_names_the_first_bad_value_and_its_index(capsys, argv, message):
+    # the structure's constructor is the one check of its values; bad input exits 2 before any invariant
+    code, out, err = run_cli(capsys, "invariant", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         pytest.param(["-s", "S:1", "-q", "1,1", "-t", "pin-"], id="S1-pin-"),

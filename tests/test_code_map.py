@@ -102,6 +102,30 @@ def test_code_map_refuses_a_wrong_shape_or_a_row_mask_out_of_range(rows, message
         Enhancement.code_map(identity_form(3), rows)
 
 
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        # a float mask must not truncate to another matrix: [[1.9, 2.2]] would read as the identity [[1, 2]]
+        pytest.param([[1.9, 2.2]], "float64", id="float"),
+        pytest.param(np.array([[1, 2]], dtype=np.float32), "float32", id="whole-float32"),
+        pytest.param([["1", "2"]], "<U1", id="strings"),
+        pytest.param(np.array([[True, True]]), "bool", id="bool"),
+    ],
+)
+def test_code_map_and_orbit_labels_refuse_rows_of_a_non_integer_dtype(rows, dtype):
+    message = f"^row masks must be integers, got dtype {dtype}$"
+    with pytest.raises(ValueError, match=message):
+        Refinement.code_map(hyperbolic_form(1), rows)
+    with pytest.raises(ValueError, match=message):
+        orbit_labels(hyperbolic_form(1), Refinement, rows)
+
+
+def test_code_map_reads_an_empty_batch_of_any_dtype():
+    # np.asarray of an empty batch is float64; with no mask to read, it is no float mask
+    columns, shifts = Enhancement.code_map(identity_form(0), [[]] * 2)
+    assert columns.shape == (2, 0) and shifts.tolist() == [0, 0]
+
+
 def test_orbit_labels_rejects_a_generator_of_another_pairing():
     (g, *_) = isometry_generators(identity_form(3))
     with pytest.raises(ValueError, match="generator and pairing differ"):

@@ -16,7 +16,7 @@ from pinforms import (
     QuadraticStructure,
     Refinement,
     arf_majority,
-    arf_normal_form_values,
+    arf_normal_form,
     arf_spectrum,
     bordism_class,
     brown_gauss_many,
@@ -35,8 +35,8 @@ from pinforms import (
     value_histograms,
 )
 from pinforms.cli import OutputRecord, main
-from pinforms.enhancements import ValueHistogram, brown_normal_form_values, histogram_from_brown
-from pinforms.surfaces import MAX_NORMAL_FORM_DIM, is_alternating, standard_basis
+from pinforms.enhancements import ValueHistogram, brown_normal_form, histogram_from_brown
+from pinforms.surfaces import MAX_NORMAL_FORM_DIM, MAX_TABLE_DIM, is_alternating, standard_basis
 from strategies import congruent_form, congruent_forms, dense_invertible
 
 SURFACES = [orientable_surface(g) for g in range(6)] + [nonorientable_surface(k) for k in range(1, 11)]
@@ -79,41 +79,42 @@ def walked_code_bits(s) -> list[int]:
     return [v // (s.modulus // 2) for v in walked_basis_values(s)]
 
 
-def code_bits(kind, form, values) -> list:
-    """The pulled code of one structure as n bits, or of value rows as one list of n bits per row."""
-    codes = kind.codes_on_standard_basis(form, values)
-    if isinstance(codes, int):
-        return [codes >> i & 1 for i in range(form.dim)]
-    assert codes.shape == (len(values), form.dim)
-    return codes.tolist()
-
-
-def value_array(structures, form) -> np.ndarray:
-    return np.array([s.values for s in structures], dtype=np.uint8).reshape(len(structures), form.dim)
+def code_bits(kind, form, codes) -> list:
+    """The pulled code of one structure's code as n bits, or of an array of codes as one list of n bits per code."""
+    pulled = kind.codes_on_standard_basis(form, codes)
+    if isinstance(pulled, int):
+        return [pulled >> i & 1 for i in range(form.dim)]
+    assert pulled.shape == (len(codes),) and pulled.dtype == np.uint32
+    return [[c >> i & 1 for i in range(form.dim)] for c in pulled.tolist()]
 
 
 def assert_normal_forms_match_the_walk(form, enhancements, refinements=()):
     layout, _ = standard_basis(form)
-    # the batch form, on a value array, gives the form of each structure's row
-    rows = value_array(enhancements, form)
-    assert brown_normal_form_values(form, rows).tolist() == [brown_normal_form_values(form, e.values) for e in enhancements]
-    assert code_bits(Enhancement, form, rows) == [walked_code_bits(e) for e in enhancements]
+    # the batch form, on an array of codes, gives the form of each structure's code; like every batch
+    # kernel it stops at MAX_TABLE_DIM
+    codes = [e.code for e in enhancements]
+    if form.dim <= MAX_TABLE_DIM:
+        assert brown_normal_form(form, codes).tolist() == [brown_normal_form(form, c) for c in codes]
+        assert code_bits(Enhancement, form, codes) == [walked_code_bits(e) for e in enhancements]
+    else:
+        with pytest.raises(LimitError, match="^batch normal forms capped"):
+            brown_normal_form(form, codes)
     for e in enhancements:
         walked = walked_basis_values(e)
-        assert code_bits(Enhancement, form, e.values) == walked_code_bits(e), e.values
+        assert code_bits(Enhancement, form, e.code) == walked_code_bits(e), e.values
         if layout == "identity":
             beta = sum(1 if v == 1 else -1 for v in walked) % 8
         else:
             beta = 4 * sum(1 for a, b in zip(walked[0::2], walked[1::2]) if a == b == 2) % 8
-        assert brown_normal_form_values(form, e.values) == beta, e.values
-    if refinements:
-        rows = value_array(refinements, form)
-        assert arf_normal_form_values(form, rows).tolist() == [arf_normal_form_values(form, q.values) for q in refinements]
-        assert code_bits(Refinement, form, rows) == [walked_code_bits(q) for q in refinements]
+        assert brown_normal_form(form, e.code) == beta, e.values
+    if refinements and form.dim <= MAX_TABLE_DIM:
+        codes = [q.code for q in refinements]
+        assert arf_normal_form(form, codes).tolist() == [arf_normal_form(form, c) for c in codes]
+        assert code_bits(Refinement, form, codes) == [walked_code_bits(q) for q in refinements]
     for q in refinements:
         walked = walked_basis_values(q)
-        assert code_bits(Refinement, form, q.values) == walked_code_bits(q), q.values
-        assert arf_normal_form_values(form, q.values) == arf_additive(walked), q.values
+        assert code_bits(Refinement, form, q.code) == walked_code_bits(q), q.values
+        assert arf_normal_form(form, q.code) == arf_additive(walked), q.values
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
@@ -157,24 +158,25 @@ def test_normal_forms_equal_the_basis_walk_on_a_congruent_form_in_dimension_64(b
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.label)
-def test_values_level_normal_form_equals_the_object_routes_on_every_structure(surface):
-    # a row of a value array gives what the structure built from it gives
+def test_code_level_normal_form_equals_the_object_routes_on_every_structure(surface):
+    # a bare code gives what the structure built from that code gives
     form = surface.form
-    rows = Enhancement.code_values(form, range(1 << form.dim)).tolist()
+    codes = range(1 << form.dim)
     enhancements = enumerate_enhancements(form)
-    assert [code_bits(Enhancement, form, row) for row in rows] == [walked_code_bits(e) for e in enhancements]
-    brown = [brown_normal_form_values(form, row) for row in rows]
+    assert [e.code for e in enhancements] == list(codes)
+    assert [code_bits(Enhancement, form, c) for c in codes] == [walked_code_bits(e) for e in enhancements]
+    brown = [brown_normal_form(form, c) for c in codes]
     assert brown == [bordism_class(surface, e).value for e in enhancements] == brown_spectrum(form).tolist()
     if surface.kind == "orientable":
-        rows = Refinement.code_values(form, range(1 << form.dim)).tolist()
         refinements = enumerate_refinements(form)
-        on_basis = [code_bits(Refinement, form, row) for row in rows]
+        on_basis = [code_bits(Refinement, form, c) for c in codes]
         assert on_basis == [walked_code_bits(q) for q in refinements]
         arf = [bordism_class(surface, q).value for q in refinements]
-        assert [arf_additive(values) for values in on_basis] == arf
-        assert [arf_normal_form_values(form, row) for row in rows] == arf
+        assert [arf_additive(bits) for bits in on_basis] == arf
+        assert [arf_normal_form(form, c) for c in codes] == arf
         # the doubled refinement 2q is the enhancement of Brown invariant 4 Arf(q)
-        assert [brown_normal_form_values(form, [2 * v for v in row]) for row in rows] == [4 * a for a in arf]
+        doubled = [Enhancement(form, tuple(2 * v for v in q.values)).code for q in refinements]
+        assert [brown_normal_form(form, c) for c in doubled] == [4 * a for a in arf]
 
 
 @pytest.mark.parametrize("surface,fault,message", [
@@ -182,13 +184,16 @@ def test_values_level_normal_form_equals_the_object_routes_on_every_structure(su
     (orientable_surface(2), 1, "enhancement values break parity 2 s(v) = 2 (v.v) mod 4: row 5 is (2, 1, 2, 0)"),
 ])
 def test_row_parity_fault_names_the_first_broken_row(surface, fault, message):
-    # the standard layouts keep the unit basis, so a basis value is a value of the array;
-    # a row that breaks parity is bad input, refused with the rows, before any sum is read
+    # a row that breaks parity is bad input, refused with the rows, before any sum is read; the constructor
+    # refuses the same values as one structure, naming the value and its index
     values = Enhancement.code_values(surface.form, range(1 << surface.form.dim))
     values[5, 1] = values[7, 0] = fault
     with pytest.raises(ValueError) as raised:
-        brown_normal_form_values(surface.form, values)
+        brown_gauss_many(surface.form, values)
     assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        Enhancement(surface.form, tuple(values[5].tolist()))
+    assert str(raised.value) == f"enhancement value {fault} at index 1 breaks parity 2 s(v) = 2 (v.v) mod 4"
 
 
 def poison_the_pull_back(monkeypatch):
@@ -205,13 +210,15 @@ def poison_the_pull_back(monkeypatch):
 
 def test_poisoned_pull_back_gives_a_wrong_invariant_in_both_shapes(monkeypatch):
     # e(e1 + e2) reads 1 + 3 = 0 on (1, 3, 1), of Brown 1, and 1 + 1 = 2 on (1, 1, 1), of Brown 3, which then
-    # reads as Brown 1 too; rows and one structure's ints read one pull-back, and no parity check is left to
-    # turn the fault into an error
+    # reads as Brown 1 too; an array of codes and one int code read one pull-back, and no parity check is left
+    # to turn the fault into an error
     rows = [[1, 3, 1], [1, 1, 1]]
-    assert brown_normal_form_values(identity_form(3), rows).tolist() == [1, 3]
+    codes = [Enhancement(identity_form(3), tuple(row)).code for row in rows]
+    assert codes == [2, 0]
+    assert brown_normal_form(identity_form(3), codes).tolist() == [1, 3]
     poison_the_pull_back(monkeypatch)
-    assert brown_normal_form_values(identity_form(3), rows).tolist() == [1, 1]
-    assert [brown_normal_form_values(identity_form(3), tuple(row)) for row in rows] == [1, 1]
+    assert brown_normal_form(identity_form(3), codes).tolist() == [1, 1]
+    assert [brown_normal_form(identity_form(3), c) for c in codes] == [1, 1]
     assert brown_gauss_many(identity_form(3), rows).tolist() == [1, 3]
 
 
@@ -234,14 +241,14 @@ def test_normal_form_equals_the_gauss_routes_on_congruent_forms(case):
     form = congruent_form(base, m)
     structures = enumerate_enhancements(form)
     for e, beta in zip(structures, brown_gauss_many(form, [e.values for e in structures]).tolist()):
-        assert brown_normal_form_values(form, e.values) == beta, e.values
+        assert brown_normal_form(form, e.code) == beta, e.values
     if is_alternating(form):
         refinements = enumerate_refinements(form)
         majority = [arf_majority(q) for q in refinements]
         for q, arf in zip(refinements, majority):
-            assert arf_normal_form_values(form, q.values) == arf, q.values
-        # the rows form on a congruent pairing, whose standard basis is not the unit basis
-        assert arf_normal_form_values(form, value_array(refinements, form)).tolist() == majority
+            assert arf_normal_form(form, q.code) == arf, q.values
+        # the array form on a congruent pairing, whose standard basis is not the unit basis
+        assert arf_normal_form(form, [q.code for q in refinements]).tolist() == majority
 
 
 @pytest.mark.parametrize(
@@ -394,18 +401,8 @@ OUT_OF_RANGE = {
     "gauss-uint64-2-to-the-63": (brown_gauss_many, N2, np.array([[1, 1], [1, 2**63]], dtype=np.uint64), r"Z/4: row 1"),
     "table-4": (Enhancement.value_table, N2, [[1, 4]], r"Z/4: row 0 is \(1, 4\)$"),
     "refinement-table-2": (Refinement.value_table, S1, [[0, 2]], r"^refinement values live in Z/2: row 0 is \(0, 2\)$"),
-    "arf-3": (arf_normal_form_values, S1, [[3, 3]], r"Z/2: row 0 is \(3, 3\)$"),
-    "arf-one-2": (arf_normal_form_values, S1, (0, 2), r"^expected 2 refinement values in Z/2, got \(0, 2\)$"),
-    "normal-form-rows-5": (brown_normal_form_values, N3, [[1, 1, 1], [5, 1, 1]], r"Z/4: row 1 is \(5, 1, 1\)$"),
-    "normal-form-5": (brown_normal_form_values, N3, (5, 1, 1), r"^expected 3 enhancement values in Z/4, got \(5, 1, 1\)$"),
-    "normal-form-minus-1": (brown_normal_form_values, N3, (-1, 1, 1), r"got \(-1, 1, 1\)$"),
-    "normal-form-short": (brown_normal_form_values, N3, (1, 1), r"got \(1, 1\)$"),
-    # a value that is not an integer is refused, not cast: 1.5 must not read as 1, nor 1.0 sum to 3.0
+    # a value that is not an integer is refused, not cast: 1.5 must not read as 1
     "gauss-float": (brown_gauss_many, N3, [[1.5, 1, 1]], r"^enhancement values must be integers, got dtype float64$"),
-    "normal-form-float": (brown_normal_form_values, N3, (1.0, 1, 1), r"got \(1.0, 1, 1\)$"),
-    # no refinement lives on an odd pairing, which is refused before the out-of-range 5 is read
-    "arf-odd-pairing": (arf_normal_form_values, N2, (5, 5), "^refinements need an alternating pairing"),
-    "arf-rows-odd-pairing": (arf_normal_form_values, N2, [[5, 5]], "^refinements need an alternating pairing"),
 }
 
 
@@ -415,11 +412,65 @@ def test_batch_kernels_refuse_values_outside_the_modulus(kernel, form, values, m
         kernel(form, values)
 
 
+# one structure's values are checked once, by its constructor: count, then Z/m, then parity
+OUTSIDE_THE_MODULUS = {
+    "enhancement-5": (Enhancement, N3, (5, 1, 1), r"^enhancement value 5 at index 0 lies outside Z/4$"),
+    "enhancement-minus-1": (Enhancement, N3, (1, -1, 1), r"^enhancement value -1 at index 1 lies outside Z/4$"),
+    "enhancement-short": (Enhancement, N3, (1, 1), r"^basis value count must equal the pairing dimension$"),
+    # a value outside Z/m is named before a parity break at an earlier index
+    "enhancement-5-after-parity": (Enhancement, N3, (2, 1, 5), r"^enhancement value 5 at index 2 lies outside Z/4$"),
+    "enhancement-uint64-2-to-the-63": (Enhancement, N2, (1, np.uint64(2**63)), r"value 9223372036854775808 at index 1 lies"),
+    "refinement-2": (Refinement, S1, (0, 2), r"^refinement value 2 at index 1 lies outside Z/2$"),
+    "refinement-3": (Refinement, S1, (3, 3), r"^refinement value 3 at index 0 lies outside Z/2$"),
+    # no refinement lives on an odd pairing, which is refused before the out-of-range 5 is read
+    "refinement-odd-pairing": (Refinement, N2, (5, 5), "^refinements need an alternating pairing"),
+}
+
+
+@pytest.mark.parametrize("kind,form,values,message", OUTSIDE_THE_MODULUS.values(), ids=list(OUTSIDE_THE_MODULUS))
+def test_constructor_refuses_values_outside_the_modulus(kind, form, values, message):
+    with pytest.raises(ValueError, match=message):
+        kind(form, values)
+
+
+def test_constructor_refuses_values_that_are_not_integers():
+    # a value that is not an integer is refused, not cast: 1.0 must not read as 1
+    with pytest.raises(TypeError):
+        Enhancement(N3, (1.0, 1, 1))
+    with pytest.raises(TypeError):
+        Refinement(S1, (1.0, 0))
+
+
+# the normal forms read codes in [0, 2**n), as an int or an array of integers
+CODES_OUT_OF_RANGE = {
+    "brown-8": (brown_normal_form, N3, 8, r"^code 0x8 out of range for dimension 3$"),
+    "brown-array-8": (brown_normal_form, N3, [1, 8], r"^code 0x8 out of range for dimension 3$"),
+    "brown-minus-1": (brown_normal_form, N3, -1, r"^code -0x1 out of range for dimension 3$"),
+    # an int64 -1 must not wrap to 2**32 - 1, nor a uint64 2**63 to 0
+    "brown-int64-minus-1": (brown_normal_form, N3, np.array([1, -1]), r"^code -0x1 out of range for dimension 3$"),
+    "brown-uint64-2-to-the-63": (brown_normal_form, N3, np.array([1, 2**63], dtype=np.uint64), r"^code 0x8000000000000000 out"),
+    "brown-numpy-int-9": (brown_normal_form, N3, np.int64(9), r"^code 0x9 out of range for dimension 3$"),
+    "arf-4": (arf_normal_form, S1, 4, r"^code 0x4 out of range for dimension 2$"),
+    "arf-array-4": (arf_normal_form, S1, [0, 4], r"^code 0x4 out of range for dimension 2$"),
+    # a code that is not an integer is refused, not cast
+    "brown-float": (brown_normal_form, N3, 1.0, r"^codes must be integers, got dtype float64$"),
+    "brown-array-float": (brown_normal_form, N3, [1.5], r"^codes must be integers, got dtype float64$"),
+    # no refinement lives on an odd pairing, which is refused before the out-of-range 5 is read
+    "arf-odd-pairing": (arf_normal_form, N2, 5, "^refinements need an alternating pairing"),
+    "arf-array-odd-pairing": (arf_normal_form, N2, [5], "^refinements need an alternating pairing"),
+}
+
+
+@pytest.mark.parametrize("normal_form,form,codes,message", CODES_OUT_OF_RANGE.values(), ids=list(CODES_OUT_OF_RANGE))
+def test_normal_forms_refuse_codes_out_of_range(normal_form, form, codes, message):
+    with pytest.raises(ValueError, match=message):
+        normal_form(form, codes)
+
+
 # rows inside Z/m that break the parity rule 2 s(v) = (m/2)(v.v) on a basis vector
 PARITY_BREAKS = {
     "table-parity-2": (Enhancement.value_table, identity_form(1), [[2]], r"^enhancement values break parity 2 s\(v\) = 2 \(v\.v\) mod 4: row 0 is \(2,\)$"),
     "gauss-parity-0": (brown_gauss_many, identity_form(1), [[0]], r"parity .* row 0 is \(0,\)$"),
-    "normal-form-parity-2": (brown_normal_form_values, identity_form(1), [[2]], r"parity .* row 0 is \(2,\)$"),
     "histograms-parity": (value_histograms, N2, [[1, 1], [1, 3], [2, 1]], r"parity .* row 2 is \(2, 1\)$"),
     "refinement-table-odd-pairing": (Refinement.value_table, N2, [[0, 0]], r"^refinement values break parity 2 s\(v\) = 1 \(v\.v\) mod 2: row 0"),
 }
@@ -437,40 +488,49 @@ def test_batch_kernels_refuse_rows_that_break_parity(kernel, form, values, messa
     (identity_form(3), (1, 3, 0), r"^enhancement value 0 at index 2 breaks parity"),
     (hyperbolic_form(1), (1, 0), r"^enhancement value 1 at index 0 breaks parity 2 s\(v\) = 2 \(v\.v\) mod 4$"),
     (hyperbolic_form(1), (2, 3), r"^enhancement value 3 at index 1 breaks parity"),
+    (identity_form(1), (2,), r"^enhancement value 2 at index 0 breaks parity 2 s\(v\) = 2 \(v\.v\) mod 4$"),
 ])
 def test_one_structure_that_breaks_parity_is_bad_input(form, values, message):
-    # the same values as a row were refused with ValueError, but as one structure's ints they raised
-    # InvariantViolation, the defect class
+    # the constructor refuses it with ValueError, as the row kernels refuse the same values as a row
     with pytest.raises(ValueError, match=message):
-        brown_normal_form_values(form, values)
+        Enhancement(form, values)
     with pytest.raises(ValueError, match="parity"):
-        brown_normal_form_values(form, [values])
+        brown_gauss_many(form, [values])
 
 
 @pytest.mark.parametrize("surface", [orientable_surface(0), orientable_surface(2), nonorientable_surface(3)],
                          ids=lambda s: s.label)
-def test_normal_form_reads_any_array_like_of_rows(surface):
+def test_normal_form_reads_any_array_like_of_codes(surface):
     form = surface.form
-    values = Enhancement.code_values(form, range(1 << form.dim))
-    expected = brown_normal_form_values(form, values).tolist()
-    assert brown_normal_form_values(form, values.tolist()).tolist() == expected
-    assert brown_normal_form_values(form, tuple(map(tuple, values.tolist()))).tolist() == expected
-    # a tuple of n ints, as bordism_class passes it, is one structure
-    assert [brown_normal_form_values(form, tuple(row)) for row in values.tolist()] == expected
+    codes = np.arange(1 << form.dim)
+    expected = brown_normal_form(form, codes).tolist()
+    assert expected == brown_spectrum(form).tolist()
+    for same in (codes.tolist(), tuple(codes.tolist()), range(1 << form.dim), codes.astype(np.uint8), codes.astype(np.uint64)):
+        assert brown_normal_form(form, same).tolist() == expected
+    # an int code, a numpy integer too, is one structure's, and gives an int
+    assert [brown_normal_form(form, c) for c in codes] == expected
+    assert all(type(brown_normal_form(form, c)) is int for c in codes)
+    assert brown_normal_form(form, []).tolist() == []
 
 
 def test_one_structure_normal_form_calls_no_numpy(monkeypatch):
-    # bordism_class and invariant pass a tuple of n ints; its range check, sums and parity check stay pure Python
+    # bordism_class and invariant build one structure and pass its int code: the constructor's checks, the
+    # pull-back and the sums stay pure Python
     for module in (surfaces, enhancements, refinements):
         monkeypatch.setattr(module, "np", SimpleNamespace(ndarray=np.ndarray))
-    assert brown_normal_form_values(identity_form(3), (1, 1, 3)) == 1
-    assert brown_normal_form_values(hyperbolic_form(2), (2, 2, 0, 2)) == 4
-    assert arf_normal_form_values(hyperbolic_form(2), (1, 1, 0, 1)) == 1
-    with pytest.raises(ValueError, match="got"):
-        brown_normal_form_values(identity_form(3), (5, 1, 1))
-    with pytest.raises(ValueError, match="got"):
-        arf_normal_form_values(hyperbolic_form(2), (1, 1, 0, 2))
-
+    assert brown_normal_form(identity_form(3), Enhancement(identity_form(3), (1, 1, 3)).code) == 1
+    assert brown_normal_form(hyperbolic_form(2), Enhancement(hyperbolic_form(2), (2, 2, 0, 2)).code) == 4
+    assert arf_normal_form(hyperbolic_form(2), Refinement(hyperbolic_form(2), (1, 1, 0, 1)).code) == 1
+    n3 = nonorientable_surface(3)
+    assert bordism_class(n3, Enhancement(n3.form, (1, 1, 3))).value == 1
+    with pytest.raises(ValueError, match="out of range"):
+        brown_normal_form(identity_form(3), 8)
+    with pytest.raises(ValueError, match="outside Z/4"):
+        Enhancement(identity_form(3), (5, 1, 1))
+    with pytest.raises(ValueError, match="breaks parity"):
+        Enhancement(identity_form(3), (2, 1, 1))
+    with pytest.raises(ValueError, match="outside Z/2"):
+        Refinement(hyperbolic_form(2), (1, 1, 0, 2))
 
 
 def test_one_structure_normal_form_calls_no_numpy_on_a_cold_cache(monkeypatch):

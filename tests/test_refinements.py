@@ -10,7 +10,7 @@ from pinforms import (
     IntersectionForm,
     Refinement,
     arf_majority,
-    arf_normal_form_values,
+    arf_normal_form,
     arf_spectrum,
     arf_symplectic,
     enumerate_refinements,
@@ -98,13 +98,13 @@ def test_spin_census_sphere_and_negative_genus():
 def test_arf_normal_form_on_rows_equals_the_per_object_block_formula(g):
     form = hyperbolic_form(g)
     refinements = enumerate_refinements(form)
-    many = arf_normal_form_values(form, Refinement.code_values(form, range(1 << form.dim)))
+    many = arf_normal_form(form, range(1 << form.dim))
     assert many.tolist() == [arf_symplectic(q) for q in refinements]
     # the block formula written out, and the Gauss-sum route that shares no code with it
     assert many.tolist() == [sum(q.values[2 * i] * q.values[2 * i + 1] for i in range(g)) % 2 for q in refinements]
     assert many.tolist() == arf_spectrum(form).tolist()
-    # rows in any order, as a list of tuples too
-    assert arf_normal_form_values(form, [q.values for q in refinements[::-1]]).tolist() == many.tolist()[::-1]
+    # codes in any order, as a list of ints too
+    assert arf_normal_form(form, [q.code for q in refinements[::-1]]).tolist() == many.tolist()[::-1]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Static checks over the library source."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +21,50 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _float_dtypes(path: Path) -> list[str]:
+    """Float dtypes: ``np.float*`` attributes, ``"float*"`` dtype strings, and ``float`` passed to ``astype`` or ``dtype``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            if node.attr.startswith("float"):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"float\d*", node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            passed = list(node.args) if func in ("astype", "dtype") else []
+            passed += [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(isinstance(a, ast.Name) and a.id == "float" for a in passed):
+                lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_library_uses_no_float_dtype():
+    # every kernel works over GF(2) or Z/m in integer arrays; a float product is exact only below a bound
+    assert [found for path in SOURCES for found in _float_dtypes(path)] == []
+
+
+def test_float_dtype_check_sees_each_kind_of_use(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "a = np.float32(1)\n"
+        "b = x.astype(np.float64)\n"
+        "c = x.astype('float32')\n"
+        "d = np.zeros(3, dtype='float')\n"
+        "e = x.astype(float)\n"
+        "f = np.array(x, dtype=float)\n"
+        "g = np.dtype(float)\n"
+        "h = x.astype(np.uint32)\n"
+        "i = 'a float32 product is exact'\n"
+        "j = float(x)\n"
+        "k = numpy.float16\n"
+        "m = np.zeros(3, dtype=int)\n",
+        encoding="utf-8",
+    )
+    assert _float_dtypes(source) == [f"probe.py:{line}" for line in (1, 2, 3, 4, 5, 6, 7, 11)]
 
 
 def test_orbits_leaves_the_code_convention_to_the_structure_classes():

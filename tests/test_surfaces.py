@@ -1,6 +1,7 @@
 """Surfaces, mod-2 intersection forms, and homology class plumbing."""
 
 import dataclasses
+import itertools
 import random
 import re
 import tracemalloc
@@ -14,9 +15,9 @@ from pinforms import (
     IntersectionForm,
     Refinement,
     Surface,
-    arf_normal_form_values,
+    arf_normal_form,
     arf_spectrum,
-    brown_normal_form_values,
+    brown_normal_form,
     brown_spectrum,
     direct_sum,
     enumerate_enhancements,
@@ -302,6 +303,27 @@ def test_code_values_match_from_code_on_every_code_of_congruent_forms(case):
     assert_code_values_match_from_code(form, range(1 << form.dim))
 
 
+@pytest.mark.parametrize("form", [identity_form(k) for k in (1, 2, 3)] + [hyperbolic_form(g) for g in (0, 1, 2)],
+                         ids=form_id)
+def test_constructor_and_value_rows_state_one_rule(form):
+    # every value tuple over {-1, ..., m}: one structure is refused exactly when its values as a row are, and an
+    # accepted structure's code gives its values back and rebuilds it
+    for kind in structure_kinds(form):
+        accepted = []
+        for values in itertools.product(range(-1, kind.modulus + 1), repeat=form.dim):
+            try:
+                kind.value_rows(form, [values])
+            except ValueError:
+                with pytest.raises(ValueError):
+                    kind(form, values)
+                continue
+            s = kind(form, values)
+            assert tuple(kind.code_values(form, [s.code])[0].tolist()) == values
+            assert kind.from_code(form, s.code) == s
+            accepted.append(s.code)
+        assert sorted(accepted) == list(range(1 << form.dim))
+
+
 @pytest.mark.parametrize("form", [identity_form(64), hyperbolic_form(32), identity_form(256)], ids=form_id)
 def test_code_values_read_every_bit_of_a_wide_code(form):
     rng = random.Random(form.dim)
@@ -346,8 +368,8 @@ def test_value_routes_build_no_class_bit_matrix(capsys, monkeypatch):
     assert table.tolist() == [[e(x) for x in range(1 << form.dim)] for e in enhancements]
     assert all(np.array_equal(e.values_on_all(), row) for e, row in zip(enhancements, table))
     assert value_histograms(form, values).tolist() == [np.bincount(row, minlength=4).tolist() for row in table]
-    assert brown_spectrum(form).tolist() == [brown_normal_form_values(form, e.values) for e in enhancements]
-    assert arf_spectrum(spin).tolist() == [arf_normal_form_values(spin, q.values) for q in enumerate_refinements(spin)]
+    assert brown_spectrum(form).tolist() == [brown_normal_form(form, e.code) for e in enhancements]
+    assert arf_spectrum(spin).tolist() == [arf_normal_form(spin, q.code) for q in enumerate_refinements(spin)]
     for argv, before in zip(CLI_CASES, expected):
         assert main(list(argv)) == 0
         assert capsys.readouterr() == before, argv

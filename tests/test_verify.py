@@ -257,18 +257,18 @@ def test_cached_histograms_are_read_only():
 
 
 def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatch):
-    # the normal form takes a surface's value array, one row per structure
-    normal_form = verify.brown_normal_form_values
+    # the normal form takes a surface's codes, one per structure; on N:5 bit 0 of a code is set where value 0 is 3
+    normal_form = verify.brown_normal_form
     seen = []
 
-    def broken(form, rows):
+    def broken(form, codes):
         seen.append(form)
-        value = normal_form(form, rows)
+        value = normal_form(form, codes)
         if form == identity_form(5):
-            value = np.where(rows[:, 0] == 3, (value + 1) % 8, value)
+            value = np.where(codes & 1, (value + 1) % 8, value)
         return value
 
-    monkeypatch.setattr(verify, "brown_normal_form_values", broken)
+    monkeypatch.setattr(verify, "brown_normal_form", broken)
     code = main(["verify", "brown-compass", "--format", "json"])
     record = OutputRecord.from_json(capsys.readouterr().out)
     assert code == 1
@@ -282,19 +282,19 @@ def test_failing_check_reports_first_counterexample_and_stops(capsys, monkeypatc
 
 
 def test_brown_compass_reads_the_normal_form_once_per_surface(monkeypatch):
-    normal_form = verify.brown_normal_form_values
+    normal_form = verify.brown_normal_form
     calls = []
 
-    def counted(form, rows):
-        calls.append((form, rows.shape))
-        return normal_form(form, rows)
+    def counted(form, codes):
+        calls.append((form, codes.tolist()))
+        return normal_form(form, codes)
 
-    monkeypatch.setattr(verify, "brown_normal_form_values", counted)
+    monkeypatch.setattr(verify, "brown_normal_form", counted)
     assert [r.status for r in run_suites("brown-compass")] == [PASS]
-    # N:1 to N:10 and S:0 to S:5, each surface's value array as one batch of rows
+    # N:1 to N:10 and S:0 to S:5, each surface's codes in order as one batch
     surfaces = verify._standard_surfaces(10, include_sphere=True)
     assert len(calls) == 16
-    assert calls == [(s.form, (1 << s.form.dim, s.form.dim)) for s in surfaces]
+    assert calls == [(s.form, list(range(1 << s.form.dim))) for s in surfaces]
 
 
 # the kernel of the identity suites against the per-structure route it replaced
