@@ -174,24 +174,36 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
 
     Returns ``("identity", basis)`` with an orthonormal basis when the pairing
     is not alternating, else ``("hyperbolic", basis)`` with interleaved pairs
-    a1, b1, ..., ag, bg.  While an odd vector x (x.x = 1) is left it is split
-    off by z -> z + (z.x)x; otherwise a hyperbolic pair (x, y) is split off by
-    z -> z + (z.y)x + (z.x)y.  Each pair is then folded into an odd vector e
-    through <1> + H = 3<1>: e, a, b become e+a, e+b, e+a+b.  The standard
-    layouts get back the unit basis.
+    a1, b1, ..., ag, bg.  The diagonal decides the layout.  A pairing already
+    in its layout, as every standard surface's is, is its own basis: the Gram
+    matrix of the unit basis is F itself, so one O(n) comparison of the rows
+    with the layout's is its Gram check, and nothing is reduced.
+
+    Any other pairing is reduced.  While an odd vector x (x.x = 1) is left it
+    is split off by z -> z + (z.x)x; otherwise a hyperbolic pair (x, y) is
+    split off by z -> z + (z.y)x + (z.x)y.  Each pair is then folded into an
+    odd vector e through <1> + H = 3<1>: e, a, b become e+a, e+b, e+a+b.
 
     Self-pairing is linear (x.x is the parity of x & diagonal) and z.x is the
     parity of z & Fx.  The pairing is symmetric, so Fx is the xor of the rows
     that x's bits pick (``gf2.mat_mul``): each split costs one or two such
     products, O(popcount x) word operations each, and O(n) parity tests.  The
     Gram check is two products, (BF)B^T, one xor per set bit of each factor.
-    Dimensions above ``MAX_NORMAL_FORM_DIM`` raise ``LimitError``; a basis
-    whose Gram matrix is not the layout raises ``InvariantViolation``.
+    Dimensions above ``MAX_NORMAL_FORM_DIM`` raise ``LimitError``; a vector
+    left with no hyperbolic partner, or a basis whose Gram matrix is not the
+    layout, raises ``InvariantViolation``.
     """
     n = form.dim
     check_dim(n, MAX_NORMAL_FORM_DIM, "normal-form reduction")
     diagonal = form.diagonal_bits
-    rest = [1 << i for i in range(n)]
+    unit = gf2.identity(n)
+    if diagonal:
+        layout, expected = "identity", unit
+    else:
+        layout, expected = "hyperbolic", tuple(1 << (i ^ 1) for i in range(n))
+    if form.rows == expected:
+        return layout, unit
+    rest = list(unit)
     odd: list[int] = []
     pairs: list[tuple[int, int]] = []
     while rest:
@@ -204,7 +216,9 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
             continue
         x = rest.pop(0)
         fx = gf2.mat_mul((x,), form.rows)[0]
-        y = next(z for z in rest if (z & fx).bit_count() & 1)  # exists: the rest is nondegenerate
+        y = next((z for z in rest if (z & fx).bit_count() & 1), None)
+        if y is None:
+            raise InvariantViolation(f"vector {x:#x} has no hyperbolic partner among the vectors left")
         rest.remove(y)
         pairs.append((x, y))
         fy = gf2.mat_mul((y,), form.rows)[0]
@@ -214,11 +228,9 @@ def standard_basis(form: IntersectionForm) -> tuple[str, tuple[int, ...]]:
         for a, b in pairs:
             odd += [e ^ a, e ^ b]
             e ^= a ^ b
-        layout, basis = "identity", tuple(odd + [e])
-        expected = gf2.identity(n)
+        basis = tuple(odd + [e])
     else:
-        layout, basis = "hyperbolic", tuple(v for ab in pairs for v in ab)
-        expected = tuple(1 << (i ^ 1) for i in range(n))
+        basis = tuple(v for ab in pairs for v in ab)
     gram = gf2.mat_mul(gf2.mat_mul(basis, form.rows), gf2.transpose(basis, n))
     if gram != expected:
         row = next(i for i, (got, want) in enumerate(zip(gram, expected)) if got != want)

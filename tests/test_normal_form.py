@@ -384,6 +384,42 @@ def test_gram_check_catches_a_wrong_reduction():
         form.__dict__["diagonal"] = tuple(diagonal)
         with pytest.raises(InvariantViolation, match=rf"^reduced basis breaks the identity layout in Gram row {row}$"):
             standard_basis.__wrapped__(form)
+    # the rows of one standard layout under a diagonal that decides the other: a pairing in its layout returns
+    # at once, so this shows the early return never accepts rows the diagonal's layout contradicts; the reduction
+    # then runs into a vector with no hyperbolic partner
+    for n in (2, 16):
+        for rows, claimed in ((gf2.identity(n), 0), (hyperbolic_form(n // 2).rows, 1)):
+            form = IntersectionForm(n, rows)
+            form.__dict__["diagonal"] = (claimed,) * n
+            with pytest.raises(InvariantViolation, match=r"^vector 0x[13] has no hyperbolic partner"):
+                standard_basis.__wrapped__(form)
+    # a pairing out of its layout whose diagonal claims e0 odd: odd vectors are split off until e1 is left with no
+    # partner; that is a violation, not a bare StopIteration, which a generator would turn into RuntimeError
+    form = IntersectionForm(3, (0b100, 0b010, 0b001))
+    form.__dict__["diagonal"] = (1, 0, 0)
+    with pytest.raises(InvariantViolation, match=r"^vector 0x2 has no hyperbolic partner among the vectors left$"):
+        standard_basis.__wrapped__(form)
+
+
+def test_the_identity_rows_are_their_own_basis_whatever_odd_vectors_the_diagonal_claims():
+    # a diagonal that claims some odd vector decides the identity layout, and the unit basis of the identity rows
+    # is orthonormal: the early return answers from the rows
+    form = IntersectionForm(3, (0b001, 0b010, 0b100))
+    form.__dict__["diagonal"] = (1, 0, 0)
+    assert standard_basis.__wrapped__(form) == ("identity", (1, 2, 4))
+
+
+@pytest.mark.parametrize("form", [identity_form(MAX_NORMAL_FORM_DIM), hyperbolic_form(MAX_NORMAL_FORM_DIM // 2)],
+                         ids=["N:256", "S:128"])
+def test_standard_layouts_take_no_reduction_step(monkeypatch, form):
+    # the one comparison of the rows with the layout is the whole answer: no product, no Gram check
+    def refuse(*args, **kwargs):
+        raise AssertionError("a standard layout must not be reduced")
+
+    monkeypatch.setattr(gf2, "mat_mul", refuse)
+    layout, basis = standard_basis.__wrapped__(form)
+    assert basis == gf2.identity(form.dim)
+    assert layout == ("hyperbolic" if is_alternating(form) else "identity")
 
 
 # every batch kernel reads its value rows through QuadraticStructure.value_rows, which refuses a value
@@ -538,3 +574,11 @@ def test_one_structure_normal_form_calls_no_numpy_on_a_cold_cache(monkeypatch):
     standard_basis.cache_clear()
     QuadraticStructure.pull_back.cache_clear()
     test_one_structure_normal_form_calls_no_numpy(monkeypatch)
+    # and at the cap, where a standard layout is its own basis: 256 values of 3, and 128 blocks of Brown 4 or of
+    # Arf 1, add up to 0
+    standard_basis.cache_clear()
+    QuadraticStructure.pull_back.cache_clear()
+    n256, s128 = nonorientable_surface(MAX_NORMAL_FORM_DIM), orientable_surface(MAX_NORMAL_FORM_DIM // 2)
+    assert bordism_class(n256, Enhancement(n256.form, (3,) * MAX_NORMAL_FORM_DIM)).value == 0
+    assert bordism_class(s128, Enhancement(s128.form, (2,) * MAX_NORMAL_FORM_DIM)).value == 0
+    assert bordism_class(s128, Refinement(s128.form, (1,) * MAX_NORMAL_FORM_DIM)).value == 0

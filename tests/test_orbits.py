@@ -481,7 +481,8 @@ def test_twist_generator_counts():
     assert [len(isometry_generators(hyperbolic_form(g))) for g in range(6)] == [0, 2, 5, 8, 11, 14]
 
 
-@pytest.mark.parametrize("form", [identity_form(k) for k in range(9)] + [hyperbolic_form(g) for g in range(5)])
+@pytest.mark.parametrize("form", [identity_form(k) for k in (*range(9), 20, 64, 256)]
+                         + [hyperbolic_form(g) for g in (*range(5), 10, 64, 128)])
 def test_standard_basis_of_standard_layouts_is_the_unit_basis(form):
     layout, basis = standard_basis(form)
     assert basis == gf2.identity(form.dim)
