@@ -466,8 +466,18 @@ class QuadraticStructure:
         bit i of t is s_0(b_i) // (m/2), s_0(b) being the diagonal weight of b
         plus (m/2) cross_pairs(b), mod m.  Pure Python, cached per class, form
         and tuple of class bit masks.
+
+        The unit basis, which every standard surface's ``standard_basis`` is,
+        returns at once on any pairing, as a code is defined by its values
+        there: B is the unit basis, its own transpose, and s_0(e_i) is diag_i,
+        as one vector has no cross term, so bit i of t is diag_i // (m/2).
+        Each diag_i is 0 or 1, so t is the diagonal times 1 // (m/2).  Any
+        other tuple takes the per-vector loop.
         """
         m, half = cls.modulus, cls.modulus // 2
+        unit = gf2.identity(form.dim)
+        if vectors == unit:
+            return unit, form.diagonal_bits * (1 // half)
         shift = 0
         for i, b in enumerate(vectors):
             weight = (as_bits(b, form.dim) & form.diagonal_bits).bit_count()

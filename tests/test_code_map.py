@@ -1,5 +1,7 @@
 """Code maps built by the structure classes, and the checked inverse of an isometry."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pinforms import (
 )
 from pinforms.cli import main
 from pinforms.orbits import _image_row, group_rows, orbit_labels
+from strategies import congruent_form, dense_invertible
 
 CASES = [pytest.param(identity_form(k), Enhancement, id=f"N:{k}-pin-") for k in range(1, 8)] + [
     pytest.param(hyperbolic_form(g), kind, id=f"S:{g}-{theory}")
@@ -83,6 +86,29 @@ def test_pull_back_onto_the_preimages_is_code_map_on_the_generators(form, kind):
 @pytest.mark.parametrize("form, kind", [p for p in PULL_BACK_CASES if p.values[0].dim <= 4])
 def test_pull_back_onto_the_preimages_is_code_map_over_the_brute_group(form, kind):
     _assert_pull_back_is_code_map(form, kind, group_rows(form, "brute"))
+
+
+# dense congruent forms, whose standard basis is not the unit basis, with each theory their layout allows
+DENSE_CASES = [
+    pytest.param(congruent_form("identity", dense_invertible(n, random.Random(n))), Enhancement, id=f"identity-{n}-pin-")
+    for n in (2, 7, 12, 20)
+] + [
+    pytest.param(congruent_form("hyperbolic", dense_invertible(n, random.Random(n))), kind, id=f"hyperbolic-{n}-{theory}")
+    for n in (2, 12, 20)
+    for kind, theory in ((Enhancement, "pin-"), (Refinement, "spin"))
+]
+
+
+@pytest.mark.parametrize("form, kind", DENSE_CASES)
+def test_pull_back_onto_the_unit_basis_is_the_identity_code_map_on_dense_forms(form, kind):
+    # the unit basis returns before the per-vector loop, on any pairing; code_map's adjoint shares no code with it
+    _assert_pull_back_is_code_map(form, kind, [gf2.identity(form.dim)])
+
+
+def test_pull_back_onto_the_unit_basis_takes_its_shift_from_the_diagonal():
+    # code 0 of a refinement has value diag_i on e_i, its code bit on a pairing with an odd diagonal
+    assert Refinement.pull_back(identity_form(3), (1, 2, 4)) == ((1, 2, 4), 7)
+    assert Enhancement.pull_back(identity_form(3), (1, 2, 4)) == ((1, 2, 4), 0)
 
 
 @pytest.mark.parametrize(

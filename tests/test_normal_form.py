@@ -576,9 +576,28 @@ def test_one_structure_normal_form_calls_no_numpy_on_a_cold_cache(monkeypatch):
     test_one_structure_normal_form_calls_no_numpy(monkeypatch)
     # and at the cap, where a standard layout is its own basis: 256 values of 3, and 128 blocks of Brown 4 or of
     # Arf 1, add up to 0
+    n256, s128 = nonorientable_surface(MAX_NORMAL_FORM_DIM), orientable_surface(MAX_NORMAL_FORM_DIM // 2)
+    n20, s10 = nonorientable_surface(20), orientable_surface(10)
+    queries = [
+        (n256, Enhancement(n256.form, (3,) * MAX_NORMAL_FORM_DIM), 0),
+        (s128, Enhancement(s128.form, (2,) * MAX_NORMAL_FORM_DIM), 0),
+        (s128, Refinement(s128.form, (1,) * MAX_NORMAL_FORM_DIM), 0),
+        # 20 values of 3 add up to -20 = 4 mod 8, 5 blocks of Brown 4 to 4 mod 8, and 5 blocks of Arf 1 to 1 mod 2
+        (n20, Enhancement(n20.form, (3,) * 20), 4),
+        (s10, Enhancement(s10.form, (2, 2) * 5 + (0, 0) * 5), 4),
+        (s10, Refinement(s10.form, (1, 1) * 5 + (0, 0) * 5), 1),
+    ]
+    # the standard basis of a standard surface is the unit basis, whose pull-back takes no per-vector step and
+    # transposes nothing; the surfaces and structures are built above, as a pairing's constructor transposes it
+    calls = {"cross_pairs": 0, "as_bits": 0, "transpose": 0}
+    for module, name in ((surfaces, "cross_pairs"), (surfaces, "as_bits"), (gf2, "transpose")):
+        def counted(*args, _name=name, _call=getattr(module, name)):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(module, name, counted)
     standard_basis.cache_clear()
     QuadraticStructure.pull_back.cache_clear()
-    n256, s128 = nonorientable_surface(MAX_NORMAL_FORM_DIM), orientable_surface(MAX_NORMAL_FORM_DIM // 2)
-    assert bordism_class(n256, Enhancement(n256.form, (3,) * MAX_NORMAL_FORM_DIM)).value == 0
-    assert bordism_class(s128, Enhancement(s128.form, (2,) * MAX_NORMAL_FORM_DIM)).value == 0
-    assert bordism_class(s128, Refinement(s128.form, (1,) * MAX_NORMAL_FORM_DIM)).value == 0
+    for surface, structure, value in queries:
+        assert bordism_class(surface, structure).value == value
+    assert calls == {"cross_pairs": 0, "as_bits": 0, "transpose": 0}
