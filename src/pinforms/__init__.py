@@ -7,6 +7,12 @@ classified by the Brown invariant in Z/8.  The package enumerates
 structures, computes invariants by independent routes, partitions
 structures into isometry orbits, and tabulates censuses against
 closed-form counts and a genus recursion.
+
+No module imports numpy at module level: each function that uses it
+imports it in its own body, and a function that takes an int or an array
+imports it only on the array branch.  So ``import pinforms`` and a
+one-structure query (``bordism_class``, ``cobordant``, ``invariant``) run
+without loading numpy.
 """
 
 from .census import (

@@ -21,7 +21,8 @@ The theories are the ``Theory`` records of ``THEORIES``, which the commands
 and ``bordism_class`` read instead of branching on a theory.  A new
 theory is one more record: its ``QuadraticStructure`` subclass (which gives
 ``code_map`` and ``code_values``), spectrum, normal form, census and
-comparison.
+comparison.  A bordism class is pure Python; the enumerated census imports
+numpy in its own body.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .enhancements import Enhancement, brown_normal_form, brown_spectrum, histogram_from_brown
 from .refinements import Census, Refinement, arf_normal_form, arf_spectrum, spin_census, spin_closed_form
@@ -45,6 +44,7 @@ FLAG_CONJECTURE_FAILED = "CONJECTURE-FAILED"
 
 @lru_cache(maxsize=64)
 def _enumerated_items(surface: Surface) -> tuple[tuple[int, int], ...]:
+    import numpy as np
     counts = np.bincount(brown_spectrum(surface.form), minlength=8)
     return tuple((value, int(count)) for value, count in enumerate(counts) if count)
 

@@ -7,7 +7,9 @@ consistency check, 2 bad arguments or illegal structure values, 3
 documented size limit exceeded.
 
 The ``-t`` theories are the records of ``census.THEORIES``; ``census``, ``orbits``
-and ``invariant`` read all that is theory-specific from the record.
+and ``invariant`` read all that is theory-specific from the record.  Every
+library module is imported here at start-up, and none of them imports numpy
+until a kernel that uses it runs, so ``invariant`` runs without numpy.
 """
 
 from __future__ import annotations

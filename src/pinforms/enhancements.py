@@ -8,14 +8,15 @@ histograms (``brown_gauss_many``) or one Walsh-Hadamard transform of every
 code (``brown_spectrum``), both counted from ``Enhancement.value_table``;
 ``brown_compass`` looks one histogram's sign pair up in the same octant
 table.  ``brown_normal_form``, a sum over a standard basis for one code or
-an array of codes, is the route that shares no code with these.
+an array of codes, is the route that shares no code with these.  An int
+code's invariant is pure Python; each table and array kernel imports numpy
+in its own body.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .refinements import Refinement, arf_of_codes
 from .surfaces import (
@@ -74,6 +75,7 @@ def value_histograms(form: IntersectionForm, values) -> np.ndarray:
     is built.  The normal form (``brown_normal_form``) is the route
     that shares no code with this one.
     """
+    import numpy as np
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
     vals = Enhancement.value_rows(form, values)
@@ -103,22 +105,23 @@ def value_histogram(e: Enhancement) -> ValueHistogram:
 _SIGNS_BY_OCTANT = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
+@lru_cache(maxsize=2)
 def _octant_table(parity: int) -> np.ndarray:
     """The octant of each (sign P, sign Q), P = A + B and Q = A - B, indexed by 3 sign P + sign Q mod 9.
 
     On an octant's ray |A| and |B| are equal or one is zero, so the signs of
     P and Q are those of sign A + sign B and sign A - sign B.  Only octants
     of the given parity have sums of squared magnitude 2**n with n of that
-    parity; every other entry, (0, 0) included, is -1.
+    parity; every other entry, (0, 0) included, is -1.  Built on first use
+    and cached read-only.
     """
+    import numpy as np
     table = np.full(9, -1)
     for octant in range(parity, 8, 2):
         sa, sb = _SIGNS_BY_OCTANT[octant]
         table[(3 * np.sign(sa + sb) + np.sign(sa - sb)) % 9] = octant
+    table.setflags(write=False)
     return table
-
-
-_OCTANT_BY_SIGN_KEY = (_octant_table(0), _octant_table(1))
 
 
 def _octants(dim: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,10 +135,11 @@ def _octants(dim: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     the parity of n; the sign pair fixes the octant.  The first sum with a
     wrong magnitude raises ``InvariantViolation``.
     """
+    import numpy as np
     key = np.sign(p)
     key *= 3
     key += np.sign(q)
-    octants = _OCTANT_BY_SIGN_KEY[dim & 1][key]
+    octants = _octant_table(dim & 1)[key]
     # a validated enhancement of a nondegenerate pairing always has |sum|**2 = 2**n
     magnitude = np.abs(p, out=key)
     magnitude |= np.abs(q)
@@ -153,6 +157,7 @@ def _octants(dim: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def brown_from_histograms(dim: int, counts) -> np.ndarray:
     """Brown invariant of each row of value counts: the octant of the Gauss sum (n0 - n2) + (n1 - n3)i."""
+    import numpy as np
     counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
     real, imag = counts[:, 0] - counts[:, 2], counts[:, 1] - counts[:, 3]
     return _octants(dim, real + imag, real - imag)
@@ -208,8 +213,10 @@ def brown_normal_form(form: IntersectionForm, codes) -> int | np.ndarray:
     codes = Enhancement.codes_on_standard_basis(form, codes)
     if is_alternating(form):
         return 4 * arf_of_codes(codes)
-    weight = codes.bit_count() if isinstance(codes, int) else np.bitwise_count(codes).astype(np.int64)
-    return (form.dim - 2 * weight) % 8
+    if isinstance(codes, int):
+        return (form.dim - 2 * codes.bit_count()) % 8
+    import numpy as np
+    return (form.dim - 2 * np.bitwise_count(codes).astype(np.int64)) % 8
 
 
 def histogram_from_brown(dim: int, beta: int, alternating: bool) -> ValueHistogram:

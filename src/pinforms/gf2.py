@@ -3,14 +3,14 @@
 A matrix is a tuple of row masks: bit j of ``rows[i]`` holds entry (i, j).
 A vector is a single int: bit i holds coordinate i.  A batch of matrices
 is an unsigned array of row masks whose last axis holds the rows
-(``batch_mul``, ``batch_transpose``).
+(``batch_mul``, ``batch_transpose``).  Only the batch kernels use numpy,
+and each imports it in its own body, so the int routines run without it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 
 def dot(x: int, y: int) -> int:
@@ -18,7 +18,9 @@ def dot(x: int, y: int) -> int:
     return (x & y).bit_count() & 1
 
 
+@lru_cache(maxsize=512)
 def identity(n: int) -> tuple[int, ...]:
+    """The n-by-n unit matrix, built once per n: the tuple is immutable, so every caller shares it."""
     return tuple(1 << i for i in range(n))
 
 
@@ -52,6 +54,7 @@ def _rows_first(a) -> np.ndarray:
     batch kernels work in this layout and return views of it, so a chain of
     them copies nothing.
     """
+    import numpy as np
     a = np.asarray(a)
     if a.dtype.kind != "u":
         a = a.astype(np.uint32)
@@ -72,6 +75,7 @@ def batch_mul(a, b) -> np.ndarray:
     grow with n.  A tuple of rows broadcasts as a single uint32 matrix;
     unsigned arrays keep their width, so narrow rows cost less memory.
     """
+    import numpy as np
     rows, picked = _rows_first(a), _rows_first(b)
     lead = max(rows.ndim, picked.ndim) - 1
     rows = rows.reshape(rows.shape[:1] + (1,) * (lead + 1 - rows.ndim) + rows.shape[1:])
@@ -82,6 +86,7 @@ def batch_mul(a, b) -> np.ndarray:
 
 def batch_transpose(a, n: int) -> np.ndarray:
     """Transposes over a batch of (..., m) row masks of n columns each, as (..., n) row masks of the same width."""
+    import numpy as np
     rows = _rows_first(a)
     trailing = (1,) * (rows.ndim - 1)
     columns = np.arange(n, dtype=rows.dtype).reshape((n, 1) + trailing)

@@ -16,7 +16,8 @@ generated ones kept for checks at small dimension, and those are sorted
 is read off a grid over all 2**(n*n) candidates that one table of pairings
 x.F^-1.y filters, and the generated one is checked by one batch
 A^T F A = F test; ``Isometry`` objects are built from them only for the
-callers of ``isometry_group`` and ``mulclose``.
+callers of ``isometry_group`` and ``mulclose``.  ``Isometry`` and the
+generators are pure Python; each array kernel imports numpy in its own body.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
-
-import numpy as np
 
 from . import gf2
 from .surfaces import (
@@ -182,11 +181,13 @@ def isometry_group_order(form: IntersectionForm) -> int:
 
 def _pack(rows: np.ndarray, n: int) -> np.ndarray:
     """Packed uint32 keys of (..., n) row masks: row i at bits [i n, (i+1) n); key order sorts a group."""
+    import numpy as np
     return np.bitwise_or.reduce(rows << (n * np.arange(n, dtype=np.uint32)), axis=-1)
 
 
 def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
     """The (..., n) uint32 row masks of uint32 packed keys, inverting ``_pack``; a view of rows-first memory, as the batch kernels keep it."""
+    import numpy as np
     shifts = n * np.arange(n, dtype=np.uint32).reshape((n,) + (1,) * keys.ndim)
     rows = (keys >> shifts) & np.uint32((1 << n) - 1)
     return rows.transpose(*range(1, rows.ndim), 0)
@@ -194,6 +195,7 @@ def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
 
 def _preserves_pairing(form: IntersectionForm, rows: np.ndarray) -> np.ndarray:
     """Whether A^T F A = F, for each matrix A of a batch of (..., n) unsigned row masks."""
+    import numpy as np
     pairing = np.array(form.rows, dtype=rows.dtype)
     product = gf2.batch_mul(gf2.batch_transpose(rows, form.dim), gf2.batch_mul(pairing, rows))
     return (product == pairing).all(axis=-1)
@@ -201,6 +203,7 @@ def _preserves_pairing(form: IntersectionForm, rows: np.ndarray) -> np.ndarray:
 
 def _generator_rows(form: IntersectionForm, generators):
     """Isometries as a (G, n) uint32 row array; rows (an array, or a sequence not led by an ``Isometry``) as given, for ``code_map`` to check."""
+    import numpy as np
     gens = generators if isinstance(generators, np.ndarray) else list(generators)
     if isinstance(gens, np.ndarray) or (gens and not isinstance(gens[0], Isometry)):
         return gens
@@ -211,6 +214,7 @@ def _generator_rows(form: IntersectionForm, generators):
 
 def _mark_new(keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """The distinct keys not yet marked in ``seen``, sorted; they are marked on the way out."""
+    import numpy as np
     keys = np.sort(keys[~seen[keys]])
     distinct = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
@@ -228,6 +232,7 @@ def _closure(form: IntersectionForm, generators: np.ndarray) -> np.ndarray:
     is then checked in one batch (``_preserves_pairing``); the generators are
     isometries, so a product outside the group raises ``InvariantViolation``.
     """
+    import numpy as np
     n = form.dim
     check_dim(n, MAX_CLOSURE_DIM, "group closure")
     seen = np.zeros(1 << (n * n), dtype=bool)
@@ -275,6 +280,7 @@ def _brute_group(form: IntersectionForm) -> np.ndarray:
     the validation; the array is cached, and read-only so that no caller can
     change it for the next.
     """
+    import numpy as np
     n = form.dim
     inverse = gf2.inverse(form.rows, n)
     if inverse is None or gf2.mat_mul(form.rows, inverse) != gf2.identity(n):
@@ -327,6 +333,7 @@ def _image_row(columns, shifts) -> np.ndarray:
     Built by doubling: codes 2**j to 2**(j+1) - 1 are the codes below them
     xor column j.  A batch gives one (G, 2**n) row per map.
     """
+    import numpy as np
     columns = np.asarray(columns, dtype=np.uint32)
     shifts = np.asarray(shifts, dtype=np.uint32)
     n = columns.shape[-1]
@@ -352,6 +359,7 @@ def orbit_labels(form: IntersectionForm, kind, generators=None) -> np.ndarray:
     a code to its image, so labels are constant on every cycle of a
     generator: the pull along g alone closes the orbits, involution or not.
     """
+    import numpy as np
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "orbit labels")
     generators = isometry_generators(form) if generators is None else generators
@@ -381,6 +389,7 @@ def orbit_summary(labels: np.ndarray) -> tuple[list[int], list[int]]:
     code.  ``reverse`` (an ``_image_row``) is the bit reversal, an
     involution, so ``reverse[r]`` is the code whose reversal is r.
     """
+    import numpy as np
     n = labels.size.bit_length() - 1
     reverse = _image_row(tuple(1 << (n - 1 - i) for i in range(n)), 0)
     _, first, sizes = np.unique(labels[reverse], return_index=True, return_counts=True)
@@ -397,6 +406,7 @@ def orbit_partition(form: IntersectionForm, structures, generators=None):
     members.  With the default generators they are full isometry-group
     orbits.
     """
+    import numpy as np
     structures = list(structures)
     if not structures:
         return ()
@@ -421,6 +431,7 @@ def level_set_fit(labels: np.ndarray, invariants) -> tuple[bool, bool]:
     the orbits, so they are its level sets.  Each orbit's label is its
     smallest code, so the roots (labels == arange) are one code per orbit.
     """
+    import numpy as np
     invariants = np.asarray(invariants)
     constant = bool((invariants[labels] == invariants).all())
     roots = np.flatnonzero(labels == np.arange(labels.size))

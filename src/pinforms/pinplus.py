@@ -9,7 +9,7 @@ the relation always evaluates to k mod 2.
 
 Every relation is 2-torsion, r = 2w, so q(r) = q(w) + q(w) + w.w = w.w
 whatever the generator values: the candidates stand or fall together, and
-one of them decides descent for all 2^n.
+one of them decides descent for all 2^n.  Pure Python: no numpy.
 """
 
 from __future__ import annotations

@@ -4,12 +4,11 @@ The Arf invariant is the majority value over all classes (``arf_majority``,
 ``arf_spectrum``), or a sum over a symplectic basis
 (``arf_normal_form``, for one code or an array of codes on any alternating
 pairing; ``arf_symplectic`` on the standard layout); the table routes and
-the basis route share no code.
+the basis route share no code.  An int code's Arf is pure Python; each
+table and array kernel imports numpy in its own body.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .surfaces import (
     IntersectionForm,
@@ -76,6 +75,7 @@ def arf_of_codes(codes: int | np.ndarray) -> int | np.ndarray:
     if isinstance(codes, int):
         evens = (4 ** ((codes.bit_length() + 1) // 2) - 1) // 3  # bits 0, 2, 4, ... up to the top plane
         return (codes & codes >> 1 & evens).bit_count() & 1
+    import numpy as np
     # array codes have at most MAX_TABLE_DIM bits, so 32 bits of evens cover every plane
     return (np.bitwise_count(codes & codes >> 1 & 0x55555555) & 1).astype(np.int64)
 
@@ -98,6 +98,7 @@ def arf_spectrum(form: IntersectionForm) -> np.ndarray:
     is real); each sum is +-2**g, and the sign is -1 exactly when the Arf
     invariant is 1.
     """
+    import numpy as np
     sums = Refinement.folded_sums(form)
     bad = np.flatnonzero(np.abs(sums) != 1 << (form.dim // 2))
     if bad.size:
@@ -121,6 +122,7 @@ def spin_census(g: int) -> Census:
     counts against ``spin_closed_form``.  The sphere (g = 0) has one
     structure, of Arf 0; ``hyperbolic_form`` refuses a negative genus.
     """
+    import numpy as np
     zeros, ones = np.bincount(arf_spectrum(hyperbolic_form(g)), minlength=2).tolist()
     counts = {0: zeros, 1: ones}
     expected = spin_closed_form(g)

@@ -4,7 +4,9 @@ An orientable genus-g surface carries the block sum of g hyperbolic planes
 on the interleaved basis a1, b1, ..., ag, bg.  A nonorientable genus-k
 surface carries the k-by-k identity pairing on the core classes of its k
 projective-plane summands.  Homology classes are encoded as integers with
-bit i giving the coefficient of basis vector i.
+bit i giving the coefficient of basis vector i.  The pairing, the standard
+basis, a structure's checks and its pull-back are pure Python; each dense
+table and batch kernel imports numpy in its own body.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import compress
 from typing import ClassVar
-
-import numpy as np
 
 from . import gf2
 
@@ -82,6 +82,7 @@ class IntersectionForm:
 
     @property
     def matrix(self) -> np.ndarray:
+        import numpy as np
         n = self.dim
         return np.array([[self.entry(i, j) for j in range(n)] for i in range(n)], dtype=np.uint8).reshape(n, n)
 
@@ -157,6 +158,7 @@ def check_dim(n: int, cap: int, what: str):
 
 def matrix_rows(form: IntersectionForm, rows) -> np.ndarray:
     """A (G, n) batch of n-by-n row masks as a uint32 array; a wrong shape, a non-integer dtype or a mask outside [0, 2**n) raises ``ValueError``."""
+    import numpy as np
     n = form.dim
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
@@ -295,6 +297,7 @@ def class_bit_matrix(n: int) -> np.ndarray:
 
     Built by doubling: rows [2**i, 2**(i+1)) repeat the rows below them with bit i set.
     """
+    import numpy as np
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
     out = np.zeros((1 << n, n), dtype=np.uint8)
     for i in range(n):
@@ -307,6 +310,7 @@ def class_bit_matrix(n: int) -> np.ndarray:
 
 def _parity_vector(mask: int, n: int) -> np.ndarray:
     """Parity of mask & y for every y < 2**n, by one popcount over the classes."""
+    import numpy as np
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32) & mask) & 1
 
 
@@ -321,6 +325,7 @@ def cross_parity_table(form: IntersectionForm) -> np.ndarray:
     uint8 sums wrap mod 256, which keeps their parity, and one mask at the
     end leaves it.
     """
+    import numpy as np
     n = form.dim
     check_dim(n, MAX_TABLE_DIM, "dense class tables")
     table = np.zeros(1 << n, dtype=np.uint8)
@@ -354,6 +359,7 @@ def _butterflies(values: np.ndarray) -> np.ndarray:
     moves it to the top, so after n passes every bit is transformed and back
     in place.  Partial sums reach 2**n max|values|; the dtype must hold them.
     """
+    import numpy as np
     size = values.shape[-1]
     half = size // 2
     spare = np.empty_like(values)
@@ -442,6 +448,7 @@ class QuadraticStructure:
         code rule.  Codes are read as little-endian bytes, so any dimension
         works; the first code outside [0, 2**n) raises ``ValueError``.
         """
+        import numpy as np
         n, width = form.dim, (form.dim + 7) // 8
         codes = [operator.index(c) for c in codes]
         bad = next((c for c in codes if not 0 <= c < 1 << n), None)
@@ -500,6 +507,7 @@ class QuadraticStructure:
         the library's check of isometry rows from outside: it, or ``matrix_rows`` on a
         wrong shape or mask, raises ``ValueError``.
         """
+        import numpy as np
         n, half = form.dim, cls.modulus // 2
         pairing_inverse = gf2.inverse(form.rows, n)
         if pairing_inverse is None or gf2.mat_mul(form.rows, pairing_inverse) != gf2.identity(n):
@@ -531,6 +539,7 @@ class QuadraticStructure:
         is (m/2) cross_pairs(x) plus the diagonal weight of x.  Partial
         sums stay within 2**n <= 2**MAX_TABLE_DIM, so int32 is exact.
         """
+        import numpy as np
         check_dim(form.dim, MAX_TABLE_DIM, f"{cls.__name__.lower()} enumeration")
         values = cls.value_table(form, cls.code_values(form, [0]))[0]
         terms = np.multiply(values >= cls.modulus // 2, -2, dtype=np.int32)
@@ -550,6 +559,7 @@ class QuadraticStructure:
         Parity on the basis gives parity on every class, as both sides are
         additive mod m.
         """
+        import numpy as np
         name, m = cls.__name__.lower(), cls.modulus
         rows = np.asarray(values).reshape(len(values), form.dim)
         if not rows.size:
@@ -578,6 +588,7 @@ class QuadraticStructure:
         is added and the sum, which wraps mod 256, is reduced mod m.  The
         normal form is the route that shares no code with this table.
         """
+        import numpy as np
         cross = cross_parity_table(form)  # its guard runs before anything is allocated
         n = form.dim
         vals = cls.value_rows(form, values)
@@ -619,6 +630,7 @@ class QuadraticStructure:
         try:
             code = operator.index(codes)
         except TypeError:
+            import numpy as np
             check_dim(n, MAX_TABLE_DIM, "batch normal forms")
             codes = np.asarray(codes)
             if codes.size and not np.issubdtype(codes.dtype, np.integer):

@@ -3,7 +3,8 @@
 Each suite re-checks one family of library guarantees at documented desk
 scales and emits PASS/FAIL rows.  The two findings where a closed-form
 count is at odds with exhaustive enumeration are reported as DISPUTED
-rather than failed; everything else failing is a genuine defect.
+rather than failed; everything else failing is a genuine defect.  Each
+suite or helper that uses numpy imports it in its own body.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-
-import numpy as np
 
 from . import gf2
 from .census import (
@@ -131,6 +130,7 @@ def _brown_codes(form) -> np.ndarray:
 
 def _arf_codes(form) -> np.ndarray:
     """Arf invariant of every refinement on ``form``, in code order, by the sum over a standard basis."""
+    import numpy as np
     return arf_normal_form(form, np.arange(1 << form.dim))
 
 
@@ -141,6 +141,7 @@ def _row(values: np.ndarray, s: int) -> tuple[int, ...]:
 
 def _misses(label: str, values: np.ndarray, broken: np.ndarray):
     """``"{label} values {row}"`` for each row of ``values`` that the (S,) bool mask ``broken`` sets, in row order."""
+    import numpy as np
     return (f"{label} values {_row(values, pos)}" for pos in np.flatnonzero(broken).tolist())
 
 
@@ -179,6 +180,7 @@ def _basis_pairs(form) -> np.ndarray:
 
     2**i.y is the parity of rows[i] & y.
     """
+    import numpy as np
     n = form.dim
     return np.stack([np.zeros(1 << n, dtype=np.uint8), *(_parity_vector(row, n) for row in form.rows)])
 
@@ -297,6 +299,7 @@ def _suite_spin_census() -> list[Row]:
 
 def _block_sum_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Row len(second) * s + t: row s of ``first`` then row t of ``second``, the values of ``direct_sum_enhancement``."""
+    import numpy as np
     (s, k), (t, l) = first.shape, second.shape
     rows = np.empty((s, t, k + l), dtype=first.dtype)
     rows[..., :k] = first[:, None]
@@ -306,12 +309,14 @@ def _block_sum_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def _cap_off_rows(values: np.ndarray) -> np.ndarray:
     """Row k * s + i: row s of a (S, k) value array without column i, the values ``cap_off_summand(e, i)`` keeps."""
+    import numpy as np
     k = values.shape[1]
     return np.stack([np.delete(values, i, axis=1) for i in range(k)], axis=1).reshape(-1, k - 1)
 
 
 def _suite_brown_compass() -> list[Row]:
     # the Gauss-sum octant against the standard-basis sum: two routes that share no code
+    import numpy as np
     def breaks():
         for s in _standard_surfaces(10, include_sphere=True):
             wrong = brown_normal_form(s.form, np.arange(1 << s.form.dim)) != _brown_codes(s.form)
@@ -330,6 +335,7 @@ def _suite_gauss_magnitude() -> list[Row]:
 
 
 def _suite_additivity() -> list[Row]:
+    import numpy as np
     def breaks():
         # each surface's values and invariants, read once from the per-run caches
         surfaces = [
@@ -368,6 +374,7 @@ def _suite_doubling() -> list[Row]:
 
 
 def _suite_capping() -> list[Row]:
+    import numpy as np
     def breaks():
         for k in range(2, 9):
             form = identity_form(k)
@@ -385,6 +392,7 @@ def _suite_capping() -> list[Row]:
 
 
 def _suite_action_invariance() -> list[Row]:
+    import numpy as np
     rng = random.Random(0xAC7)
 
     def sampled(kind, form):
@@ -432,6 +440,7 @@ def _suite_action_invariance() -> list[Row]:
 
 
 def _suite_isometry_groups() -> list[Row]:
+    import numpy as np
     ok = True
     details = []
     # both groups are row arrays sorted by packed key, equal exactly when the groups are

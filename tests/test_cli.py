@@ -441,6 +441,59 @@ def test_parser_is_built_once_and_lazily(package_pythonpath):
     assert (child.returncode, child.stdout) == (0, "0\n")
 
 
+ONE_STRUCTURE_ARGVS = [
+    ["invariant", "-s", "N:20", "-e", ",".join(["1"] * 19 + ["3"])],
+    ["invariant", "-s", "N:256", "-e", ",".join(["3"] * 256), "--format", "json"],
+    ["invariant", "-s", "S:128", "-e", ",".join(["2", "2"] * 3 + ["0", "2"] * 125)],
+    ["invariant", "-s", "S:128", "-q", ",".join(["1"] * 256), "--format", "csv"],
+    ["invariant", "-s", "N:20", "-q", ",".join(["1"] * 20)],  # refinements need an orientable surface: exit 2
+    ["invariant", "-s", "N:256", "-e", ",".join(["2"] + ["1"] * 255)],  # breaks parity: exit 2
+]
+
+# run in a fresh interpreter: the invariant commands above, then one-structure library queries
+ONE_STRUCTURE_PROBE = """
+import contextlib, io, json, sys
+import pinforms
+import pinforms.cli as cli
+from pinforms import Enhancement, Refinement, bordism_class, cobordant, nonorientable_surface, orientable_surface
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+n256, s128, n20 = nonorientable_surface(256), orientable_surface(128), nonorientable_surface(20)
+e = Enhancement(n256.form, (1,) * 255 + (3,))
+q, r = Refinement(s128.form, (1, 1) + (0,) * 254), Refinement(s128.form, (0,) * 256)
+classes = [bordism_class(n256, e).value, bordism_class(s128, q).value, bordism_class(s128, r).value]
+together = [
+    cobordant((n20, Enhancement(n20.form, (1,) * 20)), (n20, Enhancement(n20.form, (3, 3) + (1,) * 18))),
+    cobordant((s128, q), (s128, r)),
+]
+print(json.dumps({"runs": runs, "classes": classes, "cobordant": together,
+                  "numpy": sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))}))
+"""
+
+
+def test_one_structure_queries_never_import_numpy(package_pythonpath, capsys):
+    # import pinforms, import pinforms.cli, invariant, bordism_class and cobordant are pure Python: numpy is
+    # imported by the kernels that use it, and none of them runs
+    env = {**os.environ, "PYTHONPATH": package_pythonpath}
+    child = subprocess.run(
+        [sys.executable, "-c", ONE_STRUCTURE_PROBE, json.dumps(ONE_STRUCTURE_ARGVS)],
+        capture_output=True, text=True, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["numpy"] == []
+    # the child printed what the same commands print here, and the queries read the values of their sums
+    assert report["runs"] == [list(run_cli(capsys, *argv)) for argv in ONE_STRUCTURE_ARGVS]
+    assert [code for code, _, _ in report["runs"]] == [0, 0, 0, 0, 2, 2]
+    assert report["classes"] == [(255 - 1) % 8, 1, 0]
+    assert report["cobordant"] == [False, False]
+
+
 def test_shared_parser_survives_a_bad_call(capsys):
     argv = ("census", "-s", "N:5", "-t", "pin-", "--compare", "--format", "json")
     code, first, _ = run_cli(capsys, *argv)

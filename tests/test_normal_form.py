@@ -1,8 +1,8 @@
 """The normal-form route to the bordism invariants, checked against the Gauss-sum routes."""
 
 import random
+import sys
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from pinforms import (
     brown_gauss_many,
     brown_spectrum,
     cobordant,
-    enhancements,
     enumerate_enhancements,
     enumerate_refinements,
     gf2,
@@ -30,7 +29,6 @@ from pinforms import (
     identity_form,
     nonorientable_surface,
     orientable_surface,
-    refinements,
     surfaces,
     value_histograms,
 )
@@ -551,9 +549,9 @@ def test_normal_form_reads_any_array_like_of_codes(surface):
 
 def test_one_structure_normal_form_calls_no_numpy(monkeypatch):
     # bordism_class and invariant build one structure and pass its int code: the constructor's checks, the
-    # pull-back and the sums stay pure Python
-    for module in (surfaces, enhancements, refinements):
-        monkeypatch.setattr(module, "np", SimpleNamespace(ndarray=np.ndarray))
+    # pull-back and the sums stay pure Python, so they reach no `import numpy`, which a None entry in
+    # sys.modules makes raise; a fresh interpreter in test_cli checks that numpy is never loaded
+    monkeypatch.setitem(sys.modules, "numpy", None)
     assert brown_normal_form(identity_form(3), Enhancement(identity_form(3), (1, 1, 3)).code) == 1
     assert brown_normal_form(hyperbolic_form(2), Enhancement(hyperbolic_form(2), (2, 2, 0, 2)).code) == 4
     assert arf_normal_form(hyperbolic_form(2), Refinement(hyperbolic_form(2), (1, 1, 0, 1)).code) == 1
@@ -601,3 +599,15 @@ def test_one_structure_normal_form_calls_no_numpy_on_a_cold_cache(monkeypatch):
     for surface, structure, value in queries:
         assert bordism_class(surface, structure).value == value
     assert calls == {"cross_pairs": 0, "as_bits": 0, "transpose": 0}
+
+
+def test_cold_normal_form_query_builds_the_unit_basis_once():
+    # standard_basis compares the rows with the unit basis and pull_back compares the vectors with it: one
+    # cached tuple serves both
+    s128 = orientable_surface(MAX_NORMAL_FORM_DIM // 2)
+    structure = Refinement(s128.form, (1,) * MAX_NORMAL_FORM_DIM)
+    for cache in (gf2.identity, standard_basis, QuadraticStructure.pull_back):
+        cache.cache_clear()
+    assert bordism_class(s128, structure).value == 0
+    assert (gf2.identity.cache_info().misses, gf2.identity.cache_info().hits) == (1, 1)
+    assert gf2.identity(MAX_NORMAL_FORM_DIM) is gf2.identity(MAX_NORMAL_FORM_DIM)

@@ -11,13 +11,17 @@ from pinforms import verify
 SOURCES = sorted(Path(pinforms.__file__).parent.glob("*.py"))
 
 
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_library_has_no_assert_statements():
     # an assert vanishes under python -O; runtime checks raise InvariantViolation instead
     assert SOURCES
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
@@ -25,7 +29,7 @@ def test_library_has_no_assert_statements():
 
 def _float_dtypes(path: Path) -> list[str]:
     """Float dtypes: ``np.float*`` attributes, ``"float*"`` dtype strings, and ``float`` passed to ``astype`` or ``dtype``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
@@ -67,10 +71,67 @@ def test_float_dtype_check_sees_each_kind_of_use(tmp_path):
     assert _float_dtypes(source) == [f"probe.py:{line}" for line in (1, 2, 3, 4, 5, 6, 7, 11)]
 
 
+def _import_time_statements(statements):
+    """The statements that run when a module is imported: its body, with class bodies and the blocks of
+    ``if``, ``try``, ``with``, loops and ``match``, but no function body."""
+    for node in statements:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for block in ("body", "orelse", "finalbody", "handlers", "cases"):
+                yield from _import_time_statements(getattr(node, block, ()))
+
+
+def _module_level_numpy_imports(path: Path) -> list[str]:
+    """``import numpy``, ``import numpy as np``, ``import numpy.x`` and ``from numpy import x`` that run at import."""
+    found = []
+    for node in _import_time_statements(_tree(path).body):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.partition(".")[0] == "numpy" for module in modules):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_library_imports_numpy_only_inside_functions():
+    # import pinforms and a one-structure query must not load numpy: each kernel that uses it imports it itself
+    assert [found for path in SOURCES for found in _module_level_numpy_imports(path)] == []
+
+
+def test_numpy_import_check_sees_each_kind_of_import(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy\n"
+        "import numpy as np\n"
+        "from numpy import x\n"
+        "import os, numpy.linalg\n"
+        "class Host:\n"
+        "    import numpy\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    from numpy import y\n"
+        "def kernel():\n"
+        "    import numpy as np\n"
+        "class Other:\n"
+        "    def method(self):\n"
+        "        import numpy\n"
+        "from .numpy import z\n"
+        "import numpyish\n",
+        encoding="utf-8",
+    )
+    assert _module_level_numpy_imports(source) == [f"probe.py:{line}" for line in (1, 2, 3, 4, 6, 8, 10, 12)]
+
+
 def test_orbits_leaves_the_code_convention_to_the_structure_classes():
     # orbit closure is theory-free: diagonal, modulus and cross terms belong to surfaces.QuadraticStructure
     path = Path(pinforms.__file__).parent / "orbits.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     convention = {"diagonal", "modulus", "cross_pairs"}
     found = [
         f"{path.name}:{node.lineno}"
@@ -102,7 +163,7 @@ def _modulus_branches(path: Path) -> list[str]:
 
     A chained comparison is read pair by pair, so a range check 0 <= x < modulus compares no literal with m.
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -146,7 +207,7 @@ def test_verify_writes_each_suite_name_once():
     path = Path(verify.__file__)
     constants = Counter(
         node.value
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     )
     assert {name: constants[name] for name in verify.SUITES} == dict.fromkeys(verify.SUITES, 1)
@@ -169,7 +230,7 @@ def _is_theory_operand(node) -> bool:
 
 def _theory_dispatches(path: Path) -> list[str]:
     """Comparisons with a theory name or a structure class, and isinstance tests against one, outside ``THEORIES``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     table = {
         id(node)
         for statement in tree.body
@@ -228,7 +289,7 @@ def _decorator_name(node) -> str | None:
 
 def _uncleared_caches(path: Path) -> list[str]:
     """Module-level cached functions whose ``cache_clear()`` is not called in ``run_suites``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     cached = [f for f in functions if any(_decorator_name(d) in CACHE_DECORATORS for d in f.decorator_list)]
     cleared = {
@@ -249,7 +310,7 @@ def test_every_verify_cache_is_cleared_by_run_suites():
     path = Path(verify.__file__)
     assert {"_values", "_histograms"} <= {
         node.name
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in _tree(path).body
         if isinstance(node, ast.FunctionDef) and node.decorator_list
     }
     assert _uncleared_caches(path) == []
@@ -279,7 +340,7 @@ def test_cache_check_sees_each_kind_of_decorator(tmp_path):
 def _uncalled_helpers(paths) -> list[str]:
     """Module-level ``def _name`` helpers and ``_NAME = ...`` constants that no code in ``paths`` names outside
     their own definition."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    trees = {path: _tree(path) for path in paths}
 
     def named(node) -> Counter:
         return Counter(
